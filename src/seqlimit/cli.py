@@ -395,12 +395,6 @@ def _cmd_experiment(args, stream) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="seqlimit", description=__doc__)
     top.add_argument("--seed", type=int, default=0, help="PRNG seed (Philox 4x64)")
-    top.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SEQLIMIT_THREADS", "1")),
-        help="worker cap for batch experiments",
-    )
     top.add_argument("--format", choices=("json", "csv"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -149,6 +149,8 @@ def run_tester(
     tail bounds."""
     if length > len(w):
         raise ValueError("query size exceeds word length")
+    if trials < 1:
+        raise ValueError(f"the tester needs at least 1 trial, got {trials}")
     accepted = 0
     for t in range(trials):
         u = random_subsequence(w, length, stream.substream(t))

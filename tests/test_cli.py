@@ -130,6 +130,18 @@ def test_permuton_cli():
     assert doc["exact"] is False and doc["trials"] == 2000
 
 
+def test_domain_errors_for_trials_and_empty_grids():
+    perm10 = ",".join(str(i) for i in range(1, 11))
+    for trials in ("0", "-3"):
+        code, out, err = run_cli("permuton", "density", "--grid", perm10, "--pattern", "12345", "--trials", trials)
+        assert code == 1 and out == ""
+        assert "at least 1 trial" in err
+    code, out, err = run_cli("test", "--word", "0101", "--forbid", "10", "--query-size", "2", "--trials", "0")
+    assert code == 1 and out == "" and "at least 1 trial" in err
+    code, out, err = run_cli("permuton", "density", "--grid", '{"m": 0, "mass": []}', "--pattern", "12")
+    assert code == 1 and out == "" and "at least 1" in err
+
+
 def test_experiment_batch(tmp_path):
     batch = {
         "experiments": [

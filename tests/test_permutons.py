@@ -61,15 +61,52 @@ def test_pattern_count_examples():
         pattern_count_perm(identity, Permutation((1, 2, 3, 4, 5)))
 
 
+PATTERNS = [
+    Permutation(vals) for k in (2, 3, 4) for vals in itertools.permutations(range(1, k + 1))
+]
+
+
 def test_pattern_count_matches_brute_force():
+    # every host of length n <= 6, so hosts shorter than and as long as
+    # each pattern are covered, then seeded hosts of length 7..12
+    hosts = [
+        Permutation(vals)
+        for n in range(7)
+        for vals in itertools.permutations(range(1, n + 1))
+    ]
     stream = SeededStream(71)
-    rng = stream.generator()
-    for _ in range(15):
-        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(7)))
-        for k in (2, 3, 4):
-            for vals in itertools.permutations(range(1, k + 1)):
-                tau = Permutation(vals)
-                assert pattern_count_perm(sigma, tau) == brute_pattern_count(sigma, tau)
+    for n in range(7, 13):
+        rng = stream.substream(n).generator()
+        hosts += [Permutation(tuple(int(v) + 1 for v in rng.permutation(n))) for _ in range(4)]
+    for sigma in hosts:
+        for tau in PATTERNS:
+            count = pattern_count_perm(sigma, tau)
+            assert type(count) is int
+            assert count == brute_pattern_count(sigma, tau)
+
+
+# reverse, complement and inverse, as maps of the points (i, sigma_i)
+SYMMETRIES = (lambda x, y: (-x, y), lambda x, y: (x, -y), lambda x, y: (y, x))
+
+
+def test_pattern_counts_large_host_sum_and_symmetries():
+    # n = 300 is far beyond enumeration: check that the counts of each
+    # size partition the C(n, k) index sets and are invariant under the
+    # symmetries of the square applied to host and pattern together
+    n = 300
+    rng = SeededStream(70).generator()
+    sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+
+    def image(sym, p):
+        return pattern_of(sym(x, y) for x, y in enumerate(p.values))
+
+    for k in (2, 3, 4):
+        counts = {tau: pattern_count_perm(sigma, tau) for tau in PATTERNS if len(tau) == k}
+        assert sum(counts.values()) == math.comb(n, k)
+        for sym in SYMMETRIES:
+            host = image(sym, sigma)
+            for tau, count in counts.items():
+                assert pattern_count_perm(host, image(sym, tau)) == count
 
 
 def test_grid_measure_construction():
@@ -193,14 +230,19 @@ def test_moment_direct_examples():
 
 
 def test_moment_from_densities_matches_direct():
+    # per (i, j): 6 random 4-grids, and the 50 seeded 3-grids that check
+    # the density-combination coefficients against direct integration
     stream = SeededStream(81)
-    for t in range(6):
-        mu = GridMeasure.random(4, stream.substream(t))
-        for i in range(4):
-            for j in range(4 - i):
+    for i in range(4):
+        for j in range(4 - i):
+            check = SeededStream(987654321, i * 101 + j)
+            grids = [GridMeasure.random(4, stream.substream(t)) for t in range(6)]
+            grids += [GridMeasure.random(3, check.substream(t), blend=2) for t in range(50)]
+            for mu in grids:
                 dens = moment_densities(mu, i, j)
                 assert moment_xy_from_densities(i, j, dens) == moment_xy_direct(i, j, mu)
     with pytest.raises(ValueError):
         moment_xy_from_densities(2, 2, {})
     with pytest.raises(KeyError):
         moment_xy_from_densities(1, 0, {})
+
