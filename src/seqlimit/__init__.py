@@ -45,7 +45,6 @@ from .uniformity import (
 from .sampling import (
     f_random_word,
     f_random_word_vector,
-    empirical_limit,
     tail_experiment_dbox,
     subsequence_tail_experiment,
 )

@@ -29,7 +29,6 @@ from .permutons import (
 )
 from .piecewise import (
     LimitVector,
-    PiecewisePoly,
     d1_fn,
     d_box,
     prefix_sup_dist,
@@ -84,9 +83,8 @@ def _load_word_or_limit(value: str):
     return ser.word_from_text(text)
 
 
-def _as_limit(obj) -> PiecewisePoly:
-    if isinstance(obj, Word):
-        return PiecewisePoly.associated(obj)
+def _as_limit(obj):
+    """A single limit function (or a word, taken as its step function)."""
     if isinstance(obj, LimitVector):
         raise CliError("this operation needs a single (binary) limit function")
     return obj
@@ -193,6 +191,8 @@ def _cmd_distance(args, stream) -> dict:
 
 
 def _cmd_sample(args, stream) -> dict:
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     limit = _load_limit(args.limit)
     words = []
     for c in range(args.count):
@@ -296,6 +296,8 @@ def _cmd_permuton(args, stream) -> dict:
         nu = _load_grid_or_perm(args.b)
         return {"metric": "box", "value": d_box_grid(mu, nu), "exact": True}
     # sample
+    if args.count < 1:
+        raise CliError(f"--count must be at least 1, got {args.count}")
     mu = _load_grid_or_perm(args.grid)
     pats = [str(sample_subperm(mu, args.size, stream.substream(c))) for c in range(args.count)]
     return {

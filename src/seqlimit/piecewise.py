@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 
 from . import poly
 from .poly import Poly
@@ -254,9 +255,69 @@ def limit_density_table(f: PiecewisePoly, length: int) -> dict[str, Fraction]:
 # -- distances --------------------------------------------------------
 
 
-def _signed_area_extrema(h: PiecewisePoly):
-    """Candidate (x, H(x)) values for the primitive H of h, split into
-    exact and approximate parts."""
+def _denominators(f) -> tuple[int, int]:
+    """Common denominators of the breakpoints and of the values of a word
+    (the indicator of its letter 1 on the n-grid) or a step function."""
+    if isinstance(f, Word):
+        if len(f) == 0:
+            raise ValueError("word must be nonempty")
+        return len(f), 1
+    if not f.is_step():
+        raise ValueError("the integer sweep needs words or step functions")
+    bden = math.lcm(*(b.denominator for b in f.breakpoints))
+    return bden, math.lcm(*(p[0].denominator for p in f.pieces if p))
+
+
+def _scaled_ints(f, bden: int, vden: int) -> tuple[list[int], list[int]]:
+    """Breakpoints times bden and values times vden, as Python ints."""
+    if isinstance(f, Word):
+        return list(range(0, bden + 1, bden // len(f))), [vden if c == "1" else 0 for c in f.letters]
+    return (
+        [b.numerator * (bden // b.denominator) for b in f.breakpoints],
+        [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces],
+    )
+
+
+def _spread(xs: list[int], vs: list[int], grid: list[int]):
+    """Values of the step function (xs, vs) on the cells of grid, which refines xs."""
+    if len(xs) == len(grid):
+        return vs
+    pos = [bisect_left(grid, x) for x in xs]
+    return itertools.chain.from_iterable(map(itertools.repeat, vs, map(sub, pos[1:], pos)))
+
+
+def step_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
+    """Exact primitive H of f - g, where f and g are words or step
+    functions, swept over Python ints.
+
+    Returns (grid, prim, bden, vden): the merged breakpoints are
+    grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
+    """
+    (bf, vf), (bg, vg) = _denominators(f), _denominators(g)
+    bden, vden = math.lcm(bf, bg), math.lcm(vf, vg)
+    (xf, vf), (xg, vg) = _scaled_ints(f, bden, vden), _scaled_ints(g, bden, vden)
+    grid = xf if len(xg) == 2 else xg if len(xf) == 2 or xf == xg else sorted({*xf, *xg})
+    diff = map(sub, _spread(xf, vf, grid), _spread(xg, vg, grid))
+    prim = list(itertools.accumulate(map(mul, diff, map(sub, grid[1:], grid)), initial=0))
+    return grid, prim, bden, vden
+
+
+def _is_step(f) -> bool:
+    return isinstance(f, Word) or f.is_step()
+
+
+def _limit_of(f) -> PiecewisePoly:
+    return PiecewisePoly.associated(f) if isinstance(f, Word) else f
+
+
+def _signed_area_extrema(f, g):
+    """Candidate values of the primitive H of f - g, split into exact and
+    approximate parts.  Words and step functions take the integer sweep,
+    which yields the two extremes of H directly."""
+    if _is_step(f) and _is_step(g):
+        _, prim, bden, vden = step_primitive(f, g)
+        return [Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)], []
+    h = _limit_of(f) - _limit_of(g)
     H = h.antiderivative()
     exact = list(h.breakpoints)
     approx: list[float] = []
@@ -269,57 +330,39 @@ def _signed_area_extrema(h: PiecewisePoly):
     return evals, fvals
 
 
-def d_box(f: PiecewisePoly, g: PiecewisePoly):
-    """Box distance sup over intervals of |integral of f - g|.
+def d_box(f, g):
+    """Box distance sup over intervals of |integral of f - g|, where f and
+    g are limit functions or words (taken as their step functions).
 
     Equals max H - min H for the primitive H of f - g, with extrema
     searched over breakpoints and piece roots.  Exact (Fraction) when
     every candidate extremum is rational, else float within 1e-12.
     """
-    if f.is_step() and g.is_step():
-        return _d_box_steps(f, g)
-    evals, fvals = _signed_area_extrema(f - g)
+    evals, fvals = _signed_area_extrema(f, g)
     if fvals:
         allv = [float(v) for v in evals] + fvals
         return max(allv) - min(allv)
     return max(evals) - min(evals)
 
 
-def _d_box_steps(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
-    """Step-step fast path: one exact sweep over the merged grid."""
-    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    fi = gi = 0
-    fb, gb = f.breakpoints, g.breakpoints
-    acc = mx = mn = Fraction(0)
-    for lo, hi in zip(bps, bps[1:]):
-        while fb[fi + 1] <= lo:
-            fi += 1
-        while gb[gi + 1] <= lo:
-            gi += 1
-        fv = f.pieces[fi][0] if f.pieces[fi] else Fraction(0)
-        gv = g.pieces[gi][0] if g.pieces[gi] else Fraction(0)
-        acc += (fv - gv) * (hi - lo)
-        if acc > mx:
-            mx = acc
-        elif acc < mn:
-            mn = acc
-    return mx - mn
-
-
-def prefix_sup_dist(f: PiecewisePoly, g: PiecewisePoly):
+def prefix_sup_dist(f, g):
     """sup_b |integral over [0, b] of f - g|; sandwiched by d_box:
     prefix_sup_dist <= d_box <= 2 * prefix_sup_dist."""
-    evals, fvals = _signed_area_extrema(f - g)
+    evals, fvals = _signed_area_extrema(f, g)
     if fvals:
         allv = [float(v) for v in evals] + fvals
         return max(abs(max(allv)), abs(min(allv)))
     return max(abs(max(evals)), abs(min(evals)))
 
 
-def d1_fn(f: PiecewisePoly, g: PiecewisePoly):
-    """L1 distance integral of |f - g|.  Exact whenever every sign change
-    of f - g is rational; numeric within 1e-12 otherwise."""
-    h = f - g
+def d1_fn(f, g):
+    """L1 distance integral of |f - g| of limit functions or words.  Exact
+    whenever every sign change of f - g is rational; numeric within 1e-12
+    otherwise."""
+    if _is_step(f) and _is_step(g):
+        _, prim, bden, vden = step_primitive(f, g)
+        return Fraction(sum(map(abs, map(sub, prim[1:], prim))), bden * vden)
+    h = _limit_of(f) - _limit_of(g)
     total = Fraction(0)
     inexact = 0.0
     any_inexact = False

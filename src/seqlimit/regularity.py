@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .piecewise import PiecewisePoly
+from .piecewise import PiecewisePoly, step_primitive
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,13 @@ def _extremal_of(g: PiecewisePoly) -> tuple[Fraction, tuple[Fraction, Fraction]]
     """The interval I maximizing |integral_I g| together with that value,
     located exactly from the extrema of the primitive.  Irrational
     critical points are rationalized before evaluation, so the reported
-    deviation is always exact for the returned interval."""
+    deviation is always exact for the returned interval.  Ties go to the
+    largest maximizer and the smallest minimizer."""
+    if g.is_step():
+        grid, prim, bden, vden = step_primitive(g)
+        top, bottom = max(prim), min(prim)
+        lo, hi = sorted((prim.index(bottom), len(prim) - 1 - prim[::-1].index(top)))
+        return Fraction(top - bottom, bden * vden), (Fraction(grid[lo], bden), Fraction(grid[hi], bden))
     H = g.antiderivative()
     cands = set(g.breakpoints)
     for lo, hi, p in zip(g.breakpoints, g.breakpoints[1:], g.pieces):

@@ -70,11 +70,6 @@ def f_random_word_vector(F: LimitVector, n: int, stream: SeededStream) -> Word:
     return Word(tuple(F.alphabet[choice[i]] for i in order), F.alphabet)
 
 
-def empirical_limit(w: Word, letter: str = "1") -> PiecewisePoly:
-    """The n-step function of a word, the object that converges to f."""
-    return PiecewisePoly.associated(w, letter)
-
-
 @dataclass(frozen=True)
 class TailReport:
     trials: int
@@ -97,7 +92,7 @@ def tail_experiment_dbox(
     exceed = 0
     for t in range(trials):
         w = f_random_word(f, n, stream.substream(t))
-        if float(d_box(empirical_limit(w), f)) >= threshold:
+        if float(d_box(w, f)) >= threshold:
             exceed += 1
     bound = 4 * n * math.exp(-2 * a * a * n)
     return TailReport(
@@ -115,11 +110,10 @@ def subsequence_tail_experiment(
 ) -> TailReport:
     """Empirical P(d_box(f_u, f_w) >= eps) over uniformly random
     subsequences u of the given length, against 4 l exp(-eps^2 l / 300)."""
-    fw = empirical_limit(w)
     exceed = 0
     for t in range(trials):
         u = random_subsequence(w, length, stream.substream(t))
-        if float(d_box(empirical_limit(u), fw)) >= eps:
+        if float(d_box(u, w)) >= eps:
             exceed += 1
     bound = 4 * length * math.exp(-eps * eps * length / 300)
     note = ""

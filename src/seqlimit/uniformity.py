@@ -3,9 +3,9 @@
 A word w of length n is (d, eps)-uniform when every set of consecutive
 positions I satisfies |sum_{i in I} w_i - d|I|| <= eps*n.  The
 un-normalized interval discrepancy is computed exactly in O(n) from
-prefix sums; the best achievable uniformity over d is the minimum of a
-convex piecewise-linear function and is located exactly via convex
-hulls of the prefix-sum graph.
+prefix sums, swept as Python ints; the best achievable uniformity over
+d is the minimum of a convex piecewise-linear function and is located
+exactly via the two convex hulls of the prefix-sum graph.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .piecewise import PiecewisePoly, step_primitive
 from .words import Word, all_patterns, subsequence_count
 
 #: Forward constant: pattern-count error is at most 5 * eps * n^l for
@@ -30,38 +31,34 @@ def _require_binary(w: Word) -> None:
         raise ValueError("uniformity diagnostics require the binary alphabet")
 
 
-def _prefix_sums(w: Word) -> list[int]:
-    s = [0]
-    for c in w.letters:
-        s.append(s[-1] + (1 if c == "1" else 0))
-    return s
-
-
 def discrepancy(w: Word, d) -> tuple[Fraction, tuple[int, int]]:
     """Un-normalized sup over intervals of |sum_I w - d|I||, with a
     1-based closed witness interval attaining it."""
     _require_binary(w)
     d = Fraction(d)
-    s = _prefix_sums(w)
-    t = [Fraction(sj) - d * j for j, sj in enumerate(s)]
-    jmax = max(range(len(t)), key=lambda j: (t[j], -j))
-    jmin = min(range(len(t)), key=lambda j: (t[j], j))
+    if len(w) == 0:
+        return Fraction(0), (1, 0)
+    # t[j] = q*S_j - p*j for d = p/q and the prefix sums S_j of w
+    _, t, _, q = step_primitive(w, PiecewisePoly.constant(d))
+    jmax, jmin = t.index(max(t)), t.index(min(t))
     if jmax == jmin:
-        return Fraction(0), (1, 1) if len(w) else (1, 0)
+        return Fraction(0), (1, 1)
     lo, hi = sorted((jmin, jmax))
-    return t[jmax] - t[jmin], (lo + 1, hi)
+    return Fraction(t[jmax] - t[jmin], q), (lo + 1, hi)
 
 
-def _upper_hull(points: list[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    hull: list[tuple[int, Fraction]] = []
-    for p in points:
+def _hull(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
+    """Upper (sign 1) or lower (sign -1) convex hull of points sorted by x,
+    keeping only its vertices."""
+    hull: list[tuple[int, int]] = []
+    for x, y in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (p[0] - x2) >= (p[1] - y2) * (x2 - x1):
+            if sign * ((y2 - y1) * (x - x1) - (y - y1) * (x2 - x1)) <= 0:
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append((x, y))
     return hull
 
 
@@ -86,22 +83,24 @@ def best_uniformity(w: Word) -> UniformityReport:
     n = len(w)
     if n == 0:
         raise ValueError("word must be nonempty")
-    s = _prefix_sums(w)
-    pts = list(enumerate(s))
-    upper = _upper_hull([(x, Fraction(y)) for x, y in pts])
-    lower = _upper_hull([(x, -Fraction(y)) for x, y in pts])
+    pts = list(enumerate(step_primitive(w)[1]))
+    upper, lower = _hull(pts, 1), _hull(pts, -1)
     cands = {Fraction(0), Fraction(1)}
-    for hull, sign in ((upper, 1), (lower, -1)):
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            d = sign * (y2 - y1) / (x2 - x1)
-            if 0 <= d <= 1:
-                cands.add(d)
+    for hull in (upper, lower):
+        cands.update(Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
+    # disc(p/q) = (max_j - min_j of q*S_j - p*j) / q; the first argmax is an
+    # upper-hull vertex and the first argmin a lower-hull vertex
     best = None
     for d in sorted(cands):
-        disc, wit = discrepancy(w, d)
+        p, q = d.numerator, d.denominator
+        tmax, jmax = max((q * y - p * x, -x) for x, y in upper)
+        tmin, jmin = min((q * y - p * x, x) for x, y in lower)
+        disc = Fraction(tmax - tmin, q)
         if best is None or disc < best[0]:
-            best = (disc, d, wit)
-    disc, d, wit = best
+            best = (disc, d, jmin, -jmax)
+    disc, d, jmin, jmax = best
+    lo, hi = sorted((jmin, jmax))
+    wit = (1, 1) if lo == hi else (lo + 1, hi)
     return UniformityReport(density=d, discrepancy=disc, witness=wit, length=n)
 
 
@@ -262,6 +261,8 @@ def quasirandomness_report(w: Word, d=None, num_frequencies: int = 4) -> Quasira
     exponential sums."""
     _require_binary(w)
     n = len(w)
+    if n == 0:
+        raise ValueError("word must be nonempty")
     if d is None:
         d = Fraction(w.weight(), n)
     d = Fraction(d)

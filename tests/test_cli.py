@@ -140,6 +140,19 @@ def test_domain_errors_for_trials_and_empty_grids():
     assert code == 1 and out == "" and "at least 1 trial" in err
     code, out, err = run_cli("permuton", "density", "--grid", '{"m": 0, "mass": []}', "--pattern", "12")
     assert code == 1 and out == "" and "at least 1" in err
+    limit = '{"breakpoints": ["0","1"], "pieces": [{"coeffs": ["1/2"]}]}'
+    for count in ("0", "-1"):
+        code, out, err = run_cli("sample", "--limit", limit, "--length", "5", "--count", count)
+        assert code == 1 and out == "" and "--count must be at least 1" in err
+        code, out, err = run_cli("permuton", "sample", "--grid", "2,1", "--size", "2", "--count", count)
+        assert code == 1 and out == "" and "--count must be at least 1" in err
+
+
+def test_analyze_empty_word_is_a_domain_error():
+    for argv in (("analyze", ""), ("analyze", "", "--density", "1/2")):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert err == "error: word must be nonempty\n"
 
 
 def test_experiment_batch(tmp_path):

@@ -1,0 +1,104 @@
+"""Byte-identical CLI output on a fixed command corpus.
+
+The digests are SHA-256 hashes of stdout recorded from the all-Fraction
+implementation of discrepancy, best uniformity, the step-function
+distances and weak regularity.  Any change to those paths must keep
+every byte of output, so a digest mismatch is a behaviour change.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from test_cli import run_cli
+
+
+def _word(n: int, a: int, b: int, m: int) -> str:
+    """Deterministic pseudo-random binary word (quadratic residues mod m)."""
+    return "".join("1" if (a * i * i + b * i) % m < m // 2 else "0" for i in range(n))
+
+
+def _step(breakpoints, values) -> str:
+    return json.dumps({"breakpoints": breakpoints, "pieces": [{"coeffs": [v]} for v in values]})
+
+
+W200 = _word(200, 7, 3, 11)
+W60A = _word(60, 5, 2, 13)
+W60B = _word(60, 3, 1, 7)
+W40 = _word(40, 2, 5, 9)
+W25 = _word(25, 11, 4, 17)
+STEP_A = _step(["0", "1/7", "2/5", "3/4", "1"], ["1/3", "1", "0", "5/8"])
+STEP_B = _step(["0", "1/3", "1/2", "11/12", "1"], ["2/9", "3/4", "1/6", "1"])
+STEP_EQ = _step(["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8", "1"],
+                ["1", "0", "1/2", "3/4", "0", "1", "1/4", "1/2"])
+LINEAR = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "1"]}]})
+QUADRATIC = json.dumps({"breakpoints": ["0", "1/2", "1"],
+                        "pieces": [{"coeffs": ["0", "0", "4"]}, {"coeffs": ["1", "-1"]}]})
+
+PAIRS = {
+    "word-word-equal": (W60A, W60B),
+    "word-word-unequal": (W40, W25),
+    "word-step": (W60A, STEP_A),
+    "step-word": (STEP_B, W25),
+    "step-step": (STEP_A, STEP_B),
+    "word-const": (W200, _step(["0", "1"], ["3/7"])),
+    "word-poly": (W40, LINEAR),
+}
+
+CORPUS = {
+    "analyze-w200": ("analyze", W200),
+    "analyze-w200-d1/3": ("analyze", W200, "--density", "1/3"),
+    "analyze-thue-morse": ("analyze", "0110100110010110"),
+    "analyze-alternating-d1/2": ("analyze", "01" * 20, "--density", "1/2"),
+    "analyze-zeros": ("analyze", "0" * 12),
+    "analyze-ones-d2/3": ("analyze", "1" * 12, "--density", "2/3"),
+    **{
+        f"distance-{metric}-{pair}": ("distance", a, b, "--metric", metric)
+        for pair, (a, b) in PAIRS.items()
+        for metric in ("box", "l1", "prefix")
+    },
+    "regularize-step-a": ("regularize", "--limit", STEP_A, "--eps", "1/40"),
+    "regularize-step-eq-init3": ("regularize", "--limit", STEP_EQ, "--eps", "1/20", "--init-uniform", "3"),
+    "regularize-quadratic": ("regularize", "--limit", QUADRATIC, "--eps", "1/30"),
+}
+
+DIGESTS = {
+    "analyze-alternating-d1/2": "ca02d0ba802a29a8b9b1dd5603feae7daec02e358537bee27ffe30caf26489fd",
+    "analyze-ones-d2/3": "ffc58c87246ff08410b49db65e874fc975e49b2fbc0450a3d9b101b9b8a95223",
+    "analyze-thue-morse": "2bec2c35d54aa79d295d70ee87dd50a4b852f36a9a677f2104cc40a04014cecb",
+    "analyze-w200": "4c3a30976beb05132d1d12cc2fb4e37d7f5595932335ae80cca18d3486caf724",
+    "analyze-w200-d1/3": "fc9e3809fe2a1bae7fc7516100da312bcbe1c01ac97303c417a0e7e0fb735637",
+    "analyze-zeros": "a1a7b49aab9b8f141cb24b17cc65f1b8ababf8fae969eacc7411e1c7a54f793a",
+    "distance-box-step-step": "ba993ae927208c9583f774dbb3a2713bc6643e1a3ea2e231659e96d73d1399b1",
+    "distance-box-step-word": "a6d798b9b0672dfa5ecf2fd750869090d1572d4a3e5c9a8ba9faaa51744ed9ef",
+    "distance-box-word-const": "d2dae81eb6958be75dd45b2f4023268a198b7f7896d51563b88b0e0d62733c5e",
+    "distance-box-word-poly": "a9aff5b57f0f41f2a7db2edd258b7441176c1664220c5de330784c60d0bc644a",
+    "distance-box-word-step": "622858ddedcf2faa09a3ab1ef3b4200acf8876b71a3281c3236fb90b08039452",
+    "distance-box-word-word-equal": "676c239ab819d1069d5b93b55dbdd5b67caa1cbc63b0d6d1eb18089351002f78",
+    "distance-box-word-word-unequal": "4ae4fad0f0823e6b483e6b505cfc76cb3db2a52577eaf79e2055cb2cac41b1ed",
+    "distance-l1-step-step": "810838dc4c97dd8a8ec877aea3e58a5ba8b7494c216cf9bcb890816de0c3582e",
+    "distance-l1-step-word": "f29b6d98de055b3bd4e7e3e6749927f9b6972d9da784054773d288959627f6c6",
+    "distance-l1-word-const": "9f082e14d8e3e48bd0d42fda1d5a3c58e76fcf8dad842bf3f555b3ec5302493b",
+    "distance-l1-word-poly": "2ba3d9443aa745478aff40f74a8835f6f2f5c7e49ca53b0c399b54bdf646f61f",
+    "distance-l1-word-step": "1691959fd212448ce0c0778adec9ca772ebdbde98618d99cd436141a7e866ad9",
+    "distance-l1-word-word-equal": "84d91a83f41000ae8234d903f0e77746d7f4288538aef289aa14c20642a3c421",
+    "distance-l1-word-word-unequal": "00316ac145a8f6fbe929d060989c004adec0803bc6c5736e67b8238a649471fa",
+    "distance-prefix-step-step": "74429df682d2f738cc76f5fd989bef62438a5b65a256db3ab9a68904ae293165",
+    "distance-prefix-step-word": "54dd760bca4013a09838aad53528271367c286ca996f6c54fefe989b55668b19",
+    "distance-prefix-word-const": "36560003c3eb0efdf0ed2dd6c366560e7e38dcf58046969fd53778c11cfadc08",
+    "distance-prefix-word-poly": "63ec3ae5c0963c3f666452afebaccb5ea981feedfee1648f5a9e4158899dd69f",
+    "distance-prefix-word-step": "0d27a24eefde76d7bad6b18caef28661fac61db2c231ac1a1b128b8cedf7cb66",
+    "distance-prefix-word-word-equal": "859b1f9d10ead9d6b4b18d464dcbabdd5b81c3b0aefb0fecda27cf69ec18194a",
+    "distance-prefix-word-word-unequal": "cb048b3f537e8e1d6ae25a91aefaf4a38fb792b1e614639114c7cd41733be37c",
+    "regularize-quadratic": "c7da513b0d9ffc00d11dae8193150b69e4bfdc82c6a7673c446e264fa72d065e",
+    "regularize-step-a": "6d26c4d3bf4ec001c215d88d811947c9cd80a90ddce3cc40a3baad407c196e28",
+    "regularize-step-eq-init3": "95278a1e07b274715aad1ece5d362a79c33ff2463f5b79af41f3d5632b24bd2f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_cli_corpus_stdout_is_byte_identical(name):
+    code, out, err = run_cli(*CORPUS[name])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -151,6 +151,41 @@ def test_d_box_step_fast_path_matches_breakpoint_sweep():
         assert d_box(f, g) == max(vals) - min(vals)
 
 
+def breakpoint_distances(f, g):
+    """(box, prefix, L1) of two step functions or words from the generic
+    primitive H of f - g, evaluated at every breakpoint: H is linear
+    between breakpoints, so its extremes and the per-piece |integral|
+    are read there."""
+    as_fn = lambda x: PiecewisePoly.associated(x) if isinstance(x, Word) else x
+    H = (as_fn(f) - as_fn(g)).antiderivative()
+    vals = [H(b) for b in H.breakpoints]
+    l1 = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
+    return max(vals) - min(vals), max(abs(v) for v in vals), l1
+
+
+def test_integer_sweep_matches_breakpoint_path_on_words_and_steps():
+    stream = SeededStream(26)
+    rng = stream.generator()
+    pairs = [(W("1100"), W("011")), (W("0" * 7), W("1" * 5)), (W("10"), PiecewisePoly.constant(0))]
+    for t in range(40):
+        n, m = (int(x) for x in rng.integers(1, 60, size=2))
+        u = random_word(stream.substream(4 * t), n)
+        v = random_word(stream.substream(4 * t + 1), m)  # lengths differ: lcm grid
+        f = random_step_irregular(stream.substream(4 * t + 2), max_steps=7)
+        g = random_step_irregular(stream.substream(4 * t + 3), max_steps=7, den=7 + t, bden=30 + t)
+        pairs += [(u, v), (u, f), (g, u), (f, g), (u, u), (u, PiecewisePoly.associated(u))]
+    for a, b in pairs:
+        got = (d_box(a, b), prefix_sup_dist(a, b), d1_fn(a, b))
+        assert all(type(x) is Fraction for x in got)
+        assert got == breakpoint_distances(a, b)
+    for fn in (d_box, prefix_sup_dist, d1_fn):
+        with pytest.raises(ValueError, match="word must be nonempty"):
+            fn(W(""), HALF)
+        # a word against a polynomial takes the generic path
+        x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
+        assert fn(W("0110"), x) == fn(PiecewisePoly.associated(W("0110")), x)
+
+
 def test_distance_sandwich_and_metric_properties():
     stream = SeededStream(25)
     for t in range(60):

@@ -17,6 +17,8 @@ from seqlimit import (
     weak_regularity,
 )
 
+from seqlimit.regularity import _extremal_of
+
 from util import random_step, random_step_irregular
 
 STEP_HALF = PiecewisePoly.step([1, 0])
@@ -72,6 +74,36 @@ def test_extremal_and_violating_interval():
     assert violating_interval(PiecewisePoly.constant(0), Fraction(1, 10)) is None
     with pytest.raises(ValueError):
         violating_interval(g, 0)
+
+
+def candidate_scan(g: PiecewisePoly):
+    """The primitive H of a step function at every breakpoint: the largest
+    maximizer and the smallest minimizer bound the extremal interval."""
+    H = g.antiderivative()
+    best_max = max(g.breakpoints, key=lambda x: (H(x), x))
+    best_min = min(g.breakpoints, key=lambda x: (H(x), x))
+    lo, hi = sorted((best_min, best_max))
+    return H(best_max) - H(best_min), (lo, hi)
+
+
+def test_extremal_of_step_matches_candidate_scan_and_tie_break():
+    # ties: H = 0, 1/4, 0, 1/4, 0 has maxima at 1/4 and 3/4, minima at 0, 1/2, 1
+    zigzag = PiecewisePoly.step([1, -1, 1, -1])
+    assert _extremal_of(zigzag) == (Fraction(1, 4), (Fraction(0), Fraction(3, 4)))
+    assert _extremal_of(PiecewisePoly.constant(0)) == (0, (0, 1))
+    # H = 0, 0, 0, 1/4, 1/4: the interval runs from the first 0 to the last 1/4
+    assert _extremal_of(PiecewisePoly.step([0, 0, 1, 0])) == (Fraction(1, 4), (Fraction(0), Fraction(1)))
+    cases = [zigzag, PiecewisePoly.step([-1, 1, 1, -1, -1, 1])]
+    stream = SeededStream(74)
+    rng = stream.generator()
+    for t in range(60):
+        m = int(rng.integers(1, 9))
+        # values in {-1, 0, 1} on a uniform grid make repeated extremes common
+        cases.append(PiecewisePoly.step([int(v) for v in rng.integers(-1, 2, size=m)]))
+        f = random_step_irregular(stream.substream(t), max_steps=7)
+        cases.append(f - conditional_expectation(f, IntervalPartition.uniform(1 + t % 3)))
+    for g in cases:
+        assert _extremal_of(g) == candidate_scan(g)
 
 
 def test_extremal_interval_with_irrational_extremum():

@@ -11,7 +11,6 @@ from seqlimit import (
     SeededStream,
     Word,
     d_box,
-    empirical_limit,
     f_random_word,
     f_random_word_vector,
     subsequence_tail_experiment,
@@ -74,12 +73,13 @@ def test_vector_sampler_ternary():
 
 
 def test_empirical_limit_converges_in_box_distance():
-    # median d_box to f decreases as the word length doubles
+    # median d_box from the word's step function to f decreases as the
+    # word length quadruples
     s = SeededStream(45)
     medians = []
     for scale, n in enumerate((100, 400, 1600)):
         ds = [
-            float(d_box(empirical_limit(f_random_word(STEP_HALF, n, s.substream(100 * scale + t))), STEP_HALF))
+            float(d_box(f_random_word(STEP_HALF, n, s.substream(100 * scale + t)), STEP_HALF))
             for t in range(15)
         ]
         medians.append(sorted(ds)[7])

@@ -17,7 +17,7 @@ from seqlimit import (
     minimizer_residuals,
     quasirandomness_report,
 )
-from seqlimit.uniformity import cayley_walk_enumerate, forward_pattern_bound
+from seqlimit.uniformity import _hull, cayley_walk_enumerate, forward_pattern_bound
 
 from util import random_word
 
@@ -33,6 +33,61 @@ def brute_discrepancy(w: Word, d: Fraction) -> Fraction:
             ones += 1 if w.letters[hi] == "1" else 0
             best = max(best, abs(Fraction(ones) - d * (hi - lo + 1)))
     return best
+
+
+def seed_discrepancy(w: Word, d: Fraction) -> tuple[Fraction, tuple[int, int]]:
+    """All-points Fraction sweep with first-argmax / first-argmin witnesses."""
+    s = [0]
+    for c in w.letters:
+        s.append(s[-1] + (c == "1"))
+    t = [Fraction(sj) - d * j for j, sj in enumerate(s)]
+    jmax = max(range(len(t)), key=lambda j: (t[j], -j))
+    jmin = min(range(len(t)), key=lambda j: (t[j], j))
+    if jmax == jmin:
+        return Fraction(0), (1, 1)
+    lo, hi = sorted((jmin, jmax))
+    return t[jmax] - t[jmin], (lo + 1, hi)
+
+
+def seed_lower_chain(points):
+    """The seed's hull helper: pops while slopes fail to increase, so it
+    keeps the lower convex chain."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x2) >= (p[1] - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def seed_best_uniformity(w: Word) -> tuple[Fraction, Fraction, tuple[int, int]]:
+    """(density, discrepancy, witness) as the seed found them: hull slopes
+    of the prefix-sum graph and of its mirror image as candidates, each
+    scored by the full all-points Fraction sweep."""
+    s = [0]
+    for c in w.letters:
+        s.append(s[-1] + (c == "1"))
+    pts = list(enumerate(s))
+    chains = (seed_lower_chain([(x, Fraction(y)) for x, y in pts]), 1), (
+        seed_lower_chain([(x, -Fraction(y)) for x, y in pts]),
+        -1,
+    )
+    cands = {Fraction(0), Fraction(1)}
+    for hull, sign in chains:
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            d = sign * (y2 - y1) / (x2 - x1)
+            if 0 <= d <= 1:
+                cands.add(d)
+    best = None
+    for d in sorted(cands):
+        disc, wit = seed_discrepancy(w, d)
+        if best is None or disc < best[0]:
+            best = (disc, d, wit)
+    return best[1], best[0], best[2]
 
 
 def test_discrepancy_matches_quadratic_brute_force():
@@ -67,6 +122,49 @@ def test_best_uniformity_is_the_exact_minimum():
         for k in range(0, 4 * n + 1):
             assert discrepancy(w, Fraction(k, 4 * n))[0] >= rep.discrepancy
         assert rep.normalized == rep.discrepancy / n
+
+
+def test_discrepancy_and_witness_match_fraction_sweep():
+    stream = SeededStream(36)
+    for t in range(40):
+        n = int(stream.substream(t).generator().integers(1, 120))
+        w = random_word(stream.substream(1000 + t), n, density=[0.1, 0.5, 0.9][t % 3])
+        for d in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(w.weight(), n), Fraction(1), Fraction(3, 2)):
+            assert discrepancy(w, d) == seed_discrepancy(w, d)
+    assert discrepancy(W(""), Fraction(1, 2)) == (0, (1, 0))
+
+
+def test_hulls_bound_every_prefix_point():
+    stream = SeededStream(37)
+    words = [random_word(stream.substream(t), 1 + 7 * t) for t in range(30)]
+    words += [W("0" * 9), W("1" * 9), W("01" * 9), W("1"), W("0011100")]
+    for w in words:
+        s = [0]
+        for c in w.letters:
+            s.append(s[-1] + (c == "1"))
+        pts = list(enumerate(s))
+        upper, lower = _hull(pts, 1), _hull(pts, -1)
+        for hull, sign in ((upper, 1), (lower, -1)):
+            assert hull[0] == pts[0] and hull[-1] == pts[-1]
+            assert set(hull) <= set(pts)
+            for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+                # no point lies strictly above (upper) / below (lower) an edge
+                for x, y in pts[x1 : x2 + 1]:
+                    assert sign * ((y - y1) * (x2 - x1) - (y2 - y1) * (x - x1)) <= 0
+            # strict vertices: slopes strictly decrease (upper) / increase (lower)
+            slopes = [Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
+            assert all(sign * (a - b) > 0 for a, b in zip(slopes, slopes[1:]))
+
+
+def test_best_uniformity_matches_fraction_scan():
+    stream = SeededStream(38)
+    words = [W("0" * 17), W("1" * 17), W("01" * 30), W("10" * 30 + "1"), W("0"), W("1")]
+    for t in range(60):
+        n = int(stream.substream(t).generator().integers(1, 201))
+        words.append(random_word(stream.substream(500 + t), n, density=[0.2, 0.5, 0.7][t % 3]))
+    for w in words:
+        rep = best_uniformity(w)
+        assert (rep.density, rep.discrepancy, rep.witness) == seed_best_uniformity(w)
 
 
 def test_best_uniformity_examples():
