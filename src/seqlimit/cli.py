@@ -244,15 +244,16 @@ def _cmd_test(args, stream) -> dict:
 def _cmd_forcibility(args, stream) -> dict:
     f = _as_limit(_load_limit(args.limit))
     cert = forcibility_certificate(f)
+    df = limit_densities(f, cert.words)
     out = {
         "branches": [[ser.frac_str(c) for c in q] for q in cert.branches],
         "word_count": cert.word_count,
         "words": [str(u) for u in cert.words],
-        "residual_self": cert.residual_of(f),
+        "residual_self": cert.residual(df),
     }
     if args.candidate:
         h = _as_limit(_load_limit(args.candidate))
-        verdict = check_forced(f, h, cert)
+        verdict = check_forced(f, h, cert, df)
         out["candidate"] = {
             "densities_match": verdict.densities_match,
             "witness": str(verdict.witness) if verdict.witness else None,

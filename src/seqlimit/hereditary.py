@@ -106,7 +106,8 @@ def d1_to_family(
         state, a = back[state]
         letters.append(a)
     witness = Word(tuple(reversed(letters)), w.alphabet)
-    assert family.is_member(witness)
+    if not family.is_member(witness):
+        raise RuntimeError(f"witness {witness} is not in the property")
     return Fraction(frontier[best_state], n) if n else Fraction(0), witness
 
 

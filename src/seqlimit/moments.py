@@ -17,6 +17,7 @@ exactly when H follows the branches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +56,6 @@ def moment_words(i: int, j: int) -> MomentCombination:
         raise ValueError(f"pattern length {n} exceeds cap {MAX_PATTERN_LENGTH}")
     base = Fraction(math.factorial(i) * math.factorial(j), math.factorial(n))
     terms = []
-    import itertools
-
     for bits in itertools.product("01", repeat=n):
         ones = sum(1 for b in bits[:-1] if b == "1")
         if ones < j:
@@ -69,7 +68,6 @@ def moment_direct(i: int, j: int, f: PiecewisePoly) -> Fraction:
     """Moment of x^i F(x)^j by direct symbolic integration."""
     F = f.antiderivative()
     total = Fraction(0)
-    xi = poly.X * 1  # placeholder; built below
     for lo, hi, p in zip(F.breakpoints, F.breakpoints[1:], F.pieces):
         integrand = poly.pmul(poly.ppow(poly.X, i), poly.ppow(p, j))
         total += poly.pintegrate(integrand, lo, hi)
@@ -94,8 +92,6 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """The identity tying ordinary moments of f to pattern densities:
     integral of f(x) x^k equals 1/(k+1) times the sum of t(u1, f) over
     all binary u of length k.  Returns (direct value, density value)."""
-    import itertools
-
     direct = Fraction(0)
     for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
         direct += poly.pintegrate(poly.pmul(p, poly.ppow(poly.X, k)), lo, hi)
@@ -170,8 +166,10 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
     # of branch degrees, so no pattern exceeds 2*d_sum + 1 letters and the
     # word list stays finite and small
     d_sum = sum(max(poly.degree(q), 1) for q in branches)
-    assert max_len <= 2 * d_sum + 1, "certificate pattern length exceeds budget"
-    assert len(words) <= 2 ** (2 * d_sum + 2), "certificate exceeds its word budget"
+    if max_len > 2 * d_sum + 1:
+        raise RuntimeError("certificate pattern length exceeds budget")
+    if len(words) > 2 ** (2 * d_sum + 2):
+        raise RuntimeError("certificate exceeds its word budget")
     return ForcibilityCertificate(
         branches=tuple(branches), monomials=tuple(monomials), words=words
     )
@@ -186,7 +184,10 @@ class ForcedVerdict:
 
 
 def check_forced(
-    f: PiecewisePoly, h: PiecewisePoly, cert: ForcibilityCertificate | None = None
+    f: PiecewisePoly,
+    h: PiecewisePoly,
+    cert: ForcibilityCertificate | None = None,
+    df: Mapping[str, Fraction] | None = None,
 ) -> ForcedVerdict:
     """Compare a candidate h against f on the certificate words.
 
@@ -194,12 +195,15 @@ def check_forced(
     When all certificate densities agree, the candidate satisfies the
     same branch constraints; the L1 distance is reported as a mismatch
     indicator rather than constructing further distinguishing words.
+    `df` may pass f's densities on the certificate words when the caller
+    already has them.
     """
     from .piecewise import d1_fn
 
     if cert is None:
         cert = forcibility_certificate(f)
-    df = limit_densities(f, cert.words)
+    if df is None:
+        df = limit_densities(f, cert.words)
     dh = limit_densities(h, cert.words)
     witness = None
     for u in cert.words:

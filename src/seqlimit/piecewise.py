@@ -9,6 +9,15 @@ length n is the n-step indicator profile of w.
 All arithmetic is exact.  Floats only enter through explicitly inexact
 paths: irrational extrema in box/L1 distances (tolerance 1e-12) and the
 numeric quadrature fallback for pieces of degree above 3.
+
+Words and step functions skip the polynomial machinery: their
+breakpoints and values are scaled to common integer denominators and
+the merged grid is swept over Python ints.  `step_primitive` sums the
+primitive of a difference (box, prefix and L1 distances); `step_density`
+runs the piece DP for the pattern density t(u, F) of step components,
+which `t_density_vector` and `t_density_limit` use whenever every
+component is a step function.  Polynomial pieces keep the iterated
+antiderivative.
 """
 
 from __future__ import annotations
@@ -172,6 +181,9 @@ class PiecewisePoly:
     def range_bounds(self):
         """(min, max) over [0, 1].  Exact unless a critical point is
         irrational, in which case floats are returned."""
+        if self.is_step():
+            values = [p[0] if p else Fraction(0) for p in self.pieces]
+            return min(values), max(values)
         exact, approx = self.extrema_candidates()
         vals = [self(x) for x in exact]
         if approx:
@@ -225,10 +237,18 @@ class LimitVector:
 
 
 def t_density_vector(u: Word, F: LimitVector) -> Fraction:
-    """Exact pattern density of u in the limit vector F via iterated
-    symbolic integration; reduces to closed products for constants."""
+    """Exact pattern density t(u, F) = l! * integral over x_1 < ... < x_l
+    of F_{u_1}(x_1) ... F_{u_l}(x_l).
+
+    When every component is a step function this is the integer piece DP
+    of `step_density`, O(m * l^2) int operations on m merged cells.
+    Otherwise it is l rounds of multiply-and-antiderivative, exact over
+    rational polynomial pieces.
+    """
     if tuple(sorted(u.alphabet)) != tuple(sorted(F.alphabet)):
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {F.alphabet!r}")
+    if all(f.is_step() for f in F.components.values()):
+        return step_density(u, F.components)
     if len(u) == 0:
         raise ValueError("pattern must be nonempty")
     acc = PiecewisePoly.constant(1)
@@ -238,10 +258,16 @@ def t_density_vector(u: Word, F: LimitVector) -> Fraction:
 
 
 def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
-    """Binary-alphabet pattern density of u in the limit function f."""
+    """Binary-alphabet pattern density of u in the limit function f.
+
+    A step f is range-checked once and goes straight to the integer DP
+    with the components 1 - f and f; 1 - f is then in range and the two
+    sum to 1 exactly, so no LimitVector is built."""
     if set(u.alphabet) != {"0", "1"}:
         raise ValueError("t_density_limit requires the binary alphabet")
-    return t_density_vector(u, LimitVector.from_binary(f))
+    if not f.is_step():
+        return t_density_vector(u, LimitVector.from_binary(f))
+    return step_density(u, require_unit_range(f))
 
 
 def limit_density_table(f: PiecewisePoly, length: int) -> dict[str, Fraction]:
@@ -252,7 +278,7 @@ def limit_density_table(f: PiecewisePoly, length: int) -> dict[str, Fraction]:
     return out
 
 
-# -- distances --------------------------------------------------------
+# -- integer sweeps over words and step functions ----------------------
 
 
 def _denominators(f) -> tuple[int, int]:
@@ -286,6 +312,21 @@ def _spread(xs: list[int], vs: list[int], grid: list[int]):
     return itertools.chain.from_iterable(map(itertools.repeat, vs, map(sub, pos[1:], pos)))
 
 
+def _step_cells(fs):
+    """Merge words or step functions on one integer grid.
+
+    Returns (grid, values, bden, vden): the merged breakpoints are
+    grid[k] / bden and values[i] holds vden times fs[i] on each cell.
+    """
+    dens = [_denominators(f) for f in fs]
+    bden, vden = math.lcm(*(b for b, _ in dens)), math.lcm(*(v for _, v in dens))
+    scaled = [_scaled_ints(f, bden, vden) for f in fs]
+    grid = max((xs for xs, _ in scaled), key=len)
+    if any(len(xs) > 2 and xs is not grid and xs != grid for xs, _ in scaled):
+        grid = sorted({x for xs, _ in scaled for x in xs})
+    return grid, [_spread(xs, vs, grid) for xs, vs in scaled], bden, vden
+
+
 def step_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
     """Exact primitive H of f - g, where f and g are words or step
     functions, swept over Python ints.
@@ -293,13 +334,50 @@ def step_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int]
     Returns (grid, prim, bden, vden): the merged breakpoints are
     grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
     """
-    (bf, vf), (bg, vg) = _denominators(f), _denominators(g)
-    bden, vden = math.lcm(bf, bg), math.lcm(vf, vg)
-    (xf, vf), (xg, vg) = _scaled_ints(f, bden, vden), _scaled_ints(g, bden, vden)
-    grid = xf if len(xg) == 2 else xg if len(xf) == 2 or xf == xg else sorted({*xf, *xg})
-    diff = map(sub, _spread(xf, vf, grid), _spread(xg, vg, grid))
+    grid, (vf, vg), bden, vden = _step_cells((f, g))
+    diff = map(sub, vf, vg)
     prim = list(itertools.accumulate(map(mul, diff, map(sub, grid[1:], grid)), initial=0))
     return grid, prim, bden, vden
+
+
+def step_density(u: Word, F) -> Fraction:
+    """Exact t(u, F) for step components F: a mapping from letters to step
+    functions, or one step function f taken as the binary vector (1 - f, f).
+
+    Breakpoints and values are scaled to integer denominators bden and
+    vden, so that each cell of the merged grid has integer width L and
+    letter values c(a).  The sweep keeps D[j] = j! * (bden * vden)^j *
+    (mass of the first j letters placed in the cells so far), an integer,
+    and a cell adds to D[j'] the sum over j < j' of
+    C(j', j) * D[j] * prod_{i = j+1..j'} L * c(u_i).
+    """
+    if len(u) == 0:
+        raise ValueError("pattern must be nonempty")
+    if isinstance(F, PiecewisePoly):
+        grid, (ones,), bden, vden = _step_cells((F,))
+        values = ([vden - v for v in ones], ones)
+        index = [int(c) for c in u.letters]
+    else:
+        letters = sorted(set(u.letters))
+        grid, values, bden, vden = _step_cells([F[a] for a in letters])
+        index = [letters.index(c) for c in u.letters]
+    l = len(index)
+    binom = [[math.comb(jp, j) for j in range(jp)] for jp in range(l + 1)]
+    D = [1] + [0] * l
+    for L, *c in zip(map(sub, grid[1:], grid), *values):
+        a = [L * c[i] for i in index]
+        for jp in range(l, 0, -1):
+            prod, acc = 1, 0
+            for j in range(jp - 1, -1, -1):
+                prod *= a[j]
+                if not prod:
+                    break
+                acc += binom[jp][j] * D[j] * prod
+            D[jp] += acc
+    return Fraction(D[l], (bden * vden) ** l)
+
+
+# -- distances --------------------------------------------------------
 
 
 def _is_step(f) -> bool:

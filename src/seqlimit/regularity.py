@@ -138,7 +138,8 @@ def weak_regularity(
     Refines the partition by the endpoints of an extremal deviating
     interval until every interval deviation is at most eps.  Each round
     provably raises the energy by more than eps^2, which both bounds the
-    number of rounds by ceil(eps^-2) and is asserted along the way.
+    number of rounds by ceil(eps^-2) and is checked along the way
+    (RuntimeError if a guarantee fails).
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -153,14 +154,14 @@ def weak_regularity(
         if dev <= eps:
             break
         if rounds >= max_rounds:
-            raise AssertionError("energy increment failed to terminate in time")
+            raise RuntimeError("energy increment failed to terminate in time")
         part = part.refine((lo, hi))
         energies.append(energy(f, part))
-        assert energies[-1] - energies[-2] > eps * eps, (
-            "refinement must raise energy by more than eps^2"
-        )
+        if energies[-1] - energies[-2] <= eps * eps:
+            raise RuntimeError("refinement must raise energy by more than eps^2")
         rounds += 1
-    assert part.size() <= initial_size + 2 * math.ceil(1 / (eps * eps))
+    if part.size() > initial_size + 2 * math.ceil(1 / (eps * eps)):
+        raise RuntimeError("partition exceeds 2 * ceil(eps^-2) extra atoms")
     return RegularityResult(
         partition=part,
         rounds=rounds,

@@ -2,8 +2,10 @@
 
 The digests are SHA-256 hashes of stdout recorded from the all-Fraction
 implementation of discrepancy, best uniformity, the step-function
-distances and weak regularity.  Any change to those paths must keep
-every byte of output, so a digest mismatch is a behaviour change.
+distances and weak regularity, and from pattern densities and
+forcibility certificates by iterated symbolic integration.  Any change
+to those paths must keep every byte of output, so a digest mismatch is
+a behaviour change.
 """
 
 import hashlib
@@ -35,6 +37,16 @@ STEP_EQ = _step(["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8", "1"],
 LINEAR = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "1"]}]})
 QUADRATIC = json.dumps({"breakpoints": ["0", "1/2", "1"],
                         "pieces": [{"coeffs": ["0", "0", "4"]}, {"coeffs": ["1", "-1"]}]})
+# ternary components on three different grids, summing to 1 on the merged grid
+TERNARY = json.dumps({"alphabet": ["a", "b", "c"], "components": {
+    "a": json.loads(_step(["0", "1/3", "1"], ["1/2", "1/6"])),
+    "b": json.loads(_step(["0", "1/4", "1"], ["1/5", "1/4"])),
+    "c": json.loads(_step(["0", "1/4", "1/3", "1"], ["3/10", "1/4", "7/12"])),
+}})
+TWO_BRANCH = _step(["0", "1/2", "1"], ["1/3", "2/3"])
+TWO_BRANCH_H = _step(["0", "1/4", "1"], ["2/3", "1/3"])
+THREE_BRANCH = _step(["0", "1/3", "2/3", "1"], ["1/4", "3/4", "1/2"])
+THREE_BRANCH_H = _step(["0", "1/3", "2/3", "1"], ["1/4", "1/2", "3/4"])
 
 PAIRS = {
     "word-word-equal": (W60A, W60B),
@@ -61,6 +73,16 @@ CORPUS = {
     "regularize-step-a": ("regularize", "--limit", STEP_A, "--eps", "1/40"),
     "regularize-step-eq-init3": ("regularize", "--limit", STEP_EQ, "--eps", "1/20", "--init-uniform", "3"),
     "regularize-quadratic": ("regularize", "--limit", QUADRATIC, "--eps", "1/30"),
+    "density-limit-step-eq": ("density", "--limit", STEP_EQ, "--pattern", "011010"),
+    "density-limit-step-a": ("density", "--limit", STEP_A, "--pattern", "101101"),
+    "density-limit-const": ("density", "--limit", _step(["0", "1"], ["3/7"]), "--pattern", "0110"),
+    "density-limit-ternary": ("density", "--limit", TERNARY, "--pattern", "abcacb"),
+    "density-limit-quadratic": ("density", "--limit", QUADRATIC, "--pattern", "01101"),
+    "forcibility-two-branch": ("forcibility", "--limit", TWO_BRANCH),
+    "forcibility-two-branch-candidate": ("forcibility", "--limit", TWO_BRANCH, "--candidate", TWO_BRANCH_H),
+    "forcibility-three-branch": ("forcibility", "--limit", THREE_BRANCH),
+    "forcibility-three-branch-candidate": (
+        "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
 }
 
 DIGESTS = {
@@ -70,6 +92,11 @@ DIGESTS = {
     "analyze-w200": "4c3a30976beb05132d1d12cc2fb4e37d7f5595932335ae80cca18d3486caf724",
     "analyze-w200-d1/3": "fc9e3809fe2a1bae7fc7516100da312bcbe1c01ac97303c417a0e7e0fb735637",
     "analyze-zeros": "a1a7b49aab9b8f141cb24b17cc65f1b8ababf8fae969eacc7411e1c7a54f793a",
+    "density-limit-const": "d9ae30d03ef32bbb333d9a4ec555023848491e15d5f0946250eeda9c97000df0",
+    "density-limit-quadratic": "fc1ee509b05073f64e24bb213d23770c32552b403db6ba9788ab58654aed3c87",
+    "density-limit-step-a": "4dd528f57b7123218320999a6044d7ea9d4b6fb50e39a0b405b9eef6cd6ea177",
+    "density-limit-step-eq": "75f25f7c6956ff4034cf033416221feeb59cc2eae324d26ccf364307f2837541",
+    "density-limit-ternary": "fb977022acf47a2ce51dc14343508e7e9dd7956bda24eadb4fd53252d31efdcb",
     "distance-box-step-step": "ba993ae927208c9583f774dbb3a2713bc6643e1a3ea2e231659e96d73d1399b1",
     "distance-box-step-word": "a6d798b9b0672dfa5ecf2fd750869090d1572d4a3e5c9a8ba9faaa51744ed9ef",
     "distance-box-word-const": "d2dae81eb6958be75dd45b2f4023268a198b7f7896d51563b88b0e0d62733c5e",
@@ -91,6 +118,10 @@ DIGESTS = {
     "distance-prefix-word-step": "0d27a24eefde76d7bad6b18caef28661fac61db2c231ac1a1b128b8cedf7cb66",
     "distance-prefix-word-word-equal": "859b1f9d10ead9d6b4b18d464dcbabdd5b81c3b0aefb0fecda27cf69ec18194a",
     "distance-prefix-word-word-unequal": "cb048b3f537e8e1d6ae25a91aefaf4a38fb792b1e614639114c7cd41733be37c",
+    "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
+    "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
+    "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
+    "forcibility-two-branch-candidate": "9d9198cdf781041e35706af73aa1ba28cf7b6671a78335a506f2e95223c43711",
     "regularize-quadratic": "c7da513b0d9ffc00d11dae8193150b69e4bfdc82c6a7673c446e264fa72d065e",
     "regularize-step-a": "6d26c4d3bf4ec001c215d88d811947c9cd80a90ddce3cc40a3baad407c196e28",
     "regularize-step-eq-init3": "95278a1e07b274715aad1ece5d362a79c33ff2463f5b79af41f3d5632b24bd2f",

@@ -110,6 +110,15 @@ def test_d1_infeasible_and_cap():
         d1_to_family(W("01"), big, state_cap=10)
 
 
+def test_d1_witness_check_survives_optimized_mode(monkeypatch):
+    # the membership check on the DP witness is an explicit exception, not
+    # an assert that python -O would strip
+    fam = ForbiddenFamily.from_strings(["10"])
+    monkeypatch.setattr(ForbiddenFamily, "is_member", lambda self, w: False)
+    with pytest.raises(RuntimeError, match="not in the property"):
+        d1_to_family(W("0110"), fam)
+
+
 def test_member_word():
     fam = ForbiddenFamily.from_strings(["10"])
     w = member_word(fam, 20)

@@ -1,6 +1,7 @@
 """Piecewise-polynomial limit functions: densities, distances, Bernstein."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -23,8 +24,10 @@ from seqlimit.piecewise import (
     limit_density_table,
     require_unit_range,
 )
+from seqlimit.serialize import limitfn_to_obj
 
-from util import random_step, random_step_irregular, random_word
+from test_cli import run_cli
+from util import density_tables_upto, random_step, random_step_irregular, random_word
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -126,12 +129,111 @@ def test_ternary_constant_vector_densities():
         LimitVector({"a": third, "b": third})
 
 
+def symbolic_density(u: Word, F) -> Fraction:
+    """Iterated-antiderivative density over PiecewisePoly objects: the
+    general path, kept here as the oracle for the integer piece DP."""
+    acc = PiecewisePoly.constant(1)
+    for letter in u.letters:
+        acc = (F[letter] * acc).antiderivative()
+    return math.factorial(len(u)) * acc(1)
+
+
+def test_step_densities_match_symbolic_tables():
+    stream = SeededStream(27)
+    fs = [PiecewisePoly.constant(Fraction(3, 7)), PiecewisePoly.constant(0), PiecewisePoly.constant(1),
+          PiecewisePoly.step([1, 0, 1, 1, 0]),
+          PiecewisePoly.step([0, Fraction(2, 3), 1], [0, Fraction(1, 5), Fraction(4, 7), 1])]
+    for t in range(8):
+        fs.append(random_step(stream.substream(3 * t), max_steps=8))
+        fs.append(random_step_irregular(stream.substream(3 * t + 1), max_steps=8, den=9 + t, bden=50 + t))
+        fs.append(random_step_irregular(stream.substream(3 * t + 2), max_steps=6, den=1))  # values 0 and 1
+    for f in fs:
+        table = density_tables_upto(f, 6)
+        assert len(table) == 126
+        for key, expected in table.items():
+            got = t_density_limit(W(key), f)
+            assert type(got) is Fraction and got == expected, (f, key)
+
+
+def random_ternary(stream: SeededStream) -> LimitVector:
+    """Three step components on different grids: independent steps a and b
+    with values in [0, 1/2], and c = 1 - a - b on their merged grid."""
+    a = random_step_irregular(stream.substream(0), max_steps=5, den=6).scale(Fraction(1, 2))
+    b = random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24).scale(Fraction(1, 2))
+    return LimitVector({"a": a, "b": b, "c": (PiecewisePoly.constant(1) - a - b).simplify()})
+
+
+def test_ternary_step_densities_match_symbolic_path():
+    abc = ("a", "b", "c")
+    half_x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1, 2)),))
+    quarter = PiecewisePoly.step([Fraction(1, 4), 0], [0, Fraction(2, 3), 1])
+    vectors = [
+        LimitVector({
+            "a": PiecewisePoly.step([Fraction(1, 2), Fraction(1, 6)], [0, Fraction(1, 3), 1]),
+            "b": PiecewisePoly.step([Fraction(1, 5), Fraction(1, 4)], [0, Fraction(1, 4), 1]),
+            "c": PiecewisePoly.step([Fraction(3, 10), Fraction(1, 4), Fraction(7, 12)],
+                                    [0, Fraction(1, 4), Fraction(1, 3), 1]),
+        }),
+        # a polynomial component keeps the whole vector on the symbolic path
+        LimitVector({"a": half_x, "b": quarter, "c": PiecewisePoly.constant(1) - half_x - quarter}),
+    ]
+    stream = SeededStream(28)
+    vectors += [random_ternary(stream.substream(t)) for t in range(6)]
+    assert sum(len({F[x].breakpoints for x in abc}) == 3 for F in vectors) >= 4
+    rng = stream.generator()
+    for F in vectors:
+        patterns = [p for n in range(1, 4) for p in itertools.product(abc, repeat=n)]
+        patterns += [tuple(abc[i] for i in rng.integers(0, 3, size=n)) for n in (5, 6) for _ in range(4)]
+        for p in patterns:
+            u = Word(p, abc)
+            got = t_density_vector(u, F)
+            assert type(got) is Fraction and got == symbolic_density(u, F), (p,)
+        # the densities of all words of one length sum to 1
+        assert sum(t_density_vector(Word(p, abc), F) for p in itertools.product(abc, repeat=3)) == 1
+
+
+def test_density_domain_errors():
+    for bad in (Fraction(5, 4), Fraction(-1, 8)):
+        f = PiecewisePoly.step([Fraction(1, 2), bad, 0])
+        with pytest.raises(ValueError, match="leaves"):
+            t_density_limit(W("0110"), f)
+        code, _, err = run_cli("density", "--limit", json.dumps(limitfn_to_obj(f)), "--pattern", "01")
+        assert code == 1 and "leaves" in err
+    half = PiecewisePoly.step([Fraction(1, 2), Fraction(1, 4)])
+    with pytest.raises(ValueError, match="nonempty"):
+        t_density_limit(W(""), half)
+    with pytest.raises(ValueError, match="binary"):
+        t_density_limit(Word.from_string("ab", ("a", "b")), half)
+    code, _, err = run_cli("density", "--limit", json.dumps(limitfn_to_obj(half)), "--pattern", "")
+    assert code == 1 and "nonempty" in err
+    abc = ("a", "b", "c")
+    third = PiecewisePoly.constant(Fraction(1, 3))
+    F = LimitVector({"a": third, "b": third, "c": third})
+    with pytest.raises(ValueError, match="nonempty"):
+        t_density_vector(Word.from_string("", abc), F)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        t_density_vector(W("01"), F)
+    off = {"a": third, "b": third, "c": PiecewisePoly.step([Fraction(1, 3), Fraction(1, 4)])}
+    with pytest.raises(ValueError, match="sum to 1"):
+        LimitVector(off)
+    doc = json.dumps({"alphabet": list(abc), "components": {a: limitfn_to_obj(g) for a, g in off.items()}})
+    code, _, err = run_cli("density", "--limit", doc, "--pattern", "abc")
+    assert code == 1 and "sum to 1" in err
+
+
 def test_require_unit_range():
     with pytest.raises(ValueError):
         require_unit_range(PiecewisePoly.constant(2))
     with pytest.raises(ValueError):
         require_unit_range(PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(-1), Fraction(2)),)))
     require_unit_range(PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),)))
+    # step functions read their range off the piece values: the same
+    # bounds as evaluating f at every breakpoint
+    stream = SeededStream(29)
+    for t in range(20):
+        f = random_step_irregular(stream.substream(t), max_steps=6, den=3 + t)
+        vals = [f(b) for b in f.breakpoints]
+        assert f.range_bounds() == (min(vals), max(vals))
 
 
 def test_distance_examples():

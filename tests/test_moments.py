@@ -127,6 +127,22 @@ def test_check_forced_verdicts():
     assert not other.densities_match
     assert other.witness is not None and len(other.witness) <= 3
     assert other.residual > 0
+    # f's densities passed in give the same verdict
+    assert check_forced(HALF, STEP_HALF, cert, limit_densities(HALF, cert.words)) == other
+
+
+def test_library_guarantees_are_not_asserts():
+    # the certificate budgets, the regularity guarantees and the tester's
+    # witness check must survive python -O, which strips assert statements
+    import ast
+    from pathlib import Path
+
+    import seqlimit
+
+    for path in sorted(Path(seqlimit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not asserts, f"{path.name}: assert on lines {asserts}"
 
 
 def test_residual_zero_implies_branch_following():

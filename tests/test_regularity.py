@@ -17,6 +17,7 @@ from seqlimit import (
     weak_regularity,
 )
 
+from seqlimit import regularity
 from seqlimit.regularity import _extremal_of
 
 from util import random_step, random_step_irregular
@@ -159,3 +160,11 @@ def test_weak_regularity_polynomial_input():
     f = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0), Fraction(1)),))
     res = weak_regularity(f, Fraction(1, 20))
     assert float(d_box(f, res.approximation)) <= 1 / 20 + 1e-9
+
+
+def test_weak_regularity_guarantees_raise_explicit_errors(monkeypatch):
+    # a refinement that does not raise the energy by more than eps^2 is an
+    # explicit error, not an assert that python -O would strip
+    monkeypatch.setattr(regularity, "energy", lambda f, part: Fraction(0))
+    with pytest.raises(RuntimeError, match="raise energy"):
+        weak_regularity(STEP_HALF, Fraction(1, 10))
