@@ -90,7 +90,7 @@ def _as_limit(obj):
     return obj
 
 
-def _emit(obj: dict, fmt: str) -> None:
+def _render(obj: dict, fmt: str) -> str:
     if fmt == "csv":
         lines = []
         for k, v in obj.items():
@@ -101,9 +101,8 @@ def _emit(obj: dict, fmt: str) -> None:
                 lines.append(f"{k}," + ";".join(_csv_cell(x) for x in v))
             else:
                 lines.append(f"{k},{_csv_cell(v)}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(ser.dumps(obj))
+        return "\n".join(lines) + "\n"
+    return ser.dumps(obj)
 
 
 def _csv_cell(v) -> str:
@@ -277,10 +276,7 @@ def _cmd_permuton(args, stream) -> dict:
             sigma = ser.permutation_from_text(_read_input(args.perm))
             return {"pattern": str(tau), "value": t_perm(tau, sigma), "exact": True}
         mu = _load_grid_or_perm(args.grid)
-        try:
-            value = t_grid(tau, mu)
-        except ValueError:
-            value = t_grid(tau, mu, stream=stream, trials=args.trials)
+        value = t_grid(tau, mu, stream=stream, trials=args.trials)
         if isinstance(value, MCEstimate):
             return {
                 "pattern": str(tau),
@@ -480,11 +476,12 @@ def dispatch(argv=None) -> int:
     stream = SeededStream(args.seed)
     try:
         result = args.func(args, stream)
+        code = int(result.pop("exit", 0)) if isinstance(result, dict) else 0
+        text = _render(result, args.format)  # refuses values JSON cannot hold
     except (ValueError, KeyError, ZeroDivisionError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    code = int(result.pop("exit", 0)) if isinstance(result, dict) else 0
-    _emit(result, args.format)
+    sys.stdout.write(text)
     return code
 
 

@@ -10,13 +10,17 @@ table of left-of/below counts with the 2nd and 3rd pattern letters fixed
 
 A grid measure is a probability measure on [0, 1]^2 that is uniform on
 each cell of an m x m grid and has uniform marginals (every row and
-column of cell masses sums to 1/m).  The measure of a permutation sigma
-puts mass 1/n on each cell (i, sigma(i)).  Pattern densities t(tau, .)
-of grid measures are computed exactly for patterns of size <= 3 (and
-size 4 on small grids) by summing over cell assignments of the sampled
-points, with ties between points landing in a common row or column
-handled by factorial collision weights; larger patterns fall back to
-Monte Carlo with a reported standard error.
+column of cell masses sums to 1/m); it is stored as integer cell masses
+over one common denominator.  The measure of a permutation sigma puts
+mass 1/n on each cell (i, sigma(i)).  Exact pattern densities t(tau, .)
+(size <= 3, and size 4 on small grids) come from one tensor DP over the
+x-rows, whose m^k tensor (at most TENSOR_CAP = 2^24 entries: size 3 up
+to m = 256, size 4 up to m = 64) is read, permuted by tau, at the
+nondecreasing cell tuples with their collision weights; the box
+distance is an O(L^3) sweep over integer prefix sums.  Kernels use int64
+where a bound proves it exact and Python ints otherwise.  Larger
+patterns and larger grids fall back to Monte Carlo with a reported
+standard error.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -33,7 +37,12 @@ import numpy as np
 from .streams import PRNG_ID, SeededStream
 
 EXACT_PATTERN_CAP = 3
+# t_grid's size-4 exact limit; kept only so that the seeded Monte Carlo
+# output for size 4 on grids with m > 6 (corpus and benchmark reference
+# digests) stays the same, although the tensor DP handles m <= 64
 EXACT_K4_GRID_CAP = 6
+# _count_size4's (n + 1) x (n + 2) int64 table is 128 MB at this host length
+K4_HOST_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -176,12 +185,16 @@ def pattern_count_perm(sigma: Permutation, tau: Permutation) -> int:
     """Exact number of index sets of sigma inducing the pattern tau,
     without enumerating them: sizes 2 and 3 in O(n log n) from one
     Fenwick-tree pass, size 4 in O(n^3) vectorized work (see
-    _count_size3 and _count_size4)."""
+    _count_size3 and _count_size4).  Size 4 needs an O(n^2) int64 table,
+    so hosts longer than K4_HOST_CAP letters are refused."""
     k, n = len(tau), len(sigma)
     if not 1 <= k <= 4:
         raise ValueError("pattern size must be between 1 and 4")
     if k > n:
         return 0
+    if k == 4 and n > K4_HOST_CAP:
+        raise ValueError(
+            f"size-4 pattern counts are limited to hosts of at most {K4_HOST_CAP} letters, got {n}")
     if k == 1:
         return n
     if k == 2:
@@ -203,153 +216,188 @@ def t_perm(tau: Permutation, sigma: Permutation) -> Fraction:
 # -- grid measures -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridMeasure:
-    m: int
-    mass: tuple[tuple[Fraction, ...], ...]  # mass[row=x-cell][col=y-cell]
+def _int_dtype(bound: int):
+    """int64 when bound, a bound on every value a kernel computes, is
+    below 2^63; Python ints (dtype=object) otherwise."""
+    return np.int64 if bound < 1 << 63 else object
 
-    def __post_init__(self):
-        mass = tuple(tuple(Fraction(v) for v in row) for row in self.mass)
-        object.__setattr__(self, "mass", mass)
-        m = self.m
+
+class GridMeasure:
+    """Grid measure on the m x m grid, stored as integer cell masses over
+    one common denominator: cell (i, j) (x-cell i, y-cell j) has mass
+    cells[i, j] / den, with den the least such denominator.
+
+    GridMeasure(m, mass) takes a table of rationals; `mass` gives it back
+    as a table of Fractions, built on first use.  Instances are immutable
+    (`cells` is a read-only array and no attribute can be set, so the
+    hash and the cached views stay valid), and compare equal when they
+    describe the same measure on the same grid.
+    """
+
+    def __init__(self, m: int, mass):
+        table = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in mass]
+        if m >= 1 and (len(table) != m or any(len(row) != m for row in table)):
+            raise ValueError("mass must be an m x m table")
+        den = math.lcm(*(v.denominator for row in table for v in row))
+        ints = [[v.numerator * (den // v.denominator) for v in row] for row in table]
+        self._init(m, np.array(ints, dtype=object), den)
+
+    @classmethod
+    def _of_ints(cls, m: int, cells: np.ndarray, den: int) -> "GridMeasure":
+        mu = cls.__new__(cls)
+        mu._init(m, cells, den)
+        return mu
+
+    def _init(self, m: int, cells: np.ndarray, den: int) -> None:
+        """Validate cells / den and store it over the least denominator."""
         if m < 1:
             raise ValueError(f"grid size m must be at least 1, got {m}")
-        if len(mass) != m or any(len(row) != m for row in mass):
-            raise ValueError("mass must be an m x m table")
-        cell = Fraction(1, m)
-        for idx, row in enumerate(mass):
-            if any(v < 0 for v in row):
+        g = math.gcd(den, int(np.gcd.reduce(cells.ravel())))
+        cells, den = cells // g, den // g
+        # row and column sums are at most m * top, compared as m * sum
+        top = max(den, int(np.abs(cells).max()))
+        cells = cells.astype(_int_dtype(m * m * top))
+        cells.flags.writeable = False
+        self.__dict__.update(m=m, cells=cells, den=den)
+        neg = (cells < 0).any(axis=1)
+        rows = cells.sum(axis=1)
+        bad = neg | (rows * m != den)
+        if bad.any():
+            i = int(bad.argmax())
+            if neg[i]:
                 raise ValueError("cell masses must be nonnegative")
-            if sum(row) != cell:
-                raise ValueError(f"row {idx} mass {sum(row)} != 1/{m}")
-        for j in range(m):
-            col = sum(row[j] for row in mass)
-            if col != cell:
-                raise ValueError(f"column {j} mass {col} != 1/{m}")
+            raise ValueError(f"row {i} mass {Fraction(int(rows[i]), den)} != 1/{m}")
+        cols = cells.sum(axis=0)
+        bad = cols * m != den
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"column {j} mass {Fraction(int(cols[j]), den)} != 1/{m}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GridMeasure is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GridMeasure is immutable: cannot delete {name!r}")
+
+    @cached_property
+    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
+        """mass[row=x-cell][col=y-cell] as Fractions."""
+        den = self.den
+        return tuple(tuple(Fraction(c, den) for c in row) for row in self.cells.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridMeasure):
+            return NotImplemented
+        return (self.m, self.den) == (other.m, other.den) and np.array_equal(self.cells, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.den, tuple(self.cells.ravel().tolist())))
+
+    def __repr__(self) -> str:
+        return f"GridMeasure(m={self.m}, den={self.den}, cells={self.cells.tolist()})"
 
     @classmethod
     def from_permutation(cls, sigma: Permutation) -> "GridMeasure":
         n = len(sigma)
-        unit = Fraction(1, n)
-        mass = [[Fraction(0)] * n for _ in range(n)]
-        for i, v in enumerate(sigma.values):
-            mass[i][v - 1] = unit
-        return cls(n, tuple(tuple(r) for r in mass))
+        cells = np.zeros((n, n), dtype=np.int64)
+        cells[np.arange(n), np.array(sigma.values, dtype=np.int64) - 1] = 1
+        return cls._of_ints(n, cells, n)
 
     @classmethod
     def random(cls, m: int, stream: SeededStream, blend: int = 3) -> "GridMeasure":
         """Random grid measure: average of random permutation measures,
         which keeps marginals uniform and masses rational."""
         rng = stream.generator()
-        mass = [[Fraction(0)] * m for _ in range(m)]
-        unit = Fraction(1, m * blend)
+        cells = np.zeros((m, m), dtype=np.int64)
         for _ in range(blend):
-            perm = rng.permutation(m)
-            for i in range(m):
-                mass[i][int(perm[i])] += unit
-        return cls(m, tuple(tuple(r) for r in mass))
+            cells[np.arange(m), rng.permutation(m)] += 1
+        return cls._of_ints(m, cells, m * blend)
 
     def refine(self, L: int) -> "GridMeasure":
         if L % self.m:
             raise ValueError("refinement must be a multiple of m")
         r = L // self.m
-        scale = Fraction(1, r * r)
-        mass = [
-            [self.mass[i // r][j // r] * scale for j in range(L)]
-            for i in range(L)
-        ]
-        return GridMeasure(L, tuple(tuple(row) for row in mass))
+        cells = np.repeat(np.repeat(self.cells, r, axis=0), r, axis=1)
+        return GridMeasure._of_ints(L, cells, self.den * r * r)
 
-    def _int_mass(self) -> tuple[list[list[int]], int]:
-        den = math.lcm(*(v.denominator for row in self.mass for v in row))
-        return [[int(v * den) for v in row] for row in self.mass], den
-
-
-def _collision_weight(tup, k: int) -> int:
-    """k! divided by the product of factorials of multiplicities."""
-    w = math.factorial(k)
-    for _, grp in itertools.groupby(tup):
-        w //= math.factorial(sum(1 for _ in grp))
-    return w
+    @cached_property
+    def _cell_probs(self) -> np.ndarray:
+        """Cell masses as floats, row-major and normalised: each is the
+        correctly rounded c / den, equal to float(Fraction(c, den))."""
+        den = self.den
+        probs = np.array([c / den for c in self.cells.ravel().tolist()])
+        probs /= probs.sum()
+        probs.flags.writeable = False
+        return probs
 
 
-def _x_tensor(M: list[list[int]], m: int, k: int) -> dict[tuple[int, ...], int]:
-    """X[b] = sum over nondecreasing x-cell tuples a of
-    (k!/prod tie-factorials) * prod_j M[a_j][b_j], as exact integers."""
-    if k == 1:
-        return {(b,): sum(M[a][b] for a in range(m)) for b in range(m)}
-    if k == 2:
-        X: dict[tuple[int, ...], int] = {}
-        S = [0] * m  # prefix over rows, per column
-        for a in range(m):
-            for b1 in range(m):
-                if M[a][b1] == 0 and S[b1] == 0:
-                    continue
-                for b2 in range(m):
-                    if M[a][b2]:
-                        v = 2 * S[b1] * M[a][b2] + M[a][b1] * M[a][b2]
-                        if v:
-                            X[(b1, b2)] = X.get((b1, b2), 0) + v
-            for b in range(m):
-                S[b] += M[a][b]
-        return X
-    if k == 3:
-        return _x_tensor_k3(M, m)
-    if k == 4:
-        return _x_tensor_direct(M, m, 4)
-    raise ValueError("exact tensors only for k <= 4")
+# entries of one dense m^k density tensor (128 MB as int64): size 3 up to
+# m = 256, size 4 up to m = 64; beyond it t_grid answers by Monte Carlo
+# and the exact tables raise ValueError
+TENSOR_CAP = 1 << 24
 
 
-def _x_tensor_k3(M: list[list[int]], m: int) -> dict[tuple[int, ...], int]:
-    S1 = [[0] * m for _ in range(m + 1)]  # S1[a][b] = sum_{a'<a} M[a'][b]
-    for a in range(m):
-        for b in range(m):
-            S1[a + 1][b] = S1[a][b] + M[a][b]
-    # T2[b1][b2] accumulates sum_{a2<a} M[a2][b2] * S1[a2][b1]
-    # P12[b1][b2] accumulates sum_{a'<a} M[a'][b1] * M[a'][b2]
-    T2 = [[0] * m for _ in range(m)]
-    P12 = [[0] * m for _ in range(m)]
-    X: dict[tuple[int, ...], int] = {}
-    for a in range(m):
-        row = M[a]
-        for b1 in range(m):
-            s1 = S1[a][b1]
-            for b2 in range(m):
-                if row[b2] == 0 and T2[b1][b2] == 0 and P12[b1][b2] == 0:
-                    continue
-                head = 6 * T2[b1][b2] + 3 * P12[b1][b2] + 3 * s1 * row[b2]
-                tail = row[b1] * row[b2]
-                for b3 in range(m):
-                    v = head * row[b3] if row[b3] else 0
-                    v += tail * row[b3] if tail else 0
-                    if v:
-                        key = (b1, b2, b3)
-                        X[key] = X.get(key, 0) + v
-        for b1 in range(m):
-            s1 = S1[a][b1]
-            for b2 in range(m):
-                T2[b1][b2] += row[b2] * s1
-                P12[b1][b2] += row[b1] * row[b2]
-    return X
+def _tensor(rows: np.ndarray, k: int) -> np.ndarray:
+    """E[b_1..b_k] = sum over nondecreasing row tuples a_1 <= ... <= a_k of
+    (k! / product of the factorials of tied rows) * prod_i rows[a_i, b_i].
+
+    Walks the rows in order: a j-tuple whose last t entries are the new
+    row r extends a (j - t)-tuple of earlier rows, and its weight is
+    C(j, t) times that tuple's, so E_j += sum_t C(j, t) E_{j-t} (x) r^(x t)
+    for j from k down to 1, summed in Horner form.  Each product with r
+    is added one nonzero column of r at a time, so a row with s of them
+    costs O(s m^(k-1)); E_j is kept with its axes reversed (newest point
+    first), which makes each column's block contiguous, and E_k is
+    returned as a transposed view.  Entries stay below den^j and Horner
+    partial sums below 2^j den^(j-1), both at most k! den^k when den > 1.
+    """
+    m = rows.shape[1]
+    E = [np.ones((), rows.dtype)] + [np.zeros((m,) * j, rows.dtype) for j in range(1, k + 1)]
+    for r in rows:
+        cols = [(b, r[b]) for b in np.flatnonzero(r).tolist()]
+        for j in range(k, 0, -1):
+            acc = E[0]
+            for t in range(j - 1, 0, -1):
+                nxt = math.comb(j, t) * E[j - t]
+                for b, v in cols:
+                    nxt[b] += v * acc
+                acc = nxt
+            for b, v in cols:
+                E[j][b] += v * acc
+    return E[k].transpose()
 
 
-def _x_tensor_direct(M: list[list[int]], m: int, k: int) -> dict[tuple[int, ...], int]:
-    support = [[b for b in range(m) if M[a][b]] for a in range(m)]
-    work = sum(
-        math.prod(len(support[a]) for a in cells)
-        for cells in itertools.combinations_with_replacement(range(m), k)
-    )
-    if work > 5_000_000:
-        raise ValueError("exact size-4 densities are limited to small grids")
-    X: dict[tuple[int, ...], int] = {}
-    for cells in itertools.combinations_with_replacement(range(m), k):
-        wa = _collision_weight(cells, k)
-        for b in itertools.product(*(support[a] for a in cells)):
-            v = wa
-            for a, bb in zip(cells, b):
-                v *= M[a][bb]
-            X[b] = X.get(b, 0) + v
-    return X
+def _ties(m: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The nondecreasing cell tuples c of length k over m cells, as k index
+    arrays, and their collision weights k! / (product of tie factorials):
+    the nonzero entries of the tensor DP run on the identity matrix (the
+    weights are at most k! = 24 and its Horner sums at most 41, so int8)."""
+    W = _tensor(np.eye(m, dtype=np.int8), k)
+    cs = np.nonzero(W)
+    return cs, W[cs]
+
+
+def _grid_tensors(mu: GridMeasure, k: int) -> tuple[np.ndarray, tuple]:
+    """(X, ties) for the exact size-k densities of mu: X from the cell
+    masses, ties from _ties.  Every value of the density sums is at most
+    k! den^k, so int64 is used exactly when that is below 2^63."""
+    if not 1 <= k <= 4:
+        raise ValueError("exact tensors only for k <= 4")
+    if mu.m**k > TENSOR_CAP:
+        raise ValueError(
+            f"exact size-{k} densities on an {mu.m}-grid need {mu.m**k} tensor entries, "
+            f"above the cap of {TENSOR_CAP}")
+    dtype = _int_dtype(math.factorial(k) * mu.den**k)
+    return _tensor(mu.cells.astype(dtype), k), _ties(mu.m, k)
+
+
+def _density(tau: Permutation, X: np.ndarray, ties: tuple, den: int) -> Fraction:
+    """t(tau, mu) = sum over nondecreasing y-cell tuples c of
+    w(c) X[c o tau] / (k! den^k): the point of x-rank j has y-rank tau_j,
+    so its y-cell is c[tau_j]."""
+    cs, w = ties
+    total = int((w.astype(X.dtype) * X[tuple(cs[v - 1] for v in tau.values)]).sum())
+    return Fraction(total, math.factorial(len(tau)) * den**len(tau))
 
 
 @dataclass(frozen=True)
@@ -366,33 +414,22 @@ def t_grid(tau: Permutation, mu: GridMeasure, stream: SeededStream | None = None
     """Pattern density of tau in the grid measure mu.
 
     Exact (Fraction) for |tau| <= 3, and for |tau| = 4 on grids of size
-    at most 6; otherwise Monte Carlo over sampled sub-permutations,
-    returning an MCEstimate (a stream is then required).
+    at most 6, while the m^k density tensor is within TENSOR_CAP (so
+    size 3 needs m <= 256 and size 2 m <= 4096); otherwise Monte Carlo
+    over sampled sub-permutations, returning an MCEstimate (a stream is
+    then required, else ValueError).
     """
-    k = len(tau)
-    exact_ok = k <= EXACT_PATTERN_CAP or (k == 4 and mu.m <= EXACT_K4_GRID_CAP)
-    if exact_ok:
+    k, m = len(tau), mu.m
+    exact_ok = k <= EXACT_PATTERN_CAP or (k == 4 and m <= EXACT_K4_GRID_CAP)
+    if exact_ok and m**k <= TENSOR_CAP:
         return _t_grid_exact(tau, mu)
     if stream is None:
-        raise ValueError(f"pattern size {k} needs Monte Carlo: pass a stream")
+        raise ValueError(f"pattern size {k} on an {m}-grid needs Monte Carlo: pass a stream")
     return _t_grid_mc(tau, mu, stream, trials)
 
 
 def _t_grid_exact(tau: Permutation, mu: GridMeasure) -> Fraction:
-    k = len(tau)
-    M, den = mu._int_mass()
-    X = _x_tensor(M, mu.m, k)
-    inv = [0] * k
-    for j, v in enumerate(tau.values):
-        inv[v - 1] = j  # position of y-rank v among x-ranks
-    total = 0
-    for c in itertools.combinations_with_replacement(range(mu.m), k):
-        # b_j = y-cell of the point with x-rank j, forced by c and tau
-        b = tuple(c[tau.values[j] - 1] for j in range(k))
-        x = X.get(b)
-        if x:
-            total += _collision_weight(c, k) * x
-    return Fraction(total, math.factorial(k) * den**k)
+    return _density(tau, *_grid_tensors(mu, len(tau)), mu.den)
 
 
 def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> MCEstimate:
@@ -402,9 +439,11 @@ def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: 
     hits = 0
     batch = 4096
     rng = stream.generator()
-    probs = np.array([float(v) for row in mu.mass for v in row])
-    probs = probs / probs.sum()
+    probs = mu._cell_probs
     m = mu.m
+    # the y-ranks equal tau exactly when sorting the y values visits the
+    # x-ranks in the order of tau's inverse
+    inv = np.argsort(tau.values)
     done = 0
     while done < trials:
         b = min(batch, trials - done)
@@ -413,8 +452,7 @@ def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: 
         ys = cells % m + rng.random((b, k))
         order = np.argsort(xs, axis=1)
         yo = np.take_along_axis(ys, order, axis=1)
-        pats = np.argsort(np.argsort(yo, axis=1), axis=1) + 1
-        hits += int(np.sum(np.all(pats == np.array(tau.values), axis=1)))
+        hits += int(np.sum(np.all(np.argsort(yo, axis=1) == inv, axis=1)))
         done += b
     p = hits / trials
     return MCEstimate(
@@ -427,22 +465,21 @@ def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: 
 
 
 def grid_density_table(mu: GridMeasure, k: int) -> dict[str, Fraction]:
-    """Exact densities of every pattern of size k (k <= 3, or 4 on
-    small grids), keyed by the one-line pattern string."""
-    out = {}
-    for vals in itertools.permutations(range(1, k + 1)):
-        tau = Permutation(vals)
-        out[str(tau)] = _t_grid_exact(tau, mu)
-    return out
+    """Exact densities of every pattern of size k, keyed by the one-line
+    pattern string.  Needs k <= 4 and m^k <= TENSOR_CAP (m <= 256 for
+    size 3, m <= 64 for size 4); larger grids raise ValueError."""
+    X, ties = _grid_tensors(mu, k)
+    return {
+        str(tau): _density(tau, X, ties, mu.den)
+        for tau in map(Permutation, itertools.permutations(range(1, k + 1)))
+    }
 
 
 def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation:
     """Pattern of k independent points sampled from mu."""
     rng = stream.generator()
-    probs = np.array([float(v) for row in mu.mass for v in row])
-    probs = probs / probs.sum()
     m = mu.m
-    cells = rng.choice(m * m, size=k, p=probs)
+    cells = rng.choice(m * m, size=k, p=mu._cell_probs)
     xs = cells // m + rng.random(k)
     ys = cells % m + rng.random(k)
     return pattern_of(zip(xs.tolist(), ys.tolist()))
@@ -454,35 +491,20 @@ def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation
 def d_box_grid(mu: GridMeasure, nu: GridMeasure) -> Fraction:
     """Exact sup over axis-parallel rectangles of the measure difference,
     restricted (without loss for grid measures) to grid-aligned
-    rectangles of the common refinement; O(L^3) column-pair sweep."""
+    rectangles of the common refinement; O(L^3) column-pair sweep, one
+    vectorised step per left column, on values in [-2 den, 2 den]."""
     L = math.lcm(mu.m, nu.m)
     a = mu.refine(L) if mu.m != L else mu
     b = nu.refine(L) if nu.m != L else nu
-    den = math.lcm(
-        *(v.denominator for row in a.mass for v in row),
-        *(v.denominator for row in b.mass for v in row),
-    )
-    D = [[int((av - bv) * den) for av, bv in zip(ra, rb)] for ra, rb in zip(a.mass, b.mass)]
-    # prefix[i][j] = sum over rows < i, cols < j
-    P = [[0] * (L + 1) for _ in range(L + 1)]
-    for i in range(L):
-        rowacc = 0
-        for j in range(L):
-            rowacc += D[i][j]
-            P[i + 1][j + 1] = P[i][j + 1] + rowacc
+    den = math.lcm(a.den, b.den)
+    dtype = _int_dtype(2 * den)
+    D = a.cells.astype(dtype) * (den // a.den) - b.cells.astype(dtype) * (den // b.den)
+    P = np.zeros((L + 1, L + 1), dtype=dtype)  # P[i, j]: rows < i, cols < j
+    P[1:, 1:] = D.cumsum(axis=0).cumsum(axis=1)
     best = 0
-    for j1 in range(L + 1):
-        col1 = [P[i][j1] for i in range(L + 1)]
-        for j2 in range(j1 + 1, L + 1):
-            mx = mn = 0
-            for i in range(L + 1):
-                v = P[i][j2] - col1[i]
-                if v > mx:
-                    mx = v
-                elif v < mn:
-                    mn = v
-            if mx - mn > best:
-                best = mx - mn
+    for j1 in range(L):
+        V = P[:, j1 + 1:] - P[:, j1:j1 + 1]  # column strips [j1, j2), every row prefix
+        best = max(best, int((V.max(axis=0) - V.min(axis=0)).max()))
     return Fraction(best, den)
 
 
@@ -580,9 +602,11 @@ def moment_xy_from_densities(i: int, j: int, densities: Mapping) -> Fraction:
 
 
 def moment_densities(mu: GridMeasure, i: int, j: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact densities of all patterns of size i+j+1, keyed by tuple."""
+    """Exact densities of all patterns of size i+j+1, keyed by tuple;
+    the grid limits of grid_density_table apply."""
     k = i + j + 1
+    X, ties = _grid_tensors(mu, k)
     return {
-        s: _t_grid_exact(Permutation(s), mu)
+        s: _density(Permutation(s), X, ties, mu.den)
         for s in itertools.permutations(range(1, k + 1))
     }

@@ -1,5 +1,5 @@
-"""Deterministic serialization: rationals in lowest terms, floats with
-17 significant digits, stable key order.
+"""Deterministic serialization: rationals in lowest terms, finite floats
+with 17 significant digits, stable key order.
 
 Interchange formats:
   word        one line of symbols, or JSON {"alphabet": [...], "letters": "..."}
@@ -13,6 +13,7 @@ Interchange formats:
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -41,6 +42,8 @@ def _convert(obj):
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite float {obj!r}: JSON has no such value")
         return {"__float__": float_str(obj)}
     if isinstance(obj, Fraction):
         return frac_str(obj)

@@ -216,7 +216,6 @@ class InverseCSReport:
     ratio: float
     bad_indices: int
     bad_bound: float
-    tolerance: float
 
 
 def inverse_cs_check(g, h, eps: float) -> InverseCSReport:
@@ -240,7 +239,6 @@ def inverse_cs_check(g, h, eps: float) -> InverseCSReport:
         ratio=lam,
         bad_indices=bad,
         bad_bound=cube * n,
-        tolerance=cube * n,
     )
 
 

@@ -2,12 +2,13 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from seqlimit import PiecewisePoly, SeededStream, Word
+from seqlimit import PiecewisePoly, SeededStream, Word, cli, permutons
 from seqlimit import serialize as ser
 from seqlimit.cli import dispatch
 from seqlimit.permutons import GridMeasure, Permutation
@@ -128,6 +129,24 @@ def test_permuton_cli():
     code, out, _ = run_cli("--seed", "9", "permuton", "density", "--grid", perm10, "--pattern", "12345", "--trials", "2000")
     doc = json.loads(out)
     assert doc["exact"] is False and doc["trials"] == 2000
+    # so does a size-3 pattern whose dense tensor exceeds the cap
+    perm257 = ",".join(str(i) for i in range(1, 258))
+    code, out, _ = run_cli("permuton", "density", "--grid", perm257, "--pattern", "321", "--trials", "500")
+    doc = json.loads(out)
+    assert code == 0 and doc["exact"] is False and doc["value"] == 0.0
+
+
+def test_size4_count_on_too_long_host_is_a_domain_error(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the O(n^2) table must not be built")
+
+    monkeypatch.setattr(permutons, "_count_size4", no_table)
+    host = ",".join(str(i) for i in range(permutons.K4_HOST_CAP + 1, 0, -1))
+    code, out, err = run_cli("permuton", "density", "--perm", host, "--pattern", "2413")
+    assert code == 1 and out == ""
+    assert f"at most {permutons.K4_HOST_CAP} letters" in err
+    code, out, _ = run_cli("permuton", "density", "--perm", host, "--pattern", "321")
+    assert code == 0 and json.loads(out)["value"] == "1"
 
 
 def test_domain_errors_for_trials_and_empty_grids():
@@ -175,6 +194,27 @@ def test_experiment_batch(tmp_path):
     spec.write_text(json.dumps({"experiments": []}))
     code, out, _ = run_cli("experiment", str(spec), "--out", str(tmp_path / "empty"))
     assert code == 0 and json.loads(out)["failures"] == 0
+
+
+def test_non_finite_floats_are_refused(tmp_path, monkeypatch):
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            ser.dumps({"x": [1.5, x]})
+    with pytest.raises(ValueError, match="non-finite"):
+        ser.dumps({"z": complex(1.0, math.inf)})
+    # a command result holding nan: exit 1, nothing on stdout
+    monkeypatch.setattr(cli, "_cmd_density", lambda args, stream: {"density": math.nan})
+    code, out, err = run_cli("density", "--word", "01", "--pattern", "0")
+    assert code == 1 and out == "" and "non-finite" in err
+    # a tail experiment with a = inf reports threshold inf: the experiment
+    # fails and writes no result file
+    limit = {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2"]}]}
+    batch = {"experiments": [{"kind": "tail_dbox", "name": "inf", "limit": limit,
+                              "n": 8, "a": "inf", "trials": 2}]}
+    code, out, _ = run_cli("experiment", json.dumps(batch), "--out", str(tmp_path))
+    assert code == 1
+    assert "non-finite" in json.loads(out)["experiments"][0]["error"]
+    assert not (tmp_path / "inf.json").exists()
 
 
 def test_csv_format():

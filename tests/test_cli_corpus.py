@@ -3,13 +3,16 @@
 The digests are SHA-256 hashes of stdout recorded from the all-Fraction
 implementation of discrepancy, best uniformity, the step-function
 distances and weak regularity, and from pattern densities and
-forcibility certificates by iterated symbolic integration.  Any change
+forcibility certificates by iterated symbolic integration, and from the
+`Fraction` grid measures (cell-tuple enumeration for exact permuton
+densities, `Fraction` prefix sums for their box distance).  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +51,75 @@ TWO_BRANCH_H = _step(["0", "1/4", "1"], ["2/3", "1/3"])
 THREE_BRANCH = _step(["0", "1/3", "2/3", "1"], ["1/4", "3/4", "1/2"])
 THREE_BRANCH_H = _step(["0", "1/3", "2/3", "1"], ["1/4", "1/2", "3/4"])
 
+
+def _perm(m: int, seed: int) -> list[int]:
+    """Deterministic permutation of 0..m-1 (Fisher-Yates driven by an LCG)."""
+    p, x = list(range(m)), seed
+    for i in range(m - 1, 0, -1):
+        x = (6364136223846793005 * x + 1442695040888963407) % 2**64
+        j = (x >> 33) % (i + 1)
+        p[i], p[j] = p[j], p[i]
+    return p
+
+
+def _grid(m: int, seed: int, weights=(1, 1, 1)) -> str:
+    """Grid measure JSON: the mixture of len(weights) permutation measures
+    with the given (rational) weights, normalised to total mass 1."""
+    total = sum(Fraction(w) for w in weights)
+    mass = [[Fraction(0)] * m for _ in range(m)]
+    for t, w in enumerate(weights):
+        for i, v in enumerate(_perm(m, seed * 31 + t)):
+            mass[i][v] += Fraction(w) / (total * m)
+    return json.dumps({"m": m, "mass": [[str(v) for v in row] for row in mass]})
+
+
+def _perm_text(n: int, seed: int) -> str:
+    return ",".join(str(v + 1) for v in _perm(n, seed))
+
+
+G4 = _grid(4, 1)
+G5 = _grid(5, 2, weights=(1, 2, 3, 5))
+G6 = _grid(6, 3, weights=("1/3", "1/7", "11/21"))
+G7 = _grid(7, 4)
+G12A = _grid(12, 5)
+G12B = _grid(12, 6, weights=(2, 3))
+G20 = _grid(20, 7)
+G30 = _grid(30, 8)
+# weights over two primes near 2^40: the common mass denominator exceeds 2^63
+P1, P2 = 1099511627791, 1099511627817
+GBIG = _grid(4, 9, weights=(Fraction(P1 - 5, P1), Fraction(3, P2),
+                            1 - Fraction(P1 - 5, P1) - Fraction(3, P2)))
+
+PERMUTON = {
+    "permuton-density-grid-k1-m7": ("permuton", "density", "--grid", G7, "--pattern", "1"),
+    "permuton-density-grid-k2-m12": ("permuton", "density", "--grid", G12B, "--pattern", "21"),
+    "permuton-density-grid-k2-m30": ("permuton", "density", "--grid", G30, "--pattern", "12"),
+    "permuton-density-grid-k3-m20": ("permuton", "density", "--grid", G20, "--pattern", "231"),
+    "permuton-density-grid-k3-m12": ("permuton", "density", "--grid", G12A, "--pattern", "132"),
+    "permuton-density-grid-k3-m30": ("permuton", "density", "--grid", G30, "--pattern", "312"),
+    "permuton-density-grid-k4-m4": ("permuton", "density", "--grid", G4, "--pattern", "2413"),
+    "permuton-density-grid-k4-m5": ("permuton", "density", "--grid", G5, "--pattern", "1432"),
+    "permuton-density-grid-k4-m6": ("permuton", "density", "--grid", G6, "--pattern", "3142"),
+    "permuton-density-grid-k3-big-den": ("permuton", "density", "--grid", GBIG, "--pattern", "213"),
+    "permuton-density-grid-k4-big-den": ("permuton", "density", "--grid", GBIG, "--pattern", "4231"),
+    "permuton-density-grid-mc-k4-m30": (
+        "--seed", "17", "permuton", "density", "--grid", G30, "--pattern", "2143", "--trials", "5000"),
+    "permuton-density-grid-mc-k5-m7": (
+        "--seed", "18", "permuton", "density", "--grid", G7, "--pattern", "25314", "--trials", "5000"),
+    "permuton-density-perm-k3": ("permuton", "density", "--perm", _perm_text(60, 10), "--pattern", "321"),
+    "permuton-density-perm-k4": ("permuton", "density", "--perm", _perm_text(40, 11), "--pattern", "2413"),
+    "permuton-density-grid-as-perm-k3": (
+        "permuton", "density", "--grid", _perm_text(9, 12), "--pattern", "213"),
+    "permuton-density-grid-as-perm-k4": (
+        "permuton", "density", "--grid", _perm_text(6, 13), "--pattern", "1324"),
+    "permuton-distance-m30-m20": ("permuton", "distance", G30, G20),
+    "permuton-distance-m12-m12": ("permuton", "distance", G12A, G12B),
+    "permuton-distance-grid-perm": ("permuton", "distance", G5, _perm_text(7, 14)),
+    "permuton-distance-big-den": ("permuton", "distance", GBIG, G6),
+    "permuton-sample-m30": ("--seed", "19", "permuton", "sample", "--grid", G30, "--size", "5", "--count", "6"),
+    "permuton-sample-big-den": ("--seed", "20", "permuton", "sample", "--grid", GBIG, "--size", "4", "--count", "6"),
+}
+
 PAIRS = {
     "word-word-equal": (W60A, W60B),
     "word-word-unequal": (W40, W25),
@@ -83,6 +155,7 @@ CORPUS = {
     "forcibility-three-branch": ("forcibility", "--limit", THREE_BRANCH),
     "forcibility-three-branch-candidate": (
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
+    **PERMUTON,
 }
 
 DIGESTS = {
@@ -125,6 +198,29 @@ DIGESTS = {
     "regularize-quadratic": "c7da513b0d9ffc00d11dae8193150b69e4bfdc82c6a7673c446e264fa72d065e",
     "regularize-step-a": "6d26c4d3bf4ec001c215d88d811947c9cd80a90ddce3cc40a3baad407c196e28",
     "regularize-step-eq-init3": "95278a1e07b274715aad1ece5d362a79c33ff2463f5b79af41f3d5632b24bd2f",
+    "permuton-density-grid-as-perm-k3": "28386410d0fc920fc1cb4432247115d5c1761755dd715a988497bd15ee3019bf",
+    "permuton-density-grid-as-perm-k4": "4a6754f51461314f1c4da0dd9ae03f24944fa675b87b07000d6589659ce1b657",
+    "permuton-density-grid-k1-m7": "0c12da5d6af6fb4fa46ee40d6ecf914560e25ce1b14b0624e7b0cc39ada8a222",
+    "permuton-density-grid-k2-m12": "3cc0ca07d898213decd55811cd91c2a4d37e9190ccb55f343e80a304668c12e0",
+    "permuton-density-grid-k2-m30": "dfc2cbda43d86351b41dadcb9479e92ce6003025ebcfb89930c8425187caae73",
+    "permuton-density-grid-k3-big-den": "2eeca476b81901b398849fbc93f872c5f051e2421227bcf03937711c50f9a1bc",
+    "permuton-density-grid-k3-m12": "7e73ea81358bab63d23b4a766555874854b6a92c21f5f0a8bc32d69dd7dc0e29",
+    "permuton-density-grid-k3-m20": "3b5e9170c4da9c226743b62782052ce552aac149bf816526251b2f5fcf326d99",
+    "permuton-density-grid-k3-m30": "3da648d8f305eae1b486d267fbe6bd493048e79fbf2445f3adaaa8e23d125774",
+    "permuton-density-grid-k4-big-den": "f710b765ebb5ffd6759d567a659cbba302a6c4a1a48ed959395040a9a4aba709",
+    "permuton-density-grid-k4-m4": "8f5adb584d3465fba5d06977b69ed1d9f20e7dcc3a375d24f97220d7bf9538ca",
+    "permuton-density-grid-k4-m5": "fb99ad671e8a7ff2e7f033be1ef06b253cc409e00d5db219c387278e7afd30c8",
+    "permuton-density-grid-k4-m6": "17d26562cc9123da1a768d6c45d0c941c446757f7588f1a7f7472ba4a425a644",
+    "permuton-density-grid-mc-k4-m30": "a439e6f7ff39f388f20161defee9b6a025b0ffda9892d877cc63b2e5b217429b",
+    "permuton-density-grid-mc-k5-m7": "6aef1f6a30c36ebd8cd0d79c1918aa2cbb814569adb740d68213a7aa82eaf75e",
+    "permuton-density-perm-k3": "4cd4738d14917a7c043661d50fb8ce61be1c6076e6bb87aa24167ecbdec3d65f",
+    "permuton-density-perm-k4": "e73f604195874b4118797aab0ebc69d846dd55c88d6043254c77d2d85fce8094",
+    "permuton-distance-big-den": "2522c1946bdd283981a5c3b426d84ef9b1ee23498fe950de5430712716a0e245",
+    "permuton-distance-grid-perm": "35c3b4021728ab90523807c6bf99450dfbd761f62d5ac20aef9ef77f2f16fe81",
+    "permuton-distance-m12-m12": "22fa414cc43c720786298df53d33f74c77b62f9088b6842db7255542262e9617",
+    "permuton-distance-m30-m20": "cc6bedb56850f370ebb7b49c8d55405d0074e8e40dbad6ac7affd72c7998479b",
+    "permuton-sample-big-den": "d17bec4a18ea6899c58ce7dd40f97a96335e0648ba3d4e927c274fb92ad5afe1",
+    "permuton-sample-m30": "78e2c0f7afbc62b8fa9911226489b34ec39f8d7ef65969d738e4077dc3e38aa5",
 }
 
 

@@ -19,6 +19,7 @@ from seqlimit import (
 )
 from seqlimit.permutons import (
     MCEstimate,
+    _grid_tensors,
     d_box_grid_brute,
     grid_density_table,
     moment_densities,
@@ -39,6 +40,55 @@ def brute_pattern_count(sigma: Permutation, tau: Permutation) -> int:
         if tuple(ranks[v] for v in vals) == tau.values:
             count += 1
     return count
+
+
+def _collision_weight(cells) -> int:
+    """k! divided by the product of the factorials of tie multiplicities."""
+    w = math.factorial(len(cells))
+    for _, grp in itertools.groupby(cells):
+        w //= math.factorial(sum(1 for _ in grp))
+    return w
+
+
+def brute_grid_density(tau: Permutation, mu: GridMeasure) -> Fraction:
+    """Exact t(tau, mu) by enumeration over cell tuples, in Fractions.
+
+    X[b] sums, over nondecreasing x-cell tuples a, the collision weight of
+    a times prod_j mass[a_j][b_j] (b_j: the y-cell of the point of x-rank
+    j); the density sums, over nondecreasing y-cell tuples c, the weight
+    of c times X[c o tau], divided by k!."""
+    k, m = len(tau), mu.m
+    support = [[b for b in range(m) if mu.mass[a][b]] for a in range(m)]
+    X: dict[tuple[int, ...], Fraction] = {}
+    for cells in itertools.combinations_with_replacement(range(m), k):
+        wa = _collision_weight(cells)
+        for b in itertools.product(*(support[a] for a in cells)):
+            v = Fraction(wa)
+            for a, bb in zip(cells, b):
+                v *= mu.mass[a][bb]
+            X[b] = X.get(b, 0) + v
+    total = Fraction(0)
+    for c in itertools.combinations_with_replacement(range(m), k):
+        x = X.get(tuple(c[v - 1] for v in tau.values))
+        if x:
+            total += _collision_weight(c) * x
+    return total / math.factorial(k)
+
+
+def mixture(m: int, weights, stream: SeededStream) -> GridMeasure:
+    """Mixture of random permutation measures with the given weights."""
+    total = sum(map(Fraction, weights))
+    mass = [[Fraction(0)] * m for _ in range(m)]
+    for t, w in enumerate(weights):
+        for i, v in enumerate(stream.substream(t).generator().permutation(m)):
+            mass[i][int(v)] += Fraction(w) / (total * m)
+    return GridMeasure(m, mass)
+
+
+# two primes near 2^40 as weight denominators: the common denominator of
+# the cell masses exceeds 2^63, so every kernel runs on Python ints
+P1, P2 = 1099511627791, 1099511627817
+BIG_WEIGHTS = (Fraction(P1 - 5, P1), Fraction(3, P2), Fraction(2, P1 * P2))
 
 
 def test_permutation_parsing_and_validation():
@@ -116,6 +166,84 @@ def test_grid_measure_construction():
         GridMeasure(2, ((Fraction(1, 2), Fraction(0)), (Fraction(1, 4), Fraction(1, 4))))
     r = GridMeasure.random(5, SeededStream(72))
     assert all(sum(row) == Fraction(1, 5) for row in r.mass)
+
+
+def test_grid_measure_int_masses_equality_and_errors():
+    mu = GridMeasure(2, (("1/4", "1/4"), ("1/4", "1/4")))
+    assert mu.den == 4 and mu.cells.tolist() == [[1, 1], [1, 1]]
+    refined = GridMeasure(1, ((1,),)).refine(2)
+    assert mu == refined and hash(mu) == hash(refined)
+    assert mu != GridMeasure.from_permutation(P("12"))
+    # equal blended permutations reduce to the permutation measure
+    assert GridMeasure.random(3, SeededStream(5), blend=1).den == 3
+    with pytest.raises(ValueError, match="cell masses must be nonnegative"):
+        GridMeasure(2, ((Fraction(3, 4), Fraction(-1, 4)), (Fraction(-1, 4), Fraction(3, 4))))
+    with pytest.raises(ValueError, match=r"row 1 mass 3/4 != 1/2"):
+        GridMeasure(2, ((Fraction(1, 2), 0), (Fraction(1, 2), Fraction(1, 4))))
+    with pytest.raises(ValueError, match=r"column 0 mass 3/4 != 1/2"):
+        GridMeasure(2, ((Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 4))))
+    with pytest.raises(ValueError, match="m x m table"):
+        GridMeasure(2, ((Fraction(1, 2), 0),))
+    with pytest.raises(ValueError, match="multiple of m"):
+        mu.refine(3)
+    with pytest.raises(AttributeError, match="immutable"):
+        mu.m = 3
+    with pytest.raises(AttributeError, match="immutable"):
+        mu.den = 8
+    assert mu.m == 2 and hash(mu) == hash(refined)
+
+
+def test_exact_grid_densities_match_enumeration_oracle():
+    stream = SeededStream(82)
+    grids = [GridMeasure.random(m, stream.substream(m), blend=1 + m % 3) for m in range(1, 7)]
+    grids += [mixture(m, (1, 2, 4), stream.substream(10 + m)) for m in (3, 5)]
+    grids += [GridMeasure.from_permutation(P(s)) for s in ("1", "21", "231", "3142", "25314")]
+    for mu in grids:
+        for k in (1, 2, 3, 4):
+            table = grid_density_table(mu, k)
+            assert sum(table.values()) == 1
+            for vals in itertools.permutations(range(1, k + 1)):
+                tau = Permutation(vals)
+                assert table[str(tau)] == brute_grid_density(tau, mu)
+
+
+def test_grid_kernels_on_python_ints_beyond_int64():
+    mu = mixture(4, BIG_WEIGHTS, SeededStream(83))
+    nu = GridMeasure.random(6, SeededStream(84))
+    assert mu.den >= 2**63 and mu.cells.dtype == object
+    assert all(X.dtype == object for X, _ in (_grid_tensors(mu, k) for k in (1, 2, 3, 4)))
+    for k in (1, 2, 3, 4):
+        for vals in itertools.permutations(range(1, k + 1)):
+            tau = Permutation(vals)
+            assert t_grid(tau, mu) == brute_grid_density(tau, mu)
+    assert d_box_grid(mu, nu) == d_box_grid_brute(mu, nu)
+    assert d_box_grid(mu, mu.refine(8)) == 0
+
+
+def test_dense_tensor_cap_is_a_domain_error():
+    big = GridMeasure.from_permutation(Permutation(tuple(range(1, 258))))  # 257^3 > 2^24
+    with pytest.raises(ValueError, match="cap"):
+        grid_density_table(big, 3)
+    with pytest.raises(ValueError, match="needs Monte Carlo"):
+        t_grid(P("123"), big)
+    assert isinstance(t_grid(P("123"), big, stream=SeededStream(85), trials=100), MCEstimate)
+    assert t_grid(P("12"), big) == 1 - Fraction(1, 2 * 257)
+
+
+def test_size4_exact_densities_end_at_m_64():
+    # 64^4 = 2^24 entries is the largest size-4 tensor; 65^4 is refused
+    with pytest.raises(ValueError, match="cap"):
+        grid_density_table(GridMeasure.random(65, SeededStream(86)), 4)
+    with pytest.raises(ValueError, match="cap"):
+        moment_densities(GridMeasure.from_permutation(Permutation(tuple(range(1, 66)))), 1, 2)
+    m = 64
+    table = grid_density_table(GridMeasure.from_permutation(Permutation(tuple(range(1, m + 1)))), 4)
+    assert sum(table.values()) == 1
+    # four points in diagonal cells form 1234 unless they share a cell; g
+    # points in one cell form each pattern of S_g with probability 1/g!
+    tuples = (m / Fraction(24) + 4 * m * (m - 1) / Fraction(6) + 3 * m * (m - 1) / Fraction(4)
+              + 6 * m * (m - 1) * (m - 2) / Fraction(2) + m * (m - 1) * (m - 2) * (m - 3))
+    assert table["1,2,3,4"] == tuples / m**4
 
 
 def test_t_grid_uniform_measure_is_symmetric():
