@@ -50,6 +50,12 @@ TWO_BRANCH = _step(["0", "1/2", "1"], ["1/3", "2/3"])
 TWO_BRANCH_H = _step(["0", "1/4", "1"], ["2/3", "1/3"])
 THREE_BRANCH = _step(["0", "1/3", "2/3", "1"], ["1/4", "3/4", "1/2"])
 THREE_BRANCH_H = _step(["0", "1/3", "2/3", "1"], ["1/4", "1/2", "3/4"])
+SQUARE = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "1"]}]})
+# two-piece cubics whose difference has the rational roots 1/4, 1/3 | 1/2, 2/3, 3/4
+CUBIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
+    {"coeffs": ["1/2", "1/4", "0", "-1/8"]}, {"coeffs": ["3/4", "0", "-1/4", "1/64"]}]})
+CUBIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
+    {"coeffs": ["9/16", "-13/48", "4/3", "-9/8"]}, {"coeffs": ["1", "-29/24", "5/3", "-63/64"]}]})
 
 
 def _perm(m: int, seed: int) -> list[int]:
@@ -128,6 +134,9 @@ PAIRS = {
     "step-step": (STEP_A, STEP_B),
     "word-const": (W200, _step(["0", "1"], ["3/7"])),
     "word-poly": (W40, LINEAR),
+    "square-half": (SQUARE, _step(["0", "1"], ["1/2"])),  # sign change at 1/sqrt(2): float path
+    "word-square": (W40, SQUARE),
+    "cubic-cubic": (CUBIC_F, CUBIC_G),
 }
 
 CORPUS = {
@@ -191,6 +200,15 @@ DIGESTS = {
     "distance-prefix-word-step": "0d27a24eefde76d7bad6b18caef28661fac61db2c231ac1a1b128b8cedf7cb66",
     "distance-prefix-word-word-equal": "859b1f9d10ead9d6b4b18d464dcbabdd5b81c3b0aefb0fecda27cf69ec18194a",
     "distance-prefix-word-word-unequal": "cb048b3f537e8e1d6ae25a91aefaf4a38fb792b1e614639114c7cd41733be37c",
+    "distance-box-cubic-cubic": "88f8e3019d1ce08e251761ff484b62a7f2eb6e14cc4eb8c416326390505d5a92",
+    "distance-box-square-half": "71578135a90cb8835ed0a0800a5aa444bc7472a77f2c7e63068cc7288d74983c",
+    "distance-box-word-square": "20297b9b3a232ff12c84db23e2526bb7df73b79a3345c1695f0b410958010caa",
+    "distance-l1-cubic-cubic": "15fe14cb54ef7baffa109d3f605f58230dedccab3c048a26dfeab989f95cea60",
+    "distance-l1-square-half": "e3fb81399af8a70e09b5406d29e567d4310cba0a554d3d2630af8224d5bf27f3",
+    "distance-l1-word-square": "a1eb20e5f08dd5a51d94d34dc6c9d8950330b5bbb2cf52924ab7a5bc349eb340",
+    "distance-prefix-cubic-cubic": "ebbcbbaf2c77b07355d2769d3c697595093f54f1ec8c5521f995eb6bffc01303",
+    "distance-prefix-square-half": "6a8df4c0c42de9235fb7e1f8748866694277e6888d1df02f5781393eadee56cd",
+    "distance-prefix-word-square": "749ac83ab08cb95c8952cc45a30787b2aa3e1509e5712eaee8063dc97c5bb832",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
