@@ -19,6 +19,7 @@ from .streams import PRNG_ID, SeededStream
 from .words import AlphabetError, Word, contains_pattern, random_subsequence
 
 STATE_CAP = 10**6
+SEARCH_ROUNDS = 50  # random perturbations tried per target distance of a curve
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,6 @@ def completeness_soundness_curve(
     distances,
     trials: int,
     stream: SeededStream,
-    search_rounds: int = 50,
 ) -> list[CurvePoint]:
     """Acceptance probability as a function of distance from P_F.
 
@@ -197,7 +197,7 @@ def completeness_soundness_curve(
         target = Fraction(target)
         flips = int(round(float(target) * n))
         best: tuple[Fraction, Word] | None = None
-        for r in range(search_rounds):
+        for r in range(SEARCH_ROUNDS):
             rng = stream.substream(1000 + 100 * pi + r).generator()
             pos = rng.choice(n, size=min(flips, n), replace=False)
             letters = list(base.letters)

@@ -107,7 +107,7 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
 @dataclass(frozen=True)
 class ForcibilityCertificate:
     branches: tuple[poly.Poly, ...]
-    monomials: tuple[tuple[int, int, Fraction], ...]  # (x-exponent, y-exponent, coeff)
+    monomials: tuple[tuple[MomentCombination, Fraction], ...]  # (x^i y^j as densities, coeff)
     words: tuple[Word, ...]
 
     @property
@@ -119,8 +119,8 @@ class ForcibilityCertificate:
         pattern densities are given; nonnegative, zero iff the candidate
         primitive follows the branch polynomials almost everywhere."""
         total = Fraction(0)
-        for a, b, c in self.monomials:
-            total += c * moment_from_densities(a, b, densities)
+        for comb, c in self.monomials:
+            total += c * comb.evaluate(densities)
         return total
 
     def residual_of(self, g: PiecewisePoly) -> Fraction:
@@ -147,19 +147,17 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
             new[b + 1] = poly.padd(new[b + 1], poly.pmul(c, nq2))
             new[b + 2] = poly.padd(new[b + 2], c)
         ycoeffs = new
-    monomials: list[tuple[int, int, Fraction]] = []
-    for b, c in enumerate(ycoeffs):
-        for a, coeff in enumerate(c):
-            if coeff != 0:
-                monomials.append((a, b, coeff))
-    max_len = max(a + b + 1 for a, b, _ in monomials)
+    exponents = [(a, b, coeff) for b, c in enumerate(ycoeffs)
+                 for a, coeff in enumerate(c) if coeff != 0]
+    max_len = max(a + b + 1 for a, b, _ in exponents)
     if max_len > MAX_PATTERN_LENGTH:
         raise ValueError(
             f"certificate needs patterns of length {max_len} > cap {MAX_PATTERN_LENGTH}"
         )
+    monomials = tuple((moment_words(a, b), coeff) for a, b, coeff in exponents)
     seen: dict[str, Word] = {}
-    for a, b, _ in monomials:
-        for u, _c in moment_words(a, b).terms:
+    for comb, _ in monomials:
+        for u, _c in comb.terms:
             seen.setdefault(str(u), u)
     words = tuple(seen[k] for k in sorted(seen))
     # structural budget: monomial bidegrees are bounded by twice the sum
@@ -171,7 +169,7 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
     if len(words) > 2 ** (2 * d_sum + 2):
         raise RuntimeError("certificate exceeds its word budget")
     return ForcibilityCertificate(
-        branches=tuple(branches), monomials=tuple(monomials), words=words
+        branches=tuple(branches), monomials=monomials, words=words
     )
 
 

@@ -600,13 +600,3 @@ def moment_xy_from_densities(i: int, j: int, densities: Mapping) -> Fraction:
 
     return sum((c * lookup(s) for s, c in _moment_coeffs(i, j)), Fraction(0))
 
-
-def moment_densities(mu: GridMeasure, i: int, j: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact densities of all patterns of size i+j+1, keyed by tuple;
-    the grid limits of grid_density_table apply."""
-    k = i + j + 1
-    X, ties = _grid_tensors(mu, k)
-    return {
-        s: _density(Permutation(s), X, ties, mu.den)
-        for s in itertools.permutations(range(1, k + 1))
-    }

@@ -18,6 +18,11 @@ runs the piece DP for the pattern density t(u, F) of step components,
 which `t_density_vector` and `t_density_limit` use whenever every
 component is a step function.  Polynomial pieces keep the iterated
 antiderivative.
+
+Range checks, box/prefix/L1 distances with a polynomial side and weak
+regularity share one critical-cut scan, `_critical_cuts`: each piece P
+is taken on its closed interval [lo, hi], so a value P only approaches
+at its open right end counts, and cut at lo, the roots of P', and hi.
 """
 
 from __future__ import annotations
@@ -113,6 +118,8 @@ class PiecewisePoly:
 
     def refined(self, breakpoints) -> "PiecewisePoly":
         bps = sorted(set(self.breakpoints) | set(breakpoints))
+        if len(bps) == len(self.breakpoints):
+            return self
         pcs = [self.pieces[self.piece_index(lo)] for lo in bps[:-1]]
         return PiecewisePoly(tuple(bps), tuple(pcs))
 
@@ -137,13 +144,6 @@ class PiecewisePoly:
     def scale(self, s) -> "PiecewisePoly":
         return PiecewisePoly(self.breakpoints, tuple(poly.pscale(p, s) for p in self.pieces))
 
-    def shift(self, c) -> "PiecewisePoly":
-        c = Fraction(c)
-        return PiecewisePoly(
-            self.breakpoints,
-            tuple(poly.padd(p, (c,)) for p in self.pieces),
-        )
-
     def antiderivative(self) -> "PiecewisePoly":
         """The continuous primitive F with F(0) = 0, piece by piece."""
         acc = Fraction(0)
@@ -167,29 +167,30 @@ class PiecewisePoly:
 
     # -- extrema ------------------------------------------------------
 
-    def extrema_candidates(self):
-        """Points where an extremum can occur: breakpoints plus critical
-        points of each piece.  Returns (exact Fractions, approx floats)."""
-        exact = list(self.breakpoints)
-        approx: list[float] = []
-        for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            ex, ap = poly.real_roots(poly.pderiv(p), lo, hi)
-            exact.extend(ex)
-            approx.extend(ap)
-        return exact, approx
-
     def range_bounds(self):
-        """(min, max) over [0, 1].  Exact unless a critical point is
-        irrational, in which case floats are returned."""
+        """(min, max) over [0, 1], each piece on its closed interval.  Exact
+        unless a critical point is irrational, then floats."""
         if self.is_step():
             values = [p[0] if p else Fraction(0) for p in self.pieces]
             return min(values), max(values)
-        exact, approx = self.extrema_candidates()
-        vals = [self(x) for x in exact]
-        if approx:
-            fvals = [float(v) for v in vals] + [self.eval_float(x) for x in approx]
+        vals, fvals = [], []
+        for P, cuts, approx in _critical_cuts(self.breakpoints, self.pieces):
+            vals += [poly.peval(P, x) for x in cuts]
+            fvals += [poly.peval(P, x) for x in approx]
+        if fvals:
+            fvals = [float(v) for v in vals] + fvals
             return min(fvals), max(fvals)
         return min(vals), max(vals)
+
+
+def _critical_cuts(breakpoints, pieces):
+    """For each closed piece [lo, hi] with polynomial P, (P, cuts, approx):
+    cuts is lo, the rational roots of P' in (lo, hi) in increasing order,
+    and hi; approx holds the irrational ones as floats.  Without those, P
+    is monotone between consecutive cuts."""
+    for lo, hi, P in zip(breakpoints, breakpoints[1:], pieces):
+        exact, approx = poly.real_roots(poly.pderiv(P), lo, hi)
+        yield P, [lo, *sorted(exact), hi], approx
 
 
 def require_unit_range(f: PiecewisePoly, tol: float = NUMERIC_TOL) -> PiecewisePoly:
@@ -268,14 +269,6 @@ def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
     if not f.is_step():
         return t_density_vector(u, LimitVector.from_binary(f))
     return step_density(u, require_unit_range(f))
-
-
-def limit_density_table(f: PiecewisePoly, length: int) -> dict[str, Fraction]:
-    out = {}
-    for bits in itertools.product("01", repeat=length):
-        u = Word(bits)
-        out[str(u)] = t_density_limit(u, f)
-    return out
 
 
 # -- integer sweeps over words and step functions ----------------------
@@ -388,55 +381,39 @@ def _limit_of(f) -> PiecewisePoly:
     return PiecewisePoly.associated(f) if isinstance(f, Word) else f
 
 
-def _signed_area_extrema(f, g):
-    """Candidate values of the primitive H of f - g, split into exact and
-    approximate parts.  Words and step functions take the integer sweep,
-    which yields the two extremes of H directly."""
+def _primitive_range(f, g):
+    """(min, max) of the primitive H of f - g over [0, 1].  Words and step
+    functions take the integer sweep; otherwise the range of H, exact
+    unless an extremum sits at an irrational point."""
     if _is_step(f) and _is_step(g):
         _, prim, bden, vden = step_primitive(f, g)
-        return [Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)], []
-    h = _limit_of(f) - _limit_of(g)
-    H = h.antiderivative()
-    exact = list(h.breakpoints)
-    approx: list[float] = []
-    for lo, hi, p in zip(h.breakpoints, h.breakpoints[1:], h.pieces):
-        ex, ap = poly.real_roots(p, lo, hi)
-        exact.extend(ex)
-        approx.extend(ap)
-    evals = [H(x) for x in exact]
-    fvals = [H.eval_float(x) for x in approx]
-    return evals, fvals
+        return Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)
+    return (_limit_of(f) - _limit_of(g)).antiderivative().range_bounds()
 
 
 def d_box(f, g):
     """Box distance sup over intervals of |integral of f - g|, where f and
     g are limit functions or words (taken as their step functions).
 
-    Equals max H - min H for the primitive H of f - g, with extrema
-    searched over breakpoints and piece roots.  Exact (Fraction) when
-    every candidate extremum is rational, else float within 1e-12.
+    Equals max H - min H for the primitive H of f - g.  Exact (Fraction)
+    when every candidate extremum is rational, else float within 1e-12.
     """
-    evals, fvals = _signed_area_extrema(f, g)
-    if fvals:
-        allv = [float(v) for v in evals] + fvals
-        return max(allv) - min(allv)
-    return max(evals) - min(evals)
+    lo, hi = _primitive_range(f, g)
+    return hi - lo
 
 
 def prefix_sup_dist(f, g):
     """sup_b |integral over [0, b] of f - g|; sandwiched by d_box:
     prefix_sup_dist <= d_box <= 2 * prefix_sup_dist."""
-    evals, fvals = _signed_area_extrema(f, g)
-    if fvals:
-        allv = [float(v) for v in evals] + fvals
-        return max(abs(max(allv)), abs(min(allv)))
-    return max(abs(max(evals)), abs(min(evals)))
+    lo, hi = _primitive_range(f, g)
+    return max(abs(hi), abs(lo))
 
 
 def d1_fn(f, g):
     """L1 distance integral of |f - g| of limit functions or words.  Exact
     whenever every sign change of f - g is rational; numeric within 1e-12
-    otherwise."""
+    otherwise.  On each piece, a primitive P of f - g is monotone between
+    consecutive cuts, so the piece contributes the sum of |P(b) - P(a)|."""
     if _is_step(f) and _is_step(g):
         _, prim, bden, vden = step_primitive(f, g)
         return Fraction(sum(map(abs, map(sub, prim[1:], prim))), bden * vden)
@@ -444,17 +421,14 @@ def d1_fn(f, g):
     total = Fraction(0)
     inexact = 0.0
     any_inexact = False
-    for lo, hi, p in zip(h.breakpoints, h.breakpoints[1:], h.pieces):
-        ex, ap = poly.real_roots(p, lo, hi)
-        if ap:
+    for P, cuts, approx in _critical_cuts(h.breakpoints, map(poly.pantider, h.pieces)):
+        if approx:
             any_inexact = True
-            inexact += _numeric_abs_integral(p, lo, hi, sorted(ex + [Fraction(a).limit_denominator(10**15) for a in ap]))
+            inner = sorted(cuts[1:-1] + [Fraction(a).limit_denominator(10**15) for a in approx])
+            inexact += _numeric_abs_integral(poly.pderiv(P), cuts[0], cuts[-1], inner)
             continue
-        cuts = [lo] + sorted(ex) + [hi]
-        for a, b in zip(cuts, cuts[1:]):
-            mid = (a + b) / 2
-            sign = 1 if poly.peval(p, mid) >= 0 else -1
-            total += sign * poly.pintegrate(p, a, b)
+        vals = [poly.peval(P, x) for x in cuts]
+        total += sum(map(abs, map(sub, vals[1:], vals)))
     if any_inexact:
         return float(total) + inexact
     return total

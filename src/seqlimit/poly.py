@@ -77,9 +77,11 @@ def ppow(a: Poly, n: int) -> Poly:
 
 def peval(p: Poly, x):
     """Evaluate by Horner's rule.  Exact for Fraction x, float for float x."""
-    acc = Fraction(0) if not isinstance(x, float) else 0.0
-    for c in reversed(p):
-        acc = acc * x + (c if not isinstance(x, float) else float(c))
+    if isinstance(x, float):
+        p = [float(c) for c in p]
+    acc = p[-1] if p else (0.0 if isinstance(x, float) else Fraction(0))
+    for c in p[-2::-1]:
+        acc = acc * x + c
     return acc
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .piecewise import PiecewisePoly, step_primitive
+from .piecewise import PiecewisePoly, _critical_cuts, step_primitive
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,16 @@ def _extremal_of(g: PiecewisePoly) -> tuple[Fraction, tuple[Fraction, Fraction]]
         lo, hi = sorted((prim.index(bottom), len(prim) - 1 - prim[::-1].index(top)))
         return Fraction(top - bottom, bden * vden), (Fraction(grid[lo], bden), Fraction(grid[hi], bden))
     H = g.antiderivative()
-    cands = set(g.breakpoints)
-    for lo, hi, p in zip(g.breakpoints, g.breakpoints[1:], g.pieces):
-        ex, ap = poly.real_roots(p, lo, hi)
-        cands.update(ex)
-        for x in ap:
-            r = Fraction(x).limit_denominator(10**12)
-            if lo < r < hi:
-                cands.add(r)
-    best_max = max(cands, key=lambda x: (H(x), x))
-    best_min = min(cands, key=lambda x: (H(x), x))
-    dev = H(best_max) - H(best_min)
+    cands = []
+    for P, cuts, approx in _critical_cuts(H.breakpoints, H.pieces):
+        lo, hi = cuts[0], cuts[-1]
+        rationalized = (Fraction(x).limit_denominator(10**12) for x in approx)
+        cands += [(poly.peval(P, x), x) for x in cuts + [r for r in rationalized if lo < r < hi]]
+    (top, best_max), (bottom, best_min) = max(cands), min(cands)
     lo, hi = sorted((best_min, best_max))
     if lo == hi:
         return Fraction(0), (Fraction(0), Fraction(1))
-    return dev, (lo, hi)
+    return top - bottom, (lo, hi)
 
 
 def extremal_interval(

@@ -90,12 +90,11 @@ def limitfn_to_obj(f: PiecewisePoly) -> dict:
     }
 
 
-def limitfn_from_obj(obj: dict, validate: bool = True) -> PiecewisePoly:
-    f = PiecewisePoly(
+def limitfn_from_obj(obj: dict) -> PiecewisePoly:
+    return require_unit_range(PiecewisePoly(
         tuple(parse_frac(b) for b in obj["breakpoints"]),
         tuple(tuple(parse_frac(c) for c in p["coeffs"]) for p in obj["pieces"]),
-    )
-    return require_unit_range(f) if validate else f
+    ))
 
 
 def limitvector_to_obj(F: LimitVector) -> dict:

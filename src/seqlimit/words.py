@@ -164,6 +164,3 @@ class PrefixCounts:
         if hi < lo:
             return 0
         return self._prefix[letter][hi] - self._prefix[letter][lo - 1]
-
-    def interval_counts(self, lo: int, hi: int) -> dict[str, int]:
-        return {a: self.count(a, lo, hi) for a in self.word.alphabet}

@@ -3,11 +3,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import seqlimit
 from seqlimit import PiecewisePoly, SeededStream, Word, cli, permutons
 from seqlimit import serialize as ser
 from seqlimit.cli import dispatch
@@ -49,6 +54,19 @@ def test_analyze_constant_word():
     assert doc["best_uniformity"]["density"] == "1"
 
 
+def test_module_entry_points_match_dispatch():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    _, expected, _ = run_cli("analyze", "0101")
+    for module in ("seqlimit", "seqlimit.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "analyze", "0101"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0 and done.stdout == expected
+        bad = subprocess.run([sys.executable, "-m", module, "analyze", "0101", "--bogus-flag"],
+                             capture_output=True, text=True, env=env)
+        assert bad.returncode == 2 and bad.stdout == ""
+
+
 def test_exit_codes():
     assert run_cli("analyze", "1111", "--bogus-flag")[0] == 2
     assert run_cli("no-such-command")[0] == 2
@@ -79,6 +97,17 @@ def test_sample_deterministic():
     assert len(doc["words"]) == 3 and all(len(w) == 20 for w in doc["words"])
     _, other, _ = run_cli("--seed", "6", *args[2:])
     assert other != out1
+
+
+def test_limits_leaving_the_unit_range_at_an_open_piece_end_are_refused():
+    # 3x on [0, 1/2) tends to 3/2; 1 - 3x on [0, 1/2) tends to -1/2
+    for first, second in ((["0", "3"], ["0"]), (["1", "-3"], ["1"])):
+        limit = json.dumps({"breakpoints": ["0", "1/2", "1"],
+                            "pieces": [{"coeffs": first}, {"coeffs": second}]})
+        for argv in (("density", "--limit", limit, "--pattern", "1"),
+                     ("sample", "--limit", limit, "--length", "5")):
+            code, out, err = run_cli(*argv)
+            assert code == 1 and out == "" and "leaves [0, 1]" in err
 
 
 def test_regularize(tmp_path):

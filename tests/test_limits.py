@@ -14,6 +14,7 @@ from seqlimit import (
     bernstein_eval,
     d1_fn,
     d_box,
+    limit_densities,
     pattern_density,
     prefix_sup_dist,
     t_density_limit,
@@ -21,10 +22,10 @@ from seqlimit import (
 )
 from seqlimit.piecewise import (
     LimitVector,
-    limit_density_table,
     require_unit_range,
 )
 from seqlimit.serialize import limitfn_to_obj
+from seqlimit.words import all_patterns
 
 from test_cli import run_cli
 from util import density_tables_upto, random_step, random_step_irregular, random_word
@@ -74,7 +75,7 @@ def test_densities_sum_to_one_and_refinement_invariant():
     stream = SeededStream(21)
     for t in range(10):
         f = random_step(stream.substream(t), max_steps=6)
-        table = limit_density_table(f, 3)
+        table = limit_densities(f, all_patterns(3))
         assert sum(table.values()) == 1
         g = f.refined([Fraction(1, 7), Fraction(3, 7)])
         for bits in itertools.product("01", repeat=2):
@@ -234,6 +235,13 @@ def test_require_unit_range():
         f = random_step_irregular(stream.substream(t), max_steps=6, den=3 + t)
         vals = [f(b) for b in f.breakpoints]
         assert f.range_bounds() == (min(vals), max(vals))
+    # each piece counts on its closed interval: 3x and 1 - 3x on [0, 1/2)
+    # leave [0, 1] only toward 1/2, while 4x^2 there reaches exactly 1
+    half = (Fraction(0), Fraction(1, 2), Fraction(1))
+    for pieces in (((0, 3), (0,)), ((1, -3), (1,))):
+        with pytest.raises(ValueError, match="leaves"):
+            require_unit_range(PiecewisePoly(half, pieces))
+    assert require_unit_range(PiecewisePoly(half, ((0, 0, 4), (1, -1)))).range_bounds() == (0, 1)
 
 
 def test_distance_examples():

@@ -22,7 +22,6 @@ from seqlimit.permutons import (
     _grid_tensors,
     d_box_grid_brute,
     grid_density_table,
-    moment_densities,
     pattern_count_perm,
     pattern_of,
 )
@@ -235,7 +234,7 @@ def test_size4_exact_densities_end_at_m_64():
     with pytest.raises(ValueError, match="cap"):
         grid_density_table(GridMeasure.random(65, SeededStream(86)), 4)
     with pytest.raises(ValueError, match="cap"):
-        moment_densities(GridMeasure.from_permutation(Permutation(tuple(range(1, 66)))), 1, 2)
+        grid_density_table(GridMeasure.from_permutation(Permutation(tuple(range(1, 66)))), 4)
     m = 64
     table = grid_density_table(GridMeasure.from_permutation(Permutation(tuple(range(1, m + 1)))), 4)
     assert sum(table.values()) == 1
@@ -367,8 +366,11 @@ def test_moment_from_densities_matches_direct():
             grids = [GridMeasure.random(4, stream.substream(t)) for t in range(6)]
             grids += [GridMeasure.random(3, check.substream(t), blend=2) for t in range(50)]
             for mu in grids:
-                dens = moment_densities(mu, i, j)
+                dens = grid_density_table(mu, i + j + 1)
                 assert moment_xy_from_densities(i, j, dens) == moment_xy_direct(i, j, mu)
+    # densities keyed by value tuple give the same moment
+    by_tuple = {tuple(map(int, key.split(","))): v for key, v in dens.items()}
+    assert moment_xy_from_densities(i, j, by_tuple) == moment_xy_direct(i, j, mu)
     with pytest.raises(ValueError):
         moment_xy_from_densities(2, 2, {})
     with pytest.raises(KeyError):
