@@ -3,9 +3,10 @@
 The digests are SHA-256 hashes of stdout recorded from the all-Fraction
 implementation of discrepancy, best uniformity, the step-function
 distances and weak regularity, and from pattern densities and
-forcibility certificates by iterated symbolic integration, and from the
+forcibility certificates by iterated symbolic integration, from the
 `Fraction` grid measures (cell-tuple enumeration for exact permuton
-densities, `Fraction` prefix sums for their box distance).  Any change
+densities, `Fraction` prefix sums for their box distance), and from the
+tuple-state dict DP for the distance to a forbidden family.  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -126,6 +127,35 @@ PERMUTON = {
     "permuton-sample-big-den": ("--seed", "20", "permuton", "sample", "--grid", GBIG, "--size", "4", "--count", "6"),
 }
 
+def _ternary(n: int, a: int, b: int, m: int) -> str:
+    """Deterministic pseudo-random word over a, b, c as a word JSON."""
+    letters = "".join("abc"[(a * i * i + b * i) % m % 3] for i in range(n))
+    return json.dumps({"letters": letters, "alphabet": ["a", "b", "c"]})
+
+
+def _tester(word: str, forbid: str, query: int, trials: int, seed: int) -> tuple:
+    return ("--seed", str(seed), "test", "--word", word, "--forbid", forbid,
+            "--query-size", str(query), "--trials", str(trials))
+
+
+# exact distance d1(w, P_F) and its witness search on ~200 letters against
+# one to three forbidden patterns, a ternary word, and a member (d1 = 0)
+TESTER = {
+    "test-w200-one-pattern": _tester(W200, "0110", 12, 200, 31),
+    "test-w210-two-patterns": _tester(_word(210, 3, 5, 13), "101,0110", 7, 200, 32),
+    "test-w190-three-patterns": _tester(_word(190, 5, 1, 17), "110,0101,1001", 6, 150, 33),
+    "test-ternary-two-patterns": _tester(_ternary(180, 4, 7, 19), "abc,cba", 12, 200, 34),
+    "test-member-d1-zero": _tester("0" * 120 + "1" * 80, "10", 20, 100, 35),
+}
+
+# completeness/soundness curves: `member_word` seeds the perturbation search
+CURVE_BATCH = {"experiments": [
+    {"kind": "tester_curve", "name": "curve-two", "forbid": ["110", "0101"], "n": 160,
+     "query_size": 16, "distances": ["0", "1/20", "1/10", "1/5"], "trials": 60},
+    {"kind": "tester_curve", "name": "curve-one", "forbid": ["10"], "n": 90,
+     "query_size": 12, "distances": ["0", "1/9", "1/3"], "trials": 60},
+]}
+
 PAIRS = {
     "word-word-equal": (W60A, W60B),
     "word-word-unequal": (W40, W25),
@@ -165,6 +195,7 @@ CORPUS = {
     "forcibility-three-branch-candidate": (
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
     **PERMUTON,
+    **TESTER,
 }
 
 DIGESTS = {
@@ -239,6 +270,11 @@ DIGESTS = {
     "permuton-distance-m30-m20": "cc6bedb56850f370ebb7b49c8d55405d0074e8e40dbad6ac7affd72c7998479b",
     "permuton-sample-big-den": "d17bec4a18ea6899c58ce7dd40f97a96335e0648ba3d4e927c274fb92ad5afe1",
     "permuton-sample-m30": "78e2c0f7afbc62b8fa9911226489b34ec39f8d7ef65969d738e4077dc3e38aa5",
+    "test-member-d1-zero": "f435cb8e65fd2ac982f2d1f300c763215975330d91f7ae8a97a5006f5e7d2b58",
+    "test-ternary-two-patterns": "9c41bff83beffa713f50f273afbf1af8238550333cf748e62def5621d16e06be",
+    "test-w190-three-patterns": "9c1f7416781bf53969d238cc1f0d01fa92acb36d455ce53ecc2d134968125da8",
+    "test-w200-one-pattern": "13606af0a720e34ac80d14d13e71993f6955b3aeef67ee54d5de1baac4ffadd3",
+    "test-w210-two-patterns": "4a4bbe09fd10dd8394b8fc235444bc8969284a92f5c7bef347426a9a1fb66472",
 }
 
 
@@ -247,3 +283,21 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+CURVE_DIGESTS = {
+    "stdout": "1662bc1ecefac197d439572520e0c13971b173e83128a404750c48ac03b8d95a",
+    "curve-two": "dbe989dcbd3fd9e2071c2401cbfa49f01442a2233004ed7be8ecdf9607e58321",
+    "curve-one": "78f61f4b210069dc13737421a88ec2d6c3b2a228e554d9393a6f2314b95cd462",
+}
+
+
+def test_tester_curve_experiment_is_byte_identical(tmp_path):
+    code, out, err = run_cli("--seed", "36", "experiment", json.dumps(CURVE_BATCH),
+                             "--out", str(tmp_path))
+    assert code == 0, err
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for spec in CURVE_BATCH["experiments"]:
+        text = (tmp_path / f"{spec['name']}.json").read_text()
+        got[spec["name"]] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == CURVE_DIGESTS

@@ -34,6 +34,93 @@ def brute_d1(w: Word, family: ForbiddenFamily) -> Fraction:
     return best
 
 
+def dict_dp_d1(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
+    """The tuple-state dict DP that the table DP replaced: the reference
+    for its values, witnesses and errors."""
+    if family.state_bound() > 10**6:
+        raise ValueError(f"automaton would exceed {10**6} states")
+    n = len(w)
+    frontier = {family.start_state(): 0}
+    parents = []
+    for c in w.letters:
+        nxt, back = {}, {}
+        for state, cost in frontier.items():
+            for a in family.alphabet:
+                ns = family.step(state, a)
+                if ns is None:
+                    continue
+                nc = cost + (a != c)
+                if nc < nxt.get(ns, n + 1):
+                    nxt[ns] = nc
+                    back[ns] = (state, a)
+        if not nxt:
+            raise ValueError("property is empty at this length")
+        frontier = nxt
+        parents.append(back)
+    best_state = min(frontier, key=lambda s: (frontier[s], s))
+    letters = []
+    state = best_state
+    for back in reversed(parents):
+        state, a = back[state]
+        letters.append(a)
+    witness = Word(tuple(reversed(letters)), w.alphabet)
+    return Fraction(frontier[best_state], n) if n else Fraction(0), witness
+
+
+def _oracle_case(t: int, rng) -> tuple[Word, ForbiddenFamily]:
+    """Case t of the oracle comparison: a word of length 0..80 over a
+    binary or ternary alphabet against 1 to 3 random patterns; every third
+    word is a member word with random letters changed, as in the curve
+    search."""
+    alphabet = ("0", "1") if t % 2 else ("a", "b", "c")
+    k = len(alphabet)
+    patterns = [
+        "".join(alphabet[int(x)] for x in rng.integers(0, k, size=int(rng.integers(1, 5))))
+        for _ in range(int(rng.integers(1, 4)))
+    ]
+    fam = ForbiddenFamily.from_strings(patterns, alphabet)
+    n = int(rng.integers(0, 81))
+    if t % 3 == 0:
+        try:
+            letters = list(member_word(fam, n).letters)
+        except ValueError:  # the property is empty at this length
+            letters = [alphabet[0]] * n
+        for p in rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False) if n else ():
+            letters[p] = alphabet[int(rng.integers(k))]
+    else:
+        letters = [alphabet[int(x)] for x in rng.integers(0, k, size=n)]
+    return Word(tuple(letters), alphabet), fam
+
+
+def test_d1_matches_dict_dp_oracle():
+    stream = SeededStream(67)
+    errors = tested = 0
+    for t in range(360):
+        w, fam = _oracle_case(t, stream.substream(t).generator())
+        try:
+            want = dict_dp_d1(w, fam)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                d1_to_family(w, fam)
+            errors += 1
+            continue
+        assert d1_to_family(w, fam) == want, (str(w), [str(p) for p in fam.patterns])
+        tested += 1
+        if len(w) and t % 4 == 0:
+            rep = run_tester(w, fam, min(len(w), 5), 3, stream.substream(1000 + t))
+            assert rep.is_member == fam.is_member(w)
+            assert rep.d1 == want[0]
+    assert tested >= 300 and errors > 0
+    # empty property and state cap: the same errors as the dict DP
+    empty = ForbiddenFamily.from_strings(["0", "1"])
+    for d1 in (dict_dp_d1, d1_to_family):
+        with pytest.raises(ValueError, match="^property is empty at this length$"):
+            d1(W("01"), empty)
+    big = ForbiddenFamily.from_strings(["01" * 40] * 4)
+    with pytest.raises(ValueError, match="^automaton would exceed 10 states$"):
+        d1_to_family(W("01"), big, state_cap=10)
+
+
 def test_membership_examples():
     fam = ForbiddenFamily.from_strings(["10"])
     assert fam.is_member(W("0011"))

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,36 @@ def test_random_subsequence_is_uniform_over_index_sets():
     }
     chi2 = sum((counts.get(k, 0) - e) ** 2 / e for k, e in exp.items())
     assert chi2 < 16.3  # 3 dof, p = 0.001
+
+
+def scalar_random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
+    """Floyd's sampling with one scalar draw per bound: the reference for
+    the one-call draw of `random_subsequence`."""
+    n = len(w)
+    rng = stream.generator()
+    chosen: set[int] = set()
+    for j in range(n - length, n):
+        t = int(rng.integers(0, j + 1))
+        chosen.add(j if t in chosen else t)
+    return extract(w, [i + 1 for i in sorted(chosen)])
+
+
+def test_random_subsequence_matches_scalar_draws():
+    stream = SeededStream(16)
+    for t in range(400):
+        rng = stream.substream(t).generator()
+        n = int(rng.integers(1, 300))
+        w = random_word(stream.substream(10_000 + t), n)
+        for length in {1, n, int(rng.integers(1, n + 1))}:
+            sub = stream.substream(20_000 + t)
+            assert random_subsequence(w, length, sub) == scalar_random_subsequence(w, length, sub)
+    # the one-call draw relies on numpy drawing an array of bounds exactly
+    # as one scalar call per bound, also for bounds past 2**32
+    for seed in range(12):
+        highs = np.arange(2**32 - 30, 2**32 + 30) * (1 + seed % 3)
+        drawn = SeededStream(seed).generator().integers(0, highs + 1)
+        rng = SeededStream(seed).generator()
+        assert drawn.tolist() == [int(rng.integers(0, h + 1)) for h in highs.tolist()]
 
 
 def test_density_table_keys_and_cap():
