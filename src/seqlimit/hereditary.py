@@ -3,15 +3,34 @@ sampling-based membership tester.
 
 The property P_F consists of all words containing no member of the
 finite family F as a (not necessarily contiguous) subsequence.  P_F is
-hereditary: subwords of members are members.  Exact distance to P_F is
-a dynamic program over the product of the greedy prefix-matching
-automata of the patterns; the tester draws random subsequences and
-checks them against F directly, which gives perfect completeness.
+hereditary: subwords of members are members.  The tester draws random
+subsequences and checks them against F directly, which gives perfect
+completeness.
+
+The exact distance d1(w, P_F) is a dynamic program over the positions of
+w and the states of the product of the greedy prefix-matching automata
+of the patterns (`ForbiddenFamily.step`; a move that completes a pattern
+is dead).  It runs on integer tables built as the DP reaches them.
+States are numbered in order of first reach.  The frontier at a position
+(the states that members of that length can end in) is a layout: a tuple
+of state ids in the order the DP first reaches them.  A layout depends
+on the automaton and the position only, never on the letters of w or on
+costs: each layout is a function of the one before, so the sequence is
+eventually periodic and the number of distinct layouts does not grow
+with |w|.  The moves from each layout into the next are built once per
+input letter, as (slot, next slot, cost, back code) int tuples, and one
+DP step scans int lists and keeps one back code per slot.
+
+Tie-break, which fixes the witness: a state's cost and back code come
+from the first move of least cost in (frontier slot, letter in alphabet
+order) order, and the final state is the one of least (cost,
+matched-prefix tuple).  This is the rule of the tuple-state dict DP that
+the tests keep as the oracle; `member_word` seeds the tester curve with
+such a witness.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,45 +90,112 @@ class ForbiddenFamily:
         return bound
 
 
+class _Layout:
+    """One frontier of the DP: its state ids in the order the DP first
+    reaches them, and, once built, the next frontier and the moves into it
+    per input letter code as (slot, next slot, substitution cost, back
+    code slot * k + letter), in (slot, letter) order."""
+
+    __slots__ = ("states", "moves", "nxt")
+
+    def __init__(self, states: tuple[int, ...], k: int):
+        self.states = states
+        self.moves: list[tuple[tuple[int, int, int, int], ...] | None] = [None] * k
+        self.nxt: _Layout | None = None
+
+
+class _Tables:
+    """Integer tables of the product automaton, built as the DP reaches
+    them: state ids, live successors per state, and frontier layouts."""
+
+    def __init__(self, family: ForbiddenFamily):
+        self.family = family
+        self.k = len(family.alphabet)
+        self.tuples = [family.start_state()]  # id -> matched-prefix tuple
+        self.ids = {self.tuples[0]: 0}
+        self.succ: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.layouts: dict[tuple[int, ...], _Layout] = {}
+
+    def layout(self, states: tuple[int, ...]) -> _Layout:
+        lay = self.layouts.get(states)
+        if lay is None:
+            lay = self.layouts[states] = _Layout(states, self.k)
+        return lay
+
+    def successors(self, s: int) -> tuple[tuple[int, int], ...]:
+        """(letter code, next id) of the live moves out of s, alphabet order."""
+        out = self.succ.get(s)
+        if out is None:
+            live = []
+            for a, letter in enumerate(self.family.alphabet):
+                ns = self.family.step(self.tuples[s], letter)
+                if ns is not None:
+                    if ns not in self.ids:
+                        self.ids[ns] = len(self.tuples)
+                        self.tuples.append(ns)
+                    live.append((a, self.ids[ns]))
+            out = self.succ[s] = tuple(live)
+        return out
+
+    def moves(self, lay: _Layout, c: int) -> tuple[tuple[int, int, int, int], ...]:
+        if lay.nxt is None:
+            reached: dict[int, None] = {}
+            for s in lay.states:
+                for _, ns in self.successors(s):
+                    reached.setdefault(ns)
+            if not reached:
+                raise ValueError("property is empty at this length")
+            lay.nxt = self.layout(tuple(reached))
+        slot = {ns: q for q, ns in enumerate(lay.nxt.states)}
+        k = self.k
+        out = lay.moves[c] = tuple(
+            (p, slot[ns], int(a != c), p * k + a)
+            for p, s in enumerate(lay.states)
+            for a, ns in self.successors(s)
+        )
+        return out
+
+
 def d1_to_family(
     w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP
 ) -> tuple[Fraction, Word]:
     """Exact normalized substitution distance from w to P_F, with a
-    nearest member as witness.  DP over positions x automaton states."""
+    nearest member as witness.  DP over positions x automaton states on
+    integer tables (see the module docstring for the tie-break)."""
     if w.alphabet != family.alphabet:
         raise AlphabetError("word and family must share one alphabet")
     if family.state_bound() > state_cap:
         raise ValueError(f"automaton would exceed {state_cap} states")
+    alphabet = family.alphabet
+    k = len(alphabet)
     n = len(w)
-    start = family.start_state()
-    frontier: dict[tuple[int, ...], int] = {start: 0}
-    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], str]]] = []
-    for c in w.letters:
-        nxt: dict[tuple[int, ...], int] = {}
-        back: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
-        for state, cost in frontier.items():
-            for a in family.alphabet:
-                ns = family.step(state, a)
-                if ns is None:
-                    continue
-                nc = cost + (a != c)
-                if nc < nxt.get(ns, n + 1):
-                    nxt[ns] = nc
-                    back[ns] = (state, a)
-        if not nxt:
-            raise ValueError("property is empty at this length")
-        frontier = nxt
+    tables = _Tables(family)
+    lay = tables.layout((0,))
+    costs = [0]
+    parents: list[list[int]] = []  # per position, a back code per slot
+    for c in map({a: i for i, a in enumerate(alphabet)}.__getitem__, w.letters):
+        moves = lay.moves[c] or tables.moves(lay, c)
+        lay = lay.nxt
+        new = [n + 1] * len(lay.states)
+        back = [0] * len(new)
+        for p, q, extra, code in moves:
+            nc = costs[p] + extra
+            if nc < new[q]:
+                new[q] = nc
+                back[q] = code
+        costs = new
         parents.append(back)
-    best_state = min(frontier, key=lambda s: (frontier[s], s))
+    states = lay.states
+    q = min(range(len(states)), key=lambda q: (costs[q], tables.tuples[states[q]]))
+    best = costs[q]
     letters: list[str] = []
-    state = best_state
     for back in reversed(parents):
-        state, a = back[state]
-        letters.append(a)
+        q, a = divmod(back[q], k)
+        letters.append(alphabet[a])
     witness = Word(tuple(reversed(letters)), w.alphabet)
     if not family.is_member(witness):
         raise RuntimeError(f"witness {witness} is not in the property")
-    return Fraction(frontier[best_state], n) if n else Fraction(0), witness
+    return Fraction(best, n) if n else Fraction(0), witness
 
 
 def member_word(family: ForbiddenFamily, n: int) -> Word:
@@ -163,7 +249,7 @@ def run_tester(
         trials=trials,
         accepted=accepted,
         query_size=length,
-        is_member=family.is_member(w),
+        is_member=d1 == 0,
         d1=d1,
         prng=PRNG_ID,
         seed=stream.seed,

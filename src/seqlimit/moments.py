@@ -24,7 +24,14 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import poly
-from .piecewise import PiecewisePoly, t_density_limit
+from .piecewise import (
+    LimitVector,
+    PiecewisePoly,
+    require_unit_range,
+    step_density,
+    t_density_limit,
+    t_density_vector,
+)
 from .words import Word
 
 MAX_PATTERN_LENGTH = 12
@@ -79,12 +86,21 @@ def moment_from_densities(i: int, j: int, densities: Mapping[str, Fraction]) -> 
 
 
 def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
-    """Pattern densities of f for a collection of binary patterns."""
+    """Pattern densities of f for a collection of binary patterns, each
+    equal to `t_density_limit(u, f)`; f is range-checked once for all."""
+    if f.is_step():
+        density, F = step_density, require_unit_range(f)
+    else:
+        density, F = t_density_vector, LimitVector.from_binary(f)
     out: dict[str, Fraction] = {}
     for u in words:
         if not isinstance(u, Word):
             u = Word.from_string(u)
-        out.setdefault(str(u), t_density_limit(u, f))
+        if set(u.alphabet) != {"0", "1"}:
+            raise ValueError("t_density_limit requires the binary alphabet")
+        key = str(u)
+        if key not in out:
+            out[key] = density(u, F)
     return out
 
 

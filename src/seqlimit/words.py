@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .streams import SeededStream
 
 BINARY = ("0", "1")
@@ -121,11 +123,8 @@ def hamming_d1(w: Word, v: Word) -> Fraction:
 def contains_pattern(w: Word, u: Word) -> bool:
     """Greedy subsequence containment test, O(|w|)."""
     _check_same_alphabet(w, u)
-    j = 0
-    for c in w.letters:
-        if j < len(u) and c == u.letters[j]:
-            j += 1
-    return j == len(u)
+    rest = iter(w.letters)
+    return all(c in rest for c in u.letters)  # each `in` consumes w up to a match
 
 
 def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
@@ -133,11 +132,12 @@ def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
     n = len(w)
     if not 1 <= length <= n:
         raise ValueError(f"need 1 <= length <= {n}, got {length}")
-    rng = stream.generator()
+    # Floyd's sampling: uniform among all C(n, length) subsets.  The bounds
+    # j = n - length, ..., n - 1 are drawn in one call, which numpy draws
+    # exactly as one call per bound.
+    draws = stream.generator().integers(0, np.arange(n - length, n) + 1).tolist()
     chosen: set[int] = set()
-    # Floyd's sampling: uniform among all C(n, length) subsets
-    for j in range(n - length, n):
-        t = int(rng.integers(0, j + 1))
+    for j, t in enumerate(draws, start=n - length):
         chosen.add(j if t in chosen else t)
     return extract(w, [i + 1 for i in sorted(chosen)])
 

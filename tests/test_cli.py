@@ -67,6 +67,33 @@ def test_module_entry_points_match_dispatch():
         assert bad.returncode == 2 and bad.stdout == ""
 
 
+def test_one_parser_per_process_parses_like_a_fresh_one(monkeypatch):
+    step = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [{"coeffs": ["1/4"]}, {"coeffs": ["3/4"]}]})
+    argvs = [
+        ("--seed", "5", "test", "--word", "0110" * 10, "--forbid", "10,011", "--query-size", "6",
+         "--trials", "20"),
+        ("--format", "csv", "density", "--word", "0110", "--pattern", "01"),
+        ("--seed", "7", "sample", "--limit", step, "--length", "8", "--count", "2"),
+        ("analyze", "0101"),
+        ("--help",),
+        ("test", "--help"),
+        ("permuton",),
+        ("test", "--word", "01", "--bogus"),
+        ("density", "--word", "01", "--limit", step, "--pattern", "1"),
+        ("--format", "xml", "analyze", "01"),
+        (),
+        ("--seed", "5", "test", "--word", "0110" * 10, "--forbid", "10,011", "--query-size", "6",
+         "--trials", "20"),
+    ]
+    shared = [run_cli(*argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert [run_cli(*argv) for argv in argvs] == shared
+    assert shared[0] == shared[-1]
+    assert [code for code, _, _ in shared[4:11]] == [0, 0, 2, 2, 2, 2, 2]
+    assert shared[4][1].startswith("usage: seqlimit") and "error:" in shared[7][2]
+
+
 def test_exit_codes():
     assert run_cli("analyze", "1111", "--bogus-flag")[0] == 2
     assert run_cli("no-such-command")[0] == 2
@@ -231,8 +258,10 @@ def test_non_finite_floats_are_refused(tmp_path, monkeypatch):
             ser.dumps({"x": [1.5, x]})
     with pytest.raises(ValueError, match="non-finite"):
         ser.dumps({"z": complex(1.0, math.inf)})
-    # a command result holding nan: exit 1, nothing on stdout
+    # a command result holding nan: exit 1, nothing on stdout (the shared
+    # parser bound the real handler, so parse with a fresh one)
     monkeypatch.setattr(cli, "_cmd_density", lambda args, stream: {"density": math.nan})
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     code, out, err = run_cli("density", "--word", "01", "--pattern", "0")
     assert code == 1 and out == "" and "non-finite" in err
     # a tail experiment with a = inf reports threshold inf: the experiment

@@ -18,7 +18,9 @@ from seqlimit import (
     moment_words,
     t_density_limit,
 )
+from seqlimit import moments, piecewise
 from seqlimit.moments import MomentCombination
+from seqlimit.words import all_patterns
 
 from util import density_tables_upto, random_step
 
@@ -84,6 +86,28 @@ def test_moment_bridge():
         for k in range(5):
             direct, from_densities = moment_bridge(k, f)
             assert direct == from_densities
+
+
+def test_limit_densities_match_t_density_limit_with_one_range_check(monkeypatch):
+    quadratic = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0), Fraction(1)),))
+    stream = SeededStream(47)
+    limits = [random_step(stream.substream(t), max_steps=6) for t in range(6)] + [quadratic]
+    words = all_patterns(1) + all_patterns(3) + ["0110", "0110", Word(("1", "0"))]
+    check = piecewise.require_unit_range
+    for f in limits:
+        want = {str(u): t_density_limit(Word.from_string(str(u)), f) for u in words}
+        calls = []
+        counted = lambda g, *rest: calls.append(g) or check(g, *rest)
+        with monkeypatch.context() as m:
+            m.setattr(moments, "require_unit_range", counted)
+            m.setattr(piecewise, "require_unit_range", counted)
+            assert limit_densities(f, words) == want
+        if f.is_step():
+            assert calls == [f]
+    with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
+        limit_densities(HALF, [Word(("a",), ("a", "b"))])
+    with pytest.raises(ValueError, match="leaves"):
+        limit_densities(PiecewisePoly.step([Fraction(3, 2), 0]), ["1"])
 
 
 def test_certificate_for_constant_half():
