@@ -94,14 +94,17 @@ class _Layout:
     """One frontier of the DP: its state ids in the order the DP first
     reaches them, and, once built, the next frontier and the moves into it
     per input letter code as (slot, next slot, substitution cost, back
-    code slot * k + letter), in (slot, letter) order."""
+    code slot * k + letter), in (slot, letter) order.  Moves are kept from
+    the layout's second visit on, so layouts that a word passes only once
+    (the first positions against a large automaton) hold none."""
 
-    __slots__ = ("states", "moves", "nxt")
+    __slots__ = ("states", "moves", "nxt", "seen")
 
     def __init__(self, states: tuple[int, ...], k: int):
         self.states = states
         self.moves: list[tuple[tuple[int, int, int, int], ...] | None] = [None] * k
         self.nxt: _Layout | None = None
+        self.seen = False
 
 
 class _Tables:
@@ -138,6 +141,7 @@ class _Tables:
         return out
 
     def moves(self, lay: _Layout, c: int) -> tuple[tuple[int, int, int, int], ...]:
+        """The moves out of lay on input letter code c; builds lay.nxt."""
         if lay.nxt is None:
             reached: dict[int, None] = {}
             for s in lay.states:
@@ -148,11 +152,14 @@ class _Tables:
             lay.nxt = self.layout(tuple(reached))
         slot = {ns: q for q, ns in enumerate(lay.nxt.states)}
         k = self.k
-        out = lay.moves[c] = tuple(
+        out = tuple(
             (p, slot[ns], int(a != c), p * k + a)
             for p, s in enumerate(lay.states)
             for a, ns in self.successors(s)
         )
+        if lay.seen:
+            lay.moves[c] = out
+        lay.seen = True
         return out
 
 
