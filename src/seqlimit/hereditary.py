@@ -90,6 +90,9 @@ class ForbiddenFamily:
         return bound
 
 
+_Moves = tuple[tuple[int, int, int, int], ...]
+
+
 class _Layout:
     """One frontier of the DP: its state ids in the order the DP first
     reaches them, and, once built, the next frontier and the moves into it
@@ -102,7 +105,7 @@ class _Layout:
 
     def __init__(self, states: tuple[int, ...], k: int):
         self.states = states
-        self.moves: list[tuple[tuple[int, int, int, int], ...] | None] = [None] * k
+        self.moves: list[_Moves | None] = [None] * k
         self.nxt: _Layout | None = None
         self.seen = False
 
@@ -140,7 +143,7 @@ class _Tables:
             out = self.succ[s] = tuple(live)
         return out
 
-    def moves(self, lay: _Layout, c: int) -> tuple[tuple[int, int, int, int], ...]:
+    def moves(self, lay: _Layout, c: int) -> _Moves:
         """The moves out of lay on input letter code c; builds lay.nxt."""
         if lay.nxt is None:
             reached: dict[int, None] = {}

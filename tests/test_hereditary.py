@@ -16,7 +16,7 @@ from seqlimit import (
     run_tester,
     t_density_limit,
 )
-from seqlimit.hereditary import completeness_soundness_curve
+from seqlimit.hereditary import STATE_CAP, completeness_soundness_curve
 from seqlimit.words import all_patterns, random_subsequence
 
 from util import random_word
@@ -37,8 +37,8 @@ def brute_d1(w: Word, family: ForbiddenFamily) -> Fraction:
 def dict_dp_d1(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
     """The tuple-state dict DP that the table DP replaced: the reference
     for its values, witnesses and errors."""
-    if family.state_bound() > 10**6:
-        raise ValueError(f"automaton would exceed {10**6} states")
+    if family.state_bound() > STATE_CAP:
+        raise ValueError(f"automaton would exceed {STATE_CAP} states")
     n = len(w)
     frontier = {family.start_state(): 0}
     parents = []
@@ -85,7 +85,7 @@ def _oracle_case(t: int, rng) -> tuple[Word, ForbiddenFamily]:
             letters = list(member_word(fam, n).letters)
         except ValueError:  # the property is empty at this length
             letters = [alphabet[0]] * n
-        for p in rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False) if n else ():
+        for p in rng.choice(n, size=int(rng.integers(0, n // 4 + 1)), replace=False):
             letters[p] = alphabet[int(rng.integers(k))]
     else:
         letters = [alphabet[int(x)] for x in rng.integers(0, k, size=n)]
