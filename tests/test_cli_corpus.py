@@ -5,8 +5,9 @@ implementation of discrepancy, best uniformity, the step-function
 distances and weak regularity, and from pattern densities and
 forcibility certificates by iterated symbolic integration, from the
 `Fraction` grid measures (cell-tuple enumeration for exact permuton
-densities, `Fraction` prefix sums for their box distance), and from the
-tuple-state dict DP for the distance to a forbidden family.  Any change
+densities, `Fraction` prefix sums for their box distance), from the
+tuple-state dict DP for the distance to a forbidden family, and from the
+per-letter Python DP for the pattern counts of words.  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -148,6 +149,21 @@ TESTER = {
     "test-member-d1-zero": _tester("0" * 120 + "1" * 80, "10", 20, 100, 35),
 }
 
+# exact pattern counts of words: patterns of length 1, 3 and 6, a ternary
+# word, l = n, counts whose intermediate prefix counts exceed 2^64 while
+# C(n, l) < 2^63, and C(n, l) >= 2^63
+W3000 = _word(3000, 13, 7, 29)
+WORD_DENSITY = {
+    "density-word-w200-l1": ("density", "--word", W200, "--pattern", "1"),
+    "density-word-w200-l3": ("density", "--word", W200, "--pattern", "011"),
+    "density-word-w200-l6": ("density", "--word", W200, "--pattern", "101100"),
+    "density-word-ternary-l4": ("density", "--word", _ternary(180, 4, 7, 19), "--pattern", "abca"),
+    "density-word-l-equals-n": ("density", "--word", "0110100", "--pattern", "0110100"),
+    "density-word-l-equals-n-absent": ("density", "--word", "0110100", "--pattern", "0110010"),
+    "density-word-zeros-130-120": ("density", "--word", "0" * 130, "--pattern", "0" * 120),
+    "density-word-n3000-l8": ("density", "--word", W3000, "--pattern", "01101001"),
+}
+
 # completeness/soundness curves: `member_word` seeds the perturbation search
 CURVE_BATCH = {"experiments": [
     {"kind": "tester_curve", "name": "curve-two", "forbid": ["110", "0101"], "n": 160,
@@ -196,6 +212,7 @@ CORPUS = {
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
     **PERMUTON,
     **TESTER,
+    **WORD_DENSITY,
 }
 
 DIGESTS = {
@@ -210,6 +227,14 @@ DIGESTS = {
     "density-limit-step-a": "4dd528f57b7123218320999a6044d7ea9d4b6fb50e39a0b405b9eef6cd6ea177",
     "density-limit-step-eq": "75f25f7c6956ff4034cf033416221feeb59cc2eae324d26ccf364307f2837541",
     "density-limit-ternary": "fb977022acf47a2ce51dc14343508e7e9dd7956bda24eadb4fd53252d31efdcb",
+    "density-word-w200-l1": "2c6992e7f15264f7505386ae4bcf0e567b60372a2a0311e5b4f09d8af422bf01",
+    "density-word-w200-l3": "adf676f1b74b8d173462db6a7afa03bf1cb0bdaad34229d0997b2181dcd5f9a6",
+    "density-word-w200-l6": "2e735f62f0599be07b5e4e46a399a1336b73a50abc513de9ee647c797616505f",
+    "density-word-ternary-l4": "4528ffb575ecea029d6f18611c706ed7027b78f1371d0e9f49124f0a47a64abc",
+    "density-word-l-equals-n": "abdd39a851b72daf8fbf182314b3494834b362d2030ce7fdb8a2c34bb869e437",
+    "density-word-l-equals-n-absent": "d180107e956a8bb0d2bdd9640cc7d21a9ca07adead7b0d061fd084ca5c7b2828",
+    "density-word-zeros-130-120": "6e7d4c78cdb72c60ed9a4a26d97edc68252028d0b85725edaa5ec869c823954d",
+    "density-word-n3000-l8": "dfe36b3b331c0856c94082522d23603e4db7300ff3c2501078a4f614e190e1dc",
     "distance-box-step-step": "ba993ae927208c9583f774dbb3a2713bc6643e1a3ea2e231659e96d73d1399b1",
     "distance-box-step-word": "a6d798b9b0672dfa5ecf2fd750869090d1572d4a3e5c9a8ba9faaa51744ed9ef",
     "distance-box-word-const": "d2dae81eb6958be75dd45b2f4023268a198b7f7896d51563b88b0e0d62733c5e",
@@ -283,6 +308,11 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_density_word_pattern_longer_than_word_exits_1():
+    code, out, err = run_cli("density", "--word", "0110", "--pattern", "01101")
+    assert (code, out, err) == (1, "", "error: pattern length 5 exceeds word length 4\n")
 
 
 CURVE_DIGESTS = {
