@@ -51,7 +51,7 @@ from .uniformity import (
     minimizer_residuals,
     quasirandomness_report,
 )
-from .words import Word, pattern_density, subsequence_count
+from .words import Word, index_sets, subsequence_count
 
 
 class CliError(ValueError):
@@ -149,10 +149,12 @@ def _cmd_density(args, stream) -> dict:
     if args.word is not None:
         w = _load_word(args.word)
         u = ser.word_from_text(args.pattern, w.alphabet)
-        dens = pattern_density(w, u)
+        total = index_sets(w, len(u))
+        count = subsequence_count(w, u)
+        dens = Fraction(count, total)
         return {
             "pattern": str(u),
-            "count": subsequence_count(w, u),
+            "count": count,
             "num": str(dens.numerator),
             "den": str(dens.denominator),
             "density": dens,

@@ -508,28 +508,6 @@ def d_box_grid(mu: GridMeasure, nu: GridMeasure) -> Fraction:
     return Fraction(best, den)
 
 
-def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
-    """O(L^4) enumeration over all grid rectangles; test oracle."""
-    L = math.lcm(mu.m, nu.m)
-    a = mu.refine(L) if mu.m != L else mu
-    b = nu.refine(L) if nu.m != L else nu
-    P = [[Fraction(0)] * (L + 1) for _ in range(L + 1)]
-    for i in range(L):
-        for j in range(L):
-            P[i + 1][j + 1] = (
-                P[i][j + 1] + P[i + 1][j] - P[i][j] + a.mass[i][j] - b.mass[i][j]
-            )
-    best = Fraction(0)
-    for i1 in range(L + 1):
-        for i2 in range(i1 + 1, L + 1):
-            for j1 in range(L + 1):
-                for j2 in range(j1 + 1, L + 1):
-                    v = abs(P[i2][j2] - P[i1][j2] - P[i2][j1] + P[i1][j1])
-                    if v > best:
-                        best = v
-    return best
-
-
 # -- joint moments from densities --------------------------------------
 
 

@@ -31,13 +31,16 @@ def _eval_many(f: PiecewisePoly, xs: np.ndarray) -> np.ndarray:
     if f.is_step():
         vals = np.array([float(p[0]) if p else 0.0 for p in f.pieces])
         return vals[idx]
-    out = np.empty_like(xs)
-    for i, (x, k) in enumerate(zip(xs, idx)):
-        acc = 0.0
-        for c in reversed(f.pieces[k]):
-            acc = acc * x + float(c)
-        out[i] = acc
-    return out
+    # Horner from the top degree down; shorter pieces are padded with
+    # leading zeros, which keep acc at 0.0, so each x sees the same float
+    # operations as a scalar Horner loop over its own piece
+    coeffs = np.zeros((len(f.pieces), max(len(p) for p in f.pieces)))
+    for i, p in enumerate(f.pieces):
+        coeffs[i, : len(p)] = [float(c) for c in p]
+    acc = np.zeros_like(xs)
+    for j in range(coeffs.shape[1] - 1, -1, -1):
+        acc = acc * xs + coeffs[idx, j]
+    return acc
 
 
 def f_random_word(f: PiecewisePoly, n: int, stream: SeededStream) -> Word:

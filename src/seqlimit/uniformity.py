@@ -11,12 +11,13 @@ exactly via the two convex hulls of the prefix-sum graph.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewisePoly, step_primitive
-from .words import Word, all_patterns, subsequence_count
+from .words import BINARY, Word, pattern_counts, subsequence_count
 
 #: Forward constant: pattern-count error is at most 5 * eps * n^l for
 #: every pattern of length l when w is (d, eps)-uniform.
@@ -112,11 +113,12 @@ def minimizer_residuals(w: Word, d) -> dict[str, Fraction]:
     n = len(w)
     if n < 3:
         raise ValueError("need length >= 3")
+    pats = list(itertools.product(BINARY, repeat=3))
     out = {}
-    for u in all_patterns(3):
-        s = u.weight()
+    for u, count in zip(pats, pattern_counts(w, pats)):
+        s = u.count("1")
         expected = d**s * (1 - d) ** (3 - s) * math.comb(n, 3)
-        out[str(u)] = Fraction(abs(subsequence_count(w, u) - expected), n**3)
+        out["".join(u)] = Fraction(abs(count - expected), n**3)
     return out
 
 
@@ -178,36 +180,6 @@ def cayley_walk_count(w: Word, u: Word) -> int:
     equals 2n * binom(w, u) exactly."""
     _require_binary(w)
     return 2 * len(w) * subsequence_count(w, u)
-
-
-def cayley_walk_enumerate(w: Word, u: Word, cap: int = 30) -> int:
-    """Direct enumeration over start vertices and increasing step tuples
-    in the circulant graph; small-n oracle for cayley_walk_count."""
-    _require_binary(w)
-    n, l = len(w), len(u)
-    if n > cap:
-        raise ValueError(f"enumeration limited to n <= {cap}")
-    import itertools
-
-    edges = set()
-    for v in range(2 * n):
-        for i, c in enumerate(w.letters, 1):
-            if c == "1":
-                edges.add((v, (v + i) % (2 * n)))
-    total = 0
-    for v0 in range(2 * n):
-        for steps in itertools.combinations(range(1, n + 1), l):
-            v = v0
-            ok = True
-            for step, uc in zip(steps, u.letters):
-                nxt = (v + step) % (2 * n)
-                if ((v, nxt) in edges) != (uc == "1"):
-                    ok = False
-                    break
-                v = nxt
-            if ok:
-                total += 1
-    return total
 
 
 @dataclass(frozen=True)

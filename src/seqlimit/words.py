@@ -4,6 +4,25 @@ The number of occurrences of a pattern u in a word w is the number of
 index sets 1 <= i_1 < ... < i_l <= n whose extracted subword equals u.
 Counts are exact big integers; densities are exact rationals obtained by
 dividing by C(n, l).
+
+Counting engine.  Let P_j[i] be the number of occurrences of u_1..u_j in
+the first i letters of w (P_0 = 1).  One level is a masked cumulative
+sum, P_j[i + 1] = P_j[i] + [w_i = u_j] * P_{j-1}[i], and the count is the
+last level's total, a dot product of P_{l-1} with the mask of u_l.
+Patterns that share a prefix share its levels: a walk over the pattern
+trie computes k + k^2 + ... + k^(l-1) levels for all k^l patterns of
+length l, instead of l per pattern.
+
+The levels run as numpy uint64 cumsums and stay exact without floats:
+  - When C(n, l) < 2^64, in plain uint64.  Every step only adds and
+    multiplies by 0 or 1, so the arithmetic is that of the ring Z/2^64,
+    and the final count is exact mod 2^64 even where an intermediate
+    level wraps (0^120 in 0^130 passes through C(130, 65) > 2^64).  The
+    count is at most C(n, l) < 2^64, so it equals its residue.
+  - Otherwise, modulo primes p < 2^63/(n + 1), reducing after each
+    level, so no partial sum of n residues reaches 2^63.  Enough primes
+    are taken for their product to exceed C(n, l), and the count is
+    rebuilt from its residues by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -12,7 +31,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,9 +54,9 @@ class Word:
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise AlphabetError(f"invalid alphabet {self.alphabet!r}")
         allowed = set(self.alphabet)
-        for c in self.letters:
-            if c not in allowed:
-                raise AlphabetError(f"symbol {c!r} not in alphabet {self.alphabet!r}")
+        if not allowed.issuperset(self.letters):
+            bad = next(c for c in self.letters if c not in allowed)
+            raise AlphabetError(f"symbol {bad!r} not in alphabet {self.alphabet!r}")
 
     @classmethod
     def from_string(cls, text: str, alphabet: tuple[str, ...] = BINARY) -> "Word":
@@ -53,7 +73,7 @@ class Word:
 
     def weight(self, letter: str = "1") -> int:
         """Number of occurrences of a single letter."""
-        return sum(1 for c in self.letters if c == letter)
+        return self.letters.count(letter)
 
     def binarize(self, letter: str) -> "Word":
         """Indicator word of one letter: same length, binary alphabet."""
@@ -67,26 +87,126 @@ def _check_same_alphabet(w: Word, u: Word) -> None:
         raise AlphabetError(f"alphabet mismatch: {w.alphabet!r} vs {u.alphabet!r}")
 
 
+def _letter_masks(w: Word, letters: Iterable[str]) -> dict[str, np.ndarray]:
+    """Boolean indicator, over the positions of w, of each given letter."""
+    if all(len(a) == 1 for a in w.alphabet):
+        # one code point per letter: encode in C rather than map in Python
+        codes = np.frombuffer("".join(w.letters).encode("utf-32-le"), dtype="<u4")
+        key = ord
+    else:
+        index = {a: i for i, a in enumerate(w.alphabet)}
+        codes = np.fromiter(map(index.__getitem__, w.letters), dtype=np.intp, count=len(w))
+        key = index.__getitem__
+    return {a: codes == key(a) for a in set(letters)}
+
+
+def _trie_counts(masks, patterns, n: int, p: int | None) -> list[int]:
+    """Counts of the nonempty patterns mod p, or mod 2^64 when p is None,
+    with one level per inner node of the pattern trie."""
+    out = [0] * len(patterns)
+
+    def walk(prev: np.ndarray, depth: int, group: list[int]) -> None:
+        # prev[i]: occurrences of the group's common prefix in w[:i]
+        by_letter: dict[str, list[int]] = {}
+        for g in group:
+            by_letter.setdefault(patterns[g][depth], []).append(g)
+        for letter, sub in by_letter.items():
+            mask = masks[letter]
+            longer = [g for g in sub if len(patterns[g]) > depth + 1]
+            if len(longer) < len(sub):
+                total = int(np.dot(prev, mask))
+                for g in sub:
+                    if len(patterns[g]) == depth + 1:
+                        out[g] = total % p if p else total
+            if longer:
+                nxt = np.zeros(n, dtype=np.uint64)
+                np.cumsum((prev * mask)[:-1], out=nxt[1:])
+                if p:
+                    nxt %= p
+                walk(nxt, depth + 1, longer)
+
+    walk(np.ones(n, dtype=np.uint64), 0, list(range(len(patterns))))
+    return out
+
+
+def _is_prime(q: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases: deterministic below
+    3.18e23, far above the 2^63 the primes here stay under."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if q < 2 or any(q % b == 0 for b in bases):
+        return q in bases
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=256)
+def _crt_primes(n: int, bound: int) -> tuple[int, ...]:
+    """The largest primes p < 2^63/(n + 1), as many as it takes for their
+    product to exceed bound."""
+    primes, product, q = [], 1, (2**63 - 1) // (n + 1)
+    while product <= bound:
+        while not _is_prime(q):
+            q -= 1
+        primes.append(q)
+        product *= q
+        q -= 1
+    return tuple(primes)
+
+
+def _crt(residues: Sequence[int], primes: Sequence[int]) -> int:
+    """The x in [0, prod(primes)) with x = r mod p for each pair (Garner)."""
+    x, m = 0, 1
+    for r, p in zip(residues, primes):
+        x += m * ((r - x) * pow(m, -1, p) % p)
+        m *= p
+    return x
+
+
+def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
+    """Exact occurrence counts in w of nonempty patterns, each given as a
+    tuple of letters of w's alphabet, sharing prefixes along their trie."""
+    n = len(w)
+    masks = _letter_masks(w, itertools.chain.from_iterable(patterns))
+    bound = max(math.comb(n, len(u)) for u in patterns)
+    if bound < 2**64:
+        return _trie_counts(masks, patterns, n, None)
+    primes = _crt_primes(n, bound)
+    residues = [_trie_counts(masks, patterns, n, p) for p in primes]
+    return [_crt(r, primes) for r in zip(*residues)]
+
+
 def subsequence_count(w: Word, u: Word) -> int:
     """Exact number of index sets extracting u from w; 0 when |u| > |w|."""
     _check_same_alphabet(w, u)
-    l = len(u)
-    if l == 0:
+    if len(u) == 0:
         raise ValueError("pattern must be nonempty")
-    counts = [0] * l
-    pat = u.letters
-    for c in w.letters:
-        for j in range(l - 1, -1, -1):
-            if pat[j] == c:
-                counts[j] += counts[j - 1] if j else 1
-    return counts[-1]
+    return pattern_counts(w, [u.letters])[0]
+
+
+def index_sets(w: Word, length: int) -> int:
+    """C(|w|, length), the number of index sets of that size.  Errors
+    when length > |w|."""
+    if length > len(w):
+        raise ValueError(f"pattern length {length} exceeds word length {len(w)}")
+    return math.comb(len(w), length)
 
 
 def pattern_density(w: Word, u: Word) -> Fraction:
     """Occurrence count normalized by C(|w|, |u|).  Errors when |u| > |w|."""
-    if len(u) > len(w):
-        raise ValueError(f"pattern length {len(u)} exceeds word length {len(w)}")
-    return Fraction(subsequence_count(w, u), math.comb(len(w), len(u)))
+    total = index_sets(w, len(u))
+    return Fraction(subsequence_count(w, u), total)
 
 
 def all_patterns(length: int, alphabet: tuple[str, ...] = BINARY) -> list[Word]:
@@ -98,7 +218,11 @@ def density_table(w: Word, length: int, cap: int = 1 << 20) -> dict[str, Fractio
     k = len(w.alphabet)
     if k ** length > cap:
         raise ValueError(f"{k}^{length} patterns exceeds cap {cap}")
-    return {str(u): pattern_density(w, u) for u in all_patterns(length, w.alphabet)}
+    pats = list(itertools.product(w.alphabet, repeat=length))
+    total = index_sets(w, length)
+    if length == 0:
+        raise ValueError("pattern must be nonempty")
+    return {"".join(u): Fraction(c, total) for u, c in zip(pats, pattern_counts(w, pats))}
 
 
 def extract(w: Word, indices: Iterable[int]) -> Word:

@@ -38,12 +38,12 @@ from seqlimit import (
     weak_regularity,
 )
 from seqlimit.hereditary import STATE_CAP
-from seqlimit.permutons import _t_grid_exact, d_box_grid_brute, grid_density_table
+from seqlimit.permutons import _t_grid_exact, grid_density_table
 from seqlimit.piecewise import LimitVector
 from seqlimit.sampling import f_random_word_vector
 from seqlimit.words import all_patterns, density_table
 
-from util import density_tables_upto, random_step, random_step_irregular
+from util import d_box_grid_brute, density_tables_upto, random_step, random_step_irregular
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))

@@ -20,11 +20,12 @@ from seqlimit import (
 from seqlimit.permutons import (
     MCEstimate,
     _grid_tensors,
-    d_box_grid_brute,
     grid_density_table,
     pattern_count_perm,
     pattern_of,
 )
+
+from util import d_box_grid_brute
 
 P = Permutation.from_csv
 UNIFORM = GridMeasure(1, ((Fraction(1),),))

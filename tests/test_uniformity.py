@@ -17,9 +17,10 @@ from seqlimit import (
     minimizer_residuals,
     quasirandomness_report,
 )
-from seqlimit.uniformity import _hull, cayley_walk_enumerate, forward_pattern_bound
+from seqlimit.uniformity import _hull, forward_pattern_bound
+from seqlimit.words import all_patterns
 
-from util import random_word
+from util import cayley_walk_enumerate, dp_subsequence_count, random_word
 
 W = Word.from_string
 
@@ -244,3 +245,17 @@ def test_quasirandomness_report_consistency():
     assert rep.residual_eps == max(rep.residuals.values())
     assert abs(rep.converse_bound - 42 * float(rep.residual_eps) ** (1 / 3)) < 1e-12
     assert set(rep.exponential_sums) == {1, 2, 3}
+
+
+def test_minimizer_residuals_match_per_pattern_oracle():
+    stream = SeededStream(36)
+    for t in range(12):
+        n = 3 + 17 * t
+        w = random_word(stream.substream(t), n, density=0.3 + 0.04 * t)
+        d = Fraction(t + 1, 14)
+        res = minimizer_residuals(w, d)
+        assert list(res) == [str(u) for u in all_patterns(3)]
+        for u in all_patterns(3):
+            s = u.weight()
+            expected = d**s * (1 - d) ** (3 - s) * math.comb(n, 3)
+            assert res[str(u)] == Fraction(abs(dp_subsequence_count(w, u) - expected), n**3)

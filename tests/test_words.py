@@ -20,9 +20,9 @@ from seqlimit import (
     random_subsequence,
     subsequence_count,
 )
-from seqlimit.words import all_patterns, density_table, extract
+from seqlimit.words import _crt_primes, _is_prime, all_patterns, density_table, extract
 
-from util import brute_subsequence_count, random_word
+from util import brute_subsequence_count, dp_subsequence_count, random_word
 
 W = Word.from_string
 
@@ -86,6 +86,14 @@ def test_alphabet_mismatch_raises():
         subsequence_count(w, W("01"))
     with pytest.raises(AlphabetError):
         Word.from_string("012")
+
+
+def test_word_error_names_the_first_bad_symbol():
+    with pytest.raises(AlphabetError, match=r"^symbol 'x' not in alphabet \('0', '1'\)$"):
+        Word.from_string("01x2y1")
+    with pytest.raises(AlphabetError, match=r"^symbol 'c' not in alphabet \('a', 'b'\)$"):
+        Word(("a", "b", "c", "a", "d"), ("a", "b"))
+    assert W("0110").weight() == 2 and W("0110").weight("0") == 2
 
 
 def test_ternary_counting():
@@ -181,3 +189,90 @@ def test_density_table_keys_and_cap():
 def test_hypothesis_count_matches_brute(wt, ut):
     w, u = W(wt), W(ut)
     assert subsequence_count(w, u) == brute_subsequence_count(w, u)
+
+
+def random_letters(stream: SeededStream, n: int, alphabet: tuple[str, ...]) -> Word:
+    rng = stream.generator()
+    return Word(tuple(alphabet[i] for i in rng.integers(0, len(alphabet), size=n)), alphabet)
+
+
+def assert_engine_matches_oracle(w: Word, u: Word) -> None:
+    count = subsequence_count(w, u)
+    assert type(count) is int
+    assert count == dp_subsequence_count(w, u)
+
+
+@pytest.mark.parametrize("alphabet", [("0", "1"), ("a", "b", "c"), ("α", "β", "γ", "δ"),
+                                      ("ab", "é", "x1")])
+def test_engine_matches_dp_oracle(alphabet):
+    # seeded words over single- and multi-character symbols, n from 1 up,
+    # and pattern lengths from 1 past n (count 0) through n
+    stream = SeededStream(17)
+    for t in range(40):
+        rng = stream.substream(t).generator()
+        n = 1 if t < 4 else int(rng.integers(2, 90))
+        w = random_letters(stream.substream(100 + t), n, alphabet)
+        for l in {1, 2, 3, n, n + 1, int(rng.integers(1, n + 3))}:
+            u = random_letters(stream.substream(200 + 7 * t + l), l, alphabet)
+            assert_engine_matches_oracle(w, u)
+        # l = n on the word itself: exactly one occurrence
+        assert subsequence_count(w, w) == 1
+
+
+def test_engine_wraps_exactly_when_binomial_fits():
+    # C(n, l) < 2^63, but the middle levels pass C(130, 65) > 2^64
+    assert math.comb(130, 120) < 2**63 and math.comb(130, 65) > 2**64
+    assert subsequence_count(W("0" * 130), W("0" * 120)) == math.comb(130, 120)
+    stream = SeededStream(18)
+    for t in range(10):
+        w = random_word(stream.substream(t), 130, density=0.8)
+        for l in (100, 110, 120, 125):
+            u = random_word(stream.substream(1000 * l + t), l, density=0.85)
+            assert_engine_matches_oracle(w, u)
+
+
+def test_engine_counts_all_zero_words_across_the_int64_bound():
+    # 0^l occurs C(n, l) times in 0^n: the counts sit on both sides of 2^64
+    # and, for n = 400, need eight primes
+    for n in [*range(60, 72), 400]:
+        w = W("0" * n)
+        for l in range(1, n + 1, 1 if n < 100 else 37):
+            assert subsequence_count(w, W("0" * l)) == math.comb(n, l)
+
+
+def test_engine_crt_path_matches_dp_oracle():
+    stream = SeededStream(19)
+    binary = random_word(stream.substream(0), 3000)
+    ternary = random_letters(stream.substream(1), 3200, ("a", "b", "c"))
+    for t, (w, l) in enumerate([(binary, 8), (binary, 12), (binary, 20), (ternary, 7), (ternary, 9)]):
+        assert math.comb(len(w), l) >= 2**64
+        u = random_letters(stream.substream(10 + t), l, w.alphabet)
+        assert_engine_matches_oracle(w, u)
+
+
+def test_crt_primes():
+    assert [q for q in range(200) if _is_prime(q)] == [
+        q for q in range(2, 200) if all(q % d for d in range(2, q))]
+    # Carmichael numbers, and strong pseudoprimes to the bases 2..7 and 2..31
+    for q in (561, 1105, 3215031751, 3825123056546413051):
+        assert not _is_prime(q)
+    for n in (64, 3000, 16000):
+        bound = math.comb(n, n // 2)
+        primes = _crt_primes(n, bound)
+        assert all(_is_prime(p) and p * (n + 1) < 2**63 for p in primes)
+        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+
+
+def test_density_table_matches_per_pattern_oracle():
+    stream = SeededStream(20)
+    for t, (alphabet, n, length) in enumerate([(("0", "1"), 40, 3), (("0", "1"), 25, 5),
+                                               (("a", "b", "c"), 30, 3), (("0", "1"), 4, 4)]):
+        w = random_letters(stream.substream(t), n, alphabet)
+        table = density_table(w, length)
+        assert list(table) == [str(u) for u in all_patterns(length, alphabet)]
+        for u in all_patterns(length, alphabet):
+            assert table[str(u)] == Fraction(dp_subsequence_count(w, u), math.comb(n, length))
+    with pytest.raises(ValueError, match="pattern length 5 exceeds word length 4"):
+        density_table(W("0110"), 5)
+    with pytest.raises(ValueError, match="pattern must be nonempty"):
+        density_table(W("0110"), 0)

@@ -6,8 +6,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from seqlimit import PiecewisePoly, SeededStream, Word
+from seqlimit import GridMeasure, PiecewisePoly, SeededStream, Word
 from seqlimit.piecewise import LimitVector
+from seqlimit.uniformity import _require_binary
 
 
 def rand_frac(rng, den: int = 32) -> Fraction:
@@ -46,6 +47,68 @@ def brute_subsequence_count(w: Word, u: Word) -> int:
         for idx in itertools.combinations(range(n), l)
         if tuple(w.letters[i] for i in idx) == u.letters
     )
+
+
+def dp_subsequence_count(w: Word, u: Word) -> int:
+    """Per-letter Python DP over the prefix counts of u; oracle for the
+    numpy counting engine."""
+    counts = [0] * len(u)
+    pat = u.letters
+    for c in w.letters:
+        for j in range(len(u) - 1, -1, -1):
+            if pat[j] == c:
+                counts[j] += counts[j - 1] if j else 1
+    return counts[-1]
+
+
+def cayley_walk_enumerate(w: Word, u: Word, cap: int = 30) -> int:
+    """Direct enumeration over start vertices and increasing step tuples
+    in the circulant graph; small-n oracle for cayley_walk_count."""
+    _require_binary(w)
+    n, l = len(w), len(u)
+    if n > cap:
+        raise ValueError(f"enumeration limited to n <= {cap}")
+    edges = set()
+    for v in range(2 * n):
+        for i, c in enumerate(w.letters, 1):
+            if c == "1":
+                edges.add((v, (v + i) % (2 * n)))
+    total = 0
+    for v0 in range(2 * n):
+        for steps in itertools.combinations(range(1, n + 1), l):
+            v = v0
+            ok = True
+            for step, uc in zip(steps, u.letters):
+                nxt = (v + step) % (2 * n)
+                if ((v, nxt) in edges) != (uc == "1"):
+                    ok = False
+                    break
+                v = nxt
+            if ok:
+                total += 1
+    return total
+
+
+def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
+    """O(L^4) enumeration over all grid rectangles; oracle for d_box_grid."""
+    L = math.lcm(mu.m, nu.m)
+    a = mu.refine(L) if mu.m != L else mu
+    b = nu.refine(L) if nu.m != L else nu
+    P = [[Fraction(0)] * (L + 1) for _ in range(L + 1)]
+    for i in range(L):
+        for j in range(L):
+            P[i + 1][j + 1] = (
+                P[i][j + 1] + P[i + 1][j] - P[i][j] + a.mass[i][j] - b.mass[i][j]
+            )
+    best = Fraction(0)
+    for i1 in range(L + 1):
+        for i2 in range(i1 + 1, L + 1):
+            for j1 in range(L + 1):
+                for j2 in range(j1 + 1, L + 1):
+                    v = abs(P[i2][j2] - P[i1][j2] - P[i2][j1] + P[i1][j1])
+                    if v > best:
+                        best = v
+    return best
 
 
 def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
