@@ -100,7 +100,9 @@ def _letter_masks(w: Word, letters: Iterable[str]) -> dict[str, np.ndarray]:
     return {a: codes == key(a) for a in set(letters)}
 
 
-def _trie_counts(masks, patterns, n: int, p: int | None) -> list[int]:
+def _trie_counts(
+    masks: dict[str, np.ndarray], patterns: Sequence[tuple[str, ...]], n: int, p: int | None
+) -> list[int]:
     """Counts of the nonempty patterns mod p, or mod 2^64 when p is None,
     with one level per inner node of the pattern trie."""
     out = [0] * len(patterns)
@@ -112,12 +114,12 @@ def _trie_counts(masks, patterns, n: int, p: int | None) -> list[int]:
             by_letter.setdefault(patterns[g][depth], []).append(g)
         for letter, sub in by_letter.items():
             mask = masks[letter]
-            longer = [g for g in sub if len(patterns[g]) > depth + 1]
-            if len(longer) < len(sub):
+            ends = [g for g in sub if len(patterns[g]) == depth + 1]
+            if ends:
                 total = int(np.dot(prev, mask))
-                for g in sub:
-                    if len(patterns[g]) == depth + 1:
-                        out[g] = total % p if p else total
+                for g in ends:
+                    out[g] = total % p if p else total
+            longer = [g for g in sub if len(patterns[g]) > depth + 1]
             if longer:
                 nxt = np.zeros(n, dtype=np.uint64)
                 np.cumsum((prev * mask)[:-1], out=nxt[1:])
