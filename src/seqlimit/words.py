@@ -11,7 +11,9 @@ sum, P_j[i + 1] = P_j[i] + [w_i = u_j] * P_{j-1}[i], and the count is the
 last level's total, a dot product of P_{l-1} with the mask of u_l.
 Patterns that share a prefix share its levels: a walk over the pattern
 trie computes k + k^2 + ... + k^(l-1) levels for all k^l patterns of
-length l, instead of l per pattern.
+length l, instead of l per pattern.  P_j only matters at positions
+j..n-l+j, so each level is a window of n - l + 1 entries, and a pattern
+longer than w counts 0 without a walk.
 
 The levels run as numpy uint64 cumsums and stay exact without floats:
   - When C(n, l) < 2^64, in plain uint64.  Every step only adds and
@@ -19,10 +21,13 @@ The levels run as numpy uint64 cumsums and stay exact without floats:
     and the final count is exact mod 2^64 even where an intermediate
     level wraps (0^120 in 0^130 passes through C(130, 65) > 2^64).  The
     count is at most C(n, l) < 2^64, so it equals its residue.
-  - Otherwise, modulo primes p < 2^63/(n + 1), reducing after each
-    level, so no partial sum of n residues reaches 2^63.  Enough primes
-    are taken for their product to exceed C(n, l), and the count is
-    rebuilt from its residues by the Chinese remainder theorem.
+  - Otherwise, modulo pairwise coprime q < 2^63/(n + 1), reducing after
+    each level, so no partial sum of n residues reaches 2^63.  Enough
+    moduli are taken for their product to exceed C(n, l), and the count
+    is rebuilt from its residues by the Chinese remainder theorem.
+  - Each modulus repeats every level, so when C(n, l) needs more than
+    a few of them (long patterns), the levels hold Python ints in numpy
+    object arrays instead: exact, at one big-int operation an entry.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -101,99 +105,99 @@ def _letter_masks(w: Word, letters: Iterable[str]) -> dict[str, np.ndarray]:
 
 
 def _trie_counts(
-    masks: dict[str, np.ndarray], patterns: Sequence[tuple[str, ...]], n: int, p: int | None
+    masks: dict[str, np.ndarray],
+    patterns: Sequence[tuple[str, ...]],
+    n: int,
+    q: int | None = None,
+    dtype: type = np.uint64,
 ) -> list[int]:
-    """Counts of the nonempty patterns mod p, or mod 2^64 when p is None,
-    with one level per inner node of the pattern trie."""
+    """Counts of the patterns, each nonempty and at most n long, with one
+    level per inner node of the pattern trie: mod q, or mod 2^64 when q is
+    None, or exactly when dtype is object."""
     out = [0] * len(patterns)
-
-    def walk(prev: np.ndarray, depth: int, group: list[int]) -> None:
-        # prev[i]: occurrences of the group's common prefix in w[:i]
+    # A stack entry (level, depth, group) holds, for the group's common
+    # prefix of length depth, level[k] = its occurrences in w[:depth + k].
+    # Below position depth the count is 0, and above n - len(u) + depth
+    # no completion of u fits, so a level only spans the window between.
+    shortest = min(map(len, patterns))
+    stack = [(np.ones(n - shortest + 1, dtype=dtype), 0, list(range(len(patterns))))]
+    while stack:
+        level, depth, group = stack.pop()
         by_letter: dict[str, list[int]] = {}
         for g in group:
             by_letter.setdefault(patterns[g][depth], []).append(g)
         for letter, sub in by_letter.items():
-            mask = masks[letter]
-            ends = [g for g in sub if len(patterns[g]) == depth + 1]
-            if ends:
-                total = int(np.dot(prev, mask))
-                for g in ends:
-                    out[g] = total % p if p else total
+            mask = masks[letter][depth:]
             longer = [g for g in sub if len(patterns[g]) > depth + 1]
+            if len(longer) < len(sub):
+                width = n - depth
+                total = int(np.dot(level[:width], mask[:width]))
+                for g in sub:
+                    if len(patterns[g]) == depth + 1:
+                        out[g] = total % q if q else total
             if longer:
-                nxt = np.zeros(n, dtype=np.uint64)
-                np.cumsum((prev * mask)[:-1], out=nxt[1:])
-                if p:
-                    nxt %= p
-                walk(nxt, depth + 1, longer)
-
-    walk(np.ones(n, dtype=np.uint64), 0, list(range(len(patterns))))
+                width = n - min(len(patterns[g]) for g in longer) + 1
+                nxt = np.cumsum(level[:width] * mask[:width])
+                if q:
+                    nxt %= q
+                stack.append((nxt, depth + 1, longer))
     return out
 
 
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin with the first 12 prime bases: deterministic below
-    3.18e23, far above the 2^63 the primes here stay under."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if q < 2 or any(q % b == 0 for b in bases):
-        return q in bases
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, q)
-        if x in (1, q - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=256)
-def _crt_primes(n: int, bound: int) -> tuple[int, ...]:
-    """The largest primes p < 2^63/(n + 1), as many as it takes for their
-    product to exceed bound."""
-    primes, product, q = [], 1, (2**63 - 1) // (n + 1)
+def _crt_moduli(n: int, bound: int) -> list[int]:
+    """Pairwise coprime moduli q < 2^63/(n + 1), counted down from the
+    top, as many as it takes for their product to exceed bound."""
+    moduli, product, q = [], 1, (2**63 - 1) // (n + 1)
     while product <= bound:
-        while not _is_prime(q):
-            q -= 1
-        primes.append(q)
-        product *= q
+        if math.gcd(q, product) == 1:
+            moduli.append(q)
+            product *= q
         q -= 1
-    return tuple(primes)
+    return moduli
 
 
-def _crt(residues: Sequence[int], primes: Sequence[int]) -> int:
-    """The x in [0, prod(primes)) with x = r mod p for each pair (Garner)."""
+def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
+    """The x in [0, prod(moduli)) with x = r mod q for each pair (Garner)."""
     x, m = 0, 1
-    for r, p in zip(residues, primes):
-        x += m * ((r - x) * pow(m, -1, p) % p)
-        m *= p
+    for r, q in zip(residues, moduli):
+        x += m * ((r - x) * pow(m, -1, q) % q)
+        m *= q
     return x
 
 
 def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
     """Exact occurrence counts in w of nonempty patterns, each given as a
-    tuple of letters of w's alphabet, sharing prefixes along their trie."""
+    tuple of letters of w's alphabet, sharing prefixes along their trie;
+    0 for a pattern longer than w."""
+    if any(len(u) == 0 for u in patterns):
+        raise ValueError("pattern must be nonempty")
     n = len(w)
-    masks = _letter_masks(w, itertools.chain.from_iterable(patterns))
-    bound = max(math.comb(n, len(u)) for u in patterns)
-    if bound < 2**64:
-        return _trie_counts(masks, patterns, n, None)
-    primes = _crt_primes(n, bound)
-    residues = [_trie_counts(masks, patterns, n, p) for p in primes]
-    return [_crt(r, primes) for r in zip(*residues)]
+    fits = [i for i, u in enumerate(patterns) if len(u) <= n]
+    out = [0] * len(patterns)
+    if not fits:
+        return out
+    short = [patterns[i] for i in fits]
+    masks = _letter_masks(w, itertools.chain.from_iterable(short))
+    bound = max(math.comb(n, len(u)) for u in short)
+    moduli = _crt_moduli(n, bound) if bound >= 2**64 else []
+    # A uint64 level costs about 1/12 of a level of Python ints an entry,
+    # plus about 700 entries' worth of call overhead, once per modulus.
+    width = n - min(map(len, short)) + 1
+    if not moduli:
+        counts = _trie_counts(masks, short, n)
+    elif len(moduli) * (width + 700) <= 12 * width:
+        residues = [_trie_counts(masks, short, n, q) for q in moduli]
+        counts = [_crt(r, moduli) for r in zip(*residues)]
+    else:
+        counts = _trie_counts(masks, short, n, dtype=object)
+    for i, count in zip(fits, counts):
+        out[i] = count
+    return out
 
 
 def subsequence_count(w: Word, u: Word) -> int:
     """Exact number of index sets extracting u from w; 0 when |u| > |w|."""
     _check_same_alphabet(w, u)
-    if len(u) == 0:
-        raise ValueError("pattern must be nonempty")
     return pattern_counts(w, [u.letters])[0]
 
 
@@ -222,8 +226,6 @@ def density_table(w: Word, length: int, cap: int = 1 << 20) -> dict[str, Fractio
         raise ValueError(f"{k}^{length} patterns exceeds cap {cap}")
     pats = list(itertools.product(w.alphabet, repeat=length))
     total = index_sets(w, length)
-    if length == 0:
-        raise ValueError("pattern must be nonempty")
     return {"".join(u): Fraction(c, total) for u, c in zip(pats, pattern_counts(w, pats))}
 
 

@@ -38,6 +38,14 @@ def test_density_word():
     assert doc["count"] == 3 and doc["num"] == "1" and doc["den"] == "2"
 
 
+def test_density_word_with_a_pattern_of_thousands_of_letters():
+    code, out, _ = run_cli("density", "--word", "0" * 1600, "--pattern", "0" * 1500)
+    assert code == 0
+    assert json.loads(out)["count"] == math.comb(1600, 1500)
+    code, out, err = run_cli("density", "--word", "01", "--pattern", "0" * 2000)
+    assert code == 1 and out == "" and err == "error: pattern length 2000 exceeds word length 2\n"
+
+
 def test_density_limit(tmp_path):
     f = tmp_path / "f.json"
     f.write_text(ser.dumps(ser.limitfn_to_obj(PiecewisePoly.constant(Fraction(1, 2)))))

@@ -259,3 +259,5 @@ def test_minimizer_residuals_match_per_pattern_oracle():
             s = u.weight()
             expected = d**s * (1 - d) ** (3 - s) * math.comb(n, 3)
             assert res[str(u)] == Fraction(abs(dp_subsequence_count(w, u) - expected), n**3)
+        # the same letters over the alphabet listed the other way round
+        assert minimizer_residuals(Word(w.letters, ("1", "0")), d) == res

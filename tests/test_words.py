@@ -20,7 +20,8 @@ from seqlimit import (
     random_subsequence,
     subsequence_count,
 )
-from seqlimit.words import _crt_primes, _is_prime, all_patterns, density_table, extract
+from seqlimit import words
+from seqlimit.words import _crt_moduli, all_patterns, density_table, extract
 
 from util import brute_subsequence_count, dp_subsequence_count, random_word
 
@@ -244,23 +245,54 @@ def test_engine_crt_path_matches_dp_oracle():
     stream = SeededStream(19)
     binary = random_word(stream.substream(0), 3000)
     ternary = random_letters(stream.substream(1), 3200, ("a", "b", "c"))
-    for t, (w, l) in enumerate([(binary, 8), (binary, 12), (binary, 20), (ternary, 7), (ternary, 9)]):
+    for t, (w, l) in enumerate([(binary, 8), (binary, 12), (binary, 20), (binary, 200),
+                                (ternary, 7), (ternary, 9)]):
         assert math.comb(len(w), l) >= 2**64
         u = random_letters(stream.substream(10 + t), l, w.alphabet)
         assert_engine_matches_oracle(w, u)
 
 
-def test_crt_primes():
-    assert [q for q in range(200) if _is_prime(q)] == [
-        q for q in range(2, 200) if all(q % d for d in range(2, q))]
-    # Carmichael numbers, and strong pseudoprimes to the bases 2..7 and 2..31
-    for q in (561, 1105, 3215031751, 3825123056546413051):
-        assert not _is_prime(q)
+def test_crt_moduli():
     for n in (64, 3000, 16000):
         bound = math.comb(n, n // 2)
-        primes = _crt_primes(n, bound)
-        assert all(_is_prime(p) and p * (n + 1) < 2**63 for p in primes)
-        assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        moduli = _crt_moduli(n, bound)
+        assert all(q * (n + 1) < 2**63 for q in moduli)
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(moduli, 2))
+        assert math.prod(moduli) > bound >= math.prod(moduli[:-1])
+
+
+def test_engine_picks_levels_by_the_size_of_the_count(monkeypatch):
+    # uint64 below 2^64; a few moduli just above; Python ints once the
+    # moduli would outnumber them in cost
+    calls = []
+    walk = words._trie_counts
+
+    def spy(masks, patterns, n, q=None, dtype=np.uint64):
+        calls.append((q is not None, dtype))
+        return walk(masks, patterns, n, q, dtype)
+
+    monkeypatch.setattr(words, "_trie_counts", spy)
+    w = random_word(SeededStream(22), 3000)
+    for l, path in [(6, [(False, np.uint64)]), (8, [(True, np.uint64)] * 2), (200, [(False, object)])]:
+        calls.clear()
+        u = Word(w.letters[:l])
+        assert subsequence_count(w, u) == dp_subsequence_count(w, u)
+        assert calls == path
+
+
+def test_engine_counts_patterns_of_thousands_of_letters():
+    # one level per letter: a walk as deep as the pattern, on both paths
+    stream = SeededStream(21)
+    w = random_word(stream.substream(0), 1600, density=0.9)
+    u = random_word(stream.substream(1), 1500, density=0.95)
+    assert math.comb(1600, 1500) >= 2**64
+    assert_engine_matches_oracle(w, u)
+    assert subsequence_count(W("0" * 1600), W("0" * 1500)) == math.comb(1600, 1500)
+    assert subsequence_count(W("1" * 1502), W("1" * 1500)) == math.comb(1502, 1500)
+    assert subsequence_count(w, w) == 1
+    # longer than the word: 0, as the oracle counts it
+    assert subsequence_count(W("01"), W("0" * 2000)) == 0
+    assert subsequence_count(w, W("1" * 1601)) == dp_subsequence_count(w, W("1" * 1601)) == 0
 
 
 def test_density_table_matches_per_pattern_oracle():
