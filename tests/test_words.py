@@ -234,7 +234,7 @@ def test_engine_wraps_exactly_when_binomial_fits():
 
 def test_engine_counts_all_zero_words_across_the_int64_bound():
     # 0^l occurs C(n, l) times in 0^n: the counts sit on both sides of 2^64
-    # and, for n = 400, need eight primes
+    # and, for n = 400, need up to eight moduli or Python-int levels
     for n in [*range(60, 72), 400]:
         w = W("0" * n)
         for l in range(1, n + 1, 1 if n < 100 else 37):
