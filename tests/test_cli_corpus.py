@@ -58,6 +58,13 @@ CUBIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["1/2", "1/4", "0", "-1/8"]}, {"coeffs": ["3/4", "0", "-1/4", "1/64"]}]})
 CUBIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["9/16", "-13/48", "4/3", "-9/8"]}, {"coeffs": ["1", "-29/24", "5/3", "-63/64"]}]})
+# three quadratic pieces whose breakpoints 1/3 and 5/8 fall inside the cells
+# of a 7-letter word; the middle piece peaks at 1/2 with value 3/4
+QUAD3 = {"breakpoints": ["0", "1/3", "5/8", "1"], "pieces": [
+    {"coeffs": ["1/4", "0", "1"]}, {"coeffs": ["1/2", "1", "-1"]}, {"coeffs": ["0", "2", "-2"]}]}
+# 0 on [0, 1/4], a ramp on [1/4, 3/5], 1 on [3/5, 1]
+RAMP01 = json.dumps({"breakpoints": ["0", "1/4", "3/5", "1"], "pieces": [
+    {"coeffs": ["0"]}, {"coeffs": ["-5/7", "20/7"]}, {"coeffs": ["1"]}]})
 
 
 def _perm(m: int, seed: int) -> list[int]:
@@ -182,6 +189,10 @@ PAIRS = {
     "word-poly": (W40, LINEAR),
     "square-half": (SQUARE, _step(["0", "1"], ["1/2"])),  # sign change at 1/sqrt(2): float path
     "word-square": (W40, SQUARE),
+    "word7-quad3": ("0110100", json.dumps(QUAD3)),
+    "quad3-word7": (json.dumps(QUAD3), "1101001"),
+    "word-ramp01": (W25, RAMP01),
+    "ramp01-word": (RAMP01, W40),
     "cubic-cubic": (CUBIC_F, CUBIC_G),
 }
 
@@ -265,6 +276,18 @@ DIGESTS = {
     "distance-prefix-cubic-cubic": "ebbcbbaf2c77b07355d2769d3c697595093f54f1ec8c5521f995eb6bffc01303",
     "distance-prefix-square-half": "6a8df4c0c42de9235fb7e1f8748866694277e6888d1df02f5781393eadee56cd",
     "distance-prefix-word-square": "749ac83ab08cb95c8952cc45a30787b2aa3e1509e5712eaee8063dc97c5bb832",
+    "distance-box-quad3-word7": "ca85efe0c1c351a321e871e2eb14612bce587d0ac7122fded3f33ee14f589143",
+    "distance-box-ramp01-word": "17307d4d983ee70d0d5420ff5d23d23c41777e6e24db12bd6daa85c69adb6286",
+    "distance-box-word-ramp01": "1eb95155ae560015c2c5d3618d672932acfb5167726cc384b55185a744b58ed1",
+    "distance-box-word7-quad3": "3a45cbde82f74a0b39bac5677ec916818215e8f18c9a9e7d909de16a2cabc09e",
+    "distance-l1-quad3-word7": "bf713637306230d1b9dc2de1f639d023787a6192da30500a9110cfa043b8a8a8",
+    "distance-l1-ramp01-word": "27a2d520bedf4762afd47668da7550a47832c54639cd072f37d233918018c6b3",
+    "distance-l1-word-ramp01": "8249905c7d805541e481e420b80f8510c4e17275e61967f8475c6c9b03a0b2c3",
+    "distance-l1-word7-quad3": "b3a9857f0feea8109a140df6aa49aad2db8b07afeb466bf1c80b68b3d9cada85",
+    "distance-prefix-quad3-word7": "0c37773ba85c629b069af2e75cd018eaa6e9274c7ff79f18f280b40614d90f4e",
+    "distance-prefix-ramp01-word": "a3f4a567dc79084aee24693fc0551231fbd7904b41e52e22d3afe920d3071ddd",
+    "distance-prefix-word-ramp01": "bd73649267ba4513cf0b646ca09e79bf589d0c029f9e4bc74a8bb5356fd4d0df",
+    "distance-prefix-word7-quad3": "6356913d7b36c39cf335a2862b104a7bd0b1245e761aee683809affb549fc66f",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
@@ -322,12 +345,40 @@ CURVE_DIGESTS = {
 }
 
 
-def test_tester_curve_experiment_is_byte_identical(tmp_path):
-    code, out, err = run_cli("--seed", "36", "experiment", json.dumps(CURVE_BATCH),
+def _batch_digests(tmp_path, seed: int, batch: dict) -> dict:
+    """SHA-256 of an experiment batch's stdout and of each result file."""
+    code, out, err = run_cli("--seed", str(seed), "experiment", json.dumps(batch),
                              "--out", str(tmp_path))
     assert code == 0, err
     got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
-    for spec in CURVE_BATCH["experiments"]:
+    for spec in batch["experiments"]:
         text = (tmp_path / f"{spec['name']}.json").read_text()
         got[spec["name"]] = hashlib.sha256(text.encode()).hexdigest()
-    assert got == CURVE_DIGESTS
+    return got
+
+
+def test_tester_curve_experiment_is_byte_identical(tmp_path):
+    assert _batch_digests(tmp_path, 36, CURVE_BATCH) == CURVE_DIGESTS
+
+
+# f-random words against a constant, a linear and a 3-piece quadratic limit;
+# a is chosen so that some trials exceed the threshold 8a and some do not
+TAIL_BATCH = {"experiments": [
+    {"kind": "tail_dbox", "name": "tail-const", "n": 150, "a": "0.008", "trials": 12,
+     "limit": json.loads(_step(["0", "1"], ["2/5"]))},
+    {"kind": "tail_dbox", "name": "tail-linear", "n": 150, "a": "0.008", "trials": 12,
+     "limit": {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/4", "1/2"]}]}},
+    {"kind": "tail_dbox", "name": "tail-quad3", "n": 131, "a": "0.008", "trials": 12,
+     "limit": QUAD3},
+]}
+
+TAIL_DIGESTS = {
+    "stdout": "4fc63d1648e76c0f4bfa0a6f406e30f2091ce6acc44370fb4dba245c699b967c",
+    "tail-const": "817fcf2872395bf3960c1df5837495c3ba43fca6d9039f0905451d133326008c",
+    "tail-linear": "653d11f57e8567b6be521aef17ce5713ad9d56006cb7f0219566c21a671b6c47",
+    "tail-quad3": "3f29c2d445bf9d89ffb93f8e2f4d53f304f4187ab76f72e5feabb59c2f4b86f3",
+}
+
+
+def test_tail_dbox_experiment_is_byte_identical(tmp_path):
+    assert _batch_digests(tmp_path, 37, TAIL_BATCH) == TAIL_DIGESTS
