@@ -371,11 +371,19 @@ def _run_experiment(spec: dict, stream) -> dict:
 
 def _cmd_experiment(args, stream) -> dict:
     batch = json.loads(_read_input(args.batch))
+    if not isinstance(batch, dict):
+        raise CliError("an experiment batch must be a JSON object")
+    specs = batch.get("experiments", [])
+    if not isinstance(specs, list):
+        raise CliError('"experiments" must be a list')
+    for idx, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise CliError(f"experiment {idx} must be a JSON object, got {spec!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = []
     failures = 0
-    for idx, spec in enumerate(batch.get("experiments", [])):
+    for idx, spec in enumerate(specs):
         name = spec.get("name", f"experiment-{idx}")
         sub = stream.substream(idx)
         try:

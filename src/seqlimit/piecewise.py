@@ -19,7 +19,14 @@ which `t_density_vector` and `t_density_limit` use whenever every
 component is a step function.  Polynomial pieces keep the iterated
 antiderivative.
 
-Range checks, box/prefix/L1 distances with a polynomial side and weak
+A word never becomes an n-piece function either.  Against a polynomial
+limit g with exact values in [0, 1], `_word_primitive` evaluates the
+primitive of g at the word's grid points j/n as scaled Python ints; the
+primitive of w - g is monotone on every cell, so box, prefix and L1
+distances are read off the grid with no root finding.
+
+Range checks, box/prefix/L1 distances between two polynomial sides (or
+a word and a limit whose range is inexact or leaves [0, 1]) and weak
 regularity share one critical-cut scan, `_critical_cuts`: each piece P
 is taken on its closed interval [lo, hi], so a value P only approaches
 at its open right end counts, and cut at lo, the roots of P', and hi.
@@ -381,13 +388,68 @@ def _limit_of(f) -> PiecewisePoly:
     return PiecewisePoly.associated(f) if isinstance(f, Word) else f
 
 
-def _primitive_range(f, g):
-    """(min, max) of the primitive H of f - g over [0, 1].  Words and step
-    functions take the integer sweep; otherwise the range of H, exact
-    unless an extremum sits at an irrational point."""
+def _word_primitive(w: Word, g: PiecewisePoly) -> tuple[list[int], int] | None:
+    """Exact primitive H of w - g on the grid j/n of a word of length n,
+    swept over Python ints, for a limit g with exact values in [0, 1].
+
+    On a cell (j/n, (j+1)/n) the derivative w_j - g(x) of H has one sign,
+    since w_j is 0 or 1, even where a breakpoint of g falls inside the
+    cell.  So H is monotone on every cell: its extremes lie on the grid
+    and the cell's share of the L1 distance is |H((j+1)/n) - H(j/n)|.
+    The primitive G of g is continuous, so a grid point on a breakpoint
+    of g may take either piece.
+
+    Returns (prim, scale) with H(j/n) = prim[j] / scale, where scale =
+    lcm(denominators of G) * n^deg(G).  Returns None when the range of g
+    is not exact (an irrational critical point) or leaves [0, 1].
+    """
+    n = len(w)
+    if n == 0:
+        raise ValueError("word must be nonempty")
+    lo, hi = g.range_bounds()
+    if not (isinstance(lo, Fraction) and 0 <= lo and hi <= 1):
+        return None
+    G = g.antiderivative()
+    e = max(map(len, G.pieces)) - 1
+    den = math.lcm(*(c.denominator for P in G.pieces for c in P))
+    starts = [-(-b.numerator * n // b.denominator) for b in G.breakpoints[:-1]] + [n + 1]
+    prim: list[int] = []
+    for P, a, b in zip(G.pieces, starts, starts[1:]):
+        js = range(a, b)
+        # den * n^e * P(j/n) by Horner in j over int coefficients
+        coeffs = [c.numerator * (den // c.denominator) * n ** (e - k) for k, c in enumerate(P)] or [0]
+        vals = [coeffs[-1]] * len(js)
+        for c in reversed(coeffs[:-1]):
+            vals = [v * j + c for v, j in zip(vals, js)]
+        prim += vals
+    unit = den * n ** (e - 1)
+    ones = itertools.accumulate((unit if c == "1" else 0 for c in w.letters), initial=0)
+    return list(map(sub, ones, prim)), den * n**e
+
+
+def _swept_primitive(f, g) -> tuple[list[int], int] | None:
+    """(prim, scale) of an integer sweep of the primitive H of f - g or of
+    g - f, whose extremes lie on prim / scale, or None if neither sweep
+    applies.  Box, prefix and L1 distances do not depend on the sign."""
     if _is_step(f) and _is_step(g):
         _, prim, bden, vden = step_primitive(f, g)
-        return Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)
+        return prim, bden * vden
+    if isinstance(g, Word):
+        f, g = g, f
+    if isinstance(f, Word):
+        return _word_primitive(f, g)
+    return None
+
+
+def _primitive_range(f, g):
+    """(min, max) of the primitive H of f - g over [0, 1], up to a common
+    sign.  Words and step functions, and words against limits with values
+    in [0, 1], take an integer sweep; otherwise the range of H, exact
+    unless an extremum sits at an irrational point."""
+    swept = _swept_primitive(f, g)
+    if swept is not None:
+        prim, scale = swept
+        return Fraction(min(prim), scale), Fraction(max(prim), scale)
     return (_limit_of(f) - _limit_of(g)).antiderivative().range_bounds()
 
 
@@ -395,7 +457,9 @@ def d_box(f, g):
     """Box distance sup over intervals of |integral of f - g|, where f and
     g are limit functions or words (taken as their step functions).
 
-    Equals max H - min H for the primitive H of f - g.  Exact (Fraction)
+    Equals max H - min H for the primitive H of f - g.  A word against a
+    step function or a limit with exact values in [0, 1] is swept over
+    ints on the word's grid, with no root finding.  Exact (Fraction)
     when every candidate extremum is rational, else float within 1e-12.
     """
     lo, hi = _primitive_range(f, g)
@@ -412,11 +476,15 @@ def prefix_sup_dist(f, g):
 def d1_fn(f, g):
     """L1 distance integral of |f - g| of limit functions or words.  Exact
     whenever every sign change of f - g is rational; numeric within 1e-12
-    otherwise.  On each piece, a primitive P of f - g is monotone between
-    consecutive cuts, so the piece contributes the sum of |P(b) - P(a)|."""
-    if _is_step(f) and _is_step(g):
-        _, prim, bden, vden = step_primitive(f, g)
-        return Fraction(sum(map(abs, map(sub, prim[1:], prim))), bden * vden)
+    otherwise.  Words and step functions, and a word against a limit with
+    exact values in [0, 1], sum |H(b) - H(a)| over the cells of an integer
+    sweep.  Otherwise, on each piece, a primitive P of f - g is monotone
+    between consecutive cuts, so the piece contributes the sum of
+    |P(b) - P(a)|."""
+    swept = _swept_primitive(f, g)
+    if swept is not None:
+        prim, scale = swept
+        return Fraction(sum(map(abs, map(sub, prim[1:], prim))), scale)
     h = _limit_of(f) - _limit_of(g)
     total = Fraction(0)
     inexact = 0.0

@@ -13,27 +13,31 @@ Patterns that share a prefix share its levels: a walk over the pattern
 trie computes k + k^2 + ... + k^(l-1) levels for all k^l patterns of
 length l, instead of l per pattern.  P_j only matters at positions
 j..n-l+j, so each level is a window of n - l + 1 entries, and a pattern
-longer than w counts 0 without a walk.
+with more of some letter than w has counts 0 without a walk.
 
-The levels run as numpy uint64 cumsums and stay exact without floats:
-  - When C(n, l) < 2^64, in plain uint64.  Every step only adds and
+An occurrence of u picks |u|_a of the |w|_a positions of each letter a,
+so the count is at most B(u) = prod_a C(|w|_a, |u|_a) <= C(n, l).  The
+levels run as numpy uint64 cumsums and stay exact without floats:
+  - When every B(u) < 2^64, in plain uint64.  Every step only adds and
     multiplies by 0 or 1, so the arithmetic is that of the ring Z/2^64,
     and the final count is exact mod 2^64 even where an intermediate
     level wraps (0^120 in 0^130 passes through C(130, 65) > 2^64).  The
-    count is at most C(n, l) < 2^64, so it equals its residue.
+    count is at most B(u) < 2^64, so it equals its residue.
   - Otherwise, modulo pairwise coprime q < 2^63/(n + 1), reducing after
     each level, so no partial sum of n residues reaches 2^63.  Enough
-    moduli are taken for their product to exceed C(n, l), and the count
-    is rebuilt from its residues by the Chinese remainder theorem.
-  - Each modulus repeats every level, so when C(n, l) needs more than
-    a few of them (long patterns), the levels hold Python ints in numpy
-    object arrays instead: exact, at one big-int operation an entry.
+    moduli are taken for their product to exceed the largest B(u), and
+    the count is rebuilt from its residues by the Chinese remainder
+    theorem.
+  - Each modulus repeats every level, so when B(u) needs more than a few
+    of them (long patterns), the levels hold Python ints in numpy object
+    arrays instead: exact, at one big-int operation an entry.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -168,17 +172,19 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
     """Exact occurrence counts in w of nonempty patterns, each given as a
     tuple of letters of w's alphabet, sharing prefixes along their trie;
-    0 for a pattern longer than w."""
+    0 for a pattern with more of some letter than w, longer ones included."""
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
     n = len(w)
-    fits = [i for i, u in enumerate(patterns) if len(u) <= n]
+    masks = _letter_masks(w, itertools.chain.from_iterable(patterns))
+    have = [int(np.count_nonzero(m)) for m in masks.values()]
+    needs = [tuple(u.count(a) for a in masks) for u in patterns]
+    fits = [i for i, need in enumerate(needs) if all(map(operator.le, need, have))]
     out = [0] * len(patterns)
     if not fits:
         return out
     short = [patterns[i] for i in fits]
-    masks = _letter_masks(w, itertools.chain.from_iterable(short))
-    bound = max(math.comb(n, len(u)) for u in short)
+    bound = max(math.prod(map(math.comb, have, need)) for need in {needs[i] for i in fits})
     moduli = _crt_moduli(n, bound) if bound >= 2**64 else []
     # A uint64 level costs about 1/12 of a level of Python ints an entry,
     # plus about 700 entries' worth of call overhead, once per modulus.

@@ -213,6 +213,18 @@ def test_size4_count_on_too_long_host_is_a_domain_error(monkeypatch):
     assert code == 0 and json.loads(out)["value"] == "1"
 
 
+def test_malformed_experiment_batches_are_domain_errors(tmp_path):
+    cases = {
+        "[]": "error: an experiment batch must be a JSON object\n",
+        '{"experiments": 5}': 'error: "experiments" must be a list\n',
+        '{"experiments": [{"kind": "nonsense"}, 1]}': "error: experiment 1 must be a JSON object, got 1\n",
+    }
+    for batch, message in cases.items():
+        code, out, err = run_cli("experiment", batch, "--out", str(tmp_path / "results"))
+        assert (code, out, err) == (1, "", message)
+    assert not (tmp_path / "results").exists()
+
+
 def test_domain_errors_for_trials_and_empty_grids():
     perm10 = ",".join(str(i) for i in range(1, 11))
     for trials in ("0", "-3"):

@@ -6,8 +6,10 @@ distances and weak regularity, and from pattern densities and
 forcibility certificates by iterated symbolic integration, from the
 `Fraction` grid measures (cell-tuple enumeration for exact permuton
 densities, `Fraction` prefix sums for their box distance), from the
-tuple-state dict DP for the distance to a forbidden family, and from the
-per-letter Python DP for the pattern counts of words.  Any change
+tuple-state dict DP for the distance to a forbidden family, from the
+per-letter Python DP for the pattern counts of words, and from the
+n-piece step function of a word for its distances to polynomial limits
+(but for the `word-cubic-end` pair, see CUBIC_END).  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -62,6 +64,12 @@ CUBIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
 # of a 7-letter word; the middle piece peaks at 1/2 with value 3/4
 QUAD3 = {"breakpoints": ["0", "1/3", "5/8", "1"], "pieces": [
     {"coeffs": ["1/4", "0", "1"]}, {"coeffs": ["1/2", "1", "-1"]}, {"coeffs": ["0", "2", "-2"]}]}
+# reaches 1 at its breakpoint 3/4, inside a cell of a 7-letter word: the
+# generic route found that root of 1 - g numerically and printed floats, so
+# these three digests are recorded from the word's integer sweep (exact)
+CUBIC_END = json.dumps({"breakpoints": ["0", "1/2", "3/4", "1"], "pieces": [
+    {"coeffs": ["1"]}, {"coeffs": ["-344/331", "360/331", "528/331", "256/331"]},
+    {"coeffs": ["3", "-8", "16/3"]}]})
 # 0 on [0, 1/4], a ramp on [1/4, 3/5], 1 on [3/5, 1]
 RAMP01 = json.dumps({"breakpoints": ["0", "1/4", "3/5", "1"], "pieces": [
     {"coeffs": ["0"]}, {"coeffs": ["-5/7", "20/7"]}, {"coeffs": ["1"]}]})
@@ -193,6 +201,7 @@ PAIRS = {
     "quad3-word7": (json.dumps(QUAD3), "1101001"),
     "word-ramp01": (W25, RAMP01),
     "ramp01-word": (RAMP01, W40),
+    "word-cubic-end": ("0110111", CUBIC_END),
     "cubic-cubic": (CUBIC_F, CUBIC_G),
 }
 
@@ -288,6 +297,9 @@ DIGESTS = {
     "distance-prefix-ramp01-word": "a3f4a567dc79084aee24693fc0551231fbd7904b41e52e22d3afe920d3071ddd",
     "distance-prefix-word-ramp01": "bd73649267ba4513cf0b646ca09e79bf589d0c029f9e4bc74a8bb5356fd4d0df",
     "distance-prefix-word7-quad3": "6356913d7b36c39cf335a2862b104a7bd0b1245e761aee683809affb549fc66f",
+    "distance-box-word-cubic-end": "16faddf6789a7e122ce5e014dece81b66e0949cfb2704a39c5a28a7bbbc64beb",
+    "distance-l1-word-cubic-end": "f5c225408190d5908b7bae4295fd063f3dffac9017ef7784a4ad90ff3758acdb",
+    "distance-prefix-word-cubic-end": "868837b68035b71ade38736549bf9f071b24b5842614d1f8f3f2511fa5742d25",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",

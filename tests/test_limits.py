@@ -20,6 +20,7 @@ from seqlimit import (
     t_density_limit,
     t_density_vector,
 )
+from seqlimit import poly
 from seqlimit.piecewise import (
     LimitVector,
     require_unit_range,
@@ -291,9 +292,121 @@ def test_integer_sweep_matches_breakpoint_path_on_words_and_steps():
     for fn in (d_box, prefix_sup_dist, d1_fn):
         with pytest.raises(ValueError, match="word must be nonempty"):
             fn(W(""), HALF)
-        # a word against a polynomial takes the generic path
+        # a word against a polynomial takes the word's integer sweep
         x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
         assert fn(W("0110"), x) == fn(PiecewisePoly.associated(W("0110")), x)
+
+
+def random_unit_poly(stream: SeededStream, max_pieces: int = 4) -> PiecewisePoly:
+    """Random non-step limit with pieces of degree <= 3 and an exact range
+    in [0, 1].  Each piece's derivative has rational roots, and its values
+    on the piece are mapped affinely onto a random [a, b] in [0, 1]; about
+    one piece in four is constant 0 or 1.  Breakpoints are on a grid of 97
+    (off every word grid of length < 97) or of 12."""
+    rng = stream.generator()
+    bden = int(rng.choice([12, 97]))
+    cuts = {Fraction(int(x), bden) for x in rng.integers(1, bden, size=int(rng.integers(0, max_pieces)))}
+    bps = [Fraction(0), *sorted(cuts), Fraction(1)]
+    pieces = []
+    for lo, hi in zip(bps, bps[1:]):
+        deriv = (Fraction(1),)
+        for _ in range(int(rng.integers(0, 3))):
+            deriv = poly.pmul(deriv, (-Fraction(int(rng.integers(-8, 17)), 8), Fraction(1)))
+        p = poly.pantider(deriv)
+        exact, approx = poly.real_roots(deriv, lo, hi)
+        assert not approx
+        vals = [poly.peval(p, x) for x in (lo, hi, *exact)]
+        a, b = sorted(Fraction(int(v), 6) for v in rng.integers(0, 7, size=2))
+        if rng.random() < 0.25:
+            a = b = Fraction(int(rng.integers(0, 2)))
+        # a + (b - a) (p - min) / (max - min)
+        k = (b - a) / (max(vals) - min(vals))
+        pieces.append(poly.padd(poly.pscale(p, k), (a - k * min(vals),)))
+    g = PiecewisePoly(tuple(bps), tuple(pieces))
+    return g if not g.is_step() else random_unit_poly(stream.substream(1), max_pieces)
+
+
+def test_word_sweep_against_polynomials_matches_the_generic_path():
+    """(w, g) and (g, w) against fn on the n-piece step function of w, the
+    generic route, in value and type, for words of 1..200 letters."""
+    stream = SeededStream(27)
+    rng = stream.generator()
+    x = (Fraction(0), Fraction(1))
+    quarter = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(5, 8), Fraction(1)), (
+        (Fraction(1, 4), Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1), Fraction(-1)),
+        (Fraction(0), Fraction(2), Fraction(-2))))
+    ramp = PiecewisePoly((Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1)), (
+        (), (Fraction(-5, 7), Fraction(20, 7)), (Fraction(1),)))
+    # tangent to 1 at 1/2: 1 - (x - 1/2)^2 (x + 1)
+    tangent = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
+        poly.ONE, poly.pmul(poly.ppow((Fraction(-1, 2), Fraction(1)), 2), (Fraction(1), Fraction(1)))),))
+    fixed = [(W("0110100"), quarter), (W("1101001"), quarter), (W("1" * 12), ramp),
+             (W("0" * 9 + "1" * 11), ramp), (W("1"), tangent), (W("0111"), tangent),
+             (W("01"), PiecewisePoly((Fraction(0), Fraction(1)), (x,)))]
+    cases = fixed + [
+        (random_word(stream.substream(2 * t), int(n)), random_unit_poly(stream.substream(2 * t + 1)))
+        for t, n in enumerate(rng.integers(1, 201, size=20))
+    ]
+    assert sum(len(g.pieces) for _, g in cases) > len(cases)
+    inexact = 0
+    for w, g in cases:
+        assoc = PiecewisePoly.associated(w)
+        for fn in (d_box, prefix_sup_dist, d1_fn):
+            want = fn(assoc, g)
+            for got in (fn(w, g), fn(g, w)):
+                assert type(got) is Fraction
+                if isinstance(want, float):
+                    # the generic route reports a rational root of w - g at
+                    # the end of a piece of degree >= 3 as a numeric one
+                    inexact += 1
+                    assert abs(got - Fraction(want)) <= 1e-12
+                else:
+                    assert got == want
+    assert 0 < inexact < len(cases)
+
+
+def test_word_sweep_is_exact_where_the_generic_route_was_numeric():
+    """g reaches 1 at its breakpoint 3/4, the end of a cell of "1111"; the
+    generic route finds that root of 1 - g numerically and returns floats.
+    The sweep returns the distances of H at the grid points j/4 exactly."""
+    g = PiecewisePoly((Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)), (
+        (Fraction(1),), (Fraction(-344, 331), Fraction(360, 331), Fraction(528, 331), Fraction(256, 331)),
+        (Fraction(3), Fraction(-8), Fraction(16, 3))))
+    w = W("1111")
+    G = g.antiderivative()
+    H = [Fraction(j, 4) - G(Fraction(j, 4)) for j in range(5)]
+    want = (max(H) - min(H), max(map(abs, H)), sum(abs(b - a) for a, b in zip(H, H[1:])))
+    assoc = PiecewisePoly.associated(w)
+    for fn, exact in zip((d_box, prefix_sup_dist, d1_fn), want):
+        assert isinstance(fn(assoc, g), float) and abs(fn(assoc, g) - exact) <= 1e-12
+        assert fn(w, g) == fn(g, w) == exact
+
+
+def test_word_against_a_limit_with_an_inexact_range_takes_the_generic_path():
+    # 1 - 4 (x^2 - 1/2)^2 reaches 1 at 1/sqrt(2), so its range is a float
+    g = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
+        poly.ONE, poly.pscale(poly.ppow((Fraction(-1, 2), Fraction(0), Fraction(1)), 2), 4)),))
+    assert isinstance(g.range_bounds()[1], float)
+    for w in (W("0110100"), random_word(SeededStream(28), 60)):
+        assoc = PiecewisePoly.associated(w)
+        for fn in (d_box, prefix_sup_dist, d1_fn):
+            for got, want in ((fn(w, g), fn(assoc, g)), (fn(g, w), fn(g, assoc))):
+                assert type(got) is type(want) and got == want
+            assert any(isinstance(fn(w, g), float) for fn in (d_box, prefix_sup_dist, d1_fn))
+
+
+def test_word_against_a_polynomial_finds_no_roots(monkeypatch):
+    """The sweep's only root finding is the range check of g, one call
+    per piece; the n-piece generic route made thousands."""
+    calls = []
+    real_roots = poly.real_roots
+    monkeypatch.setattr(poly, "real_roots", lambda *a: calls.append(a) or real_roots(*a))
+    x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
+    w = random_word(SeededStream(29), 4000)
+    for fn in (d_box, prefix_sup_dist, d1_fn):
+        calls.clear()
+        fn(w, x)
+        assert len(calls) <= len(x.pieces)
 
 
 def test_distance_sandwich_and_metric_properties():

@@ -21,7 +21,7 @@ from seqlimit import (
     subsequence_count,
 )
 from seqlimit import words
-from seqlimit.words import _crt_moduli, all_patterns, density_table, extract
+from seqlimit.words import _crt_moduli, all_patterns, density_table, extract, pattern_counts
 
 from util import brute_subsequence_count, dp_subsequence_count, random_word
 
@@ -278,6 +278,51 @@ def test_engine_picks_levels_by_the_size_of_the_count(monkeypatch):
         u = Word(w.letters[:l])
         assert subsequence_count(w, u) == dp_subsequence_count(w, u)
         assert calls == path
+
+
+def test_patterns_with_more_of_a_letter_than_the_word_count_0_without_a_walk(monkeypatch):
+    walks = []
+    walk = words._trie_counts
+    monkeypatch.setattr(words, "_trie_counts", lambda *a, **k: walks.append(a[1]) or walk(*a, **k))
+    w = random_word(SeededStream(23), 3000)
+    assert w.weight("1") < 2900
+    assert subsequence_count(w, W("1" * 2900)) == 0 and walks == []
+    # in a table, only the patterns that fit are walked
+    assert pattern_counts(W("0001"), [("1", "1"), ("0", "1"), ("0", "0", "0", "0")]) == [0, 3, 0]
+    assert walks == [[("0", "1")]]
+    # small seeded cases, l <= n, against the DP, many of them plainly 0
+    stream = SeededStream(24)
+    zeros = 0
+    for t in range(200):
+        rng = stream.substream(t).generator()
+        n = int(rng.integers(1, 16))
+        w = random_word(stream.substream(1000 + t), n, density=float(rng.random()))
+        u = random_word(stream.substream(2000 + t), int(rng.integers(1, n + 1)), density=float(rng.random()))
+        assert_engine_matches_oracle(w, u)
+        zeros += u.weight("1") > w.weight("1") or u.weight("0") > w.weight("0")
+    assert zeros > 50
+
+
+def test_engine_sizes_levels_by_the_letter_counts(monkeypatch):
+    # 0^100 occurs once in 0^100 1^100 although C(200, 100) > 2^64: the
+    # bound C(100, 100) * C(100, 0) = 1 keeps the walk in plain uint64
+    calls = []
+    walk = words._trie_counts
+
+    def spy(masks, patterns, n, q=None, dtype=np.uint64):
+        calls.append((q is not None, dtype))
+        return walk(masks, patterns, n, q, dtype)
+
+    monkeypatch.setattr(words, "_trie_counts", spy)
+    assert math.comb(200, 100) >= 2**64
+    assert subsequence_count(W("0" * 100 + "1" * 100), W("0" * 100)) == 1
+    assert calls == [(False, np.uint64)]
+    calls.clear()
+    w = W("01" * 100)
+    u = W("0" * 97 + "1" * 3)
+    assert subsequence_count(w, u) == dp_subsequence_count(w, u)
+    assert math.comb(100, 97) * math.comb(100, 3) < 2**64 <= math.comb(200, 100)
+    assert calls == [(False, np.uint64)]
 
 
 def test_engine_counts_patterns_of_thousands_of_letters():
