@@ -172,7 +172,8 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
 def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
     """Exact occurrence counts in w of nonempty patterns, each given as a
     tuple of letters of w's alphabet, sharing prefixes along their trie;
-    0 for a pattern with more of some letter than w, longer ones included."""
+    a pattern with more of some letter than w, so any pattern longer than
+    w, counts 0 without a walk."""
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
     n = len(w)
@@ -183,19 +184,19 @@ def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
     out = [0] * len(patterns)
     if not fits:
         return out
-    short = [patterns[i] for i in fits]
+    walked = [patterns[i] for i in fits]
     bound = max(math.prod(map(math.comb, have, need)) for need in {needs[i] for i in fits})
     moduli = _crt_moduli(n, bound) if bound >= 2**64 else []
     # A uint64 level costs about 1/12 of a level of Python ints an entry,
     # plus about 700 entries' worth of call overhead, once per modulus.
-    width = n - min(map(len, short)) + 1
+    width = n - min(map(len, walked)) + 1
     if not moduli:
-        counts = _trie_counts(masks, short, n)
+        counts = _trie_counts(masks, walked, n)
     elif len(moduli) * (width + 700) <= 12 * width:
-        residues = [_trie_counts(masks, short, n, q) for q in moduli]
+        residues = [_trie_counts(masks, walked, n, q) for q in moduli]
         counts = [_crt(r, moduli) for r in zip(*residues)]
     else:
-        counts = _trie_counts(masks, short, n, dtype=object)
+        counts = _trie_counts(masks, walked, n, dtype=object)
     for i, count in zip(fits, counts):
         out[i] = count
     return out

@@ -289,11 +289,12 @@ def test_integer_sweep_matches_breakpoint_path_on_words_and_steps():
         got = (d_box(a, b), prefix_sup_dist(a, b), d1_fn(a, b))
         assert all(type(x) is Fraction for x in got)
         assert got == breakpoint_distances(a, b)
+    x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
     for fn in (d_box, prefix_sup_dist, d1_fn):
-        with pytest.raises(ValueError, match="word must be nonempty"):
-            fn(W(""), HALF)
+        for g in (HALF, x):
+            with pytest.raises(ValueError, match="word must be nonempty"):
+                fn(W(""), g)
         # a word against a polynomial takes the word's integer sweep
-        x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
         assert fn(W("0110"), x) == fn(PiecewisePoly.associated(W("0110")), x)
 
 
@@ -302,7 +303,7 @@ def random_unit_poly(stream: SeededStream, max_pieces: int = 4) -> PiecewisePoly
     in [0, 1].  Each piece's derivative has rational roots, and its values
     on the piece are mapped affinely onto a random [a, b] in [0, 1]; about
     one piece in four is constant 0 or 1.  Breakpoints are on a grid of 97
-    (off every word grid of length < 97) or of 12."""
+    (off the grid of every word length but 97 and 194) or of 12."""
     rng = stream.generator()
     bden = int(rng.choice([12, 97]))
     cuts = {Fraction(int(x), bden) for x in rng.integers(1, bden, size=int(rng.integers(0, max_pieces)))}
@@ -332,7 +333,7 @@ def test_word_sweep_against_polynomials_matches_the_generic_path():
     stream = SeededStream(27)
     rng = stream.generator()
     x = (Fraction(0), Fraction(1))
-    quarter = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(5, 8), Fraction(1)), (
+    quad3 = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(5, 8), Fraction(1)), (
         (Fraction(1, 4), Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1), Fraction(-1)),
         (Fraction(0), Fraction(2), Fraction(-2))))
     ramp = PiecewisePoly((Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1)), (
@@ -340,7 +341,7 @@ def test_word_sweep_against_polynomials_matches_the_generic_path():
     # tangent to 1 at 1/2: 1 - (x - 1/2)^2 (x + 1)
     tangent = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
         poly.ONE, poly.pmul(poly.ppow((Fraction(-1, 2), Fraction(1)), 2), (Fraction(1), Fraction(1)))),))
-    fixed = [(W("0110100"), quarter), (W("1101001"), quarter), (W("1" * 12), ramp),
+    fixed = [(W("0110100"), quad3), (W("1101001"), quad3), (W("1" * 12), ramp),
              (W("0" * 9 + "1" * 11), ramp), (W("1"), tangent), (W("0111"), tangent),
              (W("01"), PiecewisePoly((Fraction(0), Fraction(1)), (x,)))]
     cases = fixed + [
@@ -382,17 +383,22 @@ def test_word_sweep_is_exact_where_the_generic_route_was_numeric():
         assert fn(w, g) == fn(g, w) == exact
 
 
-def test_word_against_a_limit_with_an_inexact_range_takes_the_generic_path():
-    # 1 - 4 (x^2 - 1/2)^2 reaches 1 at 1/sqrt(2), so its range is a float
-    g = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
+def test_word_against_a_limit_off_the_sweep_takes_the_generic_path():
+    # 1 - 4 (x^2 - 1/2)^2 reaches 1 at 1/sqrt(2), so its range is a float;
+    # 2x and 2x - 1 have exact ranges that leave [0, 1] above and below
+    inexact = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
         poly.ONE, poly.pscale(poly.ppow((Fraction(-1, 2), Fraction(0), Fraction(1)), 2), 4)),))
-    assert isinstance(g.range_bounds()[1], float)
-    for w in (W("0110100"), random_word(SeededStream(28), 60)):
-        assoc = PiecewisePoly.associated(w)
-        for fn in (d_box, prefix_sup_dist, d1_fn):
-            for got, want in ((fn(w, g), fn(assoc, g)), (fn(g, w), fn(g, assoc))):
-                assert type(got) is type(want) and got == want
-            assert any(isinstance(fn(w, g), float) for fn in (d_box, prefix_sup_dist, d1_fn))
+    above = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(2)),))
+    below = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(-1), Fraction(2)),))
+    assert isinstance(inexact.range_bounds()[1], float)
+    assert (above.range_bounds(), below.range_bounds()) == ((0, 2), (-1, 1))
+    for g in (inexact, above, below):
+        for w in (W("0110100"), W("1111111"), W("0000000"), random_word(SeededStream(28), 61)):
+            assoc = PiecewisePoly.associated(w)
+            for fn in (d_box, prefix_sup_dist, d1_fn):
+                for got, want in ((fn(w, g), fn(assoc, g)), (fn(g, w), fn(g, assoc))):
+                    assert type(got) is type(want) and got == want
+    assert all(isinstance(fn(W("0110100"), inexact), float) for fn in (d_box, prefix_sup_dist, d1_fn))
 
 
 def test_word_against_a_polynomial_finds_no_roots(monkeypatch):
