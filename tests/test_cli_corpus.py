@@ -7,9 +7,10 @@ forcibility certificates by iterated symbolic integration, from the
 `Fraction` grid measures (cell-tuple enumeration for exact permuton
 densities, `Fraction` prefix sums for their box distance), from the
 tuple-state dict DP for the distance to a forbidden family, from the
-per-letter Python DP for the pattern counts of words, and from the
+per-letter Python DP for the pattern counts of words, from the
 n-piece step function of a word for its distances to polynomial limits
-(but for the `word-cubic-end` pair, see CUBIC_END).  Any change
+(but for the `word-cubic-end` pair, see CUBIC_END), and from the
+per-letter generators that built f-random words.  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -205,6 +206,14 @@ PAIRS = {
     "cubic-cubic": (CUBIC_F, CUBIC_G),
 }
 
+# f-random words: a binary step limit, a binary polynomial limit and a
+# ternary limit vector (`f_random_word` and `f_random_word_vector`)
+SAMPLE = {
+    "sample-step": ("--seed", "41", "sample", "--limit", STEP_A, "--length", "60", "--count", "3"),
+    "sample-quad3": ("--seed", "42", "sample", "--limit", json.dumps(QUAD3), "--length", "75", "--count", "3"),
+    "sample-ternary": ("--seed", "43", "sample", "--limit", TERNARY, "--length", "50", "--count", "3"),
+}
+
 CORPUS = {
     "analyze-w200": ("analyze", W200),
     "analyze-w200-d1/3": ("analyze", W200, "--density", "1/3"),
@@ -233,6 +242,7 @@ CORPUS = {
     **PERMUTON,
     **TESTER,
     **WORD_DENSITY,
+    **SAMPLE,
 }
 
 DIGESTS = {
@@ -330,6 +340,9 @@ DIGESTS = {
     "permuton-distance-m30-m20": "cc6bedb56850f370ebb7b49c8d55405d0074e8e40dbad6ac7affd72c7998479b",
     "permuton-sample-big-den": "d17bec4a18ea6899c58ce7dd40f97a96335e0648ba3d4e927c274fb92ad5afe1",
     "permuton-sample-m30": "78e2c0f7afbc62b8fa9911226489b34ec39f8d7ef65969d738e4077dc3e38aa5",
+    "sample-quad3": "357752d41f8eba0fffe942479f009146dec22aecaea8918b94a5bc5f8c89886f",
+    "sample-step": "f0a2ade51bc4c45b6f96b712f2355bd3539176ddcee46998495e8a505a3bbfc2",
+    "sample-ternary": "ca0d4a481d439057528bc5a230a1779ccc7ad16ec19fd8675713956a8f826f64",
     "test-member-d1-zero": "f435cb8e65fd2ac982f2d1f300c763215975330d91f7ae8a97a5006f5e7d2b58",
     "test-ternary-two-patterns": "9c41bff83beffa713f50f273afbf1af8238550333cf748e62def5621d16e06be",
     "test-w190-three-patterns": "9c1f7416781bf53969d238cc1f0d01fa92acb36d455ce53ecc2d134968125da8",
@@ -394,3 +407,22 @@ TAIL_DIGESTS = {
 
 def test_tail_dbox_experiment_is_byte_identical(tmp_path):
     assert _batch_digests(tmp_path, 37, TAIL_BATCH) == TAIL_DIGESTS
+
+
+# uniformly random subsequences of a binary and a ternary word
+SUBSEQ_BATCH = {"experiments": [
+    {"kind": "subsequence_tail", "name": "subseq-w200", "word": W200, "length": 40,
+     "eps": "0.15", "trials": 20},
+    {"kind": "subsequence_tail", "name": "subseq-ternary", "word": _ternary(180, 4, 7, 19),
+     "length": 30, "eps": "0.2", "trials": 15},
+]}
+
+SUBSEQ_DIGESTS = {
+    "stdout": "cc1fc0bb3e4e2984952b908270d02ffa1cec609bd5e28644c3568a9bf2aeaf60",
+    "subseq-w200": "e4ae416ac83de2c89900f556495aa3fa1b47ee7e746a01d53c0a47ef741498d1",
+    "subseq-ternary": "b53b1005526f528209d1be0f5cbc0268f83ba8f47c084ce503743f1493b69dc7",
+}
+
+
+def test_subsequence_tail_experiment_is_byte_identical(tmp_path):
+    assert _batch_digests(tmp_path, 38, SUBSEQ_BATCH) == SUBSEQ_DIGESTS
