@@ -379,6 +379,9 @@ def _cmd_experiment(args, stream) -> dict:
     for idx, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise CliError(f"experiment {idx} must be a JSON object, got {spec!r}")
+        name = str(spec.get("name", f"experiment-{idx}"))
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise CliError(f"experiment {idx} needs a plain file name, got {name!r}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = []

@@ -477,6 +477,8 @@ def grid_density_table(mu: GridMeasure, k: int) -> dict[str, Fraction]:
 
 def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation:
     """Pattern of k independent points sampled from mu."""
+    if k < 1:
+        raise ValueError(f"pattern size must be at least 1, got {k}")
     rng = stream.generator()
     m = mu.m
     cells = rng.choice(m * m, size=k, p=mu._cell_probs)

@@ -10,26 +10,23 @@ All arithmetic is exact.  Floats only enter through explicitly inexact
 paths: irrational extrema in box/L1 distances (tolerance 1e-12) and the
 numeric quadrature fallback for pieces of degree above 3.
 
-Words and step functions skip the polynomial machinery: their
-breakpoints and values are scaled to common integer denominators and
-the merged grid is swept over Python ints.  `step_primitive` sums the
-primitive of a difference (box, prefix and L1 distances); `step_density`
-runs the piece DP for the pattern density t(u, F) of step components,
-which `t_density_vector` and `t_density_limit` use whenever every
-component is a step function.  Polynomial pieces keep the iterated
-antiderivative.
+Words never become n-piece functions.  One kernel, `grid_primitive`,
+sums the primitive H of f - g over Python ints on the breakpoints of
+both sides, scaled to one integer denominator: a word or step side by
+value times cell width, a polynomial side by Horner on its scaled
+primitive.  Box, prefix and L1 distances are read off that grid when
+both sides are words or step functions, or when a word meets a limit
+with exact values in [0, 1]; H is then monotone on every cell.
+`step_density` runs the pattern-density DP on the same scaled cells
+when every component is a step function; polynomial pieces keep the
+iterated antiderivative.
 
-A word never becomes an n-piece function either.  Against a polynomial
-limit g with exact values in [0, 1], `_word_primitive` evaluates the
-primitive of g at the word's grid points j/n as scaled Python ints; the
-primitive of w - g is monotone on every cell, so box, prefix and L1
-distances are read off the grid with no root finding.
-
-Range checks, box/prefix/L1 distances between two polynomial sides (or
-a word and a limit whose range is inexact or leaves [0, 1]) and weak
-regularity share one critical-cut scan, `_critical_cuts`: each piece P
-is taken on its closed interval [lo, hi], so a value P only approaches
-at its open right end counts, and cut at lo, the roots of P', and hi.
+Range checks, box/prefix/L1 distances off the grid (two polynomial
+sides, a step function and a polynomial, or a word and a limit whose
+range is inexact or leaves [0, 1]) and weak regularity share one
+critical-cut scan, `_critical_cuts`: each piece P is taken on its
+closed interval [lo, hi], so a value P only approaches at its open
+right end counts, and cut at lo, the roots of P', and hi.
 """
 
 from __future__ import annotations
@@ -278,30 +275,46 @@ def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
     return step_density(u, require_unit_range(f))
 
 
-# -- integer sweeps over words and step functions ----------------------
+# -- integer sweeps on merged grids -----------------------------------
 
 
-def _denominators(f) -> tuple[int, int]:
-    """Common denominators of the breakpoints and of the values of a word
-    (the indicator of its letter 1 on the n-grid) or a step function."""
-    if isinstance(f, Word):
-        if len(f) == 0:
-            raise ValueError("word must be nonempty")
-        return len(f), 1
-    if not f.is_step():
+def _is_step(f) -> bool:
+    return isinstance(f, Word) or f.is_step()
+
+
+def _scaled_breakpoints(fs) -> tuple[int, list[list[int]]]:
+    """Breakpoints of words (the n-grid) or limit functions times their
+    common denominator bden, as Python ints."""
+    if any(isinstance(f, Word) and len(f) == 0 for f in fs):
+        raise ValueError("word must be nonempty")
+    bden = math.lcm(*(
+        len(f) if isinstance(f, Word) else math.lcm(*(b.denominator for b in f.breakpoints)) for f in fs))
+    return bden, [
+        list(range(0, bden + 1, bden // len(f))) if isinstance(f, Word)
+        else [b.numerator * (bden // b.denominator) for b in f.breakpoints]
+        for f in fs
+    ]
+
+
+def _scaled_values(fs, vden: int = 1) -> tuple[int, list[list[int]]]:
+    """Values of words (the indicator of letter 1) or step functions times
+    the least common denominator that vden divides, as Python ints."""
+    if not all(map(_is_step, fs)):
         raise ValueError("the integer sweep needs words or step functions")
-    bden = math.lcm(*(b.denominator for b in f.breakpoints))
-    return bden, math.lcm(*(p[0].denominator for p in f.pieces if p))
+    vden = math.lcm(vden, *(p[0].denominator for f in fs if not isinstance(f, Word) for p in f.pieces if p))
+    return vden, [
+        [vden if c == "1" else 0 for c in f.letters] if isinstance(f, Word)
+        else [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces]
+        for f in fs
+    ]
 
 
-def _scaled_ints(f, bden: int, vden: int) -> tuple[list[int], list[int]]:
-    """Breakpoints times bden and values times vden, as Python ints."""
-    if isinstance(f, Word):
-        return list(range(0, bden + 1, bden // len(f))), [vden if c == "1" else 0 for c in f.letters]
-    return (
-        [b.numerator * (bden // b.denominator) for b in f.breakpoints],
-        [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces],
-    )
+def _merged(xss: list[list[int]]) -> list[int]:
+    """The common refinement of integer breakpoint lists on [0, bden]."""
+    grid = max(xss, key=len)
+    if any(len(xs) > 2 and xs is not grid and xs != grid for xs in xss):
+        grid = sorted({x for xs in xss for x in xs})
+    return grid
 
 
 def _spread(xs: list[int], vs: list[int], grid: list[int]):
@@ -313,31 +326,51 @@ def _spread(xs: list[int], vs: list[int], grid: list[int]):
 
 
 def _step_cells(fs):
-    """Merge words or step functions on one integer grid.
+    """(grid, values, bden, vden) of words or step functions fs merged on
+    one integer grid: the breakpoints are grid[k] / bden, and values[i]
+    holds vden times fs[i] on each cell."""
+    bden, xss = _scaled_breakpoints(fs)
+    vden, vss = _scaled_values(fs)
+    grid = _merged(xss)
+    return grid, [_spread(xs, vs, grid) for xs, vs in zip(xss, vss)], bden, vden
 
-    Returns (grid, values, bden, vden): the merged breakpoints are
-    grid[k] / bden and values[i] holds vden times fs[i] on each cell.
+
+def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
+    """Exact primitive H of f - g, for f a word or a step function and g
+    a word or any limit function, swept over Python ints.
+
+    Returns (grid, prim, bden, vden): the merged breakpoints of f and g
+    are grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
+    A step side adds vden * value * (cell width in units of 1 / bden)
+    cell by cell.  A polynomial g enters through its continuous primitive
+    G of degree e: once vden is a multiple of den * bden^(e - 1), for den
+    the common denominator of G's coefficients, bden * vden * G(x / bden)
+    is an integer polynomial in x, evaluated by Horner piece by piece.
     """
-    dens = [_denominators(f) for f in fs]
-    bden, vden = math.lcm(*(b for b, _ in dens)), math.lcm(*(v for _, v in dens))
-    scaled = [_scaled_ints(f, bden, vden) for f in fs]
-    grid = max((xs for xs, _ in scaled), key=len)
-    if any(len(xs) > 2 and xs is not grid and xs != grid for xs, _ in scaled):
-        grid = sorted({x for xs, _ in scaled for x in xs})
-    return grid, [_spread(xs, vs, grid) for xs, vs in scaled], bden, vden
-
-
-def step_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
-    """Exact primitive H of f - g, where f and g are words or step
-    functions, swept over Python ints.
-
-    Returns (grid, prim, bden, vden): the merged breakpoints are
-    grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
-    """
-    grid, (vf, vg), bden, vden = _step_cells((f, g))
-    diff = map(sub, vf, vg)
-    prim = list(itertools.accumulate(map(mul, diff, map(sub, grid[1:], grid)), initial=0))
-    return grid, prim, bden, vden
+    if _is_step(g):
+        grid, (vf, vg), bden, vden = _step_cells((f, g))
+        diff = map(sub, vf, vg)
+        prim = list(itertools.accumulate(map(mul, diff, map(sub, grid[1:], grid)), initial=0))
+        return grid, prim, bden, vden
+    bden, (xf, xg) = _scaled_breakpoints((f, g))
+    grid = _merged((xf, xg))
+    G = g.antiderivative()
+    e = max(map(len, G.pieces)) - 1
+    den = math.lcm(*(c.denominator for P in G.pieces for c in P))
+    vden, (vf,) = _scaled_values((f,), den * bden ** (e - 1))
+    m = vden // bden ** (e - 1)  # a multiple of den
+    # grid[a:b] lies in [xg[i], xg[i + 1]), the last piece closed at 1
+    starts = [bisect_left(grid, x) for x in xg[:-1]] + [len(grid)]
+    prim_g: list[int] = []
+    for P, a, b in zip(G.pieces, starts, starts[1:]):
+        xs = grid[a:b]
+        coeffs = [m // c.denominator * c.numerator * bden ** (e - k) for k, c in enumerate(P)] or [0]
+        vals = [coeffs[-1]] * len(xs)
+        for c in reversed(coeffs[:-1]):
+            vals = [v * x + c for v, x in zip(vals, xs)]
+        prim_g += vals
+    prim_f = itertools.accumulate(map(mul, _spread(xf, vf, grid), map(sub, grid[1:], grid)), initial=0)
+    return grid, list(map(sub, prim_f, prim_g)), bden, vden
 
 
 def step_density(u: Word, F) -> Fraction:
@@ -380,76 +413,37 @@ def step_density(u: Word, F) -> Fraction:
 # -- distances --------------------------------------------------------
 
 
-def _is_step(f) -> bool:
-    return isinstance(f, Word) or f.is_step()
-
-
 def _limit_of(f) -> PiecewisePoly:
     return PiecewisePoly.associated(f) if isinstance(f, Word) else f
 
 
-def _word_primitive(w: Word, g: PiecewisePoly) -> tuple[list[int], int] | None:
-    """Exact primitive H of w - g on the grid j/n of a word of length n,
-    swept over Python ints, for a limit g with exact values in [0, 1].
+def _swept_primitive(f, g):
+    """grid_primitive of f and g, in either order (box, prefix and L1
+    distances do not depend on the sign of H), when the primitive H of
+    f - g is monotone between grid points, else None.
 
-    On a cell (j/n, (j+1)/n) the derivative w_j - g(x) of H has one sign,
-    since w_j is 0 or 1, even where a breakpoint of g falls inside the
-    cell.  So H is monotone on every cell: its extremes lie on the grid
-    and the cell's share of the L1 distance is |H((j+1)/n) - H(j/n)|.
-    The primitive G of g is continuous, so a grid point on a breakpoint
-    of g may take either piece.
-
-    Returns (prim, scale) with H(j/n) = prim[j] / scale, where scale =
-    lcm(denominators of G) * n^deg(G).  Returns None when the range of g
-    is not exact (an irrational critical point) or leaves [0, 1].
+    That holds when both sides are words or step functions, and for a
+    word w against a limit g with exact values in [0, 1]: on a cell
+    (j/n, (j+1)/n) the derivative w_j - g(x) of H has one sign, since w_j
+    is 0 or 1, even where a breakpoint of g falls inside the cell.
     """
-    n = len(w)
-    if n == 0:
-        raise ValueError("word must be nonempty")
-    lo, hi = g.range_bounds()
-    if not (isinstance(lo, Fraction) and 0 <= lo and hi <= 1):
-        return None
-    G = g.antiderivative()
-    e = max(map(len, G.pieces)) - 1
-    den = math.lcm(*(c.denominator for P in G.pieces for c in P))
-    starts = [-(-b.numerator * n // b.denominator) for b in G.breakpoints[:-1]] + [n + 1]
-    prim: list[int] = []
-    for P, a, b in zip(G.pieces, starts, starts[1:]):
-        js = range(a, b)
-        # den * n^e * P(j/n) by Horner in j over int coefficients
-        coeffs = [c.numerator * (den // c.denominator) * n ** (e - k) for k, c in enumerate(P)] or [0]
-        vals = [coeffs[-1]] * len(js)
-        for c in reversed(coeffs[:-1]):
-            vals = [v * j + c for v, j in zip(vals, js)]
-        prim += vals
-    unit = den * n ** (e - 1)
-    ones = itertools.accumulate((unit if c == "1" else 0 for c in w.letters), initial=0)
-    return list(map(sub, ones, prim)), den * n**e
-
-
-def _swept_primitive(f, g) -> tuple[list[int], int] | None:
-    """(prim, scale) of an integer sweep of the primitive H of f - g or of
-    g - f, whose extremes lie on prim / scale, or None if neither sweep
-    applies.  Box, prefix and L1 distances do not depend on the sign."""
-    if _is_step(f) and _is_step(g):
-        _, prim, bden, vden = step_primitive(f, g)
-        return prim, bden * vden
-    if isinstance(g, Word):
+    if not _is_step(f):
         f, g = g, f
-    if isinstance(f, Word):
-        return _word_primitive(f, g)
-    return None
+    on_grid = _is_step(f) and _is_step(g)
+    if not on_grid and isinstance(f, Word):
+        lo, hi = g.range_bounds()
+        on_grid = isinstance(lo, Fraction) and 0 <= lo and hi <= 1
+    return grid_primitive(f, g) if on_grid else None
 
 
 def _primitive_range(f, g):
     """(min, max) of the primitive H of f - g over [0, 1], up to a common
-    sign.  Words and step functions, and words against limits with values
-    in [0, 1], take an integer sweep; otherwise the range of H, exact
-    unless an extremum sits at an irrational point."""
+    sign: read off the grid where `_swept_primitive` applies, otherwise
+    exact unless an extremum sits at an irrational point."""
     swept = _swept_primitive(f, g)
     if swept is not None:
-        prim, scale = swept
-        return Fraction(min(prim), scale), Fraction(max(prim), scale)
+        _, prim, bden, vden = swept
+        return Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)
     return (_limit_of(f) - _limit_of(g)).antiderivative().range_bounds()
 
 
@@ -457,9 +451,7 @@ def d_box(f, g):
     """Box distance sup over intervals of |integral of f - g|, where f and
     g are limit functions or words (taken as their step functions).
 
-    Equals max H - min H for the primitive H of f - g.  A word against a
-    step function or a limit with exact values in [0, 1] is swept over
-    ints on the word's grid, with no root finding.  Exact (Fraction)
+    Equals max H - min H for the primitive H of f - g.  Exact (Fraction)
     when every candidate extremum is rational, else float within 1e-12.
     """
     lo, hi = _primitive_range(f, g)
@@ -476,15 +468,14 @@ def prefix_sup_dist(f, g):
 def d1_fn(f, g):
     """L1 distance integral of |f - g| of limit functions or words.  Exact
     whenever every sign change of f - g is rational; numeric within 1e-12
-    otherwise.  Words and step functions, and a word against a limit with
-    exact values in [0, 1], sum |H(b) - H(a)| over the cells of an integer
-    sweep.  Otherwise, on each piece, a primitive P of f - g is monotone
-    between consecutive cuts, so the piece contributes the sum of
-    |P(b) - P(a)|."""
+    otherwise.  Where `_swept_primitive` applies, the sum of |H(b) - H(a)|
+    over its grid cells; otherwise, on each piece, a primitive P of f - g
+    is monotone between consecutive cuts, so the piece contributes the
+    sum of |P(b) - P(a)|."""
     swept = _swept_primitive(f, g)
     if swept is not None:
-        prim, scale = swept
-        return Fraction(sum(map(abs, map(sub, prim[1:], prim))), scale)
+        _, prim, bden, vden = swept
+        return Fraction(sum(map(abs, map(sub, prim[1:], prim))), bden * vden)
     h = _limit_of(f) - _limit_of(g)
     total = Fraction(0)
     inexact = 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .piecewise import PiecewisePoly, _critical_cuts, step_primitive
+from .piecewise import PiecewisePoly, _critical_cuts, grid_primitive
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def _extremal_of(g: PiecewisePoly) -> tuple[Fraction, tuple[Fraction, Fraction]]
     deviation is always exact for the returned interval.  Ties go to the
     largest maximizer and the smallest minimizer."""
     if g.is_step():
-        grid, prim, bden, vden = step_primitive(g)
+        grid, prim, bden, vden = grid_primitive(g)
         top, bottom = max(prim), min(prim)
         lo, hi = sorted((prim.index(bottom), len(prim) - 1 - prim[::-1].index(top)))
         return Fraction(top - bottom, bden * vden), (Fraction(grid[lo], bden), Fraction(grid[hi], bden))

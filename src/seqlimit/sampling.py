@@ -51,7 +51,7 @@ def f_random_word(f: PiecewisePoly, n: int, stream: SeededStream) -> Word:
     xs = rng.random(n)
     ys = rng.random(n) < _eval_many(f, xs)
     order = np.lexsort((np.arange(n), xs))
-    return Word(tuple("1" if ys[i] else "0" for i in order))
+    return Word(tuple(map(("0", "1").__getitem__, ys[order].tolist())))
 
 
 def f_random_word_vector(F: LimitVector, n: int, stream: SeededStream) -> Word:
@@ -70,7 +70,7 @@ def f_random_word_vector(F: LimitVector, n: int, stream: SeededStream) -> Word:
         choice[hit] = j
         decided |= hit
     order = np.lexsort((np.arange(n), xs))
-    return Word(tuple(F.alphabet[choice[i]] for i in order), F.alphabet)
+    return Word(tuple(map(F.alphabet.__getitem__, choice[order].tolist())), F.alphabet)
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,13 @@ class TailReport:
     note: str = ""
 
 
+def _exceed_fraction(trials: int, exceeds) -> float:
+    """Share of the trials t = 0, ..., trials - 1 for which exceeds(t) holds."""
+    if trials < 1:
+        raise ValueError(f"the tail experiment needs at least 1 trial, got {trials}")
+    return sum(map(exceeds, range(trials))) / trials
+
+
 def tail_experiment_dbox(
     f: PiecewisePoly, n: int, a: float, trials: int, stream: SeededStream
 ) -> TailReport:
@@ -92,16 +99,13 @@ def tail_experiment_dbox(
     if a < 1.0 / n:
         raise ValueError("tail parameter must satisfy a >= 1/n")
     threshold = 8.0 * a
-    exceed = 0
-    for t in range(trials):
-        w = f_random_word(f, n, stream.substream(t))
-        if float(d_box(w, f)) >= threshold:
-            exceed += 1
+    exceed = _exceed_fraction(
+        trials, lambda t: float(d_box(f_random_word(f, n, stream.substream(t)), f)) >= threshold)
     bound = 4 * n * math.exp(-2 * a * a * n)
     return TailReport(
         trials=trials,
         threshold=threshold,
-        exceed_fraction=exceed / trials,
+        exceed_fraction=exceed,
         bound=min(bound, 1.0),
         prng=PRNG_ID,
         seed=stream.seed,
@@ -113,11 +117,8 @@ def subsequence_tail_experiment(
 ) -> TailReport:
     """Empirical P(d_box(f_u, f_w) >= eps) over uniformly random
     subsequences u of the given length, against 4 l exp(-eps^2 l / 300)."""
-    exceed = 0
-    for t in range(trials):
-        u = random_subsequence(w, length, stream.substream(t))
-        if float(d_box(u, w)) >= eps:
-            exceed += 1
+    exceed = _exceed_fraction(
+        trials, lambda t: float(d_box(random_subsequence(w, length, stream.substream(t)), w)) >= eps)
     bound = 4 * length * math.exp(-eps * eps * length / 300)
     note = ""
     if length < tail_floor(eps):
@@ -125,7 +126,7 @@ def subsequence_tail_experiment(
     return TailReport(
         trials=trials,
         threshold=eps,
-        exceed_fraction=exceed / trials,
+        exceed_fraction=exceed,
         bound=min(bound, 1.0),
         prng=PRNG_ID,
         seed=stream.seed,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .piecewise import PiecewisePoly, step_primitive
+from .piecewise import PiecewisePoly, grid_primitive
 from .words import BINARY, Word, pattern_counts, subsequence_count
 
 #: Forward constant: pattern-count error is at most 5 * eps * n^l for
@@ -40,7 +40,7 @@ def discrepancy(w: Word, d) -> tuple[Fraction, tuple[int, int]]:
     if len(w) == 0:
         return Fraction(0), (1, 0)
     # t[j] = q*S_j - p*j for d = p/q and the prefix sums S_j of w
-    _, t, _, q = step_primitive(w, PiecewisePoly.constant(d))
+    _, t, _, q = grid_primitive(w, PiecewisePoly.constant(d))
     jmax, jmin = t.index(max(t)), t.index(min(t))
     if jmax == jmin:
         return Fraction(0), (1, 1)
@@ -84,7 +84,7 @@ def best_uniformity(w: Word) -> UniformityReport:
     n = len(w)
     if n == 0:
         raise ValueError("word must be nonempty")
-    pts = list(enumerate(step_primitive(w)[1]))
+    pts = list(enumerate(grid_primitive(w)[1]))
     upper, lower = _hull(pts, 1), _hull(pts, -1)
     cands = {Fraction(0), Fraction(1)}
     for hull in (upper, lower):

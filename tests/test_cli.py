@@ -324,3 +324,63 @@ def test_serialization_round_trips(tmp_path):
     assert ser.permutation_from_text(ser.permutation_to_text(sigma)) == sigma
     part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
     assert ser.partition_from_obj(ser.partition_to_obj(part)) == part
+
+
+HALF_LIMIT = '{"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2"]}]}'
+PERM10 = ",".join(str(i) for i in range(1, 11))
+
+
+def _batch(name: str) -> str:
+    return json.dumps({"experiments": [
+        {"kind": "subsequence_tail", "name": name, "word": "0110", "length": 2, "eps": 0.5, "trials": 1}]})
+
+
+# argv (OUT stands for a fresh output directory) and a fragment of the message
+EDGE_INPUTS = {
+    "analyze-empty-word": (("analyze", ""), "word must be nonempty"),
+    "analyze-two-letters": (("analyze", "01"), "need length >= 3"),
+    "density-empty-pattern": (("density", "--word", "0110", "--pattern", ""), "pattern must be nonempty"),
+    "regularize-eps-0": (("regularize", "--limit", HALF_LIMIT, "--eps", "0"), "eps must lie in (0, 1)"),
+    "test-query-size-0": (("test", "--word", "0101", "--forbid", "10", "--query-size", "0"), "got 0"),
+    "permuton-grid-m-0": (("permuton", "density", "--grid", '{"m": 0, "mass": []}', "--pattern", "12"),
+                          "grid size m must be at least 1, got 0"),
+    "permuton-mc-trials-0": (("permuton", "density", "--grid", PERM10, "--pattern", "12345", "--trials", "0"),
+                             "Monte Carlo needs at least 1 trial, got 0"),
+    "permuton-sample-size-0": (("permuton", "sample", "--grid", "2,1,3", "--size", "0"),
+                               "pattern size must be at least 1, got 0"),
+    "permuton-sample-size-negative": (("permuton", "sample", "--grid", "2,1,3", "--size", "-1"),
+                                      "pattern size must be at least 1, got -1"),
+    **{
+        f"experiment-name-{label}": (("experiment", _batch(name), "--out", "OUT"),
+                                     f"experiment 0 needs a plain file name, got {name!r}")
+        for label, name in (("parent", "../evil"), ("slash", "a/b"), ("backslash", "a\\b"),
+                            ("empty", ""), ("dot", "."), ("dotdot", ".."))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_inputs_exit_1_with_one_error_line(name, tmp_path):
+    argv, message = EDGE_INPUTS[name]
+    out_dir = tmp_path / "results"
+    code, out, err = run_cli(*(str(out_dir) if a == "OUT" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+    assert not out_dir.exists() and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["tail_dbox", "subsequence_tail"])
+@pytest.mark.parametrize("trials", [0, -2])
+def test_experiments_with_fewer_than_one_trial_fail(tmp_path, kind, trials):
+    spec = {"kind": kind, "name": "e", "trials": trials}
+    if kind == "tail_dbox":
+        spec.update(limit=json.loads(HALF_LIMIT), n=20, a=0.1)
+    else:
+        spec.update(word="0110", length=2, eps=0.5)
+    code, out, err = run_cli("experiment", json.dumps({"experiments": [spec]}), "--out", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["experiments"] == [{
+        "name": "e", "status": "error",
+        "error": f"the tail experiment needs at least 1 trial, got {trials}"}]
+    assert list(tmp_path.iterdir()) == []

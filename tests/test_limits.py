@@ -23,6 +23,7 @@ from seqlimit import (
 from seqlimit import poly
 from seqlimit.piecewise import (
     LimitVector,
+    grid_primitive,
     require_unit_range,
 )
 from seqlimit.serialize import limitfn_to_obj
@@ -325,6 +326,35 @@ def random_unit_poly(stream: SeededStream, max_pieces: int = 4) -> PiecewisePoly
         pieces.append(poly.padd(poly.pscale(p, k), (a - k * min(vals),)))
     g = PiecewisePoly(tuple(bps), tuple(pieces))
     return g if not g.is_step() else random_unit_poly(stream.substream(1), max_pieces)
+
+
+def test_grid_primitive_is_the_generic_primitive_at_every_grid_point():
+    """grid_primitive(f, g) against H = (f - g).antiderivative() on the
+    generic route: the grid holds every breakpoint of f and g and nothing
+    else, and prim[k] / (bden * vden) = H(grid[k] / bden), for words of
+    1..200 letters against polynomial limits (breakpoints on a 97- or
+    12-grid, mostly off the word's grid), steps against polynomials,
+    words and steps, and words and steps against 0."""
+    stream = SeededStream(30)
+    rng = stream.generator()
+    cases = []
+    for t, n in enumerate(rng.integers(1, 201, size=20)):
+        w = random_word(stream.substream(4 * t), int(n))
+        g = random_unit_poly(stream.substream(4 * t + 1))
+        s = random_step_irregular(stream.substream(4 * t + 2), max_steps=7)
+        r = random_step_irregular(stream.substream(4 * t + 3), max_steps=7, den=7 + t, bden=30 + t)
+        cases += [(w, g), (s, g), (w, s), (s, w), (s, r), (w, W("01" * t + "1")), (w,), (s,)]
+    off_grid = 0
+    for f, *g in cases:
+        grid, prim, bden, vden = grid_primitive(f, *g)
+        fns = [PiecewisePoly.associated(x) if isinstance(x, Word) else x for x in (f, *g)]
+        bps = set().union(*(h.breakpoints for h in fns))
+        assert [Fraction(x, bden) for x in grid] == sorted(bps)
+        H = (fns[0] - fns[1] if g else fns[0]).antiderivative()
+        assert [Fraction(p, bden * vden) for p in prim] == [H(Fraction(x, bden)) for x in grid]
+        if isinstance(f, Word) and g and not isinstance(g[0], Word):
+            off_grid += any((b * len(f)).denominator != 1 for b in g[0].breakpoints)
+    assert off_grid >= 10
 
 
 def test_word_sweep_against_polynomials_matches_the_generic_path():
