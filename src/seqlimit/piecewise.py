@@ -298,7 +298,8 @@ def _scaled_breakpoints(fs) -> tuple[int, list[list[int]]]:
 
 def _scaled_values(fs, vden: int = 1) -> tuple[int, list[list[int]]]:
     """Values of words (the indicator of letter 1) or step functions times
-    the least common denominator that vden divides, as Python ints."""
+    a common denominator, the lcm of vden and their values' denominators,
+    as Python ints."""
     if not all(map(_is_step, fs)):
         raise ValueError("the integer sweep needs words or step functions")
     vden = math.lcm(vden, *(p[0].denominator for f in fs if not isinstance(f, Word) for p in f.pieces if p))
