@@ -9,8 +9,10 @@ densities, `Fraction` prefix sums for their box distance), from the
 tuple-state dict DP for the distance to a forbidden family, from the
 per-letter Python DP for the pattern counts of words, from the
 n-piece step function of a word for its distances to polynomial limits
-(but for the `word-cubic-end` pair, see CUBIC_END), and from the
-per-letter generators that built f-random words.  Any change
+(but for the `word-cubic-end` pair, see CUBIC_END), from the
+per-letter generators that built f-random words, and from permuton
+Monte Carlo cells drawn by `Generator.choice` on grids read token by
+token with `Fraction(str)`.  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -144,6 +146,51 @@ PERMUTON = {
     "permuton-sample-big-den": ("--seed", "20", "permuton", "sample", "--grid", GBIG, "--size", "4", "--count", "6"),
 }
 
+
+def _mass(m: int, rows) -> str:
+    return json.dumps({"m": m, "mass": rows})
+
+
+# row 0 puts all its mass in its last cell, so the first m - 1 cells in
+# row-major order (where the Monte Carlo cell sampler starts) have none
+ZERO_LEAD = _mass(5, [["0", "0", "0", "0", "1/5"], ["1/10", "0", "0", "1/10", "0"],
+                      ["0", "1/10", "1/10", "0", "0"], ["0", "1/10", "1/10", "0", "0"],
+                      ["1/10", "0", "0", "1/10", "0"]])
+G1 = _mass(1, [["1"]])
+
+# Monte Carlo over several 4096-trial batches (20000 = 4 * 4096 + 3616,
+# 4097 = 4096 + 1), on leading zero-mass cells, a single cell and masses
+# over a denominator above 2^63; samples on the last three
+PERMUTON_MC = {
+    "permuton-density-grid-mc-k5-m30-t20000": (
+        "--seed", "21", "permuton", "density", "--grid", G30, "--pattern", "31524", "--trials", "20000"),
+    "permuton-density-grid-mc-k4-m30-t4097": (
+        "--seed", "22", "permuton", "density", "--grid", G30, "--pattern", "2143", "--trials", "4097"),
+    "permuton-density-grid-mc-k5-zero-lead": (
+        "--seed", "23", "permuton", "density", "--grid", ZERO_LEAD, "--pattern", "14253", "--trials", "3000"),
+    "permuton-density-grid-mc-k5-m1": (
+        "--seed", "24", "permuton", "density", "--grid", G1, "--pattern", "12345", "--trials", "3000"),
+    "permuton-density-grid-mc-k5-big-den": (
+        "--seed", "25", "permuton", "density", "--grid", GBIG, "--pattern", "52143", "--trials", "3000"),
+    "permuton-sample-zero-lead": (
+        "--seed", "26", "permuton", "sample", "--grid", ZERO_LEAD, "--size", "4", "--count", "6"),
+    "permuton-sample-m1": ("--seed", "27", "permuton", "sample", "--grid", G1, "--size", "3", "--count", "4"),
+}
+
+# grid files that spell cell masses in other ways than canonical "p/q"
+SPELLED = {
+    "two-sixths": _mass(2, [["2/6", "1/6"], ["1/6", "2/6"]]),
+    "decimal-and-json-0": _mass(2, [["0.5", 0], [0, "1/2"]]),
+    "json-0.25": _mass(2, [["0.25", 0.25], [0.25, "1/4"]]),
+    "space-and-plus": _mass(3, [[" 1/3", "0", "0"], ["0", "+1/9", "2/9"], ["0", "2/9", "+1/9 "]]),
+    "exponent": _mass(2, [["1e-1", "4e-1"], ["4e-1", "1e-1"]]),
+    "leading-zeros": _mass(2, [["007/28", "1/4"], ["1/4", "0007/028"]]),
+}
+PERMUTON_SPELLED = {
+    f"permuton-density-spelled-{name}": ("permuton", "density", "--grid", grid, "--pattern", "21")
+    for name, grid in SPELLED.items()
+}
+
 def _ternary(n: int, a: int, b: int, m: int) -> str:
     """Deterministic pseudo-random word over a, b, c as a word JSON."""
     letters = "".join("abc"[(a * i * i + b * i) % m % 3] for i in range(n))
@@ -240,6 +287,8 @@ CORPUS = {
     "forcibility-three-branch-candidate": (
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
     **PERMUTON,
+    **PERMUTON_MC,
+    **PERMUTON_SPELLED,
     **TESTER,
     **WORD_DENSITY,
     **SAMPLE,
@@ -340,6 +389,19 @@ DIGESTS = {
     "permuton-distance-m30-m20": "cc6bedb56850f370ebb7b49c8d55405d0074e8e40dbad6ac7affd72c7998479b",
     "permuton-sample-big-den": "d17bec4a18ea6899c58ce7dd40f97a96335e0648ba3d4e927c274fb92ad5afe1",
     "permuton-sample-m30": "78e2c0f7afbc62b8fa9911226489b34ec39f8d7ef65969d738e4077dc3e38aa5",
+    "permuton-density-grid-mc-k4-m30-t4097": "bdde1e2a5113b5dc29cc7096356d13a7fea6b2fcb328744332db0b66abb58148",
+    "permuton-density-grid-mc-k5-big-den": "2611cfc9d2f48723d2bdc96e002e75f3f4f1f0d4445ea7431628b9a96c69cdbc",
+    "permuton-density-grid-mc-k5-m1": "a5e751c32f4a00a10c1e0f952af8b161b26bad27b22ce1834d3c3bbe3b0649aa",
+    "permuton-density-grid-mc-k5-m30-t20000": "9716bfcc339a60f9a2f1f664694354d9423f6a0d440d4ec0810e385d116c5738",
+    "permuton-density-grid-mc-k5-zero-lead": "5b44bce617132b3dc379d455efc4b4e70d074da0d5292ac7e6c84ea03611033a",
+    "permuton-density-spelled-decimal-and-json-0": "5cdc8bc04065dd95d0757694b918cd100a5eb018660c4638b2aa1a862c4c58b6",
+    "permuton-density-spelled-exponent": "777bb1ab950eded5dbb05fd24538d6b676d1facf1bea3d07d9d168e1c5300f84",
+    "permuton-density-spelled-json-0.25": "876be3cb5422a8b4637656cfdcd5c99f04b8df610bce5dfac456c66598a96311",
+    "permuton-density-spelled-leading-zeros": "876be3cb5422a8b4637656cfdcd5c99f04b8df610bce5dfac456c66598a96311",
+    "permuton-density-spelled-space-and-plus": "d4de99f7559a86f7688810e8e555ffd20c9ca2c5afe3289a3fbeb3b3033a50b7",
+    "permuton-density-spelled-two-sixths": "2698a6be72a4933b6a7e8c31d76932db3c05d66afd678b33f26afe656b0aebbe",
+    "permuton-sample-m1": "88a81cae834b1eaa2acc06e8acc6432ebb04d15f3a3c3c9555b91c9c2698d80f",
+    "permuton-sample-zero-lead": "3dfcd022a7f8fe7b2671312e77793fd599e988663b235cbd5e720449a761ca73",
     "sample-quad3": "357752d41f8eba0fffe942479f009146dec22aecaea8918b94a5bc5f8c89886f",
     "sample-step": "f0a2ade51bc4c45b6f96b712f2355bd3539176ddcee46998495e8a505a3bbfc2",
     "sample-ternary": "ca0d4a481d439057528bc5a230a1779ccc7ad16ec19fd8675713956a8f826f64",
@@ -356,6 +418,31 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+LONG_DIGITS = "1" * 4301  # above the int/str conversion limit of 4300 digits
+LIMIT_MESSAGE = ("error: Exceeds the limit (4300 digits) for integer string conversion: "
+                 "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit\n")
+
+# grid files that are refused, with the one stderr line of each
+BAD_GRIDS = {
+    "zero-denominator": (_mass(1, [["1/0"]]), "error: Fraction(1, 0)\n"),
+    "not-a-number": (_mass(1, [["x"]]), "error: Invalid literal for Fraction: 'x'\n"),
+    "negative": (_mass(3, [["-1/9", "2/9", "2/9"], ["2/9", "1/9", "0"], ["2/9", "0", "1/9"]]),
+                 "error: cell masses must be nonnegative\n"),
+    "short-row": (_mass(2, [["1/2"], ["1/4", "1/4"]]), "error: mass must be an m x m table\n"),
+    "long-numerator": (_mass(1, [[LONG_DIGITS]]), LIMIT_MESSAGE),
+    "long-denominator": (_mass(1, [["1/" + LONG_DIGITS]]), LIMIT_MESSAGE),
+    "leading-zeros-wrong-mass": (_mass(1, [["007"]]), "error: row 0 mass 7 != 1/1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_bad_grid_files_exit_1_with_the_same_message(name):
+    grid, message = BAD_GRIDS[name]
+    for argv in (("permuton", "density", "--grid", grid, "--pattern", "21"),
+                 ("--seed", "3", "permuton", "sample", "--grid", grid, "--size", "3")):
+        assert run_cli(*argv) == (1, "", message)
 
 
 def test_density_word_pattern_longer_than_word_exits_1():
