@@ -376,12 +376,16 @@ def _cmd_experiment(args, stream) -> dict:
     specs = batch.get("experiments", [])
     if not isinstance(specs, list):
         raise CliError('"experiments" must be a list')
+    first_of: dict[str, int] = {}
     for idx, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise CliError(f"experiment {idx} must be a JSON object, got {spec!r}")
         name = str(spec.get("name", f"experiment-{idx}"))
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise CliError(f"experiment {idx} needs a plain file name, got {name!r}")
+        if name in first_of:
+            raise CliError(f"experiments {first_of[name]} and {idx} would both write {name}.json")
+        first_of[name] = idx
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = []

@@ -20,7 +20,13 @@ nondecreasing cell tuples with their collision weights; the box
 distance is an O(L^3) sweep over integer prefix sums.  Kernels use int64
 where a bound proves it exact and Python ints otherwise.  Larger
 patterns and larger grids fall back to Monte Carlo with a reported
-standard error.
+standard error.  Its cells come from a guide table cached on the measure
+(Chen & Asau's inverse-transform method), which maps every uniform to
+the cell that Generator.choice's binary search over the same float cdf
+picks, so a seeded estimate equals the one drawn with rng.choice; a
+sample is a hit when its y values, taken in x order and permuted by
+tau's inverse, strictly increase (rows with tied y values are decided
+by argsort, as before).
 """
 
 from __future__ import annotations
@@ -330,6 +336,47 @@ class GridMeasure:
         probs.flags.writeable = False
         return probs
 
+    @cached_property
+    def _cell_sampler(self) -> "_GuideTable":
+        """Sampler of row-major cell indices with probabilities _cell_probs."""
+        return _GuideTable(self._cell_probs)
+
+
+class _GuideTable:
+    """Inverse-transform sampling from a float distribution with a guide
+    table (Chen & Asau, AIIE Trans. 6(2), 1974), drawing the same indices
+    as Generator.choice(len(probs), size, p=probs) from the same stream.
+
+    choice draws u = rng.random(size) and returns cdf.searchsorted(u,
+    side="right"), with cdf = probs.cumsum() / its last entry: the first
+    j with cdf[j] > u.  That j is a point where the float cdf strictly
+    increases, so only those points are kept (c, in order, with their
+    indices).  The table has T >= len(c) buckets, T a power of two, so
+    u * T and b / T are exact and floor(u * T) = b < T gives
+    b / T <= u; start[b], the first t with c[t] > b / T, is then at or
+    before the answer, which the draw reaches by stepping right while
+    c[t] <= u.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self.index = np.flatnonzero(cdf > np.concatenate(([0.0], cdf[:-1])))
+        self.c = cdf[self.index]
+        self.T = 1 << (len(self.c) - 1).bit_length()
+        self.start = self.c.searchsorted(np.arange(self.T) / self.T, side="right")
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        u = rng.random(shape)
+        flat = u.ravel()
+        t = self.start[(flat * self.T).astype(np.intp)]
+        c = self.c
+        j = np.flatnonzero(c[t] <= flat)
+        while j.size:
+            t[j] += 1
+            j = j[c[t[j]] <= flat[j]]
+        return self.index[t].reshape(u.shape)
+
 
 # entries of one dense m^k density tensor (128 MB as int64): size 3 up to
 # m = 256, size 4 up to m = 64; beyond it t_grid answers by Monte Carlo
@@ -432,6 +479,31 @@ def _t_grid_exact(tau: Permutation, mu: GridMeasure) -> Fraction:
     return _density(tau, *_grid_tensors(mu, len(tau)), mu.den)
 
 
+def _pattern_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> int:
+    """Rows of points (xs, ys) whose pattern is tau, with inv = argsort(tau).
+
+    The y-ranks equal tau exactly when sorting the y values visits the
+    x-ranks in the order of inv, np.all(np.argsort(yo) == inv) with yo
+    the y values in x order; without ties in yo that holds exactly when
+    yo[inv] strictly increases.  A row whose yo[inv] only weakly
+    increases has a tie, which argsort breaks its own way, so such rows
+    are decided by argsort as before.
+    """
+    order = np.argsort(xs, axis=1)
+    cols = np.take_along_axis(ys, order[:, inv], axis=1).T  # yo[:, inv], column by column
+    hit = np.ones(len(xs), dtype=bool)
+    weak = hit.copy()
+    for lo, hi in zip(cols[:-1], cols[1:]):
+        hit &= hi > lo
+        weak &= hi >= lo
+    tie = weak & ~hit
+    if tie.any():
+        rows = np.flatnonzero(tie)
+        yo = np.take_along_axis(ys[rows], order[rows], axis=1)
+        hit[rows] = np.all(np.argsort(yo, axis=1) == inv, axis=1)
+    return int(np.count_nonzero(hit))
+
+
 def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> MCEstimate:
     if trials < 1:
         raise ValueError(f"Monte Carlo needs at least 1 trial, got {trials}")
@@ -439,20 +511,16 @@ def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: 
     hits = 0
     batch = 4096
     rng = stream.generator()
-    probs = mu._cell_probs
+    sampler = mu._cell_sampler
     m = mu.m
-    # the y-ranks equal tau exactly when sorting the y values visits the
-    # x-ranks in the order of tau's inverse
     inv = np.argsort(tau.values)
     done = 0
     while done < trials:
         b = min(batch, trials - done)
-        cells = rng.choice(m * m, size=(b, k), p=probs)
+        cells = sampler.draw(rng, (b, k))
         xs = cells // m + rng.random((b, k))
         ys = cells % m + rng.random((b, k))
-        order = np.argsort(xs, axis=1)
-        yo = np.take_along_axis(ys, order, axis=1)
-        hits += int(np.sum(np.all(np.argsort(yo, axis=1) == inv, axis=1)))
+        hits += _pattern_hits(xs, ys, inv)
         done += b
     p = hits / trials
     return MCEstimate(
@@ -481,7 +549,7 @@ def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation
         raise ValueError(f"pattern size must be at least 1, got {k}")
     rng = stream.generator()
     m = mu.m
-    cells = rng.choice(m * m, size=k, p=mu._cell_probs)
+    cells = mu._cell_sampler.draw(rng, k)
     xs = cells // m + rng.random(k)
     ys = cells % m + rng.random(k)
     return pattern_of(zip(xs.tolist(), ys.tolist()))

@@ -8,6 +8,12 @@ Interchange formats:
   grid        JSON {"m": n, "mass": [["1/4", ...], ...]}
   permutation one-line CSV "2,1,4,3"
   partition   JSON {"breakpoints": [...]}
+
+Rationals are read by parse_frac exactly as Fraction(str) reads them.
+A JSON integer or an ASCII-digit "p" or "p/q" with q > 0 is read as the
+pair (p, q) with int() (_ratio); every other spelling, and every error,
+is Fraction(str)'s.  A grid reads each distinct token once and becomes
+integer cell masses without a Fraction per cell.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import json
 import math
 import re
 from fractions import Fraction
+
+import numpy as np
 
 from .piecewise import LimitVector, PiecewisePoly, require_unit_range
 from .permutons import GridMeasure, Permutation
@@ -27,8 +35,33 @@ def frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_INT64 = 1 << 64
+
+
+def _ratio(token) -> tuple[int, int] | None:
+    """(num, den) for a plain ratio token: an int of at most 64 bits (a
+    JSON integer) or a str "p" or "p/q" of ASCII digits with q nonzero.
+    None for every other spelling, which Fraction(str(token)) then reads
+    or refuses with its own message (signs, spaces, decimals, exponents,
+    underscores, non-ASCII digits, a zero denominator, bools, floats,
+    digit strings beyond the int/str conversion limit)."""
+    if type(token) is int:
+        return (token, 1) if -_INT64 < token < _INT64 else None
+    if type(token) is not str:
+        return None
+    num, slash, den = token.partition("/")
+    if not (num.isascii() and num.isdigit()) or slash and not (den.isascii() and den.isdigit()):
+        return None
+    try:
+        q = int(den) if slash else 1
+        return (int(num), q) if q else None
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 def parse_frac(text) -> Fraction:
-    return Fraction(str(text))
+    pair = _ratio(text)
+    return Fraction(*pair) if pair else Fraction(str(text))
 
 
 def float_str(x: float) -> str:
@@ -126,10 +159,33 @@ def grid_to_obj(mu: GridMeasure) -> dict:
 
 
 def grid_from_obj(obj: dict) -> GridMeasure:
-    return GridMeasure(
-        int(obj["m"]),
-        tuple(tuple(parse_frac(v) for v in row) for row in obj["mass"]),
-    )
+    """The grid measure of {"m": m, "mass": rows}.  Each token is read by
+    parse_frac, in row-major order as GridMeasure(m, table) would see
+    it, but a str token only once: a grid repeats a few tokens.  An
+    m x m table then goes straight to integer cell masses over the lcm
+    of the denominators; any other shape is refused by GridMeasure."""
+    m = int(obj["m"])
+    seen: dict[str, tuple[int, int]] = {}
+
+    def ratio(v) -> tuple[int, int]:
+        if type(v) is str and v in seen:
+            return seen[v]
+        f = parse_frac(v)
+        pair = f.numerator, f.denominator
+        if type(v) is str:
+            seen[v] = pair
+        return pair
+
+    pairs = [[ratio(v) for v in row] for row in obj["mass"]]
+    if m < 1 or len(pairs) != m or any(len(row) != m for row in pairs):
+        return GridMeasure(m, [[Fraction(p, q) for p, q in row] for row in pairs])
+    den = math.lcm(*{q for row in pairs for _, q in row})
+    cells = [[p * (den // q) for p, q in row] for row in pairs]
+    try:
+        ints = np.array(cells, dtype=np.int64)
+    except OverflowError:
+        ints = np.array(cells, dtype=object)
+    return GridMeasure._of_ints(m, ints, den)
 
 
 def permutation_to_text(sigma: Permutation) -> str:

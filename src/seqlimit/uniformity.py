@@ -233,6 +233,8 @@ def quasirandomness_report(w: Word, d=None, num_frequencies: int = 4) -> Quasira
     n = len(w)
     if n == 0:
         raise ValueError("word must be nonempty")
+    if num_frequencies < 0:
+        raise ValueError(f"the number of frequencies must be nonnegative, got {num_frequencies}")
     if d is None:
         d = Fraction(w.weight(), n)
     d = Fraction(d)

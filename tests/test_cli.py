@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqlimit
@@ -326,19 +327,102 @@ def test_serialization_round_trips(tmp_path):
     assert ser.partition_from_obj(ser.partition_to_obj(part)) == part
 
 
+LONG = "1" * 4301  # above the int/str conversion limit of 4300 digits
+
+# grid mass tokens: plain ratios, and spellings only Fraction(str) reads or refuses
+TOKENS = [
+    "0", "1", "1/3", "2/6", "007", "007/028", "0/5", "12345678901234567890/3", "9" * 4300,
+    "1/0", "0/0", "x", "", " ", "/", "1/", "/3", "1/3/5", "-1/9", "+1/9", "-0", " 1/3", "1/3 ",
+    "\t1/3\n", "1 /3", "1/ 3", "0.5", ".5", "5.", "1e-1", "1E2", "1_0", "1_0/3", "1__0", "_1",
+    "1_", "\u00b2", "\u0663", "1/\u0663", "\u0661\u0662/3", "\u216b", "\uff11", "0x10", "inf", "nan",
+    LONG, "1/" + LONG, LONG + "/1",
+    0, 1, -1, 7, 2**63, 2**64 - 1, 2**64, -(2**64), 10**30, True, False, 0.25, 0.1, 1e300,
+    math.nan, None, [1], {"a": 1}, Fraction(1, 3),
+]
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _grid_by_fractions(obj):
+    return GridMeasure(int(obj["m"]), tuple(tuple(Fraction(str(v)) for v in row) for row in obj["mass"]))
+
+
+@pytest.mark.parametrize("i", range(len(TOKENS)))
+def test_token_reader_agrees_with_fraction_of_str(i):
+    token = TOKENS[i]
+    assert _outcome(ser.parse_frac, token) == _outcome(lambda t: Fraction(str(t)), token)
+    pair = ser._ratio(token)
+    if pair is not None:
+        assert Fraction(*pair) == Fraction(str(token))
+    # as the mass of a 1-grid and beside canonical tokens in a 2-grid
+    for obj in ({"m": 1, "mass": [[token]]},
+                {"m": 2, "mass": [["1/4", token], ["1/4", "1/4"]]}):
+        assert _outcome(ser.grid_from_obj, obj) == _outcome(_grid_by_fractions, obj)
+
+
+def test_malformed_grid_tables_fail_as_the_fraction_path_does():
+    tables = [
+        (2, [["1/2", "0"], 5]), (2, [["x", "0"], 5]), (2, [["1/2"], 5]), (2, 5), (2, []),
+        (2, [["1/4", "1/4"], ["1/4", "1/4"], ["0", "0"]]), (2, [["1/4", "1/4"], ["1/4", "1/4", "0"]]),
+        (2, ["ab", "cd"]), (1, ["1"]), (0, []), (-1, [["1"]]), ("2", [["1/4", "1/4"], ["1/4", "1/4"]]),
+        (2.5, [["1/4", "1/4"], ["1/4", "1/4"]]), (1, [[["1"]]]), (1, [[{"1": 1}]]),
+    ]
+    for m, mass in tables:
+        obj = {"m": m, "mass": mass}
+        assert _outcome(ser.grid_from_obj, obj) == _outcome(_grid_by_fractions, obj), obj
+    assert _outcome(ser.grid_from_obj, {"mass": []}) == (KeyError, "'m'")
+
+
+def test_plain_ratio_grids_load_without_fraction_parsing(monkeypatch):
+    # a grid as perfbench writes them: three permutation measures of
+    # weight 1/3 each, masses in lowest terms
+    rng = SeededStream(103).generator()
+    m = 30
+    mass = [[Fraction(0)] * m for _ in range(m)]
+    for _ in range(3):
+        for i, v in enumerate(rng.permutation(m).tolist()):
+            mass[i][v] += Fraction(1, 3 * m)
+    obj = json.loads(json.dumps({"m": m, "mass": [[str(v) for v in row] for row in mass]}))
+    want = GridMeasure(m, mass)
+
+    def no_str(*args):
+        if isinstance(args[0], str):
+            raise AssertionError(f"Fraction(str) fallback taken for {args[0]!r}")
+        return Fraction(*args)
+
+    monkeypatch.setattr(ser, "Fraction", no_str)
+    got = ser.grid_from_obj(obj)
+    assert got == want and got.mass == want.mass and got.cells.dtype == np.int64
+    with pytest.raises(AssertionError, match="fallback taken for '1.0'"):
+        ser.grid_from_obj({"m": 1, "mass": [["1.0"]]})
+
+
 HALF_LIMIT = '{"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2"]}]}'
 PERM10 = ",".join(str(i) for i in range(1, 11))
 
 
-def _batch(name: str) -> str:
-    return json.dumps({"experiments": [
-        {"kind": "subsequence_tail", "name": name, "word": "0110", "length": 2, "eps": 0.5, "trials": 1}]})
+def _batch(*names) -> str:
+    """One subsequence_tail experiment per name; None leaves the name out."""
+    specs = [{"kind": "subsequence_tail", "word": "0110", "length": 2, "eps": 0.5, "trials": 1}
+             for _ in names]
+    for spec, name in zip(specs, names):
+        if name is not None:
+            spec["name"] = name
+    return json.dumps({"experiments": specs})
 
 
 # argv (OUT stands for a fresh output directory) and a fragment of the message
 EDGE_INPUTS = {
     "analyze-empty-word": (("analyze", ""), "word must be nonempty"),
     "analyze-two-letters": (("analyze", "01"), "need length >= 3"),
+    "analyze-frequencies-negative": (("analyze", "0110100", "--frequencies", "-1"),
+                                     "the number of frequencies must be nonnegative, got -1"),
     "density-empty-pattern": (("density", "--word", "0110", "--pattern", ""), "pattern must be nonempty"),
     "regularize-eps-0": (("regularize", "--limit", HALF_LIMIT, "--eps", "0"), "eps must lie in (0, 1)"),
     "test-query-size-0": (("test", "--word", "0101", "--forbid", "10", "--query-size", "0"), "got 0"),
@@ -356,6 +440,13 @@ EDGE_INPUTS = {
         for label, name in (("parent", "../evil"), ("slash", "a/b"), ("backslash", "a\\b"),
                             ("empty", ""), ("dot", "."), ("dotdot", ".."))
     },
+    # two entries that would write one file, compared as str(name)
+    "experiment-name-repeated": (("experiment", _batch("x", "y", "x"), "--out", "OUT"),
+                                 "experiments 0 and 2 would both write x.json"),
+    "experiment-name-default-repeated": (("experiment", _batch("experiment-1", None), "--out", "OUT"),
+                                         "experiments 0 and 1 would both write experiment-1.json"),
+    "experiment-name-int-and-str": (("experiment", _batch(7, "7"), "--out", "OUT"),
+                                    "experiments 0 and 1 would both write 7.json"),
 }
 
 

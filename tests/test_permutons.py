@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from seqlimit import (
@@ -19,7 +20,10 @@ from seqlimit import (
 )
 from seqlimit.permutons import (
     MCEstimate,
+    _GuideTable,
     _grid_tensors,
+    _pattern_hits,
+    _t_grid_mc,
     grid_density_table,
     pattern_count_perm,
     pattern_of,
@@ -291,6 +295,115 @@ def test_t_grid_monte_carlo_within_stderr_of_exact():
     assert abs(est3.value - float(exact)) <= 4 * est3.stderr + 1e-9
     with pytest.raises(ValueError):
         t_grid(Permutation((1, 2, 3, 4, 5)), mu)  # needs a stream
+
+
+def _sampler_grids() -> list[GridMeasure]:
+    """Five grids per m = 1..40: sparse blends of random permutations, a
+    dense one, one whose first m - 1 cells (row-major) have no mass, and
+    one over two primes near 2^40, where the cells of the 2 / (P1 P2)
+    weight do not move the float cdf at all."""
+    stream = SeededStream(87)
+    grids = []
+    for m in range(1, 41):
+        sub = stream.substream(m)
+        grids.append(GridMeasure.random(m, sub.substream(0), blend=1 + m % 3))
+        grids.append(GridMeasure.random(m, sub.substream(1), blend=2 * m))
+        grids.append(GridMeasure(1, ((1,),)).refine(m) if m % 2 else
+                     mixture(m, (1, 3, 5, 7), sub.substream(2)))
+        last_first = (m,) + tuple(range(1, m))  # row 0 puts its mass in the last column
+        grids.append(GridMeasure.from_permutation(Permutation(last_first)))
+        grids.append(mixture(m, BIG_WEIGHTS, sub.substream(3)))
+    return grids
+
+
+def test_guide_table_draws_the_cells_generator_choice_draws():
+    shapes = [(4097, 5), (1,), 7, (3, 11), (8191,), (0,)]
+    stream = SeededStream(88)
+    grids = _sampler_grids()
+    assert len(grids) >= 200
+    for t, mu in enumerate(grids):
+        shape = shapes[t % len(shapes)]
+        sub = stream.substream(t)
+        fast, slow = sub.generator(), sub.generator()
+        got = mu._cell_sampler.draw(fast, shape)
+        want = slow.choice(mu.m * mu.m, size=shape, p=mu._cell_probs)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (t, mu.m)
+        assert fast.random() == slow.random()  # the same draws were consumed
+    assert grids[0]._cell_sampler is grids[0]._cell_sampler
+
+
+def test_guide_table_on_float_distributions_with_flat_cdf_steps():
+    # masses far below one ulp of the running cdf, exact zeros at both ends,
+    # and a single cell
+    rng = SeededStream(89).generator()
+    for n in (1, 2, 3, 17, 900, 5000):
+        for tiny in (0.0, 1e-30, 1e-17):
+            p = rng.random(n) * (rng.random(n) < 0.5)
+            p[rng.random(n) < 0.2] = tiny
+            p[0] = p[-1] = 0.0
+            if not p.any():
+                p[n // 2] = 1.0
+            p /= p.sum()
+            sampler = _GuideTable(p)
+            assert sampler.T >= len(sampler.c) and sampler.T & (sampler.T - 1) == 0
+            seed = int(rng.integers(1 << 62))
+            fast = np.random.Generator(np.random.Philox(seed))
+            slow = np.random.Generator(np.random.Philox(seed))
+            assert np.array_equal(sampler.draw(fast, (2000, 3)), slow.choice(n, size=(2000, 3), p=p))
+
+
+def _t_grid_mc_with_choice(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> int:
+    """Hit count of the Monte Carlo kernel as it drew cells with
+    Generator.choice and decided hits by two argsorts."""
+    k, m = len(tau), mu.m
+    rng = stream.generator()
+    inv = np.argsort(tau.values)
+    hits = done = 0
+    while done < trials:
+        b = min(4096, trials - done)
+        cells = rng.choice(m * m, size=(b, k), p=mu._cell_probs)
+        xs = cells // m + rng.random((b, k))
+        ys = cells % m + rng.random((b, k))
+        yo = np.take_along_axis(ys, np.argsort(xs, axis=1), axis=1)
+        hits += int(np.sum(np.all(np.argsort(yo, axis=1) == inv, axis=1)))
+        done += b
+    return hits
+
+
+def test_monte_carlo_hits_match_the_choice_and_argsort_kernel():
+    stream = SeededStream(90)
+    grids = [GridMeasure.random(m, stream.substream(m), blend=3) for m in (1, 4, 9, 30)]
+    grids += [mixture(5, BIG_WEIGHTS, stream.substream(50)),
+              GridMeasure.from_permutation(P("4123"))]
+    cases = 0
+    for g, mu in enumerate(grids):
+        for k in range(1, 7):
+            tau = Permutation(tuple(int(v) + 1 for v in stream.substream(100 + k).generator().permutation(k)))
+            for trials in (1, 4097, 9000):
+                sub = stream.substream(1000 * g + 10 * k + trials % 7)
+                est = _t_grid_mc(tau, mu, sub, trials)
+                assert est.value == _t_grid_mc_with_choice(tau, mu, sub, trials) / trials
+                cases += 1
+    assert cases == 108
+
+
+def test_pattern_hits_decide_y_ties_as_argsort_does():
+    # points in x order (xs increasing), y values with ties inside a row
+    k = 3
+    ys = np.array([[0.5, 0.5, 0.7], [0.5, 0.5, 0.2], [0.7, 0.5, 0.5], [0.1, 0.2, 0.3],
+                   [0.3, 0.3, 0.3], [0.9, 0.1, 0.5], [0.2, 0.4, 0.4]])
+    xs = np.tile(np.arange(k, dtype=float), (len(ys), 1))
+    strict_differs = False
+    for vals in itertools.permutations(range(1, k + 1)):
+        inv = np.argsort(vals)
+        old = np.all(np.argsort(ys, axis=1) == inv, axis=1)
+        strict = np.all(np.diff(ys[:, inv], axis=1) > 0, axis=1)
+        strict_differs |= bool((old != strict).any())
+        assert _pattern_hits(xs, ys, inv) == int(old.sum())
+        # the same rows with the points drawn in another order
+        perm = [2, 0, 1]
+        assert _pattern_hits(xs[:, perm], ys[:, perm], inv) == int(old.sum())
+    assert strict_differs  # without the tie rule the counts would differ
 
 
 def test_identity_refinement_trend():
