@@ -242,17 +242,34 @@ class GridMeasure:
 
     def __init__(self, m: int, mass):
         table = [[v if isinstance(v, Fraction) else Fraction(v) for v in row] for row in mass]
-        if m >= 1 and (len(table) != m or any(len(row) != m for row in table)):
-            raise ValueError("mass must be an m x m table")
-        den = math.lcm(*(v.denominator for row in table for v in row))
-        ints = [[v.numerator * (den // v.denominator) for v in row] for row in table]
-        self._init(m, np.array(ints, dtype=object), den)
+        self._init_ratios(m, [[(v.numerator, v.denominator) for v in row] for row in table])
+
+    @classmethod
+    def _of_ratios(cls, m: int, pairs) -> "GridMeasure":
+        """The measure with mass p / q in each cell, from a table of int
+        pairs (p, q) with q > 0."""
+        mu = cls.__new__(cls)
+        mu._init_ratios(m, pairs)
+        return mu
 
     @classmethod
     def _of_ints(cls, m: int, cells: np.ndarray, den: int) -> "GridMeasure":
         mu = cls.__new__(cls)
         mu._init(m, cells, den)
         return mu
+
+    def _init_ratios(self, m: int, pairs) -> None:
+        """Validate the m x m table of masses p / q and store it over the
+        lcm of the q (int64 cells when they fit, else Python ints)."""
+        if m >= 1 and (len(pairs) != m or any(len(row) != m for row in pairs)):
+            raise ValueError("mass must be an m x m table")
+        den = math.lcm(*{q for row in pairs for _, q in row})
+        cells = [[p * (den // q) for p, q in row] for row in pairs] if m >= 1 else []
+        try:
+            ints = np.array(cells, dtype=np.int64)
+        except OverflowError:
+            ints = np.array(cells, dtype=object)
+        self._init(m, ints, den)
 
     def _init(self, m: int, cells: np.ndarray, den: int) -> None:
         """Validate cells / den and store it over the least denominator."""

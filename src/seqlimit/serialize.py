@@ -23,8 +23,6 @@ import math
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from .piecewise import LimitVector, PiecewisePoly, require_unit_range
 from .permutons import GridMeasure, Permutation
 from .regularity import IntervalPartition
@@ -160,10 +158,9 @@ def grid_to_obj(mu: GridMeasure) -> dict:
 
 def grid_from_obj(obj: dict) -> GridMeasure:
     """The grid measure of {"m": m, "mass": rows}.  Each token is read by
-    parse_frac, in row-major order as GridMeasure(m, table) would see
-    it, but a str token only once: a grid repeats a few tokens.  An
-    m x m table then goes straight to integer cell masses over the lcm
-    of the denominators; any other shape is refused by GridMeasure."""
+    parse_frac, in row-major order, but a str token only once (a grid
+    repeats a few tokens), and the masses go to GridMeasure as integer
+    pairs, without a Fraction per cell."""
     m = int(obj["m"])
     seen: dict[str, tuple[int, int]] = {}
 
@@ -176,16 +173,7 @@ def grid_from_obj(obj: dict) -> GridMeasure:
             seen[v] = pair
         return pair
 
-    pairs = [[ratio(v) for v in row] for row in obj["mass"]]
-    if m < 1 or len(pairs) != m or any(len(row) != m for row in pairs):
-        return GridMeasure(m, [[Fraction(p, q) for p, q in row] for row in pairs])
-    den = math.lcm(*{q for row in pairs for _, q in row})
-    cells = [[p * (den // q) for p, q in row] for row in pairs]
-    try:
-        ints = np.array(cells, dtype=np.int64)
-    except OverflowError:
-        ints = np.array(cells, dtype=object)
-    return GridMeasure._of_ints(m, ints, den)
+    return GridMeasure._of_ratios(m, [[ratio(v) for v in row] for row in obj["mass"]])
 
 
 def permutation_to_text(sigma: Permutation) -> str:
