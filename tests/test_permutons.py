@@ -298,8 +298,9 @@ def test_t_grid_monte_carlo_within_stderr_of_exact():
 
 
 def _sampler_grids() -> list[GridMeasure]:
-    """Five grids per m = 1..40: sparse blends of random permutations, a
-    dense one, one whose first m - 1 cells (row-major) have no mass, and
+    """Five grids per m = 1..40: a sparse and a dense blend of random
+    permutations, the uniform measure (odd m) or a four-weight mixture
+    (even m), one whose first m - 1 cells (row-major) have no mass, and
     one over two primes near 2^40, where the cells of the 2 / (P1 P2)
     weight do not move the float cdf at all."""
     stream = SeededStream(87)
