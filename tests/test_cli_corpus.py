@@ -53,6 +53,14 @@ TERNARY = json.dumps({"alphabet": ["a", "b", "c"], "components": {
     "b": json.loads(_step(["0", "1/4", "1"], ["1/5", "1/4"])),
     "c": json.loads(_step(["0", "1/4", "1/3", "1"], ["3/10", "1/4", "7/12"])),
 }})
+# ternary components with polynomial pieces: a = x^2 / 2, b on two pieces,
+# c = 1 - a - b on the merged grid
+TERNARY_POLY = json.dumps({"alphabet": ["a", "b", "c"], "components": {
+    "a": {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "1/2"]}]},
+    "b": {"breakpoints": ["0", "1/3", "1"], "pieces": [{"coeffs": ["1/3", "-1/3"]}, {"coeffs": ["2/9"]}]},
+    "c": {"breakpoints": ["0", "1/3", "1"], "pieces": [
+        {"coeffs": ["2/3", "1/3", "-1/2"]}, {"coeffs": ["7/9", "0", "-1/2"]}]},
+}})
 TWO_BRANCH = _step(["0", "1/2", "1"], ["1/3", "2/3"])
 TWO_BRANCH_H = _step(["0", "1/4", "1"], ["2/3", "1/3"])
 THREE_BRANCH = _step(["0", "1/3", "2/3", "1"], ["1/4", "3/4", "1/2"])
@@ -261,6 +269,17 @@ SAMPLE = {
     "sample-ternary": ("--seed", "43", "sample", "--limit", TERNARY, "--length", "50", "--count", "3"),
 }
 
+# pattern densities of polynomial limits: a ternary vector with polynomial
+# components, and the two-piece cubic CUBIC_F for patterns of length 1..6
+LIMIT_DENSITY = {
+    "density-limit-ternary-poly-l3": ("density", "--limit", TERNARY_POLY, "--pattern", "acb"),
+    "density-limit-ternary-poly-l6": ("density", "--limit", TERNARY_POLY, "--pattern", "abcacb"),
+    **{
+        f"density-limit-cubic-l{len(u)}": ("density", "--limit", CUBIC_F, "--pattern", u)
+        for u in ("1", "01", "110", "0110", "10110", "011010")
+    },
+}
+
 CORPUS = {
     "analyze-w200": ("analyze", W200),
     "analyze-w200-d1/3": ("analyze", W200, "--density", "1/3"),
@@ -292,6 +311,7 @@ CORPUS = {
     **TESTER,
     **WORD_DENSITY,
     **SAMPLE,
+    **LIMIT_DENSITY,
 }
 
 DIGESTS = {
@@ -410,6 +430,14 @@ DIGESTS = {
     "test-w190-three-patterns": "9c1f7416781bf53969d238cc1f0d01fa92acb36d455ce53ecc2d134968125da8",
     "test-w200-one-pattern": "13606af0a720e34ac80d14d13e71993f6955b3aeef67ee54d5de1baac4ffadd3",
     "test-w210-two-patterns": "4a4bbe09fd10dd8394b8fc235444bc8969284a92f5c7bef347426a9a1fb66472",
+    "density-limit-ternary-poly-l3": "b74e714ede17bf1bee5a463660a668ab0c86e62a7faf7b24f734f9e02510d505",
+    "density-limit-ternary-poly-l6": "85613df9f488f757521879f622963f5fc580942b0f664219119de174b1b91355",
+    "density-limit-cubic-l1": "916fe19017db1fc253a47b10e9fa4edf5d5f9cdc406df0c29fd253a332e23a2e",
+    "density-limit-cubic-l2": "9476587ffa97ebc77ca8d0c36d9861277ed8251fa38e032adb6e781ac1cd980f",
+    "density-limit-cubic-l3": "1e3b8abd6fc71433dc159fb36d7b2a66dd54d9bd2dcf1f36fc354a30361bf8b4",
+    "density-limit-cubic-l4": "ea023de6afc800966c2485828ec7ced95cc363629b5680d45354bb8cee8699c1",
+    "density-limit-cubic-l5": "3488df903a3254b9968f6f77a73ec28e33f6dd3417d8225c2258d75675856bf2",
+    "density-limit-cubic-l6": "5cfdd22ed67251a88eb40b52e879ce09b17c4258b00f4613e31a1ea119178c22",
 }
 
 
@@ -443,6 +471,30 @@ def test_bad_grid_files_exit_1_with_the_same_message(name):
     for argv in (("permuton", "density", "--grid", grid, "--pattern", "21"),
                  ("--seed", "3", "permuton", "sample", "--grid", grid, "--size", "3")):
         assert run_cli(*argv) == (1, "", message)
+
+
+# limit vectors whose components miss 1 on one cell of the merged grid only:
+# step components on three grids ([1/4, 1/3) sums to 61/60), and polynomial
+# components ([1/3, 1] sums to 1 + 1/90)
+OFF_SUM_VECTORS = {
+    "step": json.dumps({"alphabet": ["a", "b", "c"], "components": {
+        "a": json.loads(_step(["0", "1/3", "1"], ["1/2", "1/6"])),
+        "b": json.loads(_step(["0", "1/4", "1"], ["1/5", "1/4"])),
+        "c": json.loads(_step(["0", "1/4", "1/3", "1"], ["3/10", "4/15", "7/12"])),
+    }}),
+    "poly": json.dumps({"alphabet": ["a", "b", "c"], "components": {
+        "a": {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "1/2"]}]},
+        "b": {"breakpoints": ["0", "1/3", "1"], "pieces": [{"coeffs": ["1/3", "-1/3"]}, {"coeffs": ["7/30"]}]},
+        "c": {"breakpoints": ["0", "1/3", "1"], "pieces": [
+            {"coeffs": ["2/3", "1/3", "-1/2"]}, {"coeffs": ["7/9", "0", "-1/2"]}]},
+    }}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SUM_VECTORS))
+def test_density_of_a_vector_off_sum_on_one_cell_exits_1(name):
+    code, out, err = run_cli("density", "--limit", OFF_SUM_VECTORS[name], "--pattern", "abc")
+    assert (code, out, err) == (1, "", "error: component functions must sum to 1 exactly\n")
 
 
 def test_density_word_pattern_longer_than_word_exits_1():
