@@ -24,14 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import poly
-from .piecewise import (
-    LimitVector,
-    PiecewisePoly,
-    require_unit_range,
-    step_density,
-    t_density_limit,
-    t_density_vector,
-)
+from .piecewise import PiecewisePoly, _densities, d1_fn, require_unit_range
 from .words import Word
 
 MAX_PATTERN_LENGTH = 12
@@ -88,20 +81,15 @@ def moment_from_densities(i: int, j: int, densities: Mapping[str, Fraction]) -> 
 def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
     """Pattern densities of f for a collection of binary patterns, each
     equal to `t_density_limit(u, f)`; f is range-checked once for all."""
-    if f.is_step():
-        density, F = step_density, require_unit_range(f)
-    else:
-        density, F = t_density_vector, LimitVector.from_binary(f)
-    out: dict[str, Fraction] = {}
+    require_unit_range(f)
+    patterns: dict[str, Word] = {}
     for u in words:
         if not isinstance(u, Word):
             u = Word.from_string(u)
         if set(u.alphabet) != {"0", "1"}:
             raise ValueError("t_density_limit requires the binary alphabet")
-        key = str(u)
-        if key not in out:
-            out[key] = density(u, F)
-    return out
+        patterns.setdefault(str(u), u)
+    return dict(zip(patterns, _densities(list(patterns.values()), f)))
 
 
 def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
@@ -111,10 +99,8 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
     direct = Fraction(0)
     for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
         direct += poly.pintegrate(poly.pmul(p, poly.ppow(poly.X, k)), lo, hi)
-    total = Fraction(0)
-    for bits in itertools.product("01", repeat=k):
-        total += t_density_limit(Word(bits + ("1",)), f)
-    return direct, total / (k + 1)
+    densities = limit_densities(f, [Word(bits + ("1",)) for bits in itertools.product("01", repeat=k)])
+    return direct, sum(densities.values()) / (k + 1)
 
 
 # -- forcibility -------------------------------------------------------
@@ -212,8 +198,6 @@ def check_forced(
     `df` may pass f's densities on the certificate words when the caller
     already has them.
     """
-    from .piecewise import d1_fn
-
     if cert is None:
         cert = forcibility_certificate(f)
     if df is None:

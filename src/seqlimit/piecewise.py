@@ -17,9 +17,9 @@ value times cell width, a polynomial side by Horner on its scaled
 primitive.  Box, prefix and L1 distances are read off that grid when
 both sides are words or step functions, or when a word meets a limit
 with exact values in [0, 1]; H is then monotone on every cell.
-`step_density` runs the pattern-density DP on the same scaled cells
-when every component is a step function; polynomial pieces keep the
-iterated antiderivative.
+`_densities` runs the pattern-density DP of `step_density` on the same
+scaled cells when every component is a step function; polynomial pieces
+keep the iterated antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
 sides, a step function and a polynomial, or a word and a limit whose
@@ -31,6 +31,7 @@ right end counts, and cut at lo, the roots of P', and hi.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -79,11 +80,11 @@ class PiecewisePoly:
         return cls(tuple(breakpoints), tuple((v,) for v in values))
 
     @classmethod
-    def associated(cls, w: Word, letter: str = "1") -> "PiecewisePoly":
-        """Indicator step function of a letter of w on the uniform n-grid."""
+    def associated(cls, w: Word) -> "PiecewisePoly":
+        """Indicator step function of the letter 1 of w on the uniform n-grid."""
         if len(w) == 0:
             raise ValueError("word must be nonempty")
-        return cls.step([1 if c == letter else 0 for c in w.letters])
+        return cls.step([1 if c == "1" else 0 for c in w.letters])
 
     # -- basic queries ------------------------------------------------
 
@@ -210,29 +211,20 @@ def require_unit_range(f: PiecewisePoly, tol: float = NUMERIC_TOL) -> PiecewiseP
 
 
 class LimitVector:
-    """A tuple of limit functions, one per letter, summing to 1 exactly."""
+    """A tuple of limit functions, one per letter, summing to 1 exactly: on
+    each cell of their merged breakpoints, their pieces add up to 1."""
 
     def __init__(self, components: dict[str, PiecewisePoly]):
         if not components:
             raise ValueError("need at least one component")
         self.alphabet = tuple(components)
         self.components = dict(components)
-        total = None
-        for letter, f in components.items():
+        fs = self.components.values()
+        for f in fs:
             require_unit_range(f)
-            total = f if total is None else total + f
-        if not total.equals(PiecewisePoly.constant(1)):
-            raise ValueError("component functions must sum to 1 exactly")
-
-    @classmethod
-    def associated(cls, w: Word) -> "LimitVector":
-        return cls({a: PiecewisePoly.associated(w, a) for a in w.alphabet})
-
-    @classmethod
-    def from_binary(cls, f: PiecewisePoly) -> "LimitVector":
-        require_unit_range(f)
-        one = PiecewisePoly.constant(1)
-        return cls({"0": one - f, "1": f})
+        for lo in sorted(set().union(*(f.breakpoints[:-1] for f in fs))):
+            if functools.reduce(poly.padd, (f.pieces[f.piece_index(lo)] for f in fs)) != poly.ONE:
+                raise ValueError("component functions must sum to 1 exactly")
 
     def __getitem__(self, letter: str) -> PiecewisePoly:
         return self.components[letter]
@@ -241,38 +233,46 @@ class LimitVector:
 # -- pattern densities of limit objects -------------------------------
 
 
-def t_density_vector(u: Word, F: LimitVector) -> Fraction:
-    """Exact pattern density t(u, F) = l! * integral over x_1 < ... < x_l
-    of F_{u_1}(x_1) ... F_{u_l}(x_l).
+def _densities(patterns, F) -> list[Fraction]:
+    """Exact t(u, F) = l! * integral over x_1 < ... < x_l of
+    F_{u_1}(x_1) ... F_{u_l}(x_l) for each pattern u, in order.
 
-    When every component is a step function this is the integer piece DP
-    of `step_density`, O(m * l^2) int operations on m merged cells.
+    F is a mapping from letters to limit functions, or one binary limit
+    function f read as (1 - f, f); the caller has checked it.  When every
+    component is a step function this is the integer piece DP of
+    `step_density`, O(m * l^2) int operations on m merged cells.
     Otherwise it is l rounds of multiply-and-antiderivative, exact over
     rational polynomial pieces.
     """
+    if any(len(u) == 0 for u in patterns):
+        raise ValueError("pattern must be nonempty")
+    if isinstance(F, PiecewisePoly) and not F.is_step():
+        F = {"0": PiecewisePoly.constant(1) - F, "1": F}
+    if isinstance(F, PiecewisePoly) or all(f.is_step() for f in F.values()):
+        return [step_density(u, F) for u in patterns]
+    out = []
+    for u in patterns:
+        acc = PiecewisePoly.constant(1)
+        for letter in u.letters:
+            acc = (F[letter] * acc).antiderivative()
+        out.append(math.factorial(len(u)) * acc(1))
+    return out
+
+
+def t_density_vector(u: Word, F: LimitVector) -> Fraction:
+    """Exact pattern density t(u, F) of u in the limit vector F, whose
+    alphabet must be u's (see `_densities`)."""
     if tuple(sorted(u.alphabet)) != tuple(sorted(F.alphabet)):
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {F.alphabet!r}")
-    if all(f.is_step() for f in F.components.values()):
-        return step_density(u, F.components)
-    if len(u) == 0:
-        raise ValueError("pattern must be nonempty")
-    acc = PiecewisePoly.constant(1)
-    for letter in u.letters:
-        acc = (F[letter] * acc).antiderivative()
-    return math.factorial(len(u)) * acc(1)
+    return _densities([u], F.components)[0]
 
 
 def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
-    """Binary-alphabet pattern density of u in the limit function f.
-
-    A step f is range-checked once and goes straight to the integer DP
-    with the components 1 - f and f; 1 - f is then in range and the two
-    sum to 1 exactly, so no LimitVector is built."""
+    """Binary-alphabet pattern density of u in the limit function f, read
+    as the vector (1 - f, f), which sums to 1 (see `_densities`)."""
     if set(u.alphabet) != {"0", "1"}:
         raise ValueError("t_density_limit requires the binary alphabet")
-    if not f.is_step():
-        return t_density_vector(u, LimitVector.from_binary(f))
-    return step_density(u, require_unit_range(f))
+    return _densities([u], require_unit_range(f))[0]
 
 
 # -- integer sweeps on merged grids -----------------------------------
@@ -383,10 +383,8 @@ def step_density(u: Word, F) -> Fraction:
     letter values c(a).  The sweep keeps D[j] = j! * (bden * vden)^j *
     (mass of the first j letters placed in the cells so far), an integer,
     and a cell adds to D[j'] the sum over j < j' of
-    C(j', j) * D[j] * prod_{i = j+1..j'} L * c(u_i).
+    C(j', j) * D[j] * prod_{i = j+1..j'} L * c(u_i).  u is nonempty.
     """
-    if len(u) == 0:
-        raise ValueError("pattern must be nonempty")
     if isinstance(F, PiecewisePoly):
         grid, (ones,), bden, vden = _step_cells((F,))
         values = ([vden - v for v in ones], ones)

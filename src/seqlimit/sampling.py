@@ -28,18 +28,16 @@ def tail_floor(eps: float) -> int:
 def _eval_many(f: PiecewisePoly, xs: np.ndarray) -> np.ndarray:
     bps = np.array([float(b) for b in f.breakpoints])
     idx = np.clip(np.searchsorted(bps, xs, side="right") - 1, 0, len(f.pieces) - 1)
-    if f.is_step():
-        vals = np.array([float(p[0]) if p else 0.0 for p in f.pieces])
-        return vals[idx]
-    # Horner from the top degree down; shorter pieces are padded with
-    # leading zeros, which keep acc at 0.0, so each x sees the same float
-    # operations as a scalar Horner loop over its own piece
-    coeffs = np.zeros((len(f.pieces), max(len(p) for p in f.pieces)))
-    for i, p in enumerate(f.pieces):
-        coeffs[i, : len(p)] = [float(c) for c in p]
-    acc = np.zeros_like(xs)
-    for j in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * xs + coeffs[idx, j]
+    # Horner from the top degree down over cols[j], coefficient j of every
+    # piece; shorter pieces are padded with leading zeros, which keep acc
+    # at 0.0 (0.0 * x + 0.0 = 0.0 for x >= 0), so each x sees the same
+    # float operations as a scalar Horner loop over its own piece, and a
+    # step function costs one lookup
+    width = max(1, *map(len, f.pieces))
+    cols = np.array([[float(p[j]) if j < len(p) else 0.0 for p in f.pieces] for j in range(width)])
+    acc = cols[-1][idx]
+    for col in cols[-2::-1]:
+        acc = acc * xs + col[idx]
     return acc
 
 

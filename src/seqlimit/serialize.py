@@ -9,7 +9,9 @@ Interchange formats:
   permutation one-line CSV "2,1,4,3"
   partition   JSON {"breakpoints": [...]}
 
-Rationals are read by parse_frac exactly as Fraction(str) reads them.
+A JSON field of another type than its format's (list, object, integer,
+string) is refused with a ValueError naming it.  Rationals are read by
+parse_frac exactly as Fraction(str) reads them.
 A JSON integer or an ASCII-digit "p" or "p/q" with q > 0 is read as the
 pair (p, q) with int() (_ratio); every other spelling, and every error,
 is Fraction(str)'s.  A grid reads each distinct token once and becomes
@@ -62,6 +64,21 @@ def parse_frac(text) -> Fraction:
     return Fraction(*pair) if pair else Fraction(str(text))
 
 
+_JSON_TYPES = {list: "list", dict: "object", int: "integer", str: "string"}
+
+
+def _checked(value, kind: type, name: str):
+    """value, refused with a ValueError that names the field unless its
+    type is kind: a JSON list, object, integer or string."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _alphabet(obj: dict) -> tuple[str, ...]:
+    return tuple(_checked(a, str, "each alphabet letter") for a in _checked(obj["alphabet"], list, "alphabet"))
+
+
 def float_str(x: float) -> str:
     return f"{x:.17g}"
 
@@ -107,7 +124,7 @@ def word_from_text(text: str, alphabet: tuple[str, ...] | None = None) -> Word:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        return Word.from_string(obj["letters"], tuple(obj["alphabet"]))
+        return Word.from_string(_checked(obj["letters"], str, "letters"), _alphabet(obj))
     return Word.from_string(text, alphabet or BINARY)
 
 
@@ -123,8 +140,9 @@ def limitfn_to_obj(f: PiecewisePoly) -> dict:
 
 def limitfn_from_obj(obj: dict) -> PiecewisePoly:
     return require_unit_range(PiecewisePoly(
-        tuple(parse_frac(b) for b in obj["breakpoints"]),
-        tuple(tuple(parse_frac(c) for c in p["coeffs"]) for p in obj["pieces"]),
+        tuple(parse_frac(b) for b in _checked(obj["breakpoints"], list, "breakpoints")),
+        tuple(tuple(parse_frac(c) for c in _checked(_checked(p, dict, "each piece")["coeffs"], list, "coeffs"))
+              for p in _checked(obj["pieces"], list, "pieces")),
     ))
 
 
@@ -136,9 +154,9 @@ def limitvector_to_obj(F: LimitVector) -> dict:
 
 
 def limitvector_from_obj(obj: dict) -> LimitVector:
-    return LimitVector(
-        {a: limitfn_from_obj(obj["components"][a]) for a in obj["alphabet"]}
-    )
+    alphabet = _alphabet(obj)
+    components = _checked(obj["components"], dict, "components")
+    return LimitVector({a: limitfn_from_obj(_checked(components[a], dict, "each component")) for a in alphabet})
 
 
 def limit_from_text(text: str):
@@ -161,7 +179,7 @@ def grid_from_obj(obj: dict) -> GridMeasure:
     parse_frac, in row-major order, but a str token only once (a grid
     repeats a few tokens), and the masses go to GridMeasure as integer
     pairs, without a Fraction per cell."""
-    m = int(obj["m"])
+    m = _checked(obj["m"], int, "m")
     seen: dict[str, tuple[int, int]] = {}
 
     def ratio(v) -> tuple[int, int]:
@@ -173,7 +191,8 @@ def grid_from_obj(obj: dict) -> GridMeasure:
             seen[v] = pair
         return pair
 
-    return GridMeasure._of_ratios(m, [[ratio(v) for v in row] for row in obj["mass"]])
+    rows = _checked(obj["mass"], list, "mass")
+    return GridMeasure._of_ratios(m, [[ratio(v) for v in _checked(row, list, "each mass row")] for row in rows])
 
 
 def permutation_to_text(sigma: Permutation) -> str:
@@ -192,4 +211,4 @@ def partition_to_obj(part: IntervalPartition) -> dict:
 
 
 def partition_from_obj(obj: dict) -> IntervalPartition:
-    return IntervalPartition(tuple(parse_frac(b) for b in obj["breakpoints"]))
+    return IntervalPartition(tuple(parse_frac(b) for b in _checked(obj["breakpoints"], list, "breakpoints")))

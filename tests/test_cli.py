@@ -316,7 +316,8 @@ def test_serialization_round_trips(tmp_path):
     for t in range(5):
         f = random_step_irregular(stream.substream(t), max_steps=6)
         assert ser.limitfn_from_obj(ser.limitfn_to_obj(f)) == f
-    F = LimitVector.from_binary(PiecewisePoly.step([1, 0]))
+    f = PiecewisePoly.step([1, 0])
+    F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
     G = ser.limitvector_from_obj(ser.limitvector_to_obj(F))
     assert G.components == F.components
     mu = GridMeasure.random(4, SeededStream(102))
@@ -367,15 +368,30 @@ def test_token_reader_agrees_with_fraction_of_str(i):
 
 
 def test_malformed_grid_tables_fail_as_the_fraction_path_does():
+    """A JSON integer m and a list of lists fail as the Fraction path does;
+    other shapes are refused by field before any token is read."""
     tables = [
-        (2, [["1/2", "0"], 5]), (2, [["x", "0"], 5]), (2, [["1/2"], 5]), (2, 5), (2, []),
+        (2, [["x", "0"], 5]), (2, []),
         (2, [["1/4", "1/4"], ["1/4", "1/4"], ["0", "0"]]), (2, [["1/4", "1/4"], ["1/4", "1/4", "0"]]),
-        (2, ["ab", "cd"]), (1, ["1"]), (0, []), (-1, [["1"]]), ("2", [["1/4", "1/4"], ["1/4", "1/4"]]),
-        (2.5, [["1/4", "1/4"], ["1/4", "1/4"]]), (1, [[["1"]]]), (1, [[{"1": 1}]]),
+        (0, []), (-1, [["1"]]), (1, [[["1"]]]), (1, [[{"1": 1}]]),
     ]
     for m, mass in tables:
         obj = {"m": m, "mass": mass}
         assert _outcome(ser.grid_from_obj, obj) == _outcome(_grid_by_fractions, obj), obj
+    quarters = [["1/4", "1/4"], ["1/4", "1/4"]]
+    misshapen = [
+        (2, [["1/2", "0"], 5], "each mass row must be a JSON list"),
+        (2, [["1/2"], 5], "each mass row must be a JSON list"),
+        (2, ["ab", "cd"], "each mass row must be a JSON list"),
+        (1, ["1"], "each mass row must be a JSON list"),
+        (2, 5, "mass must be a JSON list"),
+        ("2", quarters, "m must be a JSON integer"),
+        (2.5, quarters, "m must be a JSON integer"),
+        (2.0, quarters, "m must be a JSON integer"),
+        (True, [["1"]], "m must be a JSON integer"),
+    ]
+    for m, mass, message in misshapen:
+        assert _outcome(ser.grid_from_obj, {"m": m, "mass": mass}) == (ValueError, message), (m, mass)
     assert _outcome(ser.grid_from_obj, {"mass": []}) == (KeyError, "'m'")
 
 
@@ -447,6 +463,37 @@ EDGE_INPUTS = {
                                          "experiments 0 and 1 would both write experiment-1.json"),
     "experiment-name-int-and-str": (("experiment", _batch(7, "7"), "--out", "OUT"),
                                     "experiments 0 and 1 would both write 7.json"),
+    # JSON fields of the wrong type, refused by name
+    **{
+        f"permuton-grid-{label}": (("permuton", "density", "--grid", grid, "--pattern", pattern), message)
+        for label, grid, pattern, message in (
+            ("row-int", '{"m": 2, "mass": [["1/2", "0"], 5]}', "21", "each mass row must be a JSON list"),
+            ("m-list", '{"m": [2], "mass": [["1/2", "0"], ["0", "1/2"]]}', "21", "m must be a JSON integer"),
+            ("mass-int", '{"m": 2, "mass": 5}', "21", "mass must be a JSON list"),
+            ("m-float", '{"m": 1.5, "mass": [["1"]]}', "1", "m must be a JSON integer"),
+            ("m-string", '{"m": "2", "mass": [["1/2", "0"], ["0", "1/2"]]}', "21", "m must be a JSON integer"),
+        )
+    },
+    **{
+        f"density-limit-{label}": (("density", "--limit", limit, "--pattern", pattern), message)
+        for label, limit, pattern, message in (
+            ("breakpoints-int", '{"breakpoints": 5, "pieces": []}', "01", "breakpoints must be a JSON list"),
+            ("piece-int", '{"breakpoints": ["0", "1"], "pieces": [5]}', "01", "each piece must be a JSON object"),
+            ("coeffs-int", '{"breakpoints": ["0", "1"], "pieces": [{"coeffs": 5}]}', "01",
+             "coeffs must be a JSON list"),
+            ("components-int", '{"alphabet": ["a"], "components": 5}', "a", "components must be a JSON object"),
+            ("component-int", '{"alphabet": ["a"], "components": {"a": 5}}', "a",
+             "each component must be a JSON object"),
+            ("alphabet-int", '{"alphabet": 5, "components": {}}', "a", "alphabet must be a JSON list"),
+            ("letter-list", '{"alphabet": [["a"]], "components": {}}', "a",
+             "each alphabet letter must be a JSON string"),
+        )
+    },
+    "density-word-alphabet-int": (("density", "--word", '{"alphabet": 5, "letters": "ab"}', "--pattern", "a"),
+                                  "alphabet must be a JSON list"),
+    "density-word-letters-int": (("density", "--word", '{"alphabet": ["a", "b"], "letters": 5}', "--pattern", "a"),
+                                 "letters must be a JSON string"),
+    "distance-breakpoints-int": (("distance", '{"breakpoints": 5}', "0101"), "breakpoints must be a JSON list"),
 }
 
 

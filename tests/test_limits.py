@@ -1,8 +1,10 @@
 """Piecewise-polynomial limit functions: densities, distances, Bernstein."""
 
+import functools
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -117,7 +119,7 @@ def test_vector_densities_match_binary_on_two_letters():
     stream = SeededStream(23)
     for t in range(5):
         f = random_step(stream.substream(t), max_steps=5)
-        F = LimitVector.from_binary(f)
+        F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
         for bits in itertools.product("01", repeat=3):
             u = Word(bits)
             assert t_density_vector(u, F) == t_density_limit(u, f)
@@ -222,6 +224,100 @@ def test_density_domain_errors():
     doc = json.dumps({"alphabet": list(abc), "components": {a: limitfn_to_obj(g) for a, g in off.items()}})
     code, _, err = run_cli("density", "--limit", doc, "--pattern", "abc")
     assert code == 1 and "sum to 1" in err
+
+
+def pairwise_sum_is_one(components) -> bool:
+    """The sum check by k - 1 pairwise PiecewisePoly additions and `equals`:
+    the oracle for LimitVector's one-pass check over the merged cells."""
+    return functools.reduce(operator.add, components).equals(PiecewisePoly.constant(1))
+
+
+def random_part(stream: SeededStream, polynomial: bool) -> PiecewisePoly:
+    """A step function or a function with quadratic pieces into [0, 1], on a
+    random grid (each quadratic a + b x + c x^2 has a, b, c in [0, 1/3])."""
+    f = random_step_irregular(stream, max_steps=5, den=12, bden=48)
+    if not polynomial:
+        return f
+    rng = stream.substream(1).generator()
+    return PiecewisePoly(f.breakpoints, tuple(
+        tuple(Fraction(int(c), 12) for c in rng.integers(0, 5, size=3)) for _ in f.pieces))
+
+
+def test_limit_vector_sum_check_matches_pairwise_sums():
+    """k = 1..4 components, step or polynomial, on different grids: k - 1
+    random parts scaled by 1/k and the rest 1 - their sum (at least 1/k),
+    then the rest lowered by 1/q on one cell of its own grid."""
+    stream = SeededStream(29)
+    rng = stream.generator()
+    verdicts = []
+    for t in range(48):
+        k = 1 + t % 4
+        sub = stream.substream(t)
+        parts = [random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0).scale(Fraction(1, k))
+                 for i in range(k - 1)]
+        rest = functools.reduce(operator.sub, parts, PiecewisePoly.constant(1)).simplify()
+        cell = int(rng.integers(len(rest.pieces)))
+        q = int(rng.integers(k, 4 * k + 1))
+        bump = [Fraction(-1, q) if j == cell else 0 for j in range(len(rest.pieces))]
+        for last in (rest, rest + PiecewisePoly.step(bump, rest.breakpoints)):
+            components = dict(zip("abcd", parts + [last]))
+            verdicts.append(pairwise_sum_is_one(components.values()))
+            if verdicts[-1]:
+                assert LimitVector(components).components == components
+            else:
+                with pytest.raises(ValueError, match="^component functions must sum to 1 exactly$"):
+                    LimitVector(components)
+    assert verdicts == [True, False] * 48
+
+
+def sympy_density(u: Word, F) -> Fraction:
+    """t(u, F) by sympy, without PiecewisePoly arithmetic: the points
+    x_1 < ... < x_l fall into cells c_1 <= ... <= c_l of the merged grid,
+    and each run of r points in one cell [a, b] contributes the integral
+    over a < y_1 < ... < y_r < b of its letters' polynomials, integrated
+    by sympy with nested symbolic limits.  F maps letters to limit
+    functions, or is one binary f with F_0 = 1 - f."""
+    sp = pytest.importorskip("sympy")
+    x, y = sp.symbols("x y")
+    binary = isinstance(F, PiecewisePoly)
+    fs = [F] if binary else list(F.values())
+    grid = sorted(set().union(*(f.breakpoints for f in fs)))
+
+    def expr(letter, lo):
+        f = F if binary else F[letter]
+        e = sum(sp.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(f.pieces[f.piece_index(lo)]))
+        return 1 - e if binary and letter == "0" else e
+
+    total = sp.Integer(0)
+    for cells in itertools.combinations_with_replacement(range(len(grid) - 1), len(u)):
+        term = sp.Integer(1)
+        for cell, run in itertools.groupby(zip(cells, u.letters), key=lambda pair: pair[0]):
+            a, b = (sp.Rational(v.numerator, v.denominator) for v in grid[cell:cell + 2])
+            inner = sp.Integer(1)
+            for _, letter in run:
+                inner = sp.integrate(expr(letter, grid[cell]) * inner, (x, a, y)).subs(y, x)
+            term *= inner.subs(x, b)
+        total += term
+    value = sp.factorial(len(u)) * total
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_polynomial_densities_match_sympy_integration():
+    cubic = PiecewisePoly((Fraction(0), Fraction(1, 2), Fraction(1)), (
+        (Fraction(1, 2), Fraction(1, 4), 0, Fraction(-1, 8)), (Fraction(3, 4), 0, Fraction(-1, 4), Fraction(1, 64))))
+    square = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, Fraction(1)),))
+    ramp = PiecewisePoly((Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1)),
+                         ((), (Fraction(-5, 7), Fraction(20, 7)), (Fraction(1),)))
+    for f in (cubic, square, ramp):
+        for u in ("1", "01", "110", "0110"):
+            assert t_density_limit(W(u), f) == sympy_density(W(u), f), (f, u)
+    a = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, Fraction(1, 2)),))
+    b = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(1)),
+                      ((Fraction(1, 3), Fraction(-1, 3)), (Fraction(2, 9),)))
+    F = LimitVector({"a": a, "b": b, "c": PiecewisePoly.constant(1) - a - b})
+    abc = ("a", "b", "c")
+    for u in ("a", "cb", "acb", "bcab"):
+        assert t_density_vector(Word.from_string(u, abc), F) == sympy_density(Word.from_string(u, abc), F.components), u
 
 
 def test_require_unit_range():

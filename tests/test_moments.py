@@ -81,8 +81,9 @@ def test_moment_missing_density_raises():
 
 def test_moment_bridge():
     stream = SeededStream(52)
-    for t in range(8):
-        f = random_step(stream.substream(t), max_steps=5)
+    quadratic = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(1)),
+                              ((Fraction(1, 4), 0, Fraction(1)), (Fraction(1, 2), Fraction(-1, 2))))
+    for f in [random_step(stream.substream(t), max_steps=5) for t in range(8)] + [quadratic]:
         for k in range(5):
             direct, from_densities = moment_bridge(k, f)
             assert direct == from_densities
@@ -102,8 +103,7 @@ def test_limit_densities_match_t_density_limit_with_one_range_check(monkeypatch)
             m.setattr(moments, "require_unit_range", counted)
             m.setattr(piecewise, "require_unit_range", counted)
             assert limit_densities(f, words) == want
-        if f.is_step():
-            assert calls == [f]
+        assert calls == [f]
     with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
         limit_densities(HALF, [Word(("a",), ("a", "b"))])
     with pytest.raises(ValueError, match="leaves"):

@@ -114,7 +114,7 @@ def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
 def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
     """t(u, f) for every binary pattern u of length 1..max_len, computed
     with shared prefixes (each prefix's iterated antiderivative reused)."""
-    F = LimitVector.from_binary(f)
+    F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
     out: dict[str, Fraction] = {}
 
     def rec(prefix: str, acc: PiecewisePoly) -> None:
