@@ -84,6 +84,14 @@ CUBIC_END = json.dumps({"breakpoints": ["0", "1/2", "3/4", "1"], "pieces": [
 # 0 on [0, 1/4], a ramp on [1/4, 3/5], 1 on [3/5, 1]
 RAMP01 = json.dumps({"breakpoints": ["0", "1/4", "3/5", "1"], "pieces": [
     {"coeffs": ["0"]}, {"coeffs": ["-5/7", "20/7"]}, {"coeffs": ["1"]}]})
+# two-piece quartics whose difference is 2(x - 1/4)^2 (x - 1/2)(x - 3/4) on
+# [0, 1/2] and (x - 1/2)(x - 2/3)(x^2 + 1/5) on [1/2, 1]: a double root
+# inside a piece, a root at the inner breakpoint and an irreducible quadratic
+QUARTIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
+    {"coeffs": ["73/192", "-53/160", "17/8", "-7/2", "15/7"]},
+    {"coeffs": ["7/15", "-7/30", "47/60", "-7/6", "5/6"]}]})
+QUARTIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
+    {"coeffs": ["1/3", "1/5", "0", "0", "1/7"]}, {"coeffs": ["2/5", "0", "1/4", "0", "-1/6"]}]})
 
 
 def _perm(m: int, seed: int) -> list[int]:
@@ -259,6 +267,7 @@ PAIRS = {
     "ramp01-word": (RAMP01, W40),
     "word-cubic-end": ("0110111", CUBIC_END),
     "cubic-cubic": (CUBIC_F, CUBIC_G),
+    "quartic-quartic": (QUARTIC_F, QUARTIC_G),
 }
 
 # f-random words: a binary step limit, a binary polynomial limit and a
@@ -295,6 +304,7 @@ CORPUS = {
     "regularize-step-a": ("regularize", "--limit", STEP_A, "--eps", "1/40"),
     "regularize-step-eq-init3": ("regularize", "--limit", STEP_EQ, "--eps", "1/20", "--init-uniform", "3"),
     "regularize-quadratic": ("regularize", "--limit", QUADRATIC, "--eps", "1/30"),
+    "regularize-cubic-init3": ("regularize", "--limit", CUBIC_F, "--eps", "1/30", "--init-uniform", "3"),
     "density-limit-step-eq": ("density", "--limit", STEP_EQ, "--pattern", "011010"),
     "density-limit-step-a": ("density", "--limit", STEP_A, "--pattern", "101101"),
     "density-limit-const": ("density", "--limit", _step(["0", "1"], ["3/7"]), "--pattern", "0110"),
@@ -362,6 +372,9 @@ DIGESTS = {
     "distance-l1-square-half": "e3fb81399af8a70e09b5406d29e567d4310cba0a554d3d2630af8224d5bf27f3",
     "distance-l1-word-square": "a1eb20e5f08dd5a51d94d34dc6c9d8950330b5bbb2cf52924ab7a5bc349eb340",
     "distance-prefix-cubic-cubic": "ebbcbbaf2c77b07355d2769d3c697595093f54f1ec8c5521f995eb6bffc01303",
+    "distance-box-quartic-quartic": "4e3f6e5c21e54a8d0edd889e6bcf620a2fb7921f9c3fe2085a36f9b572e9b17b",
+    "distance-l1-quartic-quartic": "76e6b2e58c205f55c52f7dbfe94787cd8a3b169e0f8fb7ebd9735934537854e2",
+    "distance-prefix-quartic-quartic": "f00ca6638c83eada3e0fe8604d6cebc4e82ec00ffe25380b8559ccbbda4589c0",
     "distance-prefix-square-half": "6a8df4c0c42de9235fb7e1f8748866694277e6888d1df02f5781393eadee56cd",
     "distance-prefix-word-square": "749ac83ab08cb95c8952cc45a30787b2aa3e1509e5712eaee8063dc97c5bb832",
     "distance-box-quad3-word7": "ca85efe0c1c351a321e871e2eb14612bce587d0ac7122fded3f33ee14f589143",
@@ -384,6 +397,7 @@ DIGESTS = {
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
     "forcibility-two-branch-candidate": "9d9198cdf781041e35706af73aa1ba28cf7b6671a78335a506f2e95223c43711",
     "regularize-quadratic": "c7da513b0d9ffc00d11dae8193150b69e4bfdc82c6a7673c446e264fa72d065e",
+    "regularize-cubic-init3": "a2ad9387f8e9b9dc4aac3de71420158e513b33eeff245905b448c5bfadb3c655",
     "regularize-step-a": "6d26c4d3bf4ec001c215d88d811947c9cd80a90ddce3cc40a3baad407c196e28",
     "regularize-step-eq-init3": "95278a1e07b274715aad1ece5d362a79c33ff2463f5b79af41f3d5632b24bd2f",
     "permuton-density-grid-as-perm-k3": "28386410d0fc920fc1cb4432247115d5c1761755dd715a988497bd15ee3019bf",
