@@ -2,8 +2,10 @@
 
 A polynomial is a tuple of Fractions in ascending order of degree:
 (c0, c1, c2) means c0 + c1*x + c2*x**2.  The zero polynomial is ().
-Root extraction is exact through degree 2 whenever the roots are
-rational; otherwise numeric roots are returned and flagged as such.
+Rational roots are exact at every degree: in closed form through degree
+2, by the rational root theorem on integer coefficients above.  Only
+irrational roots are floats, flagged as such: math.sqrt of the
+discriminant at degree 2, np.roots once the rational roots are divided out.
 """
 
 from __future__ import annotations
@@ -102,56 +104,46 @@ def pintegrate(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    """Exact square root of a rational q >= 0, or None if irrational."""
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
 
 
-def _rational_roots_int(coeffs: list[int]) -> list[Fraction]:
-    """All rational roots of an integer polynomial (rational root theorem)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    shift = 0
-    while coeffs[shift] == 0:
-        shift += 1
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n > 0, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small if d * d != n]
+
+
+def _rational_roots_int(coeffs: list[int], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The rational roots in (lo, hi), sorted, of sum c_i x^i for integers
+    c_i, the last nonzero.  A root s/q in lowest terms has |s| dividing
+    the lowest nonzero c_i and q the leading one (rational root theorem);
+    each such candidate is placed in (lo, hi) and tested in integers."""
+    shift = next(i for i, c in enumerate(coeffs) if c)
     coeffs = coeffs[shift:]
-    roots = [Fraction(0)] if shift else []
-    lead, const = abs(coeffs[-1]), abs(coeffs[0])
-
-    def divisors(n):
-        ds = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.append(d)
-                ds.append(n // d)
-            d += 1
-        return ds
-
-    for pn in divisors(const):
-        for qd in divisors(lead):
-            for cand in (Fraction(pn, qd), Fraction(-pn, qd)):
-                if cand in roots:
-                    continue
-                if peval(tuple(Fraction(c) for c in coeffs), cand) == 0:
-                    roots.append(cand)
-    return roots
+    roots = [Fraction(0)] if shift and lo < 0 < hi else []
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    qs = _divisors(abs(coeffs[-1]))
+    for p in _divisors(abs(coeffs[0])):
+        for q in qs:
+            for s in (p, -p):
+                if ln * q < s * ld and s * hd < hn * q and math.gcd(p, q) == 1:
+                    acc, qpow = coeffs[-1], 1  # q^d * c(s/q), by Horner in s
+                    for c in reversed(coeffs[:-1]):
+                        qpow *= q
+                        acc = acc * s + c * qpow
+                    if acc == 0:
+                        roots.append(Fraction(s, q))
+    return sorted(roots)
 
 
 def real_roots(p: Poly, lo: Fraction, hi: Fraction):
     """Real roots of p in the open interval (lo, hi).
 
-    Returns (exact, approximate): exact roots are Fractions; approximate
-    roots are floats for which no rational representation was found.
-    Exactness is guaranteed through degree 2; for higher degree, rational
-    roots are recovered when they exist and any remainder is numeric.
+    Returns (exact, approximate): exact roots are Fractions, the rational
+    roots (sorted from degree 3 on); approximate roots are floats, the
+    irrational ones.
     """
     p = normalize(p)
     d = degree(p)
@@ -182,14 +174,11 @@ def real_roots(p: Poly, lo: Fraction, hi: Fraction):
                     approx.append(rf)
         return exact, approx
 
-    # degree >= 3: peel off rational roots, then go numeric
+    # degree >= 3: divide out the rational roots, then go numeric
     scale = math.lcm(*(c.denominator for c in p))
-    int_coeffs = [int(c * scale) for c in p]
-    for r in _rational_roots_int(list(int_coeffs)):
-        if lo < r < hi:
-            exact.append(r)
+    exact = _rational_roots_int([c.numerator * (scale // c.denominator) for c in p], lo, hi)
     rem = p
-    for r in sorted(exact):
+    for r in exact:
         rem = _pdiv_linear(rem, r)
     for z in np.roots(list(reversed([float(c) for c in rem]))):
         if abs(z.imag) < 1e-12 and float(lo) < z.real < float(hi):
@@ -200,10 +189,8 @@ def real_roots(p: Poly, lo: Fraction, hi: Fraction):
 
 def _pdiv_linear(p: Poly, r: Fraction) -> Poly:
     """Synthetic division of p by (x - r); assumes r is a root."""
-    out = []
-    acc = Fraction(0)
+    out, acc = [], Fraction(0)
     for c in reversed(p):
         acc = acc * r + c
         out.append(acc)
-    out.pop()  # remainder
-    return normalize(reversed([c for c in out]))
+    return normalize(reversed(out[:-1]))  # out[-1] is the remainder
