@@ -311,14 +311,16 @@ def _cmd_permuton(args, stream) -> dict:
 
 def _run_experiment(spec: dict, stream) -> dict:
     kind = spec.get("kind")
+    field = functools.partial(ser.json_field, spec)
     if kind == "tail_dbox":
-        limit = spec["limit"]
+        limit = field("limit", (dict, str))
         f = ser.limitfn_from_obj(limit) if isinstance(limit, dict) else _as_limit(_load_limit(limit))
-        rep = tail_experiment_dbox(f, int(spec["n"]), float(spec["a"]), int(spec["trials"]), stream)
+        n, a = field("n", int), float(spec["a"])
+        rep = tail_experiment_dbox(f, n, a, field("trials", int), stream)
         return {
             "kind": kind,
-            "n": int(spec["n"]),
-            "a": float(spec["a"]),
+            "n": n,
+            "a": a,
             "trials": rep.trials,
             "threshold": rep.threshold,
             "exceed_fraction": rep.exceed_fraction,
@@ -327,14 +329,13 @@ def _run_experiment(spec: dict, stream) -> dict:
             "seed": rep.seed,
         }
     if kind == "subsequence_tail":
-        w = _load_word(spec["word"])
-        rep = subsequence_tail_experiment(
-            w, int(spec["length"]), float(spec["eps"]), int(spec["trials"]), stream
-        )
+        w = _load_word(field("word", str))
+        length, eps = field("length", int), float(spec["eps"])
+        rep = subsequence_tail_experiment(w, length, eps, field("trials", int), stream)
         return {
             "kind": kind,
-            "length": int(spec["length"]),
-            "eps": float(spec["eps"]),
+            "length": length,
+            "eps": eps,
             "trials": rep.trials,
             "exceed_fraction": rep.exceed_fraction,
             "bound": rep.bound,
@@ -343,18 +344,18 @@ def _run_experiment(spec: dict, stream) -> dict:
             "seed": rep.seed,
         }
     if kind == "tester_curve":
-        fam = ForbiddenFamily.from_strings(spec["forbid"])
+        forbid = [ser.json_value(u, str, "each forbidden pattern") for u in field("forbid", list)]
         points = completeness_soundness_curve(
-            fam,
-            int(spec["n"]),
-            int(spec["query_size"]),
-            [ser.parse_frac(d) for d in spec["distances"]],
-            int(spec["trials"]),
+            ForbiddenFamily.from_strings(forbid),
+            field("n", int),
+            field("query_size", int),
+            [ser.parse_frac(d) for d in field("distances", list)],
+            field("trials", int),
             stream,
         )
         return {
             "kind": kind,
-            "forbid": list(spec["forbid"]),
+            "forbid": forbid,
             "points": [
                 {
                     "target_d1": p.target_d1,

@@ -198,13 +198,13 @@ def _critical_cuts(breakpoints, pieces):
         yield P, [lo, *sorted(exact), hi], approx
 
 
-def require_unit_range(f: PiecewisePoly, tol: float = NUMERIC_TOL) -> PiecewisePoly:
-    """Validate that f maps [0, 1] into [0, 1]."""
+def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
+    """Validate that f maps [0, 1] into [0, 1] (within NUMERIC_TOL if inexact)."""
     lo, hi = f.range_bounds()
     if isinstance(lo, Fraction):
         ok = 0 <= lo and hi <= 1
     else:
-        ok = -tol <= lo and hi <= 1 + tol
+        ok = -NUMERIC_TOL <= lo and hi <= 1 + NUMERIC_TOL
     if not ok:
         raise ValueError(f"function range [{lo}, {hi}] leaves [0, 1]")
     return f

@@ -67,16 +67,26 @@ def parse_frac(text) -> Fraction:
 _JSON_TYPES = {list: "list", dict: "object", int: "integer", str: "string"}
 
 
-def _checked(value, kind: type, name: str):
-    """value, refused with a ValueError that names the field unless its
-    type is kind: a JSON list, object, integer or string."""
-    if type(value) is not kind:
-        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}")
+def json_value(value, kind: type | tuple[type, ...], name: str):
+    """value, refused with a ValueError that names the field unless its type
+    is kind (or one of the kinds): a JSON list, object, integer or string."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        raise ValueError(f"{name} must be a JSON {' or '.join(_JSON_TYPES[k] for k in kinds)}")
     return value
 
 
+def json_field(obj: dict, key: str, kind: type | tuple[type, ...], name: str | None = None):
+    """obj[key], refused with a ValueError that names the field (name, or
+    else key) when it is missing or is not of kind, as json_value reads it."""
+    name = name or key
+    if key not in obj:
+        raise ValueError(f"{name} is missing")
+    return json_value(obj[key], kind, name)
+
+
 def _alphabet(obj: dict) -> tuple[str, ...]:
-    return tuple(_checked(a, str, "each alphabet letter") for a in _checked(obj["alphabet"], list, "alphabet"))
+    return tuple(json_value(a, str, "each alphabet letter") for a in json_field(obj, "alphabet", list))
 
 
 def float_str(x: float) -> str:
@@ -124,7 +134,7 @@ def word_from_text(text: str, alphabet: tuple[str, ...] | None = None) -> Word:
     text = text.strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        return Word.from_string(_checked(obj["letters"], str, "letters"), _alphabet(obj))
+        return Word.from_string(json_field(obj, "letters", str), _alphabet(obj))
     return Word.from_string(text, alphabet or BINARY)
 
 
@@ -140,9 +150,9 @@ def limitfn_to_obj(f: PiecewisePoly) -> dict:
 
 def limitfn_from_obj(obj: dict) -> PiecewisePoly:
     return require_unit_range(PiecewisePoly(
-        tuple(parse_frac(b) for b in _checked(obj["breakpoints"], list, "breakpoints")),
-        tuple(tuple(parse_frac(c) for c in _checked(_checked(p, dict, "each piece")["coeffs"], list, "coeffs"))
-              for p in _checked(obj["pieces"], list, "pieces")),
+        tuple(parse_frac(b) for b in json_field(obj, "breakpoints", list)),
+        tuple(tuple(parse_frac(c) for c in json_field(json_value(p, dict, "each piece"), "coeffs", list))
+              for p in json_field(obj, "pieces", list)),
     ))
 
 
@@ -155,8 +165,8 @@ def limitvector_to_obj(F: LimitVector) -> dict:
 
 def limitvector_from_obj(obj: dict) -> LimitVector:
     alphabet = _alphabet(obj)
-    components = _checked(obj["components"], dict, "components")
-    return LimitVector({a: limitfn_from_obj(_checked(components[a], dict, "each component")) for a in alphabet})
+    components = json_field(obj, "components", dict)
+    return LimitVector({a: limitfn_from_obj(json_field(components, a, dict, f"component {a!r}")) for a in alphabet})
 
 
 def limit_from_text(text: str):
@@ -179,7 +189,7 @@ def grid_from_obj(obj: dict) -> GridMeasure:
     parse_frac, in row-major order, but a str token only once (a grid
     repeats a few tokens), and the masses go to GridMeasure as integer
     pairs, without a Fraction per cell."""
-    m = _checked(obj["m"], int, "m")
+    m = json_field(obj, "m", int)
     seen: dict[str, tuple[int, int]] = {}
 
     def ratio(v) -> tuple[int, int]:
@@ -191,8 +201,8 @@ def grid_from_obj(obj: dict) -> GridMeasure:
             seen[v] = pair
         return pair
 
-    rows = _checked(obj["mass"], list, "mass")
-    return GridMeasure._of_ratios(m, [[ratio(v) for v in _checked(row, list, "each mass row")] for row in rows])
+    rows = json_field(obj, "mass", list)
+    return GridMeasure._of_ratios(m, [[ratio(v) for v in json_value(row, list, "each mass row")] for row in rows])
 
 
 def permutation_to_text(sigma: Permutation) -> str:
@@ -211,4 +221,4 @@ def partition_to_obj(part: IntervalPartition) -> dict:
 
 
 def partition_from_obj(obj: dict) -> IntervalPartition:
-    return IntervalPartition(tuple(parse_frac(b) for b in _checked(obj["breakpoints"], list, "breakpoints")))
+    return IntervalPartition(tuple(parse_frac(b) for b in json_field(obj, "breakpoints", list)))

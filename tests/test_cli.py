@@ -392,7 +392,7 @@ def test_malformed_grid_tables_fail_as_the_fraction_path_does():
     ]
     for m, mass, message in misshapen:
         assert _outcome(ser.grid_from_obj, {"m": m, "mass": mass}) == (ValueError, message), (m, mass)
-    assert _outcome(ser.grid_from_obj, {"mass": []}) == (KeyError, "'m'")
+    assert _outcome(ser.grid_from_obj, {"mass": []}) == (ValueError, "m is missing")
 
 
 def test_plain_ratio_grids_load_without_fraction_parsing(monkeypatch):
@@ -483,7 +483,7 @@ EDGE_INPUTS = {
              "coeffs must be a JSON list"),
             ("components-int", '{"alphabet": ["a"], "components": 5}', "a", "components must be a JSON object"),
             ("component-int", '{"alphabet": ["a"], "components": {"a": 5}}', "a",
-             "each component must be a JSON object"),
+             "component 'a' must be a JSON object"),
             ("alphabet-int", '{"alphabet": 5, "components": {}}', "a", "alphabet must be a JSON list"),
             ("letter-list", '{"alphabet": [["a"]], "components": {}}', "a",
              "each alphabet letter must be a JSON string"),
@@ -494,6 +494,20 @@ EDGE_INPUTS = {
     "density-word-letters-int": (("density", "--word", '{"alphabet": ["a", "b"], "letters": 5}', "--pattern", "a"),
                                  "letters must be a JSON string"),
     "distance-breakpoints-int": (("distance", '{"breakpoints": 5}', "0101"), "breakpoints must be a JSON list"),
+    # missing JSON fields, named
+    "distance-alphabet-missing": (("distance", '{"components": 5}', "0101"), "alphabet is missing"),
+    "distance-pieces-missing": (("distance", '{"breakpoints": ["0", "1"]}', "0101"), "pieces is missing"),
+    "permuton-grid-m-missing": (("permuton", "density", "--grid", '{"mass": []}', "--pattern", "1"),
+                                "m is missing"),
+    "permuton-grid-mass-missing": (("permuton", "density", "--grid", '{"m": 1}', "--pattern", "1"),
+                                   "mass is missing"),
+    "density-word-letters-missing": (("density", "--word", '{"alphabet": ["a", "b"]}', "--pattern", "a"),
+                                     "letters is missing"),
+    "density-limit-coeffs-missing": (("density", "--limit", '{"breakpoints": ["0", "1"], "pieces": [{}]}',
+                                      "--pattern", "1"), "coeffs is missing"),
+    "density-limit-component-missing": (
+        ("density", "--limit", json.dumps({"alphabet": ["a", "b"], "components": {"a": json.loads(HALF_LIMIT)}}),
+         "--pattern", "a"), "component 'b' is missing"),
 }
 
 
@@ -506,6 +520,36 @@ def test_edge_inputs_exit_1_with_one_error_line(name, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert "Traceback" not in err
     assert not out_dir.exists() and list(tmp_path.iterdir()) == []
+
+
+TAIL = {"kind": "tail_dbox", "limit": json.loads(HALF_LIMIT), "n": 4, "a": 0.1, "trials": 2}
+SUBSEQ = {"kind": "subsequence_tail", "word": "0110", "length": 2, "eps": 0.5, "trials": 2}
+CURVE = {"kind": "tester_curve", "forbid": ["10"], "n": 10, "query_size": 3, "distances": ["0"], "trials": 2}
+# experiment fields of the wrong JSON type, or missing; each is refused by
+# name in that experiment's error entry
+EXPERIMENT_FIELDS = {
+    "tail-limit-int": (dict(TAIL, limit=5), "limit must be a JSON object or string"),
+    "tail-n-float": (dict(TAIL, n=4.9), "n must be a JSON integer"),
+    "tail-n-integral-float": (dict(TAIL, n=4.0), "n must be a JSON integer"),
+    "tail-n-string": (dict(TAIL, n="4"), "n must be a JSON integer"),
+    "tail-trials-bool": (dict(TAIL, trials=True), "trials must be a JSON integer"),
+    "subseq-length-null": (dict(SUBSEQ, length=None), "length must be a JSON integer"),
+    "subseq-word-int": (dict(SUBSEQ, word=5), "word must be a JSON string"),
+    "curve-forbid-int": (dict(CURVE, forbid=5), "forbid must be a JSON list"),
+    "curve-forbid-pattern-int": (dict(CURVE, forbid=["10", 5]), "each forbidden pattern must be a JSON string"),
+    "curve-distances-string": (dict(CURVE, distances="0"), "distances must be a JSON list"),
+    "curve-query-size-missing": ({k: v for k, v in CURVE.items() if k != "query_size"}, "query_size is missing"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EXPERIMENT_FIELDS))
+def test_experiment_fields_are_checked_by_type(tmp_path, label):
+    spec, message = EXPERIMENT_FIELDS[label]
+    code, out, err = run_cli("experiment", json.dumps({"experiments": [dict(spec, name="e")]}),
+                             "--out", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["experiments"] == [{"name": "e", "status": "error", "error": message}]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", ["tail_dbox", "subsequence_tail"])
