@@ -66,6 +66,10 @@ TWO_BRANCH_H = _step(["0", "1/4", "1"], ["2/3", "1/3"])
 THREE_BRANCH = _step(["0", "1/3", "2/3", "1"], ["1/4", "3/4", "1/2"])
 THREE_BRANCH_H = _step(["0", "1/3", "2/3", "1"], ["1/4", "1/2", "3/4"])
 SQUARE = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "1"]}]})
+# 2x^2 on [0, 1/2), then 1/2: a cubic and a linear primitive branch, so the
+# certificate holds patterns of up to 9 letters
+QUAD_HALF = json.dumps({"breakpoints": ["0", "1/2", "1"],
+                        "pieces": [{"coeffs": ["0", "0", "2"]}, {"coeffs": ["1/2"]}]})
 # two-piece cubics whose difference has the rational roots 1/4, 1/3 | 1/2, 2/3, 3/4
 CUBIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["1/2", "1/4", "0", "-1/8"]}, {"coeffs": ["3/4", "0", "-1/4", "1/64"]}]})
@@ -305,6 +309,9 @@ CORPUS = {
     "regularize-step-eq-init3": ("regularize", "--limit", STEP_EQ, "--eps", "1/20", "--init-uniform", "3"),
     "regularize-quadratic": ("regularize", "--limit", QUADRATIC, "--eps", "1/30"),
     "regularize-cubic-init3": ("regularize", "--limit", CUBIC_F, "--eps", "1/30", "--init-uniform", "3"),
+    # initial partitions off the limit's breakpoints
+    "regularize-step-b-init5": ("regularize", "--limit", STEP_B, "--eps", "1/60", "--init-uniform", "5"),
+    "regularize-quad3-init2": ("regularize", "--limit", json.dumps(QUAD3), "--eps", "1/60", "--init-uniform", "2"),
     "density-limit-step-eq": ("density", "--limit", STEP_EQ, "--pattern", "011010"),
     "density-limit-step-a": ("density", "--limit", STEP_A, "--pattern", "101101"),
     "density-limit-const": ("density", "--limit", _step(["0", "1"], ["3/7"]), "--pattern", "0110"),
@@ -315,6 +322,7 @@ CORPUS = {
     "forcibility-three-branch": ("forcibility", "--limit", THREE_BRANCH),
     "forcibility-three-branch-candidate": (
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
+    "forcibility-quad-half-candidate": ("forcibility", "--limit", QUAD_HALF, "--candidate", LINEAR),
     **PERMUTON,
     **PERMUTON_MC,
     **PERMUTON_SPELLED,
@@ -400,6 +408,9 @@ DIGESTS = {
     "regularize-cubic-init3": "a2ad9387f8e9b9dc4aac3de71420158e513b33eeff245905b448c5bfadb3c655",
     "regularize-step-a": "6d26c4d3bf4ec001c215d88d811947c9cd80a90ddce3cc40a3baad407c196e28",
     "regularize-step-eq-init3": "95278a1e07b274715aad1ece5d362a79c33ff2463f5b79af41f3d5632b24bd2f",
+    "regularize-step-b-init5": "3d3aa75fe1472dff5a10e343b338d0acd6de8f8e379e07b1481410271d45e95c",
+    "regularize-quad3-init2": "cc7c09bf130700fd8ac4ebb1c74bf8b8b74af5a03f319489d2875f853abcffdc",
+    "forcibility-quad-half-candidate": "6356dcfc94e6725c9edd6ecba2e32ad2f32597a2f7bae99dd5a8bb160d7de832",
     "permuton-density-grid-as-perm-k3": "28386410d0fc920fc1cb4432247115d5c1761755dd715a988497bd15ee3019bf",
     "permuton-density-grid-as-perm-k4": "4a6754f51461314f1c4da0dd9ae03f24944fa675b87b07000d6589659ce1b657",
     "permuton-density-grid-k1-m7": "0c12da5d6af6fb4fa46ee40d6ecf914560e25ce1b14b0624e7b0cc39ada8a222",
