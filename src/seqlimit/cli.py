@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -78,8 +79,10 @@ def _load_limit(value: str):
 
 
 def _load_word_or_limit(value: str):
+    """A limit function or vector when the JSON object has its breakpoints
+    or components key, otherwise a word."""
     text = _read_input(value).strip()
-    if text.startswith("{") and ("breakpoints" in text or "components" in text):
+    if text.startswith("{") and {"breakpoints", "components"} & json.loads(text).keys():
         return ser.limit_from_text(text)
     return ser.word_from_text(text)
 
@@ -309,13 +312,30 @@ def _cmd_permuton(args, stream) -> dict:
     }
 
 
+def _finite_field(spec: dict, key: str) -> float:
+    """spec[key] as a finite float, from a JSON number or a numeric string
+    such as "0.008"; anything else is refused with a message naming key."""
+    if key not in spec:
+        raise ValueError(f"{key} is missing")
+    value = spec[key]
+    try:
+        x = float(value) if type(value) in (int, float, str) else None
+    except (ValueError, OverflowError):  # not a number, or an int beyond the float range
+        x = math.inf if type(value) is int else None
+    if x is None:
+        raise ValueError(f"{key} must be a JSON number or numeric string, got {value!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"{key} must be finite, got the non-finite {value!r}")
+    return x
+
+
 def _run_experiment(spec: dict, stream) -> dict:
     kind = spec.get("kind")
     field = functools.partial(ser.json_field, spec)
     if kind == "tail_dbox":
         limit = field("limit", (dict, str))
         f = ser.limitfn_from_obj(limit) if isinstance(limit, dict) else _as_limit(_load_limit(limit))
-        n, a = field("n", int), float(spec["a"])
+        n, a = field("n", int), _finite_field(spec, "a")
         rep = tail_experiment_dbox(f, n, a, field("trials", int), stream)
         return {
             "kind": kind,
@@ -330,7 +350,7 @@ def _run_experiment(spec: dict, stream) -> dict:
         }
     if kind == "subsequence_tail":
         w = _load_word(field("word", str))
-        length, eps = field("length", int), float(spec["eps"])
+        length, eps = field("length", int), _finite_field(spec, "eps")
         rep = subsequence_tail_experiment(w, length, eps, field("trials", int), stream)
         return {
             "kind": kind,

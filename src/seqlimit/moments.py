@@ -55,13 +55,9 @@ def moment_words(i: int, j: int) -> MomentCombination:
     if n > MAX_PATTERN_LENGTH:
         raise ValueError(f"pattern length {n} exceeds cap {MAX_PATTERN_LENGTH}")
     base = Fraction(math.factorial(i) * math.factorial(j), math.factorial(n))
-    terms = []
-    for bits in itertools.product("01", repeat=n):
-        ones = sum(1 for b in bits[:-1] if b == "1")
-        if ones < j:
-            continue
-        terms.append((Word(bits), base * math.comb(ones, j)))
-    return MomentCombination(i=i, j=j, terms=tuple(terms))
+    counted = ((Word(bits), bits[:-1].count("1")) for bits in itertools.product("01", repeat=n))
+    terms = tuple((u, base * math.comb(ones, j)) for u, ones in counted if ones >= j)
+    return MomentCombination(i=i, j=j, terms=terms)
 
 
 def moment_direct(i: int, j: int, f: PiecewisePoly) -> Fraction:
@@ -96,9 +92,7 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """The identity tying ordinary moments of f to pattern densities:
     integral of f(x) x^k equals 1/(k+1) times the sum of t(u1, f) over
     all binary u of length k.  Returns (direct value, density value)."""
-    direct = Fraction(0)
-    for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
-        direct += poly.pintegrate(poly.pmul(p, poly.ppow(poly.X, k)), lo, hi)
+    direct = (f * PiecewisePoly((0, 1), (poly.ppow(poly.X, k),))).integral()
     densities = limit_densities(f, [Word(bits + ("1",)) for bits in itertools.product("01", repeat=k)])
     return direct, sum(densities.values()) / (k + 1)
 
@@ -109,8 +103,8 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
 @dataclass(frozen=True)
 class ForcibilityCertificate:
     branches: tuple[poly.Poly, ...]
-    monomials: tuple[tuple[MomentCombination, Fraction], ...]  # (x^i y^j as densities, coeff)
     words: tuple[Word, ...]
+    weights: tuple[Fraction, ...]  # per word: its coefficient in the residual
 
     @property
     def word_count(self) -> int:
@@ -120,10 +114,7 @@ class ForcibilityCertificate:
         """Integral of P(x, H(x)) over [0, 1] for the candidate whose
         pattern densities are given; nonnegative, zero iff the candidate
         primitive follows the branch polynomials almost everywhere."""
-        total = Fraction(0)
-        for comb, c in self.monomials:
-            total += c * comb.evaluate(densities)
-        return total
+        return sum((w * densities[str(u)] for u, w in zip(self.words, self.weights)), Fraction(0))
 
     def residual_of(self, g: PiecewisePoly) -> Fraction:
         return self.residual(limit_densities(g, self.words))
@@ -131,12 +122,11 @@ class ForcibilityCertificate:
 
 def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
     """Certificate words and residual functional for a piecewise-
-    polynomial limit function f."""
+    polynomial limit function f: each monomial x^a y^b of P contributes
+    its coefficient times the weight of each pattern in the moment of
+    x^a F(x)^b, summed into one weight per word."""
     F = f.antiderivative()
-    branches: list[poly.Poly] = []
-    for p in F.pieces:
-        if p not in branches:
-            branches.append(p)
+    branches = list(dict.fromkeys(F.pieces))
     # P(x, y) = prod (y - Q)^2, expanded as polynomials in y whose
     # coefficients are polynomials in x
     ycoeffs: list[poly.Poly] = [poly.ONE]
@@ -156,12 +146,11 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
         raise ValueError(
             f"certificate needs patterns of length {max_len} > cap {MAX_PATTERN_LENGTH}"
         )
-    monomials = tuple((moment_words(a, b), coeff) for a, b, coeff in exponents)
-    seen: dict[str, Word] = {}
-    for comb, _ in monomials:
-        for u, _c in comb.terms:
-            seen.setdefault(str(u), u)
-    words = tuple(seen[k] for k in sorted(seen))
+    weights: dict[Word, Fraction] = {}
+    for a, b, coeff in exponents:
+        for u, c in moment_words(a, b).terms:
+            weights[u] = weights.get(u, 0) + coeff * c
+    words = sorted(weights, key=str)
     # structural budget: monomial bidegrees are bounded by twice the sum
     # of branch degrees, so no pattern exceeds 2*d_sum + 1 letters and the
     # word list stays finite and small
@@ -171,7 +160,7 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
     if len(words) > 2 ** (2 * d_sum + 2):
         raise RuntimeError("certificate exceeds its word budget")
     return ForcibilityCertificate(
-        branches=tuple(branches), monomials=monomials, words=words
+        branches=tuple(branches), words=tuple(words), weights=tuple(weights[u] for u in words)
     )
 
 
@@ -203,11 +192,7 @@ def check_forced(
     if df is None:
         df = limit_densities(f, cert.words)
     dh = limit_densities(h, cert.words)
-    witness = None
-    for u in cert.words:
-        if df[str(u)] != dh[str(u)]:
-            witness = u
-            break
+    witness = next((u for u in cert.words if df[str(u)] != dh[str(u)]), None)
     return ForcedVerdict(
         densities_match=witness is None,
         witness=witness,

@@ -17,8 +17,9 @@ value times cell width, a polynomial side by Horner on its scaled
 primitive.  Box, prefix and L1 distances are read off that grid when
 both sides are words or step functions, or when a word meets a limit
 with exact values in [0, 1]; H is then monotone on every cell.
-`_densities` runs the pattern-density DP of `step_density` on the same
-scaled cells when every component is a step function; polynomial pieces
+`_densities` merges the components of a batch of patterns on the same
+scaled cells once, when every component is a step function, and runs
+the pattern-density DP of `_step_density` per pattern; polynomial pieces
 keep the iterated antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
@@ -130,9 +131,7 @@ class PiecewisePoly:
 
     def _zip(self, other: "PiecewisePoly"):
         bps = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        a = self.refined(bps)
-        b = other.refined(bps)
-        return bps, a.pieces, b.pieces
+        return bps, self.refined(bps).pieces, other.refined(bps).pieces
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         bps, pa, pb = self._zip(other)
@@ -150,7 +149,12 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, tuple(poly.pscale(p, s) for p in self.pieces))
 
     def antiderivative(self) -> "PiecewisePoly":
-        """The continuous primitive F with F(0) = 0, piece by piece."""
+        """The continuous primitive F with F(0) = 0, piece by piece, derived
+        once per instance (instances are frozen)."""
+        return self._primitive
+
+    @functools.cached_property
+    def _primitive(self) -> "PiecewisePoly":
         acc = Fraction(0)
         out: list[Poly] = []
         for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
@@ -161,10 +165,7 @@ class PiecewisePoly:
         return PiecewisePoly(self.breakpoints, tuple(out))
 
     def integral(self) -> Fraction:
-        total = Fraction(0)
-        for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            total += poly.pintegrate(p, lo, hi)
-        return total
+        return self.antiderivative()(1)
 
     def equals(self, other: "PiecewisePoly") -> bool:
         _, pa, pb = self._zip(other)
@@ -239,24 +240,36 @@ def _densities(patterns, F) -> list[Fraction]:
 
     F is a mapping from letters to limit functions, or one binary limit
     function f read as (1 - f, f); the caller has checked it.  When every
-    component is a step function this is the integer piece DP of
-    `step_density`, O(m * l^2) int operations on m merged cells.
-    Otherwise it is l rounds of multiply-and-antiderivative, exact over
-    rational polynomial pieces.
+    component is a step function, the components (f as vden - v and v,
+    or the letters the patterns use) are merged on one integer grid for
+    the whole batch, and each pattern runs the DP of `_step_density` on
+    its cells.  Otherwise it is l rounds of multiply-and-antiderivative,
+    exact over rational polynomial pieces.
     """
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
     if isinstance(F, PiecewisePoly) and not F.is_step():
         F = {"0": PiecewisePoly.constant(1) - F, "1": F}
-    if isinstance(F, PiecewisePoly) or all(f.is_step() for f in F.values()):
-        return [step_density(u, F) for u in patterns]
-    out = []
-    for u in patterns:
-        acc = PiecewisePoly.constant(1)
-        for letter in u.letters:
-            acc = (F[letter] * acc).antiderivative()
-        out.append(math.factorial(len(u)) * acc(1))
-    return out
+    if isinstance(F, PiecewisePoly):
+        grid, (ones,), bden, vden = _step_cells((F,))
+        ones = list(ones)
+        values = {"0": [vden - v for v in ones], "1": ones}
+    elif all(f.is_step() for f in F.values()):
+        letters = sorted(set().union(*(u.letters for u in patterns)))
+        grid, vss, bden, vden = _step_cells([F[a] for a in letters])
+        values = dict(zip(letters, vss))
+    else:
+        out = []
+        for u in patterns:
+            acc = PiecewisePoly.constant(1)
+            for letter in u.letters:
+                acc = (F[letter] * acc).antiderivative()
+            out.append(math.factorial(len(u)) * acc(1))
+        return out
+    widths = list(map(sub, grid[1:], grid))
+    masses = {a: list(map(mul, widths, vs)) for a, vs in values.items()}
+    binom = [[math.comb(jp, j) for j in range(jp)] for jp in range(max(map(len, patterns)) + 1)]
+    return [_step_density([masses[a] for a in u.letters], binom, bden * vden) for u in patterns]
 
 
 def t_density_vector(u: Word, F: LimitVector) -> Fraction:
@@ -374,30 +387,19 @@ def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int]
     return grid, list(map(sub, prim_f, prim_g)), bden, vden
 
 
-def step_density(u: Word, F) -> Fraction:
-    """Exact t(u, F) for step components F: a mapping from letters to step
-    functions, or one step function f taken as the binary vector (1 - f, f).
+def _step_density(columns, binom, den: int) -> Fraction:
+    """t(u, F) for the pattern u whose letters have the cell masses in
+    columns: columns[i][k] = den * F_{u_i} * (width of cell k), an
+    integer, for den = bden * vden.
 
-    Breakpoints and values are scaled to integer denominators bden and
-    vden, so that each cell of the merged grid has integer width L and
-    letter values c(a).  The sweep keeps D[j] = j! * (bden * vden)^j *
-    (mass of the first j letters placed in the cells so far), an integer,
-    and a cell adds to D[j'] the sum over j < j' of
-    C(j', j) * D[j] * prod_{i = j+1..j'} L * c(u_i).  u is nonempty.
+    The sweep keeps D[j] = j! * den^j * (mass of the first j letters
+    placed in the cells so far), an integer, and a cell adds to D[j'] the
+    sum over j < j' of C(j', j) * D[j] * prod_{i = j+1..j'} of the cell
+    masses of u_i.  binom[j'][j] = C(j', j) for j' up to len(u) >= 1.
     """
-    if isinstance(F, PiecewisePoly):
-        grid, (ones,), bden, vden = _step_cells((F,))
-        values = ([vden - v for v in ones], ones)
-        index = [int(c) for c in u.letters]
-    else:
-        letters = sorted(set(u.letters))
-        grid, values, bden, vden = _step_cells([F[a] for a in letters])
-        index = [letters.index(c) for c in u.letters]
-    l = len(index)
-    binom = [[math.comb(jp, j) for j in range(jp)] for jp in range(l + 1)]
+    l = len(columns)
     D = [1] + [0] * l
-    for L, *c in zip(map(sub, grid[1:], grid), *values):
-        a = [L * c[i] for i in index]
+    for a in zip(*columns):
         for jp in range(l, 0, -1):
             prod, acc = 1, 0
             for j in range(jp - 1, -1, -1):
@@ -406,7 +408,7 @@ def step_density(u: Word, F) -> Fraction:
                     break
                 acc += binom[jp][j] * D[j] * prod
             D[jp] += acc
-    return Fraction(D[l], (bden * vden) ** l)
+    return Fraction(D[l], den ** l)
 
 
 # -- distances --------------------------------------------------------

@@ -43,45 +43,38 @@ class IntervalPartition:
         return len(self.breakpoints) - 1
 
     def refine(self, points) -> "IntervalPartition":
-        pts = set(self.breakpoints)
-        for p in points:
-            p = Fraction(p)
-            if 0 < p < 1:
-                pts.add(p)
-        return IntervalPartition(tuple(sorted(pts)))
+        inner = {p for p in map(Fraction, points) if 0 < p < 1}
+        return IntervalPartition(tuple(sorted(set(self.breakpoints) | inner)))
 
 
 def conditional_expectation(f: PiecewisePoly, part: IntervalPartition) -> PiecewisePoly:
     """Step function equal on each atom to the average of f there."""
-    F = f.antiderivative()
-    vals = []
-    for lo, hi in zip(part.breakpoints, part.breakpoints[1:]):
-        vals.append((F(hi) - F(lo)) / (hi - lo))
-    return PiecewisePoly.step(vals, part.breakpoints)
+    F, bps = f.antiderivative(), part.breakpoints
+    return PiecewisePoly.step([(F(hi) - F(lo)) / (hi - lo) for lo, hi in zip(bps, bps[1:])], bps)
 
 
 def energy(f: PiecewisePoly, part: IntervalPartition) -> Fraction:
     """Integral of E(f|P)^2: sum of length * average^2 over atoms."""
-    F = f.antiderivative()
-    total = Fraction(0)
-    for lo, hi in zip(part.breakpoints, part.breakpoints[1:]):
-        avg = (F(hi) - F(lo)) / (hi - lo)
-        total += (hi - lo) * avg * avg
-    return total
+    E = conditional_expectation(f, part)
+    return (E * E).integral()
 
 
-def _extremal_of(g: PiecewisePoly) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """The interval I maximizing |integral_I g| together with that value,
-    located exactly from the extrema of the primitive.  Irrational
-    critical points are rationalized before evaluation, so the reported
-    deviation is always exact for the returned interval.  Ties go to the
-    largest maximizer and the smallest minimizer."""
-    if g.is_step():
-        grid, prim, bden, vden = grid_primitive(g)
+def _extremal_of(
+    f: PiecewisePoly, g: PiecewisePoly = PiecewisePoly.constant(0)
+) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """The interval I maximizing |integral_I (f - g)| together with that
+    value, located exactly from the extrema of the primitive: read off
+    `grid_primitive(f, g)` when both are step functions, else off the
+    critical cuts of (f - g)'s primitive.  Irrational critical points are
+    rationalized before evaluation, so the reported deviation is always
+    exact for the returned interval.  Ties go to the largest maximizer
+    and the smallest minimizer."""
+    if f.is_step() and g.is_step():
+        grid, prim, bden, vden = grid_primitive(f, g)
         top, bottom = max(prim), min(prim)
         lo, hi = sorted((prim.index(bottom), len(prim) - 1 - prim[::-1].index(top)))
         return Fraction(top - bottom, bden * vden), (Fraction(grid[lo], bden), Fraction(grid[hi], bden))
-    H = g.antiderivative()
+    H = (f - g).antiderivative()
     cands = []
     for P, cuts, approx in _critical_cuts(H.breakpoints, H.pieces):
         lo, hi = cuts[0], cuts[-1]
@@ -99,12 +92,10 @@ def extremal_interval(
 ) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The interval maximizing |integral_I (f - E(f|P))|, with the exact
     deviation attained there."""
-    return _extremal_of(f - conditional_expectation(f, part))
+    return _extremal_of(f, conditional_expectation(f, part))
 
 
-def violating_interval(
-    g: PiecewisePoly, eps
-) -> tuple[Fraction, Fraction] | None:
+def violating_interval(g: PiecewisePoly, eps) -> tuple[Fraction, Fraction] | None:
     """An interval I with |integral_I g| equal to the interval norm of g,
     when that norm exceeds eps; None otherwise."""
     eps = Fraction(eps)

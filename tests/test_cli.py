@@ -539,6 +539,18 @@ EXPERIMENT_FIELDS = {
     "curve-forbid-pattern-int": (dict(CURVE, forbid=["10", 5]), "each forbidden pattern must be a JSON string"),
     "curve-distances-string": (dict(CURVE, distances="0"), "distances must be a JSON list"),
     "curve-query-size-missing": ({k: v for k, v in CURVE.items() if k != "query_size"}, "query_size is missing"),
+    # a and eps: a finite JSON number or a numeric string such as "0.008"
+    "tail-a-missing": ({k: v for k, v in TAIL.items() if k != "a"}, "a is missing"),
+    "tail-a-bool": (dict(TAIL, a=True), "a must be a JSON number or numeric string, got True"),
+    "tail-a-list": (dict(TAIL, a=[0.1]), "a must be a JSON number or numeric string, got [0.1]"),
+    "tail-a-nan": (dict(TAIL, a=math.nan), "a must be finite, got the non-finite nan"),
+    "tail-a-infinity": (dict(TAIL, a=math.inf), "a must be finite, got the non-finite inf"),
+    "tail-a-infinity-string": (dict(TAIL, a="Infinity"), "a must be finite, got the non-finite 'Infinity'"),
+    "tail-a-huge-int": (dict(TAIL, a=10**400), f"a must be finite, got the non-finite {10**400!r}"),
+    "subseq-eps-missing": ({k: v for k, v in SUBSEQ.items() if k != "eps"}, "eps is missing"),
+    "subseq-eps-null": (dict(SUBSEQ, eps=None), "eps must be a JSON number or numeric string, got None"),
+    "subseq-eps-word": (dict(SUBSEQ, eps="half"), "eps must be a JSON number or numeric string, got 'half'"),
+    "subseq-eps-nan-string": (dict(SUBSEQ, eps="nan"), "eps must be finite, got the non-finite 'nan'"),
 }
 
 
@@ -566,3 +578,15 @@ def test_experiments_with_fewer_than_one_trial_fail(tmp_path, kind, trials):
         "name": "e", "status": "error",
         "error": f"the tail experiment needs at least 1 trial, got {trials}"}]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_word_json_is_read_by_its_keys_not_its_letters():
+    # a word whose alphabet has a letter named like a limit's field is a word
+    outs = []
+    for letter in ("x", "components", "breakpoints"):
+        word = json.dumps({"alphabet": [letter, "b"], "letters": "bb"})
+        code, out, err = run_cli("distance", word, word)
+        assert (code, err) == (0, ""), letter
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["value"] == "0"

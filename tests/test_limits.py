@@ -25,6 +25,7 @@ from seqlimit import (
 from seqlimit import poly
 from seqlimit.piecewise import (
     LimitVector,
+    _densities,
     grid_primitive,
     require_unit_range,
 )
@@ -32,7 +33,7 @@ from seqlimit.serialize import limitfn_to_obj
 from seqlimit.words import all_patterns
 
 from test_cli import run_cli
-from util import density_tables_upto, random_step, random_step_irregular, random_word
+from util import density_tables_upto, random_poly_limit, random_step, random_step_irregular, random_word
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -63,6 +64,21 @@ def test_arithmetic_and_antiderivative():
     assert H(0) == 0 and H(Fraction(1, 2)) == Fraction(1, 4) and H(1) == 0
     assert f.refined([Fraction(1, 3)]).equals(f)
     assert f.refined([Fraction(1, 3)]).simplify() == f
+
+
+def test_antiderivative_is_the_piece_by_piece_primitive():
+    stream = SeededStream(31)
+    fs = [HALF, STEP_HALF, PiecewisePoly.constant(0)]
+    fs += [random_step_irregular(stream.substream(t), max_steps=6) for t in range(10)]
+    fs += [random_poly_limit(stream.substream(50 + t)) for t in range(10)]
+    for f in fs:
+        acc, pieces = Fraction(0), []
+        for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+            P = poly.pantider(p)
+            P = poly.padd(P, (acc - poly.peval(P, lo),))
+            pieces.append(P)
+            acc = poly.peval(P, hi)
+        assert f.antiderivative() == PiecewisePoly(f.breakpoints, tuple(pieces))
 
 
 def test_density_of_constant_is_product_formula():
@@ -168,8 +184,9 @@ def random_ternary(stream: SeededStream) -> LimitVector:
     return LimitVector({"a": a, "b": b, "c": (PiecewisePoly.constant(1) - a - b).simplify()})
 
 
-def test_ternary_step_densities_match_symbolic_path():
-    abc = ("a", "b", "c")
+def ternary_vectors(stream: SeededStream) -> list[LimitVector]:
+    """Ternary vectors with step components on three different grids, one
+    with a polynomial component, and six random ones from stream."""
     half_x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1, 2)),))
     quarter = PiecewisePoly.step([Fraction(1, 4), 0], [0, Fraction(2, 3), 1])
     vectors = [
@@ -182,8 +199,13 @@ def test_ternary_step_densities_match_symbolic_path():
         # a polynomial component keeps the whole vector on the symbolic path
         LimitVector({"a": half_x, "b": quarter, "c": PiecewisePoly.constant(1) - half_x - quarter}),
     ]
+    return vectors + [random_ternary(stream.substream(t)) for t in range(6)]
+
+
+def test_ternary_step_densities_match_symbolic_path():
+    abc = ("a", "b", "c")
     stream = SeededStream(28)
-    vectors += [random_ternary(stream.substream(t)) for t in range(6)]
+    vectors = ternary_vectors(stream)
     assert sum(len({F[x].breakpoints for x in abc}) == 3 for F in vectors) >= 4
     rng = stream.generator()
     for F in vectors:
@@ -195,6 +217,29 @@ def test_ternary_step_densities_match_symbolic_path():
             assert type(got) is Fraction and got == symbolic_density(u, F), (p,)
         # the densities of all words of one length sum to 1
         assert sum(t_density_vector(Word(p, abc), F) for p in itertools.product(abc, repeat=3)) == 1
+
+
+def test_one_density_batch_matches_each_pattern_alone():
+    # one _densities call over patterns of mixed lengths and letters, some
+    # using only part of the alphabet, against each pattern's symbolic density
+    abc = ("a", "b", "c")
+    rng = SeededStream(29).generator()
+    for F in ternary_vectors(SeededStream(28)):
+        patterns = [Word(tuple(p), abc) for p in ("a", "cc", "ab", "ba", "bcb", "ccab", "aaaa", "cab")]
+        patterns += [Word(tuple(abc[i] for i in rng.integers(0, 3, size=n)), abc) for n in (2, 4, 6)]
+        got = _densities(patterns, F.components)
+        assert all(type(x) is Fraction for x in got)
+        assert got == [symbolic_density(u, F) for u in patterns]
+    # binary steps, taken as (1 - f, f)
+    stream = SeededStream(30)
+    fs = [PiecewisePoly.constant(0), PiecewisePoly.constant(1), STEP_HALF,
+          PiecewisePoly.step([0, Fraction(2, 3), 1], [0, Fraction(1, 5), Fraction(4, 7), 1])]
+    fs += [random_step_irregular(stream.substream(t), max_steps=7, den=5 + t, bden=30 + t) for t in range(8)]
+    patterns = [W(k) for k in ("1", "0", "00", "01", "110", "0000", "1111", "10110", "011010")]
+    for f in fs:
+        got = _densities(patterns, f)
+        assert all(type(x) is Fraction for x in got)
+        assert got == [symbolic_density(u, {"0": PiecewisePoly.constant(1) - f, "1": f}) for u in patterns]
 
 
 def test_density_domain_errors():

@@ -18,11 +18,11 @@ from seqlimit import (
     moment_words,
     t_density_limit,
 )
-from seqlimit import moments, piecewise
+from seqlimit import moments, piecewise, poly
 from seqlimit.moments import MomentCombination
 from seqlimit.words import all_patterns
 
-from util import density_tables_upto, random_step
+from util import density_tables_upto, random_poly_limit, random_step
 
 HALF = PiecewisePoly.constant(Fraction(1, 2))
 STEP_HALF = PiecewisePoly.step([1, 0])
@@ -125,6 +125,37 @@ def test_certificate_residual_nonnegative_on_random_candidates():
     for t in range(100):
         h = random_step(stream.substream(t), max_steps=6)
         assert cert.residual_of(h) >= 0
+
+
+def branch_integral(cert, g: PiecewisePoly) -> Fraction:
+    """Integral over [0, 1] of prod_i (G - Q_i)^2 for G = g's primitive and
+    Q_i the certificate's branches, by direct integration piece by piece."""
+    G = g.antiderivative()
+    total = Fraction(0)
+    for lo, hi, P in zip(G.breakpoints, G.breakpoints[1:], G.pieces):
+        integrand = poly.ONE
+        for q in cert.branches:
+            d = poly.psub(P, q)
+            integrand = poly.pmul(integrand, poly.pmul(d, d))
+        total += poly.pintegrate(integrand, lo, hi)
+    return total
+
+
+def test_certificate_residual_is_the_branch_integral():
+    # one, two and three branches; the residual is an exact value, not
+    # only a sign
+    fs = [HALF, PiecewisePoly.step([Fraction(1, 4), Fraction(3, 4)]),
+          PiecewisePoly.step([Fraction(1, 4), Fraction(3, 4), Fraction(1, 2)])]
+    stream = SeededStream(54)
+    steps = [random_step(stream.substream(t), max_steps=6) for t in range(40)] + [HALF, STEP_HALF]
+    polys = [random_poly_limit(stream.substream(100 + t), max_pieces=2) for t in range(12)]
+    for f in fs:
+        cert = forcibility_certificate(f)
+        assert cert.residual_of(f) == branch_integral(cert, f) == 0
+        # the symbolic densities of polynomial candidates are slow on the
+        # three-branch certificate's 7-letter words
+        for g in steps + (polys if len(cert.branches) < 3 else polys[:3]):
+            assert cert.residual_of(g) == branch_integral(cert, g), (f, g)
 
 
 def test_certificate_for_identity_and_piecewise_linear():

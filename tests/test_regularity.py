@@ -20,7 +20,7 @@ from seqlimit import (
 from seqlimit import regularity
 from seqlimit.regularity import _extremal_of
 
-from util import random_step, random_step_irregular
+from util import random_poly_limit, random_step, random_step_irregular
 
 STEP_HALF = PiecewisePoly.step([1, 0])
 
@@ -105,6 +105,39 @@ def test_extremal_of_step_matches_candidate_scan_and_tie_break():
         cases.append(f - conditional_expectation(f, IntervalPartition.uniform(1 + t % 3)))
     for g in cases:
         assert _extremal_of(g) == candidate_scan(g)
+
+
+def off_grid_partitions(stream: SeededStream) -> list[IntervalPartition]:
+    """The trivial and a uniform partition, and two with breakpoints in
+    thirteenths, off the grids of random_step_irregular's limits."""
+    rng = stream.generator()
+    parts = [IntervalPartition.trivial(), IntervalPartition.uniform(5)]
+    for k in (3, 6):
+        parts.append(IntervalPartition.trivial().refine(Fraction(int(x), 13) for x in rng.integers(1, 13, size=k)))
+    return parts
+
+
+def test_extremal_interval_is_the_extremal_of_f_minus_its_expectation():
+    stream = SeededStream(75)
+    fs = [random_step_irregular(stream.substream(t), max_steps=8) for t in range(12)]
+    fs += [random_poly_limit(stream.substream(40 + t)) for t in range(6)]
+    for t, f in enumerate(fs):
+        for part in off_grid_partitions(stream.substream(80 + t)):
+            want = _extremal_of(f - conditional_expectation(f, part))
+            assert extremal_interval(f, part) == want, (f, part)
+
+
+def test_extremal_of_a_pair_is_the_extremal_of_its_difference():
+    stream = SeededStream(76)
+    steps = [random_step_irregular(stream.substream(t), max_steps=7) for t in range(10)]
+    steps += [PiecewisePoly.step([1, -1, 1, -1]), PiecewisePoly.constant(0)]
+    polys = [random_poly_limit(stream.substream(40 + t)) for t in range(5)]
+    pairs = [(f, g) for f in steps for g in steps[::3]]
+    pairs += [(f, g) for f in steps[:4] for g in polys] + [(g, f) for f in steps[:4] for g in polys]
+    pairs += [(f, conditional_expectation(f, part)) for f in steps + polys
+              for part in off_grid_partitions(stream.substream(90))]
+    for f, g in pairs:
+        assert _extremal_of(f, g) == _extremal_of(f - g), (f, g)
 
 
 def test_extremal_interval_with_irrational_extremum():

@@ -34,6 +34,21 @@ def random_step_irregular(
     return PiecewisePoly.step(vals, bps)
 
 
+def random_poly_limit(stream: SeededStream, max_pieces: int = 3, den: int = 8) -> PiecewisePoly:
+    """Random piecewise-quadratic function into [0, 1]: each piece is
+    c0 (1 - x)^2 + 2 c1 x (1 - x) + c2 x^2 with c0, c1, c2 in [0, 1], a
+    Bernstein form that stays in [0, 1] on [0, 1]."""
+    rng = stream.generator()
+    m = int(rng.integers(1, max_pieces + 1))
+    cuts = sorted({Fraction(int(x), 12) for x in rng.integers(1, 12, size=m - 1)})
+    bps = [Fraction(0)] + cuts + [Fraction(1)]
+    pieces = []
+    for _ in bps[:-1]:
+        c0, c1, c2 = (rand_frac(rng, den) for _ in range(3))
+        pieces.append((c0, 2 * (c1 - c0), c0 - 2 * c1 + c2))
+    return PiecewisePoly(tuple(bps), tuple(pieces))
+
+
 def random_word(stream: SeededStream, n: int, density: float = 0.5) -> Word:
     rng = stream.generator()
     return Word(tuple("1" if x < density else "0" for x in rng.random(n)))
