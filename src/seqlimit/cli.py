@@ -252,7 +252,7 @@ def _cmd_forcibility(args, stream) -> dict:
     df = limit_densities(f, cert.words)
     out = {
         "branches": [[ser.frac_str(c) for c in q] for q in cert.branches],
-        "word_count": cert.word_count,
+        "word_count": len(cert.words),
         "words": [str(u) for u in cert.words],
         "residual_self": cert.residual(df),
     }

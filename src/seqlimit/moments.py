@@ -78,14 +78,10 @@ def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
     """Pattern densities of f for a collection of binary patterns, each
     equal to `t_density_limit(u, f)`; f is range-checked once for all."""
     require_unit_range(f)
-    patterns: dict[str, Word] = {}
-    for u in words:
-        if not isinstance(u, Word):
-            u = Word.from_string(u)
-        if set(u.alphabet) != {"0", "1"}:
-            raise ValueError("t_density_limit requires the binary alphabet")
-        patterns.setdefault(str(u), u)
-    return dict(zip(patterns, _densities(list(patterns.values()), f)))
+    patterns = [u if isinstance(u, Word) else Word.from_string(u) for u in words]
+    if any(set(u.alphabet) != {"0", "1"} for u in patterns):
+        raise ValueError("t_density_limit requires the binary alphabet")
+    return dict(zip(map(str, patterns), _densities(patterns, f)))
 
 
 def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
@@ -106,10 +102,6 @@ class ForcibilityCertificate:
     words: tuple[Word, ...]
     weights: tuple[Fraction, ...]  # per word: its coefficient in the residual
 
-    @property
-    def word_count(self) -> int:
-        return len(self.words)
-
     def residual(self, densities: Mapping[str, Fraction]) -> Fraction:
         """Integral of P(x, H(x)) over [0, 1] for the candidate whose
         pattern densities are given; nonnegative, zero iff the candidate
@@ -124,7 +116,9 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
     """Certificate words and residual functional for a piecewise-
     polynomial limit function f: each monomial x^a y^b of P contributes
     its coefficient times the weight of each pattern in the moment of
-    x^a F(x)^b, summed into one weight per word."""
+    x^a F(x)^b, coeff * a! b! / n! * C(s, b) on a word of length
+    n = a + b + 1 with s >= b ones before its last letter, summed into
+    one weight per (n, s) and so per word."""
     F = f.antiderivative()
     branches = list(dict.fromkeys(F.pieces))
     # P(x, y) = prod (y - Q)^2, expanded as polynomials in y whose
@@ -146,10 +140,14 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
         raise ValueError(
             f"certificate needs patterns of length {max_len} > cap {MAX_PATTERN_LENGTH}"
         )
-    weights: dict[Word, Fraction] = {}
+    table: dict[tuple[int, int], Fraction] = {}
     for a, b, coeff in exponents:
-        for u, c in moment_words(a, b).terms:
-            weights[u] = weights.get(u, 0) + coeff * c
+        n = a + b + 1
+        base = coeff * Fraction(math.factorial(a) * math.factorial(b), math.factorial(n))
+        for s in range(b, n):
+            table[n, s] = table.get((n, s), 0) + base * math.comb(s, b)
+    weights = {Word(bits): table[key] for n in {n for n, _ in table} for bits in itertools.product("01", repeat=n)
+               if (key := (n, bits[:-1].count("1"))) in table}
     words = sorted(weights, key=str)
     # structural budget: monomial bidegrees are bounded by twice the sum
     # of branch degrees, so no pattern exceeds 2*d_sum + 1 letters and the

@@ -17,10 +17,9 @@ value times cell width, a polynomial side by Horner on its scaled
 primitive.  Box, prefix and L1 distances are read off that grid when
 both sides are words or step functions, or when a word meets a limit
 with exact values in [0, 1]; H is then monotone on every cell.
-`_densities` merges the components of a batch of patterns on the same
-scaled cells once, when every component is a step function, and runs
-the pattern-density DP of `_step_density` per pattern; polynomial pieces
-keep the iterated antiderivative.
+`_densities` walks the prefix trie of a batch of patterns once
+(`_prefix_walk`): a step prefix adds one integer column on the batch's
+merged scaled cells, a polynomial prefix one iterated antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
 sides, a step function and a polynomial, or a word and a limit whose
@@ -38,7 +37,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import poly
 from .poly import Poly
@@ -236,40 +235,62 @@ class LimitVector:
 
 def _densities(patterns, F) -> list[Fraction]:
     """Exact t(u, F) = l! * integral over x_1 < ... < x_l of
-    F_{u_1}(x_1) ... F_{u_l}(x_l) for each pattern u, in order.
+    F_{u_1}(x_1) ... F_{u_l}(x_l) for each pattern u, in order, for F a
+    mapping from letters to limit functions or one binary limit function
+    f read as (1 - f, f), as checked by the caller.
 
-    F is a mapping from letters to limit functions, or one binary limit
-    function f read as (1 - f, f); the caller has checked it.  When every
-    component is a step function, the components (f as vden - v and v,
-    or the letters the patterns use) are merged on one integer grid for
-    the whole batch, and each pattern runs the DP of `_step_density` on
-    its cells.  Otherwise it is l rounds of multiply-and-antiderivative,
-    exact over rational polynomial pieces.
+    `_prefix_walk` derives each distinct prefix once, from its parent.  A
+    polynomial prefix's state is its iterated antiderivative.  Step
+    components (f as vden - v and v, or the letters used) are merged on
+    one integer grid for the batch, and the state of u_1..u_j' holds the
+    columns D_0..D_j' on the grid points, D_j[k] = j! * den^j * (mass of
+    u_1..u_j in the first k cells) for den = bden * vden: cell k adds to
+    D_j' the sum over j < j' of C(j', j) * D_j[k] * prod_{i = j+1..j'} of
+    the cell's masses of u_i, summed column by column over j until that
+    product is 0 on every cell.
     """
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
     if isinstance(F, PiecewisePoly) and not F.is_step():
         F = {"0": PiecewisePoly.constant(1) - F, "1": F}
     if isinstance(F, PiecewisePoly):
-        grid, (ones,), bden, vden = _step_cells((F,))
-        ones = list(ones)
+        grid, (ones,), bden, vden = _step_cells((F,))  # a single side's values are a list
         values = {"0": [vden - v for v in ones], "1": ones}
     elif all(f.is_step() for f in F.values()):
         letters = sorted(set().union(*(u.letters for u in patterns)))
         grid, vss, bden, vden = _step_cells([F[a] for a in letters])
         values = dict(zip(letters, vss))
     else:
-        out = []
-        for u in patterns:
-            acc = PiecewisePoly.constant(1)
-            for letter in u.letters:
-                acc = (F[letter] * acc).antiderivative()
-            out.append(math.factorial(len(u)) * acc(1))
-        return out
+        return _prefix_walk(patterns, PiecewisePoly.constant(1), lambda acc, a: (F[a] * acc).antiderivative(),
+                            lambda l, acc: math.factorial(l) * acc(1))
     widths = list(map(sub, grid[1:], grid))
     masses = {a: list(map(mul, widths, vs)) for a, vs in values.items()}
     binom = [[math.comb(jp, j) for j in range(jp)] for jp in range(max(map(len, patterns)) + 1)]
-    return [_step_density([masses[a] for a in u.letters], binom, bden * vden) for u in patterns]
+
+    def extend(state, letter):
+        Ds, ms = state[0], state[1] + (masses[letter],)
+        b, prod, inc = binom[len(Ds)], ms[-1], itertools.repeat(0)
+        for j in range(len(Ds) - 1, -1, -1):  # prod: per cell, the masses of u_{j+1}..u_j' multiplied
+            inc = list(map(add, inc, map(mul, map(mul, Ds[j], prod), itertools.repeat(b[j]))))
+            if not j or not any(prod := list(map(mul, prod, ms[j - 1]))):
+                break
+        return Ds + (list(itertools.accumulate(inc, initial=0)),), ms
+
+    den = bden * vden
+    return _prefix_walk(patterns, (([1] * len(grid),), ()), extend, lambda l, s: Fraction(s[0][-1][-1], den**l))
+
+
+def _prefix_walk(patterns, root, extend, read) -> list:
+    """[read(len(u), state of u) for u in patterns], where the empty prefix
+    has state root and u_1..u_j has extend(state of u_1..u_{j-1}, u_j); in
+    sorted order, so each prefix is extended once and only the path is held."""
+    out, path, states = [None] * len(patterns), (), [root]
+    for i in sorted(range(len(patterns)), key=lambda i: patterns[i].letters):
+        u = patterns[i].letters
+        k = next((k for k, (a, b) in enumerate(zip(path, u)) if a != b), min(len(path), len(u)))
+        states[k:] = itertools.accumulate(u[k:], extend, initial=states[k])
+        path, out[i] = u, read(len(u), states[-1])
+    return out
 
 
 def t_density_vector(u: Word, F: LimitVector) -> Fraction:
@@ -385,30 +406,6 @@ def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int]
         prim_g += vals
     prim_f = itertools.accumulate(map(mul, _spread(xf, vf, grid), map(sub, grid[1:], grid)), initial=0)
     return grid, list(map(sub, prim_f, prim_g)), bden, vden
-
-
-def _step_density(columns, binom, den: int) -> Fraction:
-    """t(u, F) for the pattern u whose letters have the cell masses in
-    columns: columns[i][k] = den * F_{u_i} * (width of cell k), an
-    integer, for den = bden * vden.
-
-    The sweep keeps D[j] = j! * den^j * (mass of the first j letters
-    placed in the cells so far), an integer, and a cell adds to D[j'] the
-    sum over j < j' of C(j', j) * D[j] * prod_{i = j+1..j'} of the cell
-    masses of u_i.  binom[j'][j] = C(j', j) for j' up to len(u) >= 1.
-    """
-    l = len(columns)
-    D = [1] + [0] * l
-    for a in zip(*columns):
-        for jp in range(l, 0, -1):
-            prod, acc = 1, 0
-            for j in range(jp - 1, -1, -1):
-                prod *= a[j]
-                if not prod:
-                    break
-                acc += binom[jp][j] * D[j] * prod
-            D[jp] += acc
-    return Fraction(D[l], den ** l)
 
 
 # -- distances --------------------------------------------------------

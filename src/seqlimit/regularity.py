@@ -37,6 +37,8 @@ class IntervalPartition:
 
     @classmethod
     def uniform(cls, m: int) -> "IntervalPartition":
+        if m < 1:
+            raise ValueError(f"a uniform partition needs at least 1 atom, got {m}")
         return cls(tuple(Fraction(i, m) for i in range(m + 1)))
 
     def size(self) -> int:
@@ -54,9 +56,9 @@ def conditional_expectation(f: PiecewisePoly, part: IntervalPartition) -> Piecew
 
 
 def energy(f: PiecewisePoly, part: IntervalPartition) -> Fraction:
-    """Integral of E(f|P)^2: sum of length * average^2 over atoms."""
-    E = conditional_expectation(f, part)
-    return (E * E).integral()
+    """Integral of E(f|P)^2: sum of (F(hi) - F(lo))^2 / (hi - lo) over atoms."""
+    F, bps = f.antiderivative(), part.breakpoints
+    return sum(((F(hi) - F(lo)) ** 2 / (hi - lo) for lo, hi in zip(bps, bps[1:])), Fraction(0))
 
 
 def _extremal_of(

@@ -94,6 +94,8 @@ def tail_experiment_dbox(
 ) -> TailReport:
     """Empirical P(d_box(f_w, f) >= 8a) over f-random words of length n,
     against the bound 4 n exp(-2 a^2 n), valid for a >= 1/n."""
+    if n < 1:
+        raise ValueError(f"the tail experiment needs word length n >= 1, got {n}")
     if a < 1.0 / n:
         raise ValueError("tail parameter must satisfy a >= 1/n")
     threshold = 8.0 * a

@@ -441,6 +441,8 @@ EDGE_INPUTS = {
                                      "the number of frequencies must be nonnegative, got -1"),
     "density-empty-pattern": (("density", "--word", "0110", "--pattern", ""), "pattern must be nonempty"),
     "regularize-eps-0": (("regularize", "--limit", HALF_LIMIT, "--eps", "0"), "eps must lie in (0, 1)"),
+    "regularize-init-uniform-negative": (("regularize", "--limit", HALF_LIMIT, "--eps", "1/10", "--init-uniform", "-3"),
+                                         "a uniform partition needs at least 1 atom, got -3"),
     "test-query-size-0": (("test", "--word", "0101", "--forbid", "10", "--query-size", "0"), "got 0"),
     "permuton-grid-m-0": (("permuton", "density", "--grid", '{"m": 0, "mass": []}', "--pattern", "12"),
                           "grid size m must be at least 1, got 0"),
@@ -533,6 +535,9 @@ EXPERIMENT_FIELDS = {
     "tail-n-integral-float": (dict(TAIL, n=4.0), "n must be a JSON integer"),
     "tail-n-string": (dict(TAIL, n="4"), "n must be a JSON integer"),
     "tail-trials-bool": (dict(TAIL, trials=True), "trials must be a JSON integer"),
+    # out of the domain, in the library's words rather than Python's
+    "tail-n-0": (dict(TAIL, n=0), "the tail experiment needs word length n >= 1, got 0"),
+    "tail-n-negative": (dict(TAIL, n=-5), "the tail experiment needs word length n >= 1, got -5"),
     "subseq-length-null": (dict(SUBSEQ, length=None), "length must be a JSON integer"),
     "subseq-word-int": (dict(SUBSEQ, word=5), "word must be a JSON string"),
     "curve-forbid-int": (dict(CURVE, forbid=5), "forbid must be a JSON list"),

@@ -22,7 +22,7 @@ from seqlimit import (
     t_density_limit,
     t_density_vector,
 )
-from seqlimit import poly
+from seqlimit import piecewise, poly
 from seqlimit.piecewise import (
     LimitVector,
     _densities,
@@ -240,6 +240,74 @@ def test_one_density_batch_matches_each_pattern_alone():
         got = _densities(patterns, f)
         assert all(type(x) is Fraction for x in got)
         assert got == [symbolic_density(u, {"0": PiecewisePoly.constant(1) - f, "1": f}) for u in patterns]
+
+
+def test_shuffled_batch_with_duplicates_matches_the_symbolic_tables():
+    # every binary pattern of length 1..6, some twice, in a seeded shuffle,
+    # through one limit_densities call: one walk of the prefix trie
+    stream = SeededStream(31)
+    rng = stream.generator()
+    keys = ["".join(bits) for n in range(1, 7) for bits in itertools.product("01", repeat=n)]
+    batch = keys + [keys[i] for i in rng.integers(0, len(keys), size=40)]
+    batch = [batch[i] for i in rng.permutation(len(batch))]
+    fs = [random_step(stream.substream(1), max_steps=8), random_step(stream.substream(2), max_steps=5),
+          random_step_irregular(stream.substream(3), max_steps=8, den=7, bden=40),
+          random_step_irregular(stream.substream(4), max_steps=6, den=1),
+          random_poly_limit(stream.substream(5)), random_poly_limit(stream.substream(6), max_pieces=2)]
+    assert sum(not f.is_step() for f in fs) == 2
+    for f in fs:
+        got = limit_densities(f, batch)
+        assert list(got) == list(dict.fromkeys(batch))
+        assert all(type(x) is Fraction for x in got.values())
+        assert got == density_tables_upto(f, 6), f
+
+
+def test_shared_prefix_batch_matches_single_patterns_on_vectors():
+    # ternary step vectors and one with a polynomial component: a batch of
+    # every pattern of length <= 3, their extensions and repeats equals
+    # each pattern alone and the iterated antiderivative
+    abc = ("a", "b", "c")
+    rng = SeededStream(32).generator()
+    short = [p for n in range(1, 4) for p in itertools.product(abc, repeat=n)]
+    for F in ternary_vectors(SeededStream(28))[:5]:
+        patterns = short + [short[i] + tuple(abc[j] for j in rng.integers(0, 3, size=2)) for i in range(13, 39, 5)]
+        patterns += [patterns[i] for i in rng.integers(0, len(patterns), size=8)]
+        patterns = [Word(patterns[i], abc) for i in rng.permutation(len(patterns))]
+        got = _densities(patterns, F.components)
+        assert got == [_densities([u], F.components)[0] for u in patterns]
+        assert got == [symbolic_density(u, F) for u in patterns]
+
+
+def prefix_count(patterns) -> int:
+    return len({u.letters[:j] for u in patterns for j in range(1, len(u) + 1)})
+
+
+def test_a_batch_extends_each_distinct_prefix_once(monkeypatch):
+    walk, extended = piecewise._prefix_walk, []
+
+    def counting_walk(patterns, root, extend, read):
+        return walk(patterns, root, lambda state, a: extended.append(a) or extend(state, a), read)
+
+    monkeypatch.setattr(piecewise, "_prefix_walk", counting_walk)
+    patterns = [W(k) for k in ("0110", "011", "0111", "1", "0110", "10", "01101", "1")]
+    assert prefix_count(patterns) == 8
+    quad = PiecewisePoly((Fraction(0), Fraction(1, 2), Fraction(1)),
+                         ((0, 0, Fraction(2)), (Fraction(1, 2), Fraction(-1, 2))))
+    for f in (random_step_irregular(SeededStream(33), max_steps=6), quad):
+        want = [t_density_limit(u, f) for u in patterns]
+        extended.clear()
+        assert _densities(patterns, f) == want
+        assert len(extended) == 8, f
+    # the polynomial state is one antiderivative per distinct prefix
+    antiderivative, calls = PiecewisePoly.antiderivative, []
+    monkeypatch.setattr(PiecewisePoly, "antiderivative", lambda self: calls.append(1) or antiderivative(self))
+    abc = ("a", "b", "c")
+    F = ternary_vectors(SeededStream(28))[1]
+    vector_patterns = [Word.from_string(k, abc) for k in ("abc", "ab", "abca", "c", "cb", "abc", "cbb")]
+    assert _densities(vector_patterns, F.components) == [symbolic_density(u, F) for u in vector_patterns]
+    calls.clear()
+    _densities(vector_patterns, F.components)
+    assert len(calls) == prefix_count(vector_patterns) == 7
 
 
 def test_density_domain_errors():

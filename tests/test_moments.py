@@ -1,5 +1,6 @@
 """Moment identities of (x, F(x)) and forcibility certificates."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -20,9 +21,11 @@ from seqlimit import (
 )
 from seqlimit import moments, piecewise, poly
 from seqlimit.moments import MomentCombination
+from seqlimit.serialize import limitfn_from_obj
 from seqlimit.words import all_patterns
 
-from util import density_tables_upto, random_poly_limit, random_step
+import test_cli_corpus as corpus
+from util import density_tables_upto, random_poly_limit, random_step, random_step_irregular
 
 HALF = PiecewisePoly.constant(Fraction(1, 2))
 STEP_HALF = PiecewisePoly.step([1, 0])
@@ -139,6 +142,48 @@ def branch_integral(cert, g: PiecewisePoly) -> Fraction:
             integrand = poly.pmul(integrand, poly.pmul(d, d))
         total += poly.pintegrate(integrand, lo, hi)
     return total
+
+
+def monomial_weights(branches) -> dict[Word, Fraction]:
+    """Per-word weights of P(x, y) = prod (y - Q)^2, expanded as a dict of
+    bidegrees (a, b), by summing coeff * c over moment_words(a, b).terms
+    for every monomial: the oracle for the (length, ones) table."""
+    P = {(0, 0): Fraction(1)}
+    for q in branches:
+        # (y - q)^2 = y^2 - 2 q y + q^2
+        factor = {(0, 2): Fraction(1)}
+        for a, c in enumerate(q):
+            factor[a, 1] = factor.get((a, 1), 0) - 2 * c
+        for a, c in enumerate(poly.pmul(q, q)):
+            factor[a, 0] = factor.get((a, 0), 0) + c
+        prod: dict[tuple[int, int], Fraction] = {}
+        for (a1, b1), c1 in P.items():
+            for (a2, b2), c2 in factor.items():
+                prod[a1 + a2, b1 + b2] = prod.get((a1 + a2, b1 + b2), 0) + c1 * c2
+        P = prod
+    weights: dict[Word, Fraction] = {}
+    for (a, b), coeff in P.items():
+        if coeff:
+            for u, c in moment_words(a, b).terms:
+                weights[u] = weights.get(u, 0) + coeff * c
+    return weights
+
+
+def test_certificate_weights_equal_the_per_monomial_sums():
+    fs = [limitfn_from_obj(json.loads(text)) for text in (
+        corpus.TWO_BRANCH, corpus.TWO_BRANCH_H, corpus.THREE_BRANCH, corpus.THREE_BRANCH_H, corpus.QUAD_HALF,
+        corpus.LINEAR)]
+    stream = SeededStream(55)
+    fs += [random_step(stream.substream(t), max_steps=4) for t in range(6)]
+    fs += [random_step_irregular(stream.substream(10 + t), max_steps=4, den=6) for t in range(4)]
+    fs += [random_poly_limit(stream.substream(20 + t), max_pieces=1) for t in range(4)]
+    assert sum(len(forcibility_certificate(f).branches) >= 3 for f in fs) >= 4
+    for f in fs:
+        cert = forcibility_certificate(f)
+        want = monomial_weights(cert.branches)
+        assert cert.words == tuple(sorted(want, key=str)), f
+        assert cert.weights == tuple(want[u] for u in cert.words), f
+        assert all(type(w) is Fraction for w in cert.weights)
 
 
 def test_certificate_residual_is_the_branch_integral():

@@ -34,6 +34,9 @@ def test_partition_construction():
         IntervalPartition((Fraction(0), Fraction(1, 2)))
     with pytest.raises(ValueError):
         IntervalPartition((Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)))
+    for m in (0, -3):
+        with pytest.raises(ValueError, match=f"^a uniform partition needs at least 1 atom, got {m}$"):
+            IntervalPartition.uniform(m)
 
 
 def test_conditional_expectation_examples():
@@ -51,6 +54,19 @@ def test_tower_property_preserves_integral():
         f = random_step_irregular(stream.substream(t), max_steps=7)
         part = IntervalPartition.uniform(1 + t % 5)
         assert conditional_expectation(f, part).integral() == f.integral()
+
+
+def test_energy_is_the_integral_of_the_squared_conditional_expectation():
+    stream = SeededStream(92)
+    fs = [random_step(stream.substream(t), max_steps=9) for t in range(6)]
+    fs += [random_step_irregular(stream.substream(10 + t), max_steps=7) for t in range(6)]
+    fs += [random_poly_limit(stream.substream(20 + t)) for t in range(6)]
+    rng = stream.generator()
+    for t, f in enumerate(fs):
+        cuts = [Fraction(int(x), 24) for x in rng.integers(1, 24, size=t % 5)]
+        for part in (IntervalPartition.uniform(1 + t % 4), IntervalPartition.trivial().refine(cuts)):
+            E = conditional_expectation(f, part)
+            assert energy(f, part) == (E * E).integral(), (f, part)
 
 
 def test_energy_examples_and_refinement_monotonicity():
