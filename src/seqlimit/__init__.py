@@ -10,7 +10,6 @@ certificates, a subsequence property tester, and weak regularity.
 from .words import (
     Word,
     AlphabetError,
-    PrefixCounts,
     pattern_density,
     subsequence_count,
     density_table,
@@ -27,7 +26,6 @@ from .piecewise import (
     d_box,
     d1_fn,
     prefix_sup_dist,
-    bernstein_eval,
 )
 from .uniformity import (
     UniformityReport,
@@ -35,11 +33,7 @@ from .uniformity import (
     discrepancy,
     minimizer_residuals,
     exponential_sum,
-    equidistribution_error,
-    cayley_walk_count,
-    inverse_cs_check,
     quasirandomness_report,
-    FORWARD_CONSTANT,
     CONVERSE_CONSTANT,
 )
 from .sampling import (
@@ -51,9 +45,6 @@ from .sampling import (
 from .moments import (
     MomentCombination,
     moment_words,
-    moment_direct,
-    moment_from_densities,
-    moment_bridge,
     forcibility_certificate,
     check_forced,
     limit_densities,
@@ -72,15 +63,12 @@ from .permutons import (
     t_grid,
     d_box_grid,
     sample_subperm,
-    moment_xy_direct,
-    moment_xy_from_densities,
 )
 from .regularity import (
     IntervalPartition,
     conditional_expectation,
     energy,
     extremal_interval,
-    violating_interval,
     weak_regularity,
 )
 

@@ -45,13 +45,7 @@ from .sampling import (
     tail_experiment_dbox,
 )
 from .streams import PRNG_ID, SeededStream
-from .uniformity import (
-    best_uniformity,
-    discrepancy,
-    exponential_sum,
-    minimizer_residuals,
-    quasirandomness_report,
-)
+from .uniformity import best_uniformity, quasirandomness_report
 from .words import Word, index_sets, subsequence_count
 
 

@@ -47,8 +47,9 @@ class MomentCombination:
 
 
 def moment_words(i: int, j: int) -> MomentCombination:
-    """The exact pattern-density combination equal to the moment of
-    x^i F(x)^j for every limit function f with primitive F."""
+    """The moment identity (acceptance criterion 06): the exact
+    pattern-density combination equal to the moment of x^i F(x)^j for
+    every limit function f with primitive F."""
     if i < 0 or j < 0:
         raise ValueError("exponents must be nonnegative")
     n = i + j + 1
@@ -60,20 +61,6 @@ def moment_words(i: int, j: int) -> MomentCombination:
     return MomentCombination(i=i, j=j, terms=terms)
 
 
-def moment_direct(i: int, j: int, f: PiecewisePoly) -> Fraction:
-    """Moment of x^i F(x)^j by direct symbolic integration."""
-    F = f.antiderivative()
-    total = Fraction(0)
-    for lo, hi, p in zip(F.breakpoints, F.breakpoints[1:], F.pieces):
-        integrand = poly.pmul(poly.ppow(poly.X, i), poly.ppow(p, j))
-        total += poly.pintegrate(integrand, lo, hi)
-    return total
-
-
-def moment_from_densities(i: int, j: int, densities: Mapping[str, Fraction]) -> Fraction:
-    return moment_words(i, j).evaluate(densities)
-
-
 def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
     """Pattern densities of f for a collection of binary patterns, each
     equal to `t_density_limit(u, f)`; f is range-checked once for all."""
@@ -82,15 +69,6 @@ def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
     if any(set(u.alphabet) != {"0", "1"} for u in patterns):
         raise ValueError("t_density_limit requires the binary alphabet")
     return dict(zip(map(str, patterns), _densities(patterns, f)))
-
-
-def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
-    """The identity tying ordinary moments of f to pattern densities:
-    integral of f(x) x^k equals 1/(k+1) times the sum of t(u1, f) over
-    all binary u of length k.  Returns (direct value, density value)."""
-    direct = (f * PiecewisePoly((0, 1), (poly.ppow(poly.X, k),))).integral()
-    densities = limit_densities(f, [Word(bits + ("1",)) for bits in itertools.product("01", repeat=k)])
-    return direct, sum(densities.values()) / (k + 1)
 
 
 # -- forcibility -------------------------------------------------------
@@ -107,9 +85,6 @@ class ForcibilityCertificate:
         pattern densities are given; nonnegative, zero iff the candidate
         primitive follows the branch polynomials almost everywhere."""
         return sum((w * densities[str(u)] for u, w in zip(self.words, self.weights)), Fraction(0))
-
-    def residual_of(self, g: PiecewisePoly) -> Fraction:
-        return self.residual(limit_densities(g, self.words))
 
 
 def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:

@@ -35,8 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -551,8 +550,10 @@ def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: 
 
 def grid_density_table(mu: GridMeasure, k: int) -> dict[str, Fraction]:
     """Exact densities of every pattern of size k, keyed by the one-line
-    pattern string.  Needs k <= 4 and m^k <= TENSOR_CAP (m <= 256 for
-    size 3, m <= 64 for size 4); larger grids raise ValueError."""
+    pattern string: the densities in which a permuton is Lipschitz in box
+    distance (acceptance criterion 11).  Needs k <= 4 and m^k <= TENSOR_CAP
+    (m <= 256 for size 3, m <= 64 for size 4); larger grids raise
+    ValueError."""
     X, ties = _grid_tensors(mu, k)
     return {
         str(tau): _density(tau, X, ties, mu.den)
@@ -593,75 +594,4 @@ def d_box_grid(mu: GridMeasure, nu: GridMeasure) -> Fraction:
         V = P[:, j1 + 1:] - P[:, j1:j1 + 1]  # column strips [j1, j2), every row prefix
         best = max(best, int((V.max(axis=0) - V.min(axis=0)).max()))
     return Fraction(best, den)
-
-
-# -- joint moments from densities --------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _moment_coeffs(i: int, j: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Coefficients C_sigma with integral of x^i y^j d mu equal to
-    sum_sigma C_sigma t(sigma, mu) over sigma in S_{i+j+1}.
-
-    Derived by direct counting: x^i y^j is the probability that i extra
-    points fall left of (x, y) and j extra points fall below it, so the
-    moment is the probability of that event over i+j+1 independent
-    points; conditioning on the pattern sigma and counting the labelings
-    of the points that realize the event gives C_sigma exactly.
-    """
-    N = i + j + 1
-    coeffs = []
-    fact = math.factorial(N)
-    for sigma in itertools.permutations(range(1, N + 1)):
-        good = 0
-        for assign in itertools.permutations(range(N)):
-            # assign[label] = x-rank slot (0-based); label 0 is the
-            # distinguished point, 1..i must lie left, i+1..i+j below
-            p = assign[0]
-            q = sigma[p]
-            if all(assign[l] < p for l in range(1, i + 1)) and all(
-                sigma[assign[l]] < q for l in range(i + 1, N)
-            ):
-                good += 1
-        if good:
-            coeffs.append((sigma, Fraction(good, fact)))
-    return tuple(coeffs)
-
-
-def moment_xy_direct(i: int, j: int, mu: GridMeasure) -> Fraction:
-    """Integral of x^i y^j d mu by exact cellwise integration."""
-
-    def avg_pow(cell: int, m: int, e: int) -> Fraction:
-        lo, hi = Fraction(cell, m), Fraction(cell + 1, m)
-        return (hi ** (e + 1) - lo ** (e + 1)) / ((e + 1) * (hi - lo))
-
-    total = Fraction(0)
-    for a in range(mu.m):
-        xa = avg_pow(a, mu.m, i)
-        for b in range(mu.m):
-            if mu.mass[a][b]:
-                total += mu.mass[a][b] * xa * avg_pow(b, mu.m, j)
-    return total
-
-
-def moment_xy_from_densities(i: int, j: int, densities: Mapping) -> Fraction:
-    """Integral of x^i y^j d mu from pattern densities of size i+j+1.
-
-    Densities may be keyed by Permutation, one-line string, or value
-    tuple.  The tests check the coefficient table against
-    moment_xy_direct on 50 seeded random grid measures per (i, j).
-    """
-    if i < 0 or j < 0 or i + j + 1 > 4:
-        raise ValueError("need i, j >= 0 and i + j + 1 <= 4")
-
-    def lookup(sigma: tuple[int, ...]) -> Fraction:
-        for key in (sigma, Permutation(sigma), ",".join(map(str, sigma))):
-            try:
-                if key in densities:
-                    return Fraction(densities[key])
-            except TypeError:
-                continue
-        raise KeyError(f"missing pattern density for {sigma}")
-
-    return sum((c * lookup(s) for s, c in _moment_coeffs(i, j)), Fraction(0))
 

@@ -7,8 +7,10 @@ functions are the degree-0 case; the associated function of a word w of
 length n is the n-step indicator profile of w.
 
 All arithmetic is exact.  Floats only enter through explicitly inexact
-paths: irrational extrema in box/L1 distances (tolerance 1e-12) and the
-numeric quadrature fallback for pieces of degree above 3.
+paths: irrational extrema in box/prefix distances and range checks
+(tolerance 1e-12), and the numeric quadrature of an L1 distance across
+an irrational sign change of f - g, which a difference of any degree
+from 2 up can have.
 
 Words never become n-piece functions.  One kernel, `grid_primitive`,
 sums the primitive H of f - g over Python ints on the breakpoints of
@@ -98,26 +100,11 @@ class PiecewisePoly:
             raise ValueError(f"argument {x} outside [0, 1]")
         return poly.peval(self.pieces[self.piece_index(x)], x)
 
-    def eval_float(self, x: float) -> float:
-        return poly.peval(self.pieces[self.piece_index(x)], float(x))
-
     def max_degree(self) -> int:
         return max(poly.degree(p) for p in self.pieces)
 
     def is_step(self) -> bool:
         return self.max_degree() <= 0
-
-    def simplify(self) -> "PiecewisePoly":
-        """Merge adjacent pieces carrying identical polynomials."""
-        bps = [self.breakpoints[0]]
-        pcs: list[Poly] = []
-        for b, p in zip(self.breakpoints[1:], self.pieces):
-            if pcs and pcs[-1] == p:
-                bps[-1] = b
-            else:
-                pcs.append(p)
-                bps.append(b)
-        return PiecewisePoly(tuple(bps), tuple(pcs))
 
     # -- exact arithmetic ---------------------------------------------
 
@@ -166,15 +153,16 @@ class PiecewisePoly:
     def integral(self) -> Fraction:
         return self.antiderivative()(1)
 
-    def equals(self, other: "PiecewisePoly") -> bool:
-        _, pa, pb = self._zip(other)
-        return pa == pb
-
     # -- extrema ------------------------------------------------------
 
     def range_bounds(self):
         """(min, max) over [0, 1], each piece on its closed interval.  Exact
-        unless a critical point is irrational, then floats."""
+        unless a critical point is irrational, then floats.  Derived once
+        per instance (instances are frozen)."""
+        return self._range
+
+    @functools.cached_property
+    def _range(self):
         if self.is_step():
             values = [p[0] if p else Fraction(0) for p in self.pieces]
             return min(values), max(values)
@@ -503,33 +491,3 @@ def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float:
     )
     return val
 
-
-# -- Bernstein approximants -------------------------------------------
-
-
-def bernstein_eval(J, t: int, x):
-    """Evaluate the degree-t Bernstein approximant of J at x.
-
-    J is a callable on [0,1] (1-D) or [0,1]^2 (2-D, pass x as a pair).
-    Exact when J returns rationals and x is rational.
-    """
-    if t < 1:
-        raise ValueError("degree must be >= 1")
-    if isinstance(x, (tuple, list)):
-        if len(x) != 2:
-            raise ValueError("only 1-D and 2-D approximants are supported")
-        x1, x2 = Fraction(x[0]), Fraction(x[1])
-        w1 = _bernstein_weights(t, x1)
-        w2 = _bernstein_weights(t, x2)
-        return sum(
-            J(Fraction(i, t), Fraction(j, t)) * w1[i] * w2[j]
-            for i in range(t + 1)
-            for j in range(t + 1)
-        )
-    x = Fraction(x)
-    w = _bernstein_weights(t, x)
-    return sum(J(Fraction(i, t)) * w[i] for i in range(t + 1))
-
-
-def _bernstein_weights(t: int, x: Fraction) -> list[Fraction]:
-    return [math.comb(t, i) * x**i * (1 - x) ** (t - i) for i in range(t + 1)]

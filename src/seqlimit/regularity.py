@@ -97,16 +97,6 @@ def extremal_interval(
     return _extremal_of(f, conditional_expectation(f, part))
 
 
-def violating_interval(g: PiecewisePoly, eps) -> tuple[Fraction, Fraction] | None:
-    """An interval I with |integral_I g| equal to the interval norm of g,
-    when that norm exceeds eps; None otherwise."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    dev, interval = _extremal_of(g)
-    return interval if dev > eps else None
-
-
 @dataclass(frozen=True)
 class RegularityResult:
     partition: IntervalPartition

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -133,40 +132,3 @@ def subsequence_tail_experiment(
         note=note,
     )
 
-
-# -- conditional position mixture --------------------------------------
-
-
-def letter_probability(f: PiecewisePoly, bit: int) -> Fraction:
-    """P(letter = bit) for one f-random letter: integral of f or 1 - f."""
-    p1 = f.integral()
-    return p1 if bit else 1 - p1
-
-
-def conditional_position_cdf(f: PiecewisePoly, bit: int) -> PiecewisePoly:
-    """CDF of the position X of an f-random letter conditioned on its
-    value: the mixture identity density f^bit / P(letter = bit)."""
-    comp = f if bit else PiecewisePoly.constant(1) - f
-    mass = letter_probability(f, bit)
-    if mass == 0:
-        raise ValueError("conditioning event has probability zero")
-    return comp.antiderivative().scale(1 / mass)
-
-
-def sample_conditional_positions(
-    f: PiecewisePoly, bit: int, count: int, stream: SeededStream
-) -> np.ndarray:
-    """Inverse-CDF samples of X | letter = bit (numeric bisection)."""
-    G = conditional_position_cdf(f, bit)
-    us = stream.generator().random(count)
-    out = np.empty(count)
-    for i, u in enumerate(us):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if G.eval_float(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = (lo + hi) / 2
-    return out

@@ -124,12 +124,6 @@ def dumps(obj) -> str:
 # -- words -------------------------------------------------------------
 
 
-def word_to_text(w: Word) -> str:
-    if w.alphabet == BINARY:
-        return str(w) + "\n"
-    return json.dumps({"alphabet": list(w.alphabet), "letters": str(w)}) + "\n"
-
-
 def word_from_text(text: str, alphabet: tuple[str, ...] | None = None) -> Word:
     text = text.strip()
     if text.startswith("{"):
@@ -156,13 +150,6 @@ def limitfn_from_obj(obj: dict) -> PiecewisePoly:
     ))
 
 
-def limitvector_to_obj(F: LimitVector) -> dict:
-    return {
-        "alphabet": list(F.alphabet),
-        "components": {a: limitfn_to_obj(F[a]) for a in F.alphabet},
-    }
-
-
 def limitvector_from_obj(obj: dict) -> LimitVector:
     alphabet = _alphabet(obj)
     components = json_field(obj, "components", dict)
@@ -178,10 +165,6 @@ def limit_from_text(text: str):
 
 
 # -- permutons ---------------------------------------------------------
-
-
-def grid_to_obj(mu: GridMeasure) -> dict:
-    return {"m": mu.m, "mass": [[frac_str(v) for v in row] for row in mu.mass]}
 
 
 def grid_from_obj(obj: dict) -> GridMeasure:
@@ -205,10 +188,6 @@ def grid_from_obj(obj: dict) -> GridMeasure:
     return GridMeasure._of_ratios(m, [[ratio(v) for v in json_value(row, list, "each mass row")] for row in rows])
 
 
-def permutation_to_text(sigma: Permutation) -> str:
-    return str(sigma) + "\n"
-
-
 def permutation_from_text(text: str) -> Permutation:
     return Permutation.from_csv(text.strip())
 
@@ -218,7 +197,3 @@ def permutation_from_text(text: str) -> Permutation:
 
 def partition_to_obj(part: IntervalPartition) -> dict:
     return {"breakpoints": [frac_str(b) for b in part.breakpoints]}
-
-
-def partition_from_obj(obj: dict) -> IntervalPartition:
-    return IntervalPartition(tuple(parse_frac(b) for b in json_field(obj, "breakpoints", list)))

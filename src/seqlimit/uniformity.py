@@ -10,18 +10,13 @@ exactly via the two convex hulls of the prefix-sum graph.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .piecewise import PiecewisePoly, grid_primitive
-from .words import BINARY, Word, pattern_counts, subsequence_count
-
-#: Forward constant: pattern-count error is at most 5 * eps * n^l for
-#: every pattern of length l when w is (d, eps)-uniform.
-FORWARD_CONSTANT = 5
+from .words import BINARY, Word, pattern_counts
 
 #: Converse constant: length-3 residual eps forces (d, 42 eps^(1/3))-uniformity.
 CONVERSE_CONSTANT = 42
@@ -122,18 +117,6 @@ def minimizer_residuals(w: Word, d) -> dict[str, Fraction]:
     return out
 
 
-def forward_pattern_bound(w: Word, u: Word, d, eps) -> tuple[Fraction, Fraction]:
-    """(actual residual, bound 5*eps*n^l) for the count of u in a
-    (d, eps)-uniform word."""
-    _require_binary(w)
-    d, eps = Fraction(d), Fraction(eps)
-    n, l = len(w), len(u)
-    s = u.weight()
-    expected = d**s * (1 - d) ** (l - s) * math.comb(n, l)
-    actual = abs(subsequence_count(w, u) - expected)
-    return actual, FORWARD_CONSTANT * eps * Fraction(n) ** l
-
-
 def exponential_sum(w: Word, k: int) -> complex:
     """(1/n) sum_j w_j exp(2 pi i k j / n), compensated summation."""
     _require_binary(w)
@@ -145,73 +128,6 @@ def exponential_sum(w: Word, k: int) -> complex:
         math.sin(2 * math.pi * k * j / n) for j, c in enumerate(w.letters, 1) if c == "1"
     )
     return complex(re / n, im / n)
-
-
-def equidistribution_error(w: Word, phi: list[tuple[Fraction, Fraction]], d=None) -> float:
-    """|(1/n) sum_j w_j phi(j/n) - d * integral(phi)| for a piecewise-linear
-    circle function phi given by (x, value) nodes with phi(0) = phi(1)."""
-    _require_binary(w)
-    nodes = [(Fraction(x), Fraction(y)) for x, y in phi]
-    if nodes[0][0] != 0 or nodes[-1][0] != 1:
-        raise ValueError("nodes must span [0, 1]")
-    if any(a[0] >= b[0] for a, b in zip(nodes, nodes[1:])):
-        raise ValueError("node abscissae must be strictly increasing")
-    if nodes[0][1] != nodes[-1][1]:
-        raise ValueError("circle function needs phi(0) == phi(1)")
-    n = len(w)
-    if d is None:
-        d = Fraction(w.weight(), n)
-    d = Fraction(d)
-
-    def phi_at(x: float) -> float:
-        for (x1, y1), (x2, y2) in zip(nodes, nodes[1:]):
-            if x <= float(x2):
-                t = (x - float(x1)) / float(x2 - x1)
-                return float(y1) + t * float(y2 - y1)
-        return float(nodes[-1][1])
-
-    integral = sum((y1 + y2) / 2 * (x2 - x1) for (x1, y1), (x2, y2) in zip(nodes, nodes[1:]))
-    avg = math.fsum(phi_at(j / n) for j, c in enumerate(w.letters, 1) if c == "1") / n
-    return abs(avg - float(d) * float(integral))
-
-
-def cayley_walk_count(w: Word, u: Word) -> int:
-    """Number of induced u-walks in the circulant graph of w on Z_{2n};
-    equals 2n * binom(w, u) exactly."""
-    _require_binary(w)
-    return 2 * len(w) * subsequence_count(w, u)
-
-
-@dataclass(frozen=True)
-class InverseCSReport:
-    hypothesis_holds: bool
-    ratio: float
-    bad_indices: int
-    bad_bound: float
-
-
-def inverse_cs_check(g, h, eps: float) -> InverseCSReport:
-    """Check the stability version of Cauchy-Schwarz: when <g,h>^2 >=
-    |g|^2 |h|^2 - eps n^3 |h|^2, all but eps^(1/3) n indices satisfy
-    |g_i - lambda h_i| <= eps^(1/3) n for lambda = <g,h>/<h,h>."""
-    g = [float(x) for x in g]
-    h = [float(x) for x in h]
-    if len(g) != len(h):
-        raise ValueError("sequences must have equal length")
-    n = len(g)
-    gh = math.fsum(a * b for a, b in zip(g, h))
-    gg = math.fsum(a * a for a in g)
-    hh = math.fsum(b * b for b in h)
-    holds = gh * gh >= gg * hh - eps * n**3 * hh
-    lam = gh / hh if hh else 0.0
-    cube = eps ** (1 / 3)
-    bad = sum(1 for a, b in zip(g, h) if abs(a - lam * b) > cube * n)
-    return InverseCSReport(
-        hypothesis_holds=holds,
-        ratio=lam,
-        bad_indices=bad,
-        bad_bound=cube * n,
-    )
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -82,12 +82,6 @@ class Word:
     def weight(self, letter: str = "1") -> int:
         """Number of occurrences of a single letter."""
         return self.letters.count(letter)
-
-    def binarize(self, letter: str) -> "Word":
-        """Indicator word of one letter: same length, binary alphabet."""
-        if letter not in self.alphabet:
-            raise AlphabetError(f"{letter!r} not in alphabet {self.alphabet!r}")
-        return Word(tuple("1" if c == letter else "0" for c in self.letters))
 
 
 def _check_same_alphabet(w: Word, u: Word) -> None:
@@ -217,17 +211,22 @@ def index_sets(w: Word, length: int) -> int:
 
 
 def pattern_density(w: Word, u: Word) -> Fraction:
-    """Occurrence count normalized by C(|w|, |u|).  Errors when |u| > |w|."""
+    """t(u, w), the paper's basic definition: the occurrence count of u in
+    w normalized by C(|w|, |u|).  Errors when |u| > |w|."""
     total = index_sets(w, len(u))
     return Fraction(subsequence_count(w, u), total)
 
 
 def all_patterns(length: int, alphabet: tuple[str, ...] = BINARY) -> list[Word]:
+    """Every pattern of the given length, in lexicographic order: the
+    patterns the uniformity results (acceptance criteria 02 and 04) count."""
     return [Word(p, alphabet) for p in itertools.product(alphabet, repeat=length)]
 
 
 def density_table(w: Word, length: int, cap: int = 1 << 20) -> dict[str, Fraction]:
-    """Densities of every pattern of the given length, keyed by pattern text."""
+    """Densities t(u, w) of every pattern u of the given length, keyed by
+    pattern text: the densities whose convergence defines a word limit
+    (acceptance criterion 13 reads them off a ternary random word)."""
     k = len(w.alphabet)
     if k ** length > cap:
         raise ValueError(f"{k}^{length} patterns exceeds cap {cap}")
@@ -247,7 +246,9 @@ def extract(w: Word, indices: Iterable[int]) -> Word:
 
 
 def hamming_d1(w: Word, v: Word) -> Fraction:
-    """Normalized Hamming distance between equal-length words."""
+    """Normalized Hamming distance between equal-length words: the d1
+    distance to a hereditary property that a tester's soundness is stated
+    in (acceptance criterion 09)."""
     _check_same_alphabet(w, v)
     if len(w) != len(v):
         raise ValueError("words must have equal length")
@@ -276,26 +277,3 @@ def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
         chosen.add(j if t in chosen else t)
     return extract(w, [i + 1 for i in sorted(chosen)])
 
-
-@dataclass
-class PrefixCounts:
-    """O(1) letter counts over 1-based closed intervals after O(n) setup."""
-
-    word: Word
-    _prefix: dict[str, list[int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._prefix = {a: [0] * (len(self.word) + 1) for a in self.word.alphabet}
-        for i, c in enumerate(self.word.letters, start=1):
-            for a in self.word.alphabet:
-                self._prefix[a][i] = self._prefix[a][i - 1] + (1 if c == a else 0)
-
-    def count(self, letter: str, lo: int, hi: int) -> int:
-        """Occurrences of letter among positions lo..hi (1-based, inclusive)."""
-        if letter not in self._prefix:
-            raise AlphabetError(f"{letter!r} not in alphabet {self.word.alphabet!r}")
-        if not 1 <= lo or hi > len(self.word):
-            raise ValueError("interval out of range")
-        if hi < lo:
-            return 0
-        return self._prefix[letter][hi] - self._prefix[letter][lo - 1]

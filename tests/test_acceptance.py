@@ -26,10 +26,10 @@ from seqlimit import (
     discrepancy,
     forcibility_certificate,
     hamming_d1,
+    limit_densities,
     member_word,
     minimizer_residuals,
-    moment_direct,
-    moment_from_densities,
+    moment_words,
     run_tester,
     subsequence_count,
     t_density_limit,
@@ -43,7 +43,7 @@ from seqlimit.piecewise import LimitVector
 from seqlimit.sampling import f_random_word_vector
 from seqlimit.words import all_patterns, density_table
 
-from util import d_box_grid_brute, density_tables_upto, random_step, random_step_irregular
+from util import d_box_grid_brute, density_tables_upto, moment_direct, random_step, random_step_irregular
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -142,32 +142,39 @@ def test_c04_length_two_insufficiency():
 
 def test_c05_density_lipschitz_in_box_distance():
     """1000 random step pairs: |t(u,f) - t(u,g)| <= l^2 d_box(f,g) for
-    every pattern of length <= 4; exact, zero violations."""
+    every pattern of length <= 4; exact, zero violations.  The densities
+    are the shipped `limit_densities`, each equal to the symbolic oracle's."""
     stream = SeededStream(500)
-    violations = 0
+    patterns = [u for l in range(1, 5) for u in all_patterns(l)]
+    violations = mismatches = 0
     for t in range(1000):
         f = random_step(stream.substream(2 * t), max_steps=8)
         g = random_step(stream.substream(2 * t + 1), max_steps=8)
         d = d_box(f, g)
-        tf = density_tables_upto(f, 4)
-        tg = density_tables_upto(g, 4)
+        tf, tg = limit_densities(f, patterns), limit_densities(g, patterns)
+        mismatches += (tf != density_tables_upto(f, 4)) + (tg != density_tables_upto(g, 4))
         for key, vf in tf.items():
             if abs(vf - tg[key]) > len(key) ** 2 * d:
                 violations += 1
-    report(5, "density Lipschitz bound", violations == 0, "1000 pairs, |u| <= 4")
+    report(5, "density Lipschitz bound", violations == 0 and mismatches == 0,
+           f"1000 pairs, |u| <= 4, {mismatches} oracle mismatches")
 
 
 def test_c06_moment_identity():
     """200 random step functions (<= 8 steps): the pattern-density
-    combination reproduces every moment with i+j <= 5 exactly."""
+    combination reproduces every moment with i+j <= 5 exactly.  The
+    densities are the shipped `limit_densities`, each equal to the
+    symbolic oracle's."""
     stream = SeededStream(600)
+    patterns = [u for l in range(1, 7) for u in all_patterns(l)]
     ok = True
     for t in range(200):
         f = random_step(stream.substream(t), max_steps=8)
-        dens = density_tables_upto(f, 6)
+        dens = limit_densities(f, patterns)
+        ok &= dens == density_tables_upto(f, 6)
         for i in range(6):
             for j in range(6 - i):
-                if moment_from_densities(i, j, dens) != moment_direct(i, j, f):
+                if moment_words(i, j).evaluate(dens) != moment_direct(i, j, f):
                     ok = False
     report(6, "moment identity", ok, "200 functions, i+j <= 5, exact")
 
@@ -177,13 +184,14 @@ def test_c07_forcibility_certificates():
     a 2-piece piecewise-linear function has residual exactly 0."""
     cert = forcibility_certificate(HALF)
     short_words = all(len(u) <= 3 for u in cert.words)
-    distinguishes = cert.residual_of(STEP_HALF) > 0
-    self_zero = cert.residual_of(HALF) == 0
+    distinguishes = cert.residual(limit_densities(STEP_HALF, cert.words)) > 0
+    self_zero = cert.residual(limit_densities(HALF, cert.words)) == 0
     pw = PiecewisePoly(
         (Fraction(0), Fraction(1, 2), Fraction(1)),
         ((Fraction(3, 4), Fraction(-1, 2)), (Fraction(0), Fraction(1, 2))),
     )
-    pw_zero = forcibility_certificate(pw).residual_of(pw) == 0
+    pw_cert = forcibility_certificate(pw)
+    pw_zero = pw_cert.residual(limit_densities(pw, pw_cert.words)) == 0
     report(7, "forcibility", short_words and distinguishes and self_zero and pw_zero)
 
 

@@ -310,22 +310,23 @@ def test_float_serialization_has_17_significant_digits():
 
 
 def test_serialization_round_trips(tmp_path):
-    w = Word.from_string("01101")
-    assert ser.word_from_text(ser.word_to_text(w)) == w
+    assert ser.word_from_text("01101\n") == Word.from_string("01101")
     stream = SeededStream(101)
     for t in range(5):
         f = random_step_irregular(stream.substream(t), max_steps=6)
         assert ser.limitfn_from_obj(ser.limitfn_to_obj(f)) == f
     f = PiecewisePoly.step([1, 0])
     F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
-    G = ser.limitvector_from_obj(ser.limitvector_to_obj(F))
+    G = ser.limitvector_from_obj(json.loads(
+        '{"alphabet": ["0", "1"], "components": {'
+        '"0": {"breakpoints": ["0", "1/2", "1"], "pieces": [{"coeffs": ["0"]}, {"coeffs": ["1"]}]}, '
+        '"1": {"breakpoints": ["0", "1/2", "1"], "pieces": [{"coeffs": ["1"]}, {"coeffs": ["0"]}]}}}'))
     assert G.components == F.components
-    mu = GridMeasure.random(4, SeededStream(102))
-    assert ser.grid_from_obj(json.loads(ser.dumps(ser.grid_to_obj(mu)))) == mu
-    sigma = Permutation((2, 1, 4, 3))
-    assert ser.permutation_from_text(ser.permutation_to_text(sigma)) == sigma
+    mu = GridMeasure(2, ((Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 6), Fraction(1, 3))))
+    assert ser.grid_from_obj(json.loads('{"m": 2, "mass": [["1/3", "1/6"], ["1/6", "1/3"]]}')) == mu
+    assert ser.permutation_from_text("2,1,4,3\n") == Permutation((2, 1, 4, 3))
     part = IntervalPartition((Fraction(0), Fraction(1, 3), Fraction(1)))
-    assert ser.partition_from_obj(ser.partition_to_obj(part)) == part
+    assert ser.partition_to_obj(part) == {"breakpoints": ["0", "1/3", "1"]}
 
 
 LONG = "1" * 4301  # above the int/str conversion limit of 4300 digits

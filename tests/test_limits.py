@@ -1,4 +1,4 @@
-"""Piecewise-polynomial limit functions: densities, distances, Bernstein."""
+"""Piecewise-polynomial limit functions: densities and distances."""
 
 import functools
 import itertools
@@ -13,7 +13,6 @@ from seqlimit import (
     PiecewisePoly,
     SeededStream,
     Word,
-    bernstein_eval,
     d1_fn,
     d_box,
     limit_densities,
@@ -33,7 +32,14 @@ from seqlimit.serialize import limitfn_to_obj
 from seqlimit.words import all_patterns
 
 from test_cli import run_cli
-from util import density_tables_upto, random_poly_limit, random_step, random_step_irregular, random_word
+from util import (
+    density_tables_upto,
+    random_poly_limit,
+    random_step,
+    random_step_irregular,
+    random_word,
+    same_function,
+)
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -62,8 +68,7 @@ def test_arithmetic_and_antiderivative():
     assert (f * g).integral() == Fraction(1, 4)
     H = h.antiderivative()
     assert H(0) == 0 and H(Fraction(1, 2)) == Fraction(1, 4) and H(1) == 0
-    assert f.refined([Fraction(1, 3)]).equals(f)
-    assert f.refined([Fraction(1, 3)]).simplify() == f
+    assert same_function(f.refined([Fraction(1, 3)]), f)
 
 
 def test_antiderivative_is_the_piece_by_piece_primitive():
@@ -181,7 +186,7 @@ def random_ternary(stream: SeededStream) -> LimitVector:
     with values in [0, 1/2], and c = 1 - a - b on their merged grid."""
     a = random_step_irregular(stream.substream(0), max_steps=5, den=6).scale(Fraction(1, 2))
     b = random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24).scale(Fraction(1, 2))
-    return LimitVector({"a": a, "b": b, "c": (PiecewisePoly.constant(1) - a - b).simplify()})
+    return LimitVector({"a": a, "b": b, "c": PiecewisePoly.constant(1) - a - b})
 
 
 def ternary_vectors(stream: SeededStream) -> list[LimitVector]:
@@ -340,9 +345,10 @@ def test_density_domain_errors():
 
 
 def pairwise_sum_is_one(components) -> bool:
-    """The sum check by k - 1 pairwise PiecewisePoly additions and `equals`:
-    the oracle for LimitVector's one-pass check over the merged cells."""
-    return functools.reduce(operator.add, components).equals(PiecewisePoly.constant(1))
+    """The sum check by k - 1 pairwise PiecewisePoly additions and
+    `same_function`: the oracle for LimitVector's one-pass check over the
+    merged cells."""
+    return same_function(functools.reduce(operator.add, components), PiecewisePoly.constant(1))
 
 
 def random_part(stream: SeededStream, polynomial: bool) -> PiecewisePoly:
@@ -368,7 +374,7 @@ def test_limit_vector_sum_check_matches_pairwise_sums():
         sub = stream.substream(t)
         parts = [random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0).scale(Fraction(1, k))
                  for i in range(k - 1)]
-        rest = functools.reduce(operator.sub, parts, PiecewisePoly.constant(1)).simplify()
+        rest = functools.reduce(operator.sub, parts, PiecewisePoly.constant(1))
         cell = int(rng.integers(len(rest.pieces)))
         q = int(rng.integers(k, 4 * k + 1))
         bump = [Fraction(-1, q) if j == cell else 0 for j in range(len(rest.pieces))]
@@ -431,6 +437,18 @@ def test_polynomial_densities_match_sympy_integration():
     abc = ("a", "b", "c")
     for u in ("a", "cb", "acb", "bcab"):
         assert t_density_vector(Word.from_string(u, abc), F) == sympy_density(Word.from_string(u, abc), F.components), u
+
+
+def test_range_bounds_is_derived_once_per_limit(monkeypatch):
+    # 1/2 + x/3 - x^2 + 2x^3/3 has two irrational critical points in (0, 1)
+    pieces = ((Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(2, 3)),)
+    f = PiecewisePoly((Fraction(0), Fraction(1)), pieces)
+    first = f.range_bounds()
+    calls = []
+    real_roots = poly.real_roots
+    monkeypatch.setattr(poly, "real_roots", lambda *args: calls.append(args) or real_roots(*args))
+    assert f.range_bounds() == first and calls == []
+    assert PiecewisePoly(f.breakpoints, pieces).range_bounds() == first and len(calls) == 1
 
 
 def test_require_unit_range():
@@ -680,13 +698,3 @@ def test_d_box_polynomial_vs_constant():
     f = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
     assert d_box(f, HALF) == Fraction(1, 8)
 
-
-def test_bernstein_exact_on_polynomials_and_near_indicators():
-    assert bernstein_eval(lambda x: x, 20, Fraction(1, 3)) == Fraction(1, 3)
-    assert bernstein_eval(lambda x, y: x * y, 8, (Fraction(1, 3), Fraction(1, 4))) == Fraction(1, 12)
-    J = lambda x: Fraction(1) if x <= Fraction(1, 2) else Fraction(0)
-    r = 100
-    for x in (Fraction(1, 4), Fraction(3, 4)):
-        assert abs(float(bernstein_eval(J, r, x) - J(x))) <= r**-0.5
-    with pytest.raises(ValueError):
-        bernstein_eval(lambda x: x, 0, Fraction(1, 2))

@@ -13,9 +13,6 @@ from seqlimit import (
     check_forced,
     forcibility_certificate,
     limit_densities,
-    moment_bridge,
-    moment_direct,
-    moment_from_densities,
     moment_words,
     t_density_limit,
 )
@@ -25,7 +22,14 @@ from seqlimit.serialize import limitfn_from_obj
 from seqlimit.words import all_patterns
 
 import test_cli_corpus as corpus
-from util import density_tables_upto, random_poly_limit, random_step, random_step_irregular
+from util import (
+    density_tables_upto,
+    moment_bridge,
+    moment_direct,
+    random_poly_limit,
+    random_step,
+    random_step_irregular,
+)
 
 HALF = PiecewisePoly.constant(Fraction(1, 2))
 STEP_HALF = PiecewisePoly.step([1, 0])
@@ -62,7 +66,7 @@ def test_moment_identity_zero_and_one():
         dens = density_tables_upto(f, 5)
         for i in range(5):
             for j in range(5 - i):
-                got = moment_from_densities(i, j, dens)
+                got = moment_words(i, j).evaluate(dens)
                 assert got == moment_direct(i, j, f), (label, i, j)
 
 
@@ -73,7 +77,7 @@ def test_moment_identity_random_step_functions():
         dens = density_tables_upto(f, 4)
         for i in range(4):
             for j in range(4 - i):
-                assert moment_from_densities(i, j, dens) == moment_direct(i, j, f)
+                assert moment_words(i, j).evaluate(dens) == moment_direct(i, j, f)
 
 
 def test_moment_missing_density_raises():
@@ -116,10 +120,10 @@ def test_limit_densities_match_t_density_limit_with_one_range_check(monkeypatch)
 def test_certificate_for_constant_half():
     cert = forcibility_certificate(HALF)
     assert all(len(u) <= 3 for u in cert.words)
-    assert cert.residual_of(HALF) == 0
+    assert cert.residual(limit_densities(HALF, cert.words)) == 0
     # distinguishes the indicator of [0, 1/2], which has the same 1-density
     assert t_density_limit(Word.from_string("1"), STEP_HALF) == Fraction(1, 2)
-    assert cert.residual_of(STEP_HALF) > 0
+    assert cert.residual(limit_densities(STEP_HALF, cert.words)) > 0
 
 
 def test_certificate_residual_nonnegative_on_random_candidates():
@@ -127,7 +131,7 @@ def test_certificate_residual_nonnegative_on_random_candidates():
     stream = SeededStream(53)
     for t in range(100):
         h = random_step(stream.substream(t), max_steps=6)
-        assert cert.residual_of(h) >= 0
+        assert cert.residual(limit_densities(h, cert.words)) >= 0
 
 
 def branch_integral(cert, g: PiecewisePoly) -> Fraction:
@@ -196,16 +200,17 @@ def test_certificate_residual_is_the_branch_integral():
     polys = [random_poly_limit(stream.substream(100 + t), max_pieces=2) for t in range(12)]
     for f in fs:
         cert = forcibility_certificate(f)
-        assert cert.residual_of(f) == branch_integral(cert, f) == 0
+        assert cert.residual(limit_densities(f, cert.words)) == branch_integral(cert, f) == 0
         # the symbolic densities of polynomial candidates are slow on the
         # three-branch certificate's 7-letter words
         for g in steps + (polys if len(cert.branches) < 3 else polys[:3]):
-            assert cert.residual_of(g) == branch_integral(cert, g), (f, g)
+            assert cert.residual(limit_densities(g, cert.words)) == branch_integral(cert, g), (f, g)
 
 
 def test_certificate_for_identity_and_piecewise_linear():
     x = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
-    assert forcibility_certificate(x).residual_of(x) == 0
+    cert = forcibility_certificate(x)
+    assert cert.residual(limit_densities(x, cert.words)) == 0
     # two linear pieces: f = 3/4 - x/2 on [0,1/2], x/2 on [1/2,1]
     f = PiecewisePoly(
         (Fraction(0), Fraction(1, 2), Fraction(1)),
@@ -213,7 +218,7 @@ def test_certificate_for_identity_and_piecewise_linear():
     )
     cert = forcibility_certificate(f)
     assert len(cert.branches) == 2
-    assert cert.residual_of(f) == 0
+    assert cert.residual(limit_densities(f, cert.words)) == 0
 
 
 def test_check_forced_verdicts():
@@ -249,7 +254,7 @@ def test_residual_zero_implies_branch_following():
     # whenever the residual vanishes, H must track some branch primitive
     f = PiecewisePoly.step([Fraction(1, 4), Fraction(3, 4)])
     cert = forcibility_certificate(f)
-    assert cert.residual_of(f) == 0
+    assert cert.residual(limit_densities(f, cert.words)) == 0
     from seqlimit import poly
 
     H = f.antiderivative()

@@ -1,4 +1,4 @@
-"""f-random words, concentration experiments, and conditional positions."""
+"""f-random words and concentration experiments."""
 
 import math
 from fractions import Fraction
@@ -17,13 +17,7 @@ from seqlimit import (
     tail_experiment_dbox,
 )
 from seqlimit.piecewise import LimitVector
-from seqlimit.sampling import (
-    _eval_many,
-    conditional_position_cdf,
-    letter_probability,
-    sample_conditional_positions,
-    tail_floor,
-)
+from seqlimit.sampling import _eval_many, tail_floor
 
 STEP_HALF = PiecewisePoly.step([1, 0])
 
@@ -136,19 +130,3 @@ def test_subsequence_tail_experiment_and_floor():
     assert "tail floor" in rep.note and tail_floor(0.5) == 1200
     assert subsequence_tail_experiment(w, 1500, 0.9, 5, SeededStream(49)).note == ""
 
-
-def test_conditional_position_mixture_identity():
-    # f(x) = x: P(letter=1) = 1/2, CDF of X | letter=1 is x^2
-    f = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
-    assert letter_probability(f, 1) == Fraction(1, 2)
-    assert letter_probability(f, 0) == Fraction(1, 2)
-    G = conditional_position_cdf(f, 1)
-    assert G(Fraction(1, 2)) == Fraction(1, 4)
-    assert G(1) == 1
-    # Kolmogorov-Smirnov against x^2 at the 1% level
-    xs = np.sort(sample_conditional_positions(f, 1, 2000, SeededStream(50)))
-    emp = np.arange(1, 2001) / 2000
-    ks = float(np.max(np.abs(emp - xs**2)))
-    assert ks < 1.63 / math.sqrt(2000)
-    with pytest.raises(ValueError):
-        conditional_position_cdf(PiecewisePoly.constant(0), 1)

@@ -1,0 +1,71 @@
+"""Guards on the shape of src/seqlimit, read from its source files: no
+unused import, and no public function or class that nothing calls.
+
+A public top-level def or class must be referenced somewhere in src/
+other than its own body and the package's exports, or be one of the few
+names in CALLED_FROM_TESTS, which the acceptance criteria and the test
+oracles in tests/util.py call.  A name that only tests use belongs in
+tests/util.py.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "seqlimit"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+CALLED_FROM_TESTS = {
+    "words.pattern_density": "t(u, w), the pattern density every result is stated in",
+    "words.all_patterns": "criteria 02 and 04",
+    "words.density_table": "criterion 13",
+    "words.hamming_d1": "criterion 09",
+    "permutons.grid_density_table": "criterion 11",
+    "moments.moment_words": "criterion 06",
+    "poly.ppow": "moment_direct and moment_bridge in tests/util.py",
+    "poly.pintegrate": "moment_direct in tests/util.py",
+}
+
+
+def top_level_imports(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def public_defs() -> dict[str, set[tuple[str, str | None]]]:
+    """'module.name' of each public top-level def or class outside
+    __init__, with the (module, top-level def) pairs that reference it."""
+    refs: dict[str, set[tuple[str, str | None]]] = {}
+    defs = []
+    for module, tree in MODULES.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+                defs.append((module, owner))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+                if name:
+                    refs.setdefault(name, set()).add((module, owner))
+    return {f"{m}.{n}": refs.get(n, set()) - {(m, n)} for m, n in defs}
+
+
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if m != "__init__"))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in top_level_imports(tree) if name not in used] == []
+
+
+def test_every_public_def_has_a_caller_in_src_or_is_listed():
+    defs = public_defs()
+    uncalled = {name for name, users in defs.items() if not users}
+    assert sorted(uncalled - set(CALLED_FROM_TESTS)) == []
+    assert set(CALLED_FROM_TESTS) <= set(defs)

@@ -11,13 +11,11 @@ from seqlimit import (
     best_uniformity,
     discrepancy,
     exponential_sum,
-    equidistribution_error,
-    cayley_walk_count,
-    inverse_cs_check,
     minimizer_residuals,
     quasirandomness_report,
+    subsequence_count,
 )
-from seqlimit.uniformity import _hull, forward_pattern_bound
+from seqlimit.uniformity import _hull
 from seqlimit.words import all_patterns
 
 from util import cayley_walk_enumerate, dp_subsequence_count, random_word
@@ -176,10 +174,12 @@ def test_best_uniformity_examples():
 
 def test_forward_bound_on_alternating_word():
     w = W("01" * 50)
-    eps = Fraction(1, 2 * len(w))  # the alternating word is (1/2, 1/(2n))-uniform
+    n = len(w)
+    eps = Fraction(1, 2 * n)  # the alternating word is (1/2, 1/(2n))-uniform
     for ut in ("01", "10", "111", "010"):
-        actual, bound = forward_pattern_bound(w, W(ut), Fraction(1, 2), eps)
-        assert actual <= bound
+        l = len(ut)
+        expected = Fraction(1, 2**l) * math.comb(n, l)
+        assert abs(subsequence_count(w, W(ut)) - expected) <= 5 * eps * n**l
 
 
 def test_minimizer_residuals_small_for_alternating():
@@ -201,40 +201,15 @@ def test_exponential_sum_bounds_and_half_frequency():
     assert abs(exponential_sum(w, 1)) < 0.02
 
 
-def test_equidistribution_error():
-    # asymmetric triangle wave with phi(0) = phi(1); the alternating word
-    # equidistributes while the lopsided word concentrates on the peak
-    phi = [(Fraction(0), Fraction(0)), (Fraction(1, 4), Fraction(1)), (Fraction(1), Fraction(0))]
-    w = W("01" * 200)
-    assert equidistribution_error(w, phi) < 0.01
-    lopsided = W("1" * 200 + "0" * 200)
-    assert equidistribution_error(lopsided, phi, d=Fraction(1, 2)) > 0.05
-    with pytest.raises(ValueError):
-        equidistribution_error(w, [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))])
-
-
 def test_cayley_walk_identity():
     stream = SeededStream(34)
     for t in range(12):
         w = random_word(stream.substream(t), 6)
         for ut in ("1", "10", "11", "011"):
             u = W(ut)
-            assert cayley_walk_enumerate(w, u) == cayley_walk_count(w, u)
+            assert cayley_walk_enumerate(w, u) == 2 * len(w) * subsequence_count(w, u)
     with pytest.raises(ValueError):
         cayley_walk_enumerate(W("01" * 20), W("1"))
-
-
-def test_inverse_cauchy_schwarz_never_violated():
-    stream = SeededStream(35)
-    rng = stream.generator()
-    for _ in range(10_000):
-        n = int(rng.integers(2, 9))
-        g = rng.random(n) * float(rng.integers(1, 4))
-        h = rng.random(n) + 0.05
-        eps = float(rng.random()) * 0.5 + 1e-6
-        rep = inverse_cs_check(g, h, eps)
-        if rep.hypothesis_holds:
-            assert rep.bad_indices <= eps ** (1 / 3) * n + 1e-9
 
 
 def test_quasirandomness_report_consistency():

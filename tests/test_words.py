@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from seqlimit import (
     AlphabetError,
-    PrefixCounts,
     SeededStream,
     Word,
     contains_pattern,
@@ -101,22 +100,16 @@ def test_ternary_counting():
     w = Word.from_string("abcabc", ("a", "b", "c"))
     u = Word.from_string("abc", ("a", "b", "c"))
     assert subsequence_count(w, u) == brute_subsequence_count(w, u)
-    assert w.binarize("a") == W("100100")
     assert w.weight("b") == 2
 
 
-def test_extract_and_prefix_counts():
+def test_extract():
     w = W("0110100")
     assert str(extract(w, [1, 3, 5])) == "011"
     with pytest.raises(ValueError):
         extract(w, [3, 3])
     with pytest.raises(ValueError):
         extract(w, [0, 2])
-    pc = PrefixCounts(w)
-    for lo in range(1, 8):
-        for hi in range(lo - 1, 8):
-            expect = sum(1 for c in w.letters[lo - 1 : hi] if c == "1")
-            assert pc.count("1", lo, hi) == expect
 
 
 def test_hamming_d1():

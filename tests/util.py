@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from seqlimit import GridMeasure, PiecewisePoly, SeededStream, Word
+from seqlimit import GridMeasure, PiecewisePoly, SeededStream, Word, limit_densities, poly
 from seqlimit.piecewise import LimitVector
 from seqlimit.uniformity import _require_binary
 
@@ -78,7 +79,7 @@ def dp_subsequence_count(w: Word, u: Word) -> int:
 
 def cayley_walk_enumerate(w: Word, u: Word, cap: int = 30) -> int:
     """Direct enumeration over start vertices and increasing step tuples
-    in the circulant graph; small-n oracle for cayley_walk_count."""
+    in the circulant graph; small-n oracle for the walk-count identity."""
     _require_binary(w)
     n, l = len(w), len(u)
     if n > cap:
@@ -142,3 +143,82 @@ def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
 
     rec("", PiecewisePoly.constant(1))
     return out
+
+
+def same_function(f: PiecewisePoly, g: PiecewisePoly) -> bool:
+    """f and g agree on every cell of their merged breakpoints."""
+    bps = sorted(set(f.breakpoints) | set(g.breakpoints))
+    return f.refined(bps).pieces == g.refined(bps).pieces
+
+
+def moment_direct(i: int, j: int, f: PiecewisePoly) -> Fraction:
+    """Moment of x^i F(x)^j by direct symbolic integration."""
+    F = f.antiderivative()
+    total = Fraction(0)
+    for lo, hi, p in zip(F.breakpoints, F.breakpoints[1:], F.pieces):
+        integrand = poly.pmul(poly.ppow(poly.X, i), poly.ppow(p, j))
+        total += poly.pintegrate(integrand, lo, hi)
+    return total
+
+
+def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
+    """The identity tying ordinary moments of f to pattern densities:
+    integral of f(x) x^k equals 1/(k+1) times the sum of t(u1, f) over
+    all binary u of length k.  Returns (direct value, density value)."""
+    direct = (f * PiecewisePoly((0, 1), (poly.ppow(poly.X, k),))).integral()
+    densities = limit_densities(f, [Word(bits + ("1",)) for bits in itertools.product("01", repeat=k)])
+    return direct, sum(densities.values()) / (k + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_coeffs(i: int, j: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Coefficients C_sigma with integral of x^i y^j d mu equal to
+    sum_sigma C_sigma t(sigma, mu) over sigma in S_{i+j+1}.
+
+    Derived by direct counting: x^i y^j is the probability that i extra
+    points fall left of (x, y) and j extra points fall below it, so the
+    moment is the probability of that event over i+j+1 independent
+    points; conditioning on the pattern sigma and counting the labelings
+    of the points that realize the event gives C_sigma exactly.
+    """
+    N = i + j + 1
+    coeffs = []
+    fact = math.factorial(N)
+    for sigma in itertools.permutations(range(1, N + 1)):
+        good = 0
+        for assign in itertools.permutations(range(N)):
+            # assign[label] = x-rank slot (0-based); label 0 is the
+            # distinguished point, 1..i must lie left, i+1..i+j below
+            p = assign[0]
+            q = sigma[p]
+            if all(assign[l] < p for l in range(1, i + 1)) and all(
+                sigma[assign[l]] < q for l in range(i + 1, N)
+            ):
+                good += 1
+        if good:
+            coeffs.append((sigma, Fraction(good, fact)))
+    return tuple(coeffs)
+
+
+def moment_xy_direct(i: int, j: int, mu: GridMeasure) -> Fraction:
+    """Integral of x^i y^j d mu by exact cellwise integration."""
+
+    def avg_pow(cell: int, m: int, e: int) -> Fraction:
+        lo, hi = Fraction(cell, m), Fraction(cell + 1, m)
+        return (hi ** (e + 1) - lo ** (e + 1)) / ((e + 1) * (hi - lo))
+
+    total = Fraction(0)
+    for a in range(mu.m):
+        xa = avg_pow(a, mu.m, i)
+        for b in range(mu.m):
+            if mu.mass[a][b]:
+                total += mu.mass[a][b] * xa * avg_pow(b, mu.m, j)
+    return total
+
+
+def moment_xy_from_densities(i: int, j: int, densities: dict[str, Fraction]) -> Fraction:
+    """Integral of x^i y^j d mu from pattern densities of size i+j+1,
+    keyed by one-line pattern string as `grid_density_table` keys them."""
+    if i < 0 or j < 0 or i + j + 1 > 4:
+        raise ValueError("need i, j >= 0 and i + j + 1 <= 4")
+    return sum((c * densities[",".join(map(str, s))] for s, c in _moment_coeffs(i, j)), Fraction(0))
