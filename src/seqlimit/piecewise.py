@@ -12,16 +12,18 @@ paths: irrational extrema in box/prefix distances and range checks
 an irrational sign change of f - g, which a difference of any degree
 from 2 up can have.
 
-Words never become n-piece functions.  One kernel, `grid_primitive`,
-sums the primitive H of f - g over Python ints on the breakpoints of
-both sides, scaled to one integer denominator: a word or step side by
-value times cell width, a polynomial side by Horner on its scaled
-primitive.  Box, prefix and L1 distances are read off that grid when
-both sides are words or step functions, or when a word meets a limit
-with exact values in [0, 1]; H is then monotone on every cell.
-`_densities` walks the prefix trie of a batch of patterns once
-(`_prefix_walk`): a step prefix adds one integer column on the batch's
-merged scaled cells, a polynomial prefix one iterated antiderivative.
+Words never become n-piece functions.  The integer layer has one
+representation, `_cells`: words and limits of any degree merged on one
+integer grid, each given on every cell by the integer Taylor columns of
+its scaled values in the cell's own coordinate, and one integration of
+such columns in Python ints, `_antiderivative`.  `grid_primitive`, the
+primitive H of f - g, is the antiderivative of their difference.  Box,
+prefix and L1 distances are read off its grid when both sides are
+words or step functions, or when a word meets a limit with exact values
+in [0, 1]; H is then monotone on every cell.  `_densities` walks the
+prefix trie of a batch of patterns once (`_prefix_walk`): each prefix
+multiplies its parent's columns by its letter's and takes the
+antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
 sides, a step function and a polynomial, or a word and a limit whose
@@ -39,7 +41,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import poly
 from .poly import Poly
@@ -227,45 +229,33 @@ def _densities(patterns, F) -> list[Fraction]:
     mapping from letters to limit functions or one binary limit function
     f read as (1 - f, f), as checked by the caller.
 
-    `_prefix_walk` derives each distinct prefix once, from its parent.  A
-    polynomial prefix's state is its iterated antiderivative.  Step
-    components (f as vden - v and v, or the letters used) are merged on
-    one integer grid for the batch, and the state of u_1..u_j' holds the
-    columns D_0..D_j' on the grid points, D_j[k] = j! * den^j * (mass of
-    u_1..u_j in the first k cells) for den = bden * vden: cell k adds to
-    D_j' the sum over j < j' of C(j', j) * D_j[k] * prod_{i = j+1..j'} of
-    the cell's masses of u_i, summed column by column over j until that
-    product is 0 on every cell.
+    The components (f, or the letters the patterns use) are merged on one
+    integer grid for the batch (`_cells`); the columns of 1 - f are vden
+    - c_0 and -c_r from those of f.  `_prefix_walk` derives each distinct
+    prefix once, from its parent: the state of u_1..u_j is the primitive
+    Phi_j of F_{u_j} * Phi_{j-1} (Phi_0 = 1) as (columns, total,
+    denominator), Phi_j = columns / denominator on each cell and Phi_j(1)
+    = total / denominator, and `extend` multiplies the parent's columns by
+    the letter's cell by cell and takes `_antiderivative`.
     """
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
-    if isinstance(F, PiecewisePoly) and not F.is_step():
-        F = {"0": PiecewisePoly.constant(1) - F, "1": F}
     if isinstance(F, PiecewisePoly):
-        grid, (ones,), bden, vden = _step_cells((F,))  # a single side's values are a list
-        values = {"0": [vden - v for v in ones], "1": ones}
-    elif all(f.is_step() for f in F.values()):
-        letters = sorted(set().union(*(u.letters for u in patterns)))
-        grid, vss, bden, vden = _step_cells([F[a] for a in letters])
-        values = dict(zip(letters, vss))
+        grid, bden, vden, ((c0, *rest),) = _cells((F,))
+        cols = {"0": [list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)],
+                "1": [c0, *rest]}
     else:
-        return _prefix_walk(patterns, PiecewisePoly.constant(1), lambda acc, a: (F[a] * acc).antiderivative(),
-                            lambda l, acc: math.factorial(l) * acc(1))
+        letters = sorted(set().union(*(u.letters for u in patterns)))
+        grid, bden, vden, colss = _cells([F[a] for a in letters])
+        cols = dict(zip(letters, colss))
     widths = list(map(sub, grid[1:], grid))
-    masses = {a: list(map(mul, widths, vs)) for a, vs in values.items()}
-    binom = [[math.comb(jp, j) for j in range(jp)] for jp in range(max(map(len, patterns)) + 1)]
 
     def extend(state, letter):
-        Ds, ms = state[0], state[1] + (masses[letter],)
-        b, prod, inc = binom[len(Ds)], ms[-1], itertools.repeat(0)
-        for j in range(len(Ds) - 1, -1, -1):  # prod: per cell, the masses of u_{j+1}..u_j' multiplied
-            inc = list(map(add, inc, map(mul, map(mul, Ds[j], prod), itertools.repeat(b[j]))))
-            if not j or not any(prod := list(map(mul, prod, ms[j - 1]))):
-                break
-        return Ds + (list(itertools.accumulate(inc, initial=0)),), ms
+        L, A, prim = _antiderivative(_times(cols[letter], state[0]), widths)
+        return A, prim[-1], state[2] * bden * vden * L
 
-    den = bden * vden
-    return _prefix_walk(patterns, (([1] * len(grid),), ()), extend, lambda l, s: Fraction(s[0][-1][-1], den**l))
+    return _prefix_walk(patterns, ([[1] * len(widths)], 1, 1), extend,
+                        lambda l, s: Fraction(math.factorial(l) * s[1], s[2]))
 
 
 def _prefix_walk(patterns, root, extend, read) -> list:
@@ -297,103 +287,108 @@ def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
     return _densities([u], require_unit_range(f))[0]
 
 
-# -- integer sweeps on merged grids -----------------------------------
+# -- integer cells on merged grids ------------------------------------
 
 
 def _is_step(f) -> bool:
     return isinstance(f, Word) or f.is_step()
 
 
-def _scaled_breakpoints(fs) -> tuple[int, list[list[int]]]:
-    """Breakpoints of words (the n-grid) or limit functions times their
-    common denominator bden, as Python ints."""
-    if any(isinstance(f, Word) and len(f) == 0 for f in fs):
-        raise ValueError("word must be nonempty")
-    bden = math.lcm(*(
-        len(f) if isinstance(f, Word) else math.lcm(*(b.denominator for b in f.breakpoints)) for f in fs))
-    return bden, [
-        list(range(0, bden + 1, bden // len(f))) if isinstance(f, Word)
-        else [b.numerator * (bden // b.denominator) for b in f.breakpoints]
-        for f in fs
-    ]
-
-
-def _scaled_values(fs, vden: int = 1) -> tuple[int, list[list[int]]]:
-    """Values of words (the indicator of letter 1) or step functions times
-    a common denominator, the lcm of vden and their values' denominators,
-    as Python ints."""
-    if not all(map(_is_step, fs)):
-        raise ValueError("the integer sweep needs words or step functions")
-    vden = math.lcm(vden, *(p[0].denominator for f in fs if not isinstance(f, Word) for p in f.pieces if p))
-    return vden, [
-        [vden if c == "1" else 0 for c in f.letters] if isinstance(f, Word)
-        else [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces]
-        for f in fs
-    ]
-
-
-def _merged(xss: list[list[int]]) -> list[int]:
-    """The common refinement of integer breakpoint lists on [0, bden]."""
-    grid = max(xss, key=len)
-    if any(len(xs) > 2 and xs is not grid and xs != grid for xs in xss):
-        grid = sorted({x for xs in xss for x in xs})
-    return grid
-
-
-def _spread(xs: list[int], vs: list[int], grid: list[int]):
+def _spread(xs: list[int], vs: list[int], grid: list[int]) -> list[int]:
     """Values of the step function (xs, vs) on the cells of grid, which refines xs."""
     if len(xs) == len(grid):
         return vs
     pos = [bisect_left(grid, x) for x in xs]
-    return itertools.chain.from_iterable(map(itertools.repeat, vs, map(sub, pos[1:], pos)))
+    return list(itertools.chain.from_iterable(map(itertools.repeat, vs, map(sub, pos[1:], pos))))
 
 
-def _step_cells(fs):
-    """(grid, values, bden, vden) of words or step functions fs merged on
-    one integer grid: the breakpoints are grid[k] / bden, and values[i]
-    holds vden times fs[i] on each cell."""
-    bden, xss = _scaled_breakpoints(fs)
-    vden, vss = _scaled_values(fs)
-    grid = _merged(xss)
-    return grid, [_spread(xs, vs, grid) for xs, vs in zip(xss, vss)], bden, vden
+def _cells(fs) -> tuple[list[int], int, int, list[list[list[int]]]]:
+    """(grid, bden, vden, cols) of words or limit functions fs merged on
+    one integer grid: the breakpoints of all of them (a word's are the
+    n-grid) are grid[k] / bden, and on cell k, with t = bden * x - grid[k],
+    vden * fs[i](x) is the sum over r of cols[i][r][k] * t^r.
+
+    A word (the indicator of letter 1) or a step function has one column,
+    its values spread over the cells.  A function of degree e >= 1 has
+    e + 1: vden is a multiple of den * bden^e, for den the common
+    denominator of its coefficients, so each piece is an integer
+    polynomial in X = bden * x, Taylor-shifted to t = X - grid[k] by
+    Horner, vectorised over the piece's cells.
+    """
+    if any(isinstance(f, Word) and len(f) == 0 for f in fs):
+        raise ValueError("word must be nonempty")
+    bden = math.lcm(*(
+        len(f) if isinstance(f, Word) else math.lcm(*(b.denominator for b in f.breakpoints)) for f in fs))
+    xss = [list(range(0, bden + 1, bden // len(f))) if isinstance(f, Word)
+           else [b.numerator * (bden // b.denominator) for b in f.breakpoints] for f in fs]
+    grid = max(xss, key=len)
+    if any(len(xs) > 2 and xs is not grid and xs != grid for xs in xss):
+        grid = sorted({x for xs in xss for x in xs})
+    degrees = [0 if isinstance(f, Word) else max(f.max_degree(), 0) for f in fs]
+    vden = math.lcm(*(math.lcm(*(c.denominator for p in f.pieces for c in p)) * bden**e
+                      for f, e in zip(fs, degrees) if not isinstance(f, Word)))
+    cols = []
+    for f, xs, e in zip(fs, xss, degrees):
+        if e == 0:
+            vs = ([vden if c == "1" else 0 for c in f.letters] if isinstance(f, Word)
+                  else [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces])
+            cols.append([_spread(xs, vs, grid)])
+            continue
+        out = [[] for _ in range(e + 1)]
+        starts = [bisect_left(grid, x) for x in xs]
+        for p, a, b in zip(f.pieces, starts, starts[1:]):
+            ts, shifted = grid[a:b], [[c.numerator * (vden // (c.denominator * bden**r))] * (b - a)
+                                      for r, c in enumerate(p)]
+            for i in range(len(p) - 1):
+                for j in range(len(p) - 2, i - 1, -1):
+                    shifted[j] = list(map(add, shifted[j], map(mul, shifted[j + 1], ts)))
+            for r, col in enumerate(out):
+                col += shifted[r] if r < len(p) else [0] * (b - a)
+        cols.append(out)
+    return grid, bden, vden, cols
+
+
+def _times(a, b) -> list[list[int]]:
+    """Columns of the cell-by-cell product of two polynomials given by columns."""
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            xy = map(mul, x, y)
+            out[i + j] = xy if out[i + j] is None else map(add, out[i + j], xy)
+    return list(map(list, out))
+
+
+def _antiderivative(cols, widths) -> tuple[int, list[list[int]], list[int]]:
+    """(L, A, prim) for the polynomial P given on each cell k by columns
+    cols in t in [0, widths[k]]: with L = lcm(1..len(cols)), L times the
+    primitive of P from 0 is the sum over r of A[r][k] * t^r on cell k,
+    and prim[k] = A[0][k] is its value at the start of cell k, prim[-1]
+    at the end of the last.  So A[r + 1] = L / (r + 1) * cols[r], which
+    is cols[r] itself where that factor is 1, and A[0] sums the integrals
+    of the cells before.  Columns may be one-pass iterables if A is not
+    read, and widths too if there is one column."""
+    L = math.lcm(*range(1, len(cols) + 1))
+    A = [c if L == r else list(map(mul, c, itertools.repeat(L // r))) for r, c in enumerate(cols, 1)]
+    v = A[-1]
+    for c in reversed(A[:-1]):
+        v = map(add, map(mul, v, widths), c)
+    prim = list(itertools.accumulate(map(mul, v, widths), initial=0))
+    return L, [prim[:-1], *A], prim
 
 
 def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
-    """Exact primitive H of f - g, for f a word or a step function and g
-    a word or any limit function, swept over Python ints.
+    """Exact primitive H of f - g, for f and g words or limit functions,
+    swept over Python ints: `_antiderivative` of the difference of their
+    `_cells` columns.
 
     Returns (grid, prim, bden, vden): the merged breakpoints of f and g
     are grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
-    A step side adds vden * value * (cell width in units of 1 / bden)
-    cell by cell.  A polynomial g enters through its continuous primitive
-    G of degree e: once vden is a multiple of den * bden^(e - 1), for den
-    the common denominator of G's coefficients, bden * vden * G(x / bden)
-    is an integer polynomial in x, evaluated by Horner piece by piece.
     """
-    if _is_step(g):
-        grid, (vf, vg), bden, vden = _step_cells((f, g))
-        diff = map(sub, vf, vg)
-        prim = list(itertools.accumulate(map(mul, diff, map(sub, grid[1:], grid)), initial=0))
-        return grid, prim, bden, vden
-    bden, (xf, xg) = _scaled_breakpoints((f, g))
-    grid = _merged((xf, xg))
-    G = g.antiderivative()
-    e = max(map(len, G.pieces)) - 1
-    den = math.lcm(*(c.denominator for P in G.pieces for c in P))
-    vden, (vf,) = _scaled_values((f,), den * bden ** (e - 1))
-    m = vden // bden ** (e - 1)  # a multiple of den
-    # grid[a:b] lies in [xg[i], xg[i + 1]), the last piece closed at 1
-    starts = [bisect_left(grid, x) for x in xg[:-1]] + [len(grid)]
-    prim_g: list[int] = []
-    for P, a, b in zip(G.pieces, starts, starts[1:]):
-        xs = grid[a:b]
-        coeffs = [m // c.denominator * c.numerator * bden ** (e - k) for k, c in enumerate(P)] or [0]
-        vals = [coeffs[-1]] * len(xs)
-        for c in reversed(coeffs[:-1]):
-            vals = [v * x + c for v, x in zip(vals, xs)]
-        prim_g += vals
-    prim_f = itertools.accumulate(map(mul, _spread(xf, vf, grid), map(sub, grid[1:], grid)), initial=0)
-    return grid, list(map(sub, prim_f, prim_g)), bden, vden
+    grid, bden, vden, (cf, cg) = _cells((f, g))
+    diff = [map(sub, a, b) for a, b in zip(cf, cg)] + cf[len(cg):] + [map(neg, c) for c in cg[len(cf):]]
+    widths = map(sub, grid[1:], grid)
+    L, _, prim = _antiderivative(diff, widths if len(diff) == 1 else list(widths))
+    return grid, prim, bden, vden * L
 
 
 # -- distances --------------------------------------------------------

@@ -70,6 +70,10 @@ SQUARE = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0",
 # certificate holds patterns of up to 9 letters
 QUAD_HALF = json.dumps({"breakpoints": ["0", "1/2", "1"],
                         "pieces": [{"coeffs": ["0", "0", "2"]}, {"coeffs": ["1/2"]}]})
+# 2x^2 on [0, 1/2), then 1/2 - x/2: a cubic and a quadratic primitive
+# branch, a certificate of 4070 words
+QUAD_DROP = json.dumps({"breakpoints": ["0", "1/2", "1"],
+                        "pieces": [{"coeffs": ["0", "0", "2"]}, {"coeffs": ["1/2", "-1/2"]}]})
 # two-piece cubics whose difference has the rational roots 1/4, 1/3 | 1/2, 2/3, 3/4
 CUBIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["1/2", "1/4", "0", "-1/8"]}, {"coeffs": ["3/4", "0", "-1/4", "1/64"]}]})
@@ -283,7 +287,8 @@ SAMPLE = {
 }
 
 # pattern densities of polynomial limits: a ternary vector with polynomial
-# components, and the two-piece cubic CUBIC_F for patterns of length 1..6
+# components, the two-piece cubic CUBIC_F for patterns of length 1..6 and the
+# quartic QUARTIC_F for one pattern of length 8
 LIMIT_DENSITY = {
     "density-limit-ternary-poly-l3": ("density", "--limit", TERNARY_POLY, "--pattern", "acb"),
     "density-limit-ternary-poly-l6": ("density", "--limit", TERNARY_POLY, "--pattern", "abcacb"),
@@ -291,6 +296,7 @@ LIMIT_DENSITY = {
         f"density-limit-cubic-l{len(u)}": ("density", "--limit", CUBIC_F, "--pattern", u)
         for u in ("1", "01", "110", "0110", "10110", "011010")
     },
+    "density-limit-quartic-l8": ("density", "--limit", QUARTIC_F, "--pattern", "01101001"),
 }
 
 CORPUS = {
@@ -323,6 +329,7 @@ CORPUS = {
     "forcibility-three-branch-candidate": (
         "forcibility", "--limit", THREE_BRANCH, "--candidate", THREE_BRANCH_H),
     "forcibility-quad-half-candidate": ("forcibility", "--limit", QUAD_HALF, "--candidate", LINEAR),
+    "forcibility-quad-drop-candidate": ("forcibility", "--limit", QUAD_DROP, "--candidate", LINEAR),
     **PERMUTON,
     **PERMUTON_MC,
     **PERMUTON_SPELLED,
@@ -411,6 +418,7 @@ DIGESTS = {
     "regularize-step-b-init5": "3d3aa75fe1472dff5a10e343b338d0acd6de8f8e379e07b1481410271d45e95c",
     "regularize-quad3-init2": "cc7c09bf130700fd8ac4ebb1c74bf8b8b74af5a03f319489d2875f853abcffdc",
     "forcibility-quad-half-candidate": "6356dcfc94e6725c9edd6ecba2e32ad2f32597a2f7bae99dd5a8bb160d7de832",
+    "forcibility-quad-drop-candidate": "7f84e32e16b4792666c64d8d608975651497f3429c2ebc7651b6d3ad5789e94b",
     "permuton-density-grid-as-perm-k3": "28386410d0fc920fc1cb4432247115d5c1761755dd715a988497bd15ee3019bf",
     "permuton-density-grid-as-perm-k4": "4a6754f51461314f1c4da0dd9ae03f24944fa675b87b07000d6589659ce1b657",
     "permuton-density-grid-k1-m7": "0c12da5d6af6fb4fa46ee40d6ecf914560e25ce1b14b0624e7b0cc39ada8a222",
@@ -463,6 +471,7 @@ DIGESTS = {
     "density-limit-cubic-l4": "ea023de6afc800966c2485828ec7ced95cc363629b5680d45354bb8cee8699c1",
     "density-limit-cubic-l5": "3488df903a3254b9968f6f77a73ec28e33f6dd3417d8225c2258d75675856bf2",
     "density-limit-cubic-l6": "5cfdd22ed67251a88eb40b52e879ce09b17c4258b00f4613e31a1ea119178c22",
+    "density-limit-quartic-l8": "26f97e63c0ba3c68e35a3ed04bb709dd09aff062d89417e2305e0526edf855ac",
 }
 
 

@@ -24,6 +24,7 @@ from seqlimit import (
 from seqlimit import piecewise, poly
 from seqlimit.piecewise import (
     LimitVector,
+    _cells,
     _densities,
     grid_primitive,
     require_unit_range,
@@ -157,7 +158,7 @@ def test_ternary_constant_vector_densities():
 
 def symbolic_density(u: Word, F) -> Fraction:
     """Iterated-antiderivative density over PiecewisePoly objects: the
-    general path, kept here as the oracle for the integer piece DP."""
+    general path, kept here as the oracle for the integer cell walk."""
     acc = PiecewisePoly.constant(1)
     for letter in u.letters:
         acc = (F[letter] * acc).antiderivative()
@@ -201,7 +202,7 @@ def ternary_vectors(stream: SeededStream) -> list[LimitVector]:
             "c": PiecewisePoly.step([Fraction(3, 10), Fraction(1, 4), Fraction(7, 12)],
                                     [0, Fraction(1, 4), Fraction(1, 3), 1]),
         }),
-        # a polynomial component keeps the whole vector on the symbolic path
+        # a polynomial component, walked on the same integer cells as steps
         LimitVector({"a": half_x, "b": quarter, "c": PiecewisePoly.constant(1) - half_x - quarter}),
     ]
     return vectors + [random_ternary(stream.substream(t)) for t in range(6)]
@@ -303,16 +304,13 @@ def test_a_batch_extends_each_distinct_prefix_once(monkeypatch):
         extended.clear()
         assert _densities(patterns, f) == want
         assert len(extended) == 8, f
-    # the polynomial state is one antiderivative per distinct prefix
-    antiderivative, calls = PiecewisePoly.antiderivative, []
-    monkeypatch.setattr(PiecewisePoly, "antiderivative", lambda self: calls.append(1) or antiderivative(self))
+    # a vector with a polynomial component also extends each distinct prefix once
     abc = ("a", "b", "c")
     F = ternary_vectors(SeededStream(28))[1]
     vector_patterns = [Word.from_string(k, abc) for k in ("abc", "ab", "abca", "c", "cb", "abc", "cbb")]
+    extended.clear()
     assert _densities(vector_patterns, F.components) == [symbolic_density(u, F) for u in vector_patterns]
-    calls.clear()
-    _densities(vector_patterns, F.components)
-    assert len(calls) == prefix_count(vector_patterns) == 7
+    assert len(extended) == prefix_count(vector_patterns) == 7
 
 
 def test_density_domain_errors():
@@ -561,7 +559,8 @@ def test_grid_primitive_is_the_generic_primitive_at_every_grid_point():
     else, and prim[k] / (bden * vden) = H(grid[k] / bden), for words of
     1..200 letters against polynomial limits (breakpoints on a 97- or
     12-grid, mostly off the word's grid), steps against polynomials,
-    words and steps, and words and steps against 0."""
+    words and steps, and words and steps against 0.  On every cell, each
+    side's `_cells` columns at the midpoint are vden times its value."""
     stream = SeededStream(30)
     rng = stream.generator()
     cases = []
@@ -579,6 +578,12 @@ def test_grid_primitive_is_the_generic_primitive_at_every_grid_point():
         assert [Fraction(x, bden) for x in grid] == sorted(bps)
         H = (fns[0] - fns[1] if g else fns[0]).antiderivative()
         assert [Fraction(p, bden * vden) for p in prim] == [H(Fraction(x, bden)) for x in grid]
+        # the Taylor columns of each side at every cell midpoint t = width / 2
+        cgrid, cbden, cvden, cols = _cells((f, *g))
+        assert (cgrid, cbden) == (grid, bden)
+        for h, hcols in zip(fns, cols):
+            for k, t in enumerate(Fraction(b - a, 2) for a, b in zip(grid, grid[1:])):
+                assert sum(c[k] * t**r for r, c in enumerate(hcols)) == cvden * h((grid[k] + t) / bden)
         if isinstance(f, Word) and g and not isinstance(g[0], Word):
             off_grid += any((b * len(f)).denominator != 1 for b in g[0].breakpoints)
     assert off_grid >= 10

@@ -1,11 +1,13 @@
 """Guards on the shape of src/seqlimit, read from its source files: no
-unused import, and no public function or class that nothing calls.
+unused import, and no function or class that nothing calls.
 
 A public top-level def or class must be referenced somewhere in src/
 other than its own body and the package's exports, or be one of the few
 names in CALLED_FROM_TESTS, which the acceptance criteria and the test
 oracles in tests/util.py call.  A name that only tests use belongs in
-tests/util.py.
+tests/util.py.  A private top-level def or class (`_name`) must be
+referenced somewhere in src/ other than its own body, so a helper whose
+last caller is gone goes with it.
 """
 
 import ast
@@ -38,9 +40,9 @@ def top_level_imports(tree: ast.Module) -> list[str]:
     return names
 
 
-def public_defs() -> dict[str, set[tuple[str, str | None]]]:
-    """'module.name' of each public top-level def or class outside
-    __init__, with the (module, top-level def) pairs that reference it."""
+def top_level_defs() -> dict[str, set[tuple[str, str | None]]]:
+    """'module.name' of each top-level def or class outside __init__,
+    with the (module, top-level def) pairs that reference it."""
     refs: dict[str, set[tuple[str, str | None]]] = {}
     defs = []
     for module, tree in MODULES.items():
@@ -48,7 +50,7 @@ def public_defs() -> dict[str, set[tuple[str, str | None]]]:
             continue
         for node in tree.body:
             owner = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not owner.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((module, owner))
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
@@ -64,8 +66,16 @@ def test_every_import_is_used(module):
     assert [name for name in top_level_imports(tree) if name not in used] == []
 
 
+def is_private(name: str) -> bool:
+    return name.split(".")[1].startswith("_")
+
+
 def test_every_public_def_has_a_caller_in_src_or_is_listed():
-    defs = public_defs()
+    defs = {name: users for name, users in top_level_defs().items() if not is_private(name)}
     uncalled = {name for name, users in defs.items() if not users}
     assert sorted(uncalled - set(CALLED_FROM_TESTS)) == []
     assert set(CALLED_FROM_TESTS) <= set(defs)
+
+
+def test_every_private_def_has_a_caller_in_src():
+    assert sorted(name for name, users in top_level_defs().items() if is_private(name) and not users) == []
