@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import pytest
 
+from seqlimit import SeededStream
 from test_cli import run_cli
 
 
@@ -221,19 +222,29 @@ def _ternary(n: int, a: int, b: int, m: int) -> str:
     return json.dumps({"letters": letters, "alphabet": ["a", "b", "c"]})
 
 
+def _seeded(n: int, alphabet: str, seed: int) -> str:
+    """Seeded random word over the given letters, as --word JSON."""
+    codes = SeededStream(seed).generator().integers(0, len(alphabet), size=n)
+    return json.dumps({"letters": "".join(alphabet[c] for c in codes), "alphabet": list(alphabet)})
+
+
 def _tester(word: str, forbid: str, query: int, trials: int, seed: int) -> tuple:
     return ("--seed", str(seed), "test", "--word", word, "--forbid", forbid,
             "--query-size", str(query), "--trials", str(trials))
 
 
 # exact distance d1(w, P_F) and its witness search on ~200 letters against
-# one to three forbidden patterns, a ternary word, and a member (d1 = 0)
+# one to three forbidden patterns, a ternary word, and a member (d1 = 0);
+# then long seeded words: 4,000 binary letters, and 1,500 ternary ones
+# against a family whose frontier layouts take 8 positions to settle
 TESTER = {
     "test-w200-one-pattern": _tester(W200, "0110", 12, 200, 31),
     "test-w210-two-patterns": _tester(_word(210, 3, 5, 13), "101,0110", 7, 200, 32),
     "test-w190-three-patterns": _tester(_word(190, 5, 1, 17), "110,0101,1001", 6, 150, 33),
     "test-ternary-two-patterns": _tester(_ternary(180, 4, 7, 19), "abc,cba", 12, 200, 34),
     "test-member-d1-zero": _tester("0" * 120 + "1" * 80, "10", 20, 100, 35),
+    "test-w4000-two-patterns": _tester(_seeded(4000, "01", 43), "0110,1001", 24, 100, 43),
+    "test-ternary1500-slow-layouts": _tester(_seeded(1500, "abc", 44), "ccacc,abbbb", 16, 100, 44),
 }
 
 # exact pattern counts of words: patterns of length 1, 3 and 6, a ternary
@@ -472,6 +483,8 @@ DIGESTS = {
     "density-limit-cubic-l5": "3488df903a3254b9968f6f77a73ec28e33f6dd3417d8225c2258d75675856bf2",
     "density-limit-cubic-l6": "5cfdd22ed67251a88eb40b52e879ce09b17c4258b00f4613e31a1ea119178c22",
     "density-limit-quartic-l8": "26f97e63c0ba3c68e35a3ed04bb709dd09aff062d89417e2305e0526edf855ac",
+    "test-w4000-two-patterns": "dfe02b93fc04fee914e96918449e97fff66f51232696f5d18066ce12784f4676",
+    "test-ternary1500-slow-layouts": "ab458e82c8540171b9ef566ce78f6fe9fb69bdbdf04d52e14a81e5ea957a4092",
 }
 
 
@@ -557,6 +570,23 @@ def _batch_digests(tmp_path, seed: int, batch: dict) -> dict:
 
 def test_tester_curve_experiment_is_byte_identical(tmp_path):
     assert _batch_digests(tmp_path, 36, CURVE_BATCH) == CURVE_DIGESTS
+
+
+# a curve on 1,000 letters: the member word's witness, perturbed, sets
+# every achieved distance
+LONG_CURVE_BATCH = {"experiments": [
+    {"kind": "tester_curve", "name": "curve-long", "forbid": ["0110", "1001"], "n": 1000,
+     "query_size": 20, "distances": ["0", "1/100", "1/20"], "trials": 40},
+]}
+
+LONG_CURVE_DIGESTS = {
+    "stdout": "45bd0a777c50f40587825f1ed67da5a4b3ca3e1f4fbe80153e77466b623a10c3",
+    "curve-long": "dfbefac138a2a16e53cb20c0dadbf367035542473ab9dc34091ea0a46210c18d",
+}
+
+
+def test_long_tester_curve_experiment_is_byte_identical(tmp_path):
+    assert _batch_digests(tmp_path, 39, LONG_CURVE_BATCH) == LONG_CURVE_DIGESTS
 
 
 # f-random words against a constant, a linear and a 3-piece quadratic limit;

@@ -121,6 +121,44 @@ def test_d1_matches_dict_dp_oracle():
         d1_to_family(W("01"), big, state_cap=10)
 
 
+LONG_FAMILIES = [
+    (("0110", "1001"), ("0", "1")),
+    (("110", "0101", "1001"), ("0", "1")),
+    (("abc", "cba"), ("a", "b", "c")),
+    (("cca", "baab"), ("a", "b", "c")),
+    (("ccacc", "abbbb"), ("a", "b", "c")),  # frontier layouts settle after 8 letters
+]
+
+
+def test_d1_matches_dict_dp_oracle_on_long_words():
+    """Words up to 3,000 letters, longer than the runs a state keeps: a
+    random word and a member word with random letters changed per length."""
+    stream = SeededStream(68)
+    for f, (patterns, alphabet) in enumerate(LONG_FAMILIES):
+        fam = ForbiddenFamily.from_strings(patterns, alphabet)
+        k = len(alphabet)
+        for n in (0, 1, 3, 7, 500, 3000):
+            rng = stream.substream(100 * f + n % 97).generator()
+            letters = list(member_word(fam, n).letters)
+            for p in rng.choice(n, size=n // 10, replace=False):
+                letters[p] = alphabet[int(rng.integers(k))]
+            for w in (Word(tuple(letters), alphabet),
+                      Word(tuple(alphabet[int(x)] for x in rng.integers(0, k, size=n)), alphabet)):
+                assert d1_to_family(w, fam) == dict_dp_d1(w, fam), (patterns, n)
+    # a property that is empty from 4 letters on: the same error at every length
+    empty = ForbiddenFamily.from_strings(["000", "11", "01"])
+    for n in (0, 1, 3, 7, 500, 3000):
+        w = random_word(stream.substream(1000 + n), n)
+        try:
+            want = dict_dp_d1(w, empty)
+        except ValueError as exc:
+            assert n >= 4
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                d1_to_family(w, empty)
+        else:
+            assert n < 4 and d1_to_family(w, empty) == want
+
+
 def test_membership_examples():
     fam = ForbiddenFamily.from_strings(["10"])
     assert fam.is_member(W("0011"))
