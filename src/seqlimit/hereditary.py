@@ -7,35 +7,45 @@ hereditary: subwords of members are members.  The tester draws random
 subsequences and checks them against F directly, which gives perfect
 completeness.
 
-The exact distance d1(w, P_F) is a dynamic program over the positions of
-w and the states of the product of the greedy prefix-matching automata
-of the patterns (`ForbiddenFamily.step`; a move that completes a pattern
-is dead).  It runs on integer tables built as the DP reaches them.
-States are numbered in order of first reach.  The frontier at a position
-(the states that members of that length can end in) is a layout: a tuple
-of state ids in the order the DP first reaches them.  A layout depends
-on the automaton and the position only, never on the letters of w or on
-costs: each layout is a function of the one before, so the sequence is
-eventually periodic and the number of distinct layouts does not grow
-with |w|.  The moves from each layout into the next are built once per
-input letter, as (slot, next slot, cost, back code) int tuples, and one
-DP step scans int lists and keeps one back code per slot.
+The exact distance d1(w, P_F) is a least-cost path through the
+positions of w in the product of the greedy prefix-matching automata of
+the patterns (`ForbiddenFamily.step`; a move that completes a pattern is
+dead), where a move on letter a at position i costs a != w_i.  A move
+keeps its state (a self-loop, on a letter that advances no pattern) or
+raises its level, the total matched length, so states by level are in
+topological order.  Taken in that order, each state q gets its int32
+costs C[q, i] at all positions in one numpy pass: the inflow y[i + 1] is
+the least C[p, i] + (a != w_i) over the moves (p, a) into q that raise
+the level, from rows already done, and the self-loops then give
+C[q] = X + cumulative minimum of (y - X), for X[i] the positions before
+i whose letter is not a self-loop letter of q.
 
-Tie-break, which fixes the witness: a state's cost and back code come
-from the first move of least cost in (frontier slot, letter in alphabet
-order) order, and the final state is the one of least (cost,
-matched-prefix tuple).  This is the rule of the tuple-state dict DP that
-the tests keep as the oracle; `member_word` seeds the tester curve with
-such a witness.
+Tie-break, which fixes the witness: the move into a state at a position
+is the first least-cost one in (frontier slot, letter in alphabet order)
+order, the least rank cost * S * k + slot * k + letter for S states and
+k letters, and the final state is the one of least (cost, matched-prefix
+tuple): the rule of the tuple-state dict DP that the tests keep as the
+oracle.  The frontier at
+a position is a layout, the states that members of that length can end
+in, in the order a per-position DP first reaches them from the layout
+before.  It depends on the automaton and the position only, so the
+layouts are eventually periodic: each distinct one is built once and
+indexed by position.  The witness is read back by runs: at state q, one
+argmin over the moves into q at every position finds the last one where
+the chosen move enters q from another state, and the path stays in q
+after it.  `member_word` seeds the tester curve with such a witness.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .streams import PRNG_ID, SeededStream
-from .words import AlphabetError, Word, contains_pattern, random_subsequence
+from .words import AlphabetError, Word, _letter_masks, contains_pattern, random_subsequence
 
 STATE_CAP = 10**6
 SEARCH_ROUNDS = 50  # random perturbations tried per target distance of a curve
@@ -90,119 +100,101 @@ class ForbiddenFamily:
         return bound
 
 
-_Moves = tuple[tuple[int, int, int, int], ...]
-
-
-class _Layout:
-    """One frontier of the DP: its state ids in the order the DP first
-    reaches them, and, once built, the next frontier and the moves into it
-    per input letter code as (slot, next slot, substitution cost, back
-    code slot * k + letter), in (slot, letter) order.  Moves are kept from
-    the layout's second visit on, so layouts that a word passes only once
-    (the first positions against a large automaton) hold none."""
-
-    __slots__ = ("states", "moves", "nxt", "seen")
-
-    def __init__(self, states: tuple[int, ...], k: int):
-        self.states = states
-        self.moves: list[_Moves | None] = [None] * k
-        self.nxt: _Layout | None = None
-        self.seen = False
-
-
-class _Tables:
-    """Integer tables of the product automaton, built as the DP reaches
-    them: state ids, live successors per state, and frontier layouts."""
-
-    def __init__(self, family: ForbiddenFamily):
-        self.family = family
-        self.k = len(family.alphabet)
-        self.tuples = [family.start_state()]  # id -> matched-prefix tuple
-        self.ids = {self.tuples[0]: 0}
-        self.succ: dict[int, tuple[tuple[int, int], ...]] = {}
-        self.layouts: dict[tuple[int, ...], _Layout] = {}
-
-    def layout(self, states: tuple[int, ...]) -> _Layout:
-        lay = self.layouts.get(states)
-        if lay is None:
-            lay = self.layouts[states] = _Layout(states, self.k)
-        return lay
-
-    def successors(self, s: int) -> tuple[tuple[int, int], ...]:
-        """(letter code, next id) of the live moves out of s, alphabet order."""
-        out = self.succ.get(s)
-        if out is None:
-            live = []
-            for a, letter in enumerate(self.family.alphabet):
-                ns = self.family.step(self.tuples[s], letter)
-                if ns is not None:
-                    if ns not in self.ids:
-                        self.ids[ns] = len(self.tuples)
-                        self.tuples.append(ns)
-                    live.append((a, self.ids[ns]))
-            out = self.succ[s] = tuple(live)
-        return out
-
-    def moves(self, lay: _Layout, c: int) -> _Moves:
-        """The moves out of lay on input letter code c; builds lay.nxt."""
-        if lay.nxt is None:
-            reached: dict[int, None] = {}
-            for s in lay.states:
-                for _, ns in self.successors(s):
-                    reached.setdefault(ns)
-            if not reached:
-                raise ValueError("property is empty at this length")
-            lay.nxt = self.layout(tuple(reached))
-        slot = {ns: q for q, ns in enumerate(lay.nxt.states)}
-        k = self.k
-        out = tuple(
-            (p, slot[ns], int(a != c), p * k + a)
-            for p, s in enumerate(lay.states)
-            for a, ns in self.successors(s)
-        )
-        if lay.seen:
-            lay.moves[c] = out
-        lay.seen = True
-        return out
-
-
 def d1_to_family(
     w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP
 ) -> tuple[Fraction, Word]:
     """Exact normalized substitution distance from w to P_F, with a
-    nearest member as witness.  DP over positions x automaton states on
-    integer tables (see the module docstring for the tie-break)."""
+    nearest member as witness: one numpy pass per automaton state over
+    all positions of w (see the module docstring for the order, the
+    self-loop scan and the tie-break)."""
     if w.alphabet != family.alphabet:
         raise AlphabetError("word and family must share one alphabet")
     if family.state_bound() > state_cap:
         raise ValueError(f"automaton would exceed {state_cap} states")
     alphabet = family.alphabet
-    k = len(alphabet)
-    n = len(w)
-    tables = _Tables(family)
-    lay = tables.layout((0,))
-    costs = [0]
-    parents: list[list[int]] = []  # per position, a back code per slot
-    for c in map({a: i for i, a in enumerate(alphabet)}.__getitem__, w.letters):
-        moves = lay.moves[c] or tables.moves(lay, c)
-        lay = lay.nxt
-        new = [n + 1] * len(lay.states)
-        back = [0] * len(new)
-        for p, q, extra, code in moves:
-            nc = costs[p] + extra
-            if nc < new[q]:
-                new[q] = nc
-                back[q] = code
-        costs = new
-        parents.append(back)
-    states = lay.states
-    q = min(range(len(states)), key=lambda q: (costs[q], tables.tuples[states[q]]))
-    best = costs[q]
-    letters: list[str] = []
-    for back in reversed(parents):
-        q, a = divmod(back[q], k)
-        letters.append(alphabet[a])
-    witness = Word(tuple(reversed(letters)), w.alphabet)
+    k, n = len(alphabet), len(w)
+    tuples = [family.start_state()]  # state id -> matched-prefix tuple
+    ids = {tuples[0]: 0}
+    succ: list[tuple[int, ...]] = []  # next state id per letter, -1 where dead
+    layouts: dict[tuple[int, ...], int] = {}  # frontier -> its first position
+    lay: tuple[int, ...] = (0,)
+    for i in range(n + 1):
+        if lay in layouts:
+            break
+        if not lay:
+            raise ValueError("property is empty at this length")
+        layouts[lay] = i
+        if i < n:
+            for s in range(len(succ), len(tuples)):  # the states first reached at i
+                row = []
+                for letter in alphabet:
+                    t = family.step(tuples[s], letter)
+                    if t is not None and t not in ids:
+                        ids[t] = len(tuples)
+                        tuples.append(t)
+                    row.append(-1 if t is None else ids[t])
+                succ.append(tuple(row))
+            reached = dict.fromkeys(itertools.chain.from_iterable(map(succ.__getitem__, lay)))
+            reached.pop(-1, None)
+            lay = tuple(reached)
+    at = np.arange(n + 1)  # position -> row of its frontier in `slots`
+    if len(layouts) <= n:  # from here on, the frontiers repeat those from `lay` on
+        mu = layouts[lay]
+        at[len(layouts):] = mu + (at[len(layouts):] - mu) % (len(layouts) - mu)
+
+    # states by rank, in order of level
+    S = len(tuples)
+    succ += [(-1,) * k] * (S - len(succ))  # the states first reached at n
+    table = np.array(succ, np.intp)
+    order = np.argsort(np.array(tuples).sum(axis=1), kind="stable")
+    rank = np.argsort(order)
+    nxt = np.where(table < 0, -1, rank[table])[order]  # rank reached per letter, -1 if dead
+    loops = nxt == np.arange(S)[:, None]
+    selfs = (loops << np.arange(k)).sum(axis=1).tolist()  # bit a set: letter a loops
+    src, let = np.nonzero((nxt >= 0) & ~loops)  # the moves that raise the level
+    by_dst = np.argsort(nxt[src, let], kind="stable")
+    src, let = src[by_dst], let[by_dst]
+    first = np.searchsorted(nxt[src, let], np.arange(S + 1))  # into r: src[first[r]:first[r + 1]]
+    slots = np.zeros((len(layouts), S), np.int32)
+    for frontier, row in layouts.items():
+        slots[row, rank[list(frontier)]] = np.arange(len(frontier))
+
+    masks = _letter_masks(w, alphabet)
+    miss = np.array([~masks[a] for a in alphabet], np.int32)  # miss[a, i]: cost of a at i
+    C = np.full((S, n + 1), n + 1, np.int32)  # costs above n: out of reach
+    C[0, 0] = 0
+    scans: dict[int, np.ndarray] = {}  # self-loop letters -> X, their running mismatches
+    for q in range(S):
+        if q:  # the cost of entering q by a move that raises the level
+            e = slice(first[q], first[q + 1])
+            (C[src[e], :n] + miss[let[e]]).min(axis=0, out=C[q, 1:])
+        m = selfs[q]
+        if m:  # then stay by self-loops
+            if m not in scans:
+                X = miss[loops[q]].min(axis=0).cumsum()
+                scans[m] = np.concatenate(([0], X), dtype=np.int32)
+            C[q] -= scans[m]
+            np.minimum.accumulate(C[q], out=C[q])
+            C[q] += scans[m]
+
+    # backtrack by runs: the path stays in q back to the last position
+    # where the chosen move into q is not a self-loop
+    best = int(C[:, n].min())
+    q = min(np.flatnonzero(C[:, n] == best), key=lambda r: tuples[order[r]])
+    sk = S * k
+    out = np.empty(n, np.intp)
+    j = n
+    while j:
+        p, a = np.nonzero(nxt == q)  # every move (p, a) into q, self-loops included
+        i = 0 if selfs[q] else j - 1
+        keys = ((C[p, i:j] + miss[a, i:j]).astype(np.int64) * sk
+                + slots[:, p][at[i:j]].T * k + a[:, None])
+        pick = keys.argmin(axis=0)  # the move chosen into q at positions i + 1, ..., j
+        enter = np.flatnonzero(p[pick] != q)
+        t = enter[-1] if len(enter) else 0
+        out[i + t : j] = a[pick[t:]]
+        q, j = p[pick[t]], i + t
+    witness = Word(tuple(np.array(alphabet, dtype=object)[out].tolist()), w.alphabet)
     if not family.is_member(witness):
         raise RuntimeError(f"witness {witness} is not in the property")
     return Fraction(best, n) if n else Fraction(0), witness

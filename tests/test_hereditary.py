@@ -127,6 +127,7 @@ LONG_FAMILIES = [
     (("abc", "cba"), ("a", "b", "c")),
     (("cca", "baab"), ("a", "b", "c")),
     (("ccacc", "abbbb"), ("a", "b", "c")),  # frontier layouts settle after 8 letters
+    (("aca", "b", "cbbcc"), ("a", "b", "c")),  # moves into states first reached earlier
 ]
 
 
