@@ -13,12 +13,13 @@ the patterns (`ForbiddenFamily.step`; a move that completes a pattern is
 dead), where a move on letter a at position i costs a != w_i.  A move
 keeps its state (a self-loop, on a letter that advances no pattern) or
 raises its level, the total matched length, so states by level are in
-topological order.  Taken in that order, each state q gets its int32
-costs C[q, i] at all positions in one numpy pass: the inflow y[i + 1] is
-the least C[p, i] + (a != w_i) over the moves (p, a) into q that raise
-the level, from rows already done, and the self-loops then give
-C[q] = X + cumulative minimum of (y - X), for X[i] the positions before
-i whose letter is not a self-loop letter of q.
+topological order.  Taken in that order, each state q gets its costs
+C[q, i] (int16 while n + 2 fits, else int32) at all positions in one
+numpy pass: the inflow y[i + 1] is the least C[p, i] + (a != w_i) over
+the moves (p, a) into q that raise the level, from rows already done,
+and the self-loops then give C[q] = X + cumulative minimum of (y - X),
+for X[i] the positions before i whose letter is not a self-loop letter
+of q.
 
 Tie-break, which fixes the witness: the move into a state at a position
 is the first least-cost one in (frontier slot, letter in alphabet order)
@@ -149,8 +150,7 @@ def d1_to_family(
     order = np.argsort(np.array(tuples).sum(axis=1), kind="stable")
     rank = np.argsort(order)
     nxt = np.where(table < 0, -1, rank[table])[order]  # rank reached per letter, -1 if dead
-    loops = nxt == np.arange(S)[:, None]
-    selfs = (loops << np.arange(k)).sum(axis=1).tolist()  # bit a set: letter a loops
+    loops = nxt == np.arange(S)[:, None]  # loops[r, a]: letter a keeps r in r
     src, let = np.nonzero((nxt >= 0) & ~loops)  # the moves that raise the level
     by_dst = np.argsort(nxt[src, let], kind="stable")
     src, let = src[by_dst], let[by_dst]
@@ -160,19 +160,20 @@ def d1_to_family(
         slots[row, rank[list(frontier)]] = np.arange(len(frontier))
 
     masks = _letter_masks(w, alphabet)
-    miss = np.array([~masks[a] for a in alphabet], np.int32)  # miss[a, i]: cost of a at i
-    C = np.full((S, n + 1), n + 1, np.int32)  # costs above n: out of reach
+    dt = np.int16 if n + 2 < 2**15 else np.int32  # the smallest that holds n + 2
+    miss = np.array([~masks[a] for a in alphabet], dt)  # miss[a, i]: cost of a at i
+    C = np.full((S, n + 1), n + 1, dt)  # costs above n: out of reach
     C[0, 0] = 0
-    scans: dict[int, np.ndarray] = {}  # self-loop letters -> X, their running mismatches
+    scans: dict[bytes, np.ndarray] = {}  # self-loop letters -> X, their running mismatches
     for q in range(S):
         if q:  # the cost of entering q by a move that raises the level
             e = slice(first[q], first[q + 1])
             (C[src[e], :n] + miss[let[e]]).min(axis=0, out=C[q, 1:])
-        m = selfs[q]
-        if m:  # then stay by self-loops
+        if loops[q].any():  # then stay by self-loops
+            m = loops[q].tobytes()
             if m not in scans:
                 X = miss[loops[q]].min(axis=0).cumsum()
-                scans[m] = np.concatenate(([0], X), dtype=np.int32)
+                scans[m] = np.concatenate(([0], X), dtype=dt)
             C[q] -= scans[m]
             np.minimum.accumulate(C[q], out=C[q])
             C[q] += scans[m]
@@ -186,7 +187,7 @@ def d1_to_family(
     j = n
     while j:
         p, a = np.nonzero(nxt == q)  # every move (p, a) into q, self-loops included
-        i = 0 if selfs[q] else j - 1
+        i = 0 if loops[q].any() else j - 1
         keys = ((C[p, i:j] + miss[a, i:j]).astype(np.int64) * sk
                 + slots[:, p][at[i:j]].T * k + a[:, None])
         pick = keys.argmin(axis=0)  # the move chosen into q at positions i + 1, ..., j

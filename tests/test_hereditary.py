@@ -121,6 +121,8 @@ def test_d1_matches_dict_dp_oracle():
         d1_to_family(W("01"), big, state_cap=10)
 
 
+WIDE = tuple(chr(0x100 + c) for c in range(64)) + ("X", "Y")  # X and Y past the 64th letter
+
 LONG_FAMILIES = [
     (("0110", "1001"), ("0", "1")),
     (("110", "0101", "1001"), ("0", "1")),
@@ -128,6 +130,7 @@ LONG_FAMILIES = [
     (("cca", "baab"), ("a", "b", "c")),
     (("ccacc", "abbbb"), ("a", "b", "c")),  # frontier layouts settle after 8 letters
     (("aca", "b", "cbbcc"), ("a", "b", "c")),  # moves into states first reached earlier
+    (("XY",), WIDE),  # self-loop letters that differ only past the 64th
 ]
 
 
@@ -146,6 +149,12 @@ def test_d1_matches_dict_dp_oracle_on_long_words():
             for w in (Word(tuple(letters), alphabet),
                       Word(tuple(alphabet[int(x)] for x in rng.integers(0, k, size=n)), alphabet)):
                 assert d1_to_family(w, fam) == dict_dp_d1(w, fam), (patterns, n)
+    # the start state loops on Y and (1) does not: staying in (1) through Y costs 1
+    xy = ForbiddenFamily.from_strings(["XY"], WIDE)
+    assert d1_to_family(Word(("X", "Y", WIDE[0]), WIDE), xy)[0] == Fraction(1, 3)
+    # 2**15 letters: costs up to n + 2 no longer fit in int16
+    w, fam10 = random_word(stream.substream(2000), 2**15), ForbiddenFamily.from_strings(["10"])
+    assert d1_to_family(w, fam10) == dict_dp_d1(w, fam10)
     # a property that is empty from 4 letters on: the same error at every length
     empty = ForbiddenFamily.from_strings(["000", "11", "01"])
     for n in (0, 1, 3, 7, 500, 3000):
