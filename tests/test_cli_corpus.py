@@ -222,10 +222,15 @@ def _ternary(n: int, a: int, b: int, m: int) -> str:
     return json.dumps({"letters": letters, "alphabet": ["a", "b", "c"]})
 
 
+def _seeded_letters(n: int, alphabet: str, seed: int) -> str:
+    """Seeded random string of n of the given letters."""
+    codes = SeededStream(seed).generator().integers(0, len(alphabet), size=n)
+    return "".join(alphabet[c] for c in codes)
+
+
 def _seeded(n: int, alphabet: str, seed: int) -> str:
     """Seeded random word over the given letters, as --word JSON."""
-    codes = SeededStream(seed).generator().integers(0, len(alphabet), size=n)
-    return json.dumps({"letters": "".join(alphabet[c] for c in codes), "alphabet": list(alphabet)})
+    return json.dumps({"letters": _seeded_letters(n, alphabet, seed), "alphabet": list(alphabet)})
 
 
 def _tester(word: str, forbid: str, query: int, trials: int, seed: int) -> tuple:
@@ -236,7 +241,10 @@ def _tester(word: str, forbid: str, query: int, trials: int, seed: int) -> tuple
 # exact distance d1(w, P_F) and its witness search on ~200 letters against
 # one to three forbidden patterns, a ternary word, and a member (d1 = 0);
 # then long seeded words: 4,000 binary letters, and 1,500 ternary ones
-# against a family whose frontier layouts take 8 positions to settle
+# against a family whose frontier layouts take 8 positions to settle; then
+# the tester's edges: one query of the whole word, 5,000 trials on a short
+# word (more than one chunk of trials), and an alphabet whose letters are
+# not all single characters
 TESTER = {
     "test-w200-one-pattern": _tester(W200, "0110", 12, 200, 31),
     "test-w210-two-patterns": _tester(_word(210, 3, 5, 13), "101,0110", 7, 200, 32),
@@ -245,6 +253,11 @@ TESTER = {
     "test-member-d1-zero": _tester("0" * 120 + "1" * 80, "10", 20, 100, 35),
     "test-w4000-two-patterns": _tester(_seeded(4000, "01", 43), "0110,1001", 24, 100, 43),
     "test-ternary1500-slow-layouts": _tester(_seeded(1500, "abc", 44), "ccacc,abbbb", 16, 100, 44),
+    "test-w300-query-whole-word": _tester(_seeded(300, "01", 45), "0110,1001", 300, 1, 45),
+    "test-w60-5000-trials": _tester(W60A, "0110", 10, 5000, 46),
+    "test-multichar-alphabet": _tester(
+        json.dumps({"letters": _seeded_letters(120, "ab", 47), "alphabet": ["a", "b", "cd"]}),
+        "aab,bba", 6, 300, 47),
 }
 
 # exact pattern counts of words: patterns of length 1, 3 and 6, a ternary
@@ -485,6 +498,9 @@ DIGESTS = {
     "density-limit-quartic-l8": "26f97e63c0ba3c68e35a3ed04bb709dd09aff062d89417e2305e0526edf855ac",
     "test-w4000-two-patterns": "dfe02b93fc04fee914e96918449e97fff66f51232696f5d18066ce12784f4676",
     "test-ternary1500-slow-layouts": "ab458e82c8540171b9ef566ce78f6fe9fb69bdbdf04d52e14a81e5ea957a4092",
+    "test-w300-query-whole-word": "5818711d9c3c2e0597926b8f146ea054bf1c6ff9378f088c2d3807a9800ea667",
+    "test-w60-5000-trials": "e1f4778f04e0f7915ab313cc80878ac30c6203536afe6fceb9dadf89dc81eb78",
+    "test-multichar-alphabet": "52c0b0b3f2d70f79f5c76a46af917709103b0ea72cfa16f5a70320af18d2792e",
 }
 
 
