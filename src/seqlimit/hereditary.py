@@ -5,7 +5,14 @@ The property P_F consists of all words containing no member of the
 finite family F as a (not necessarily contiguous) subsequence.  P_F is
 hereditary: subwords of members are members.  The tester draws random
 subsequences and checks them against F directly, which gives perfect
-completeness.
+completeness.  Trial t draws its positions by Floyd's sampling from
+substream t, through one Philox generator re-keyed per trial
+(`SeededStream.substream_generators`).  The trials are decided in chunks
+of rows of sorted positions, TESTER_CELLS positions per chunk: for each
+pattern letter a, nxt[a][r, i] is the first column j >= i of row r that
+holds a (a reversed cumulative minimum), and a pattern is one gather per
+letter for all rows at once.  The count equals one greedy
+`contains_pattern` scan per trial.
 
 The exact distance d1(w, P_F) is a least-cost path through the
 positions of w in the product of the greedy prefix-matching automata of
@@ -46,10 +53,19 @@ from fractions import Fraction
 import numpy as np
 
 from .streams import PRNG_ID, SeededStream
-from .words import AlphabetError, Word, _letter_masks, contains_pattern, random_subsequence
+from .words import (
+    AlphabetError,
+    Word,
+    _check_same_alphabet,
+    _floyd,
+    _floyd_bounds,
+    _letter_masks,
+    contains_pattern,
+)
 
 STATE_CAP = 10**6
 SEARCH_ROUNDS = 50  # random perturbations tried per target distance of a curve
+TESTER_CELLS = 1 << 15  # query letters the tester decides per chunk of trials
 
 
 @dataclass(frozen=True)
@@ -211,6 +227,31 @@ def member_word(family: ForbiddenFamily, n: int) -> Word:
     return witness
 
 
+def _member_rows(queries: np.ndarray, masks: dict[str, np.ndarray], family: ForbiddenFamily) -> np.ndarray:
+    """Which rows of queries, each the increasing positions in w of a
+    subword, spell members of P_F; masks[a] marks the positions of
+    letter a in w, for each letter of the patterns.  nxt[a][r, i] is the
+    first column j >= i of row r whose letter is a, or L when there is
+    none, so one gather per pattern letter advances the greedy match of
+    every row."""
+    T, L = queries.shape
+    backwards = queries[:, ::-1]
+    cols = np.arange(L - 1, -1, -1, dtype=np.int32)
+    nxt = {}
+    for a, mask in masks.items():
+        table = np.full((T, L + 2), L, np.int32)  # columns L and L + 1: no match left
+        np.minimum.accumulate(np.where(mask[backwards], cols, L), axis=1, out=table[:, L - 1 :: -1])
+        nxt[a] = table.ravel()
+    start = np.arange(T) * (L + 2)
+    member = np.ones(T, bool)
+    for p in family.patterns:
+        at = start
+        for a in p.letters:
+            at = start + nxt[a][at] + 1  # one past the match, L + 1 once a letter is missing
+        member &= at - start > L
+    return member
+
+
 @dataclass(frozen=True)
 class TesterReport:
     trials: int
@@ -237,16 +278,23 @@ def run_tester(
     against the forbidden family.  Members are always accepted
     (hereditarily, every subword of a member is a member); words far
     from P_F are rejected with probability controlled by the sampling
-    tail bounds."""
+    tail bounds.  Trial t queries the subword that
+    random_subsequence(w, length, stream.substream(t)) draws."""
     if length > len(w):
         raise ValueError("query size exceeds word length")
     if trials < 1:
         raise ValueError(f"the tester needs at least 1 trial, got {trials}")
+    bounds = _floyd_bounds(len(w), length)
+    _check_same_alphabet(w, family.patterns[0])
+    masks = _letter_masks(w, itertools.chain.from_iterable(p.letters for p in family.patterns))
+    draws = stream.substream_generators(trials)
+    rows = max(1, TESTER_CELLS // length)
     accepted = 0
-    for t in range(trials):
-        u = random_subsequence(w, length, stream.substream(t))
-        if family.is_member(u):
-            accepted += 1
+    for _ in range(0, trials, rows):
+        chosen = (_floyd(rng, bounds) for rng in itertools.islice(draws, rows))
+        queries = np.fromiter(itertools.chain.from_iterable(chosen), np.intp).reshape(-1, length)
+        queries.sort(axis=1)
+        accepted += int(np.count_nonzero(_member_rows(queries, masks, family)))
     d1, _ = d1_to_family(w, family)
     return TesterReport(
         trials=trials,

@@ -263,17 +263,27 @@ def contains_pattern(w: Word, u: Word) -> bool:
     return all(c in rest for c in u.letters)  # each `in` consumes w up to a match
 
 
-def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
-    """Subword at a uniformly random index set of the given size."""
-    n = len(w)
+def _floyd_bounds(n: int, length: int) -> np.ndarray:
+    """The exclusive bounds j + 1, j = n - length, ..., n - 1, of Floyd's
+    draws for a subset of range(n) of the given size."""
     if not 1 <= length <= n:
         raise ValueError(f"need 1 <= length <= {n}, got {length}")
-    # Floyd's sampling: uniform among all C(n, length) subsets.  The bounds
-    # j = n - length, ..., n - 1 are drawn in one call, which numpy draws
-    # exactly as one call per bound.
-    draws = stream.generator().integers(0, np.arange(n - length, n) + 1).tolist()
+    return np.arange(n - length, n) + 1
+
+
+def _floyd(rng: np.random.Generator, bounds: np.ndarray) -> set[int]:
+    """Floyd's sampling (Bentley & Floyd, CACM 30(9), 1987): a uniformly
+    random subset of range(n) of size m, for bounds = _floyd_bounds(n, m).
+    The m draws are made in one call, which numpy draws exactly as one
+    call per bound."""
     chosen: set[int] = set()
-    for j, t in enumerate(draws, start=n - length):
+    for j, t in enumerate(rng.integers(0, bounds).tolist(), start=int(bounds[0]) - 1):
         chosen.add(j if t in chosen else t)
+    return chosen
+
+
+def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
+    """Subword at a uniformly random index set of the given size."""
+    chosen = _floyd(stream.generator(), _floyd_bounds(len(w), length))
     return extract(w, [i + 1 for i in sorted(chosen)])
 

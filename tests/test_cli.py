@@ -166,6 +166,16 @@ def test_tester_member_and_far():
     assert doc["d1"] == "1/2" and doc["accept_fraction"] < 0.5
 
 
+def test_neighbouring_seeds_past_2_63_sample_different_words():
+    limit = '{"breakpoints": ["0","1"], "pieces": [{"coeffs": ["1/2"]}]}'
+    words = []
+    for seed in ("9223372036854775809", "9223372036854775810"):
+        code, out, err = run_cli("--seed", seed, "sample", "--limit", limit, "--length", "40", "--count", "2")
+        assert code == 0, err
+        words.append(json.loads(out)["words"])
+    assert words[0] != words[1]
+
+
 def test_forcibility_cli():
     limit = '{"breakpoints": ["0","1"], "pieces": [{"coeffs": ["1/2"]}]}'
     cand = '{"breakpoints": ["0","1/2","1"], "pieces": [{"coeffs": ["1"]}, {"coeffs": ["0"]}]}'

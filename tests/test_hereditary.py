@@ -16,8 +16,9 @@ from seqlimit import (
     run_tester,
     t_density_limit,
 )
+from seqlimit import hereditary
 from seqlimit.hereditary import STATE_CAP, completeness_soundness_curve
-from seqlimit.words import all_patterns, random_subsequence
+from seqlimit.words import AlphabetError, all_patterns, random_subsequence
 
 from util import random_word
 
@@ -269,6 +270,79 @@ def test_tester_perfect_completeness():
         assert rep.is_member and rep.d1 == 0
     with pytest.raises(ValueError):
         run_tester(w, fam, 121, 10, SeededStream(64))
+
+
+def oracle_accepted(w: Word, fam: ForbiddenFamily, length: int, trials: int, stream: SeededStream) -> int:
+    """One random subsequence and one membership check per trial: the
+    reference for the tester's batched count."""
+    return sum(fam.is_member(random_subsequence(w, length, stream.substream(t))) for t in range(trials))
+
+
+MULTI = ("ab", "c", "de")  # letters of more than one character
+
+
+def test_tester_count_matches_the_per_trial_oracle(monkeypatch):
+    stream = SeededStream(68)
+    cases = [
+        (("0", "1"), ["0110", "1001"]),
+        (("0", "1"), ["10"]),
+        (("a", "b", "c"), ["abc", "cba"]),
+        (("a", "b", "c"), ["ccacc", "abbbb", "b" * 9]),
+        (MULTI, ["ab ab c", "de c de"]),
+        (MULTI, ["c"]),
+    ]
+    counts = []
+    for c, (alphabet, patterns) in enumerate(cases):
+        fam = ForbiddenFamily(tuple(Word(tuple(p.split()) if " " in p else tuple(p), alphabet) for p in patterns))
+        k = len(alphabet)
+        for n in (1, 2, 9, 60):
+            rng = stream.substream(100 * c + n).generator()
+            letters = [alphabet[int(x)] for x in rng.integers(0, k, size=n)]
+            if n > 2 and c % 2:  # a member with a few letters changed
+                letters = list(member_word(fam, n).letters)
+                for i in rng.choice(n, size=2, replace=False):
+                    letters[i] = alphabet[int(rng.integers(k))]
+            w = Word(tuple(letters), alphabet)
+            # L = 1 and L = n, and lengths shorter than the longest pattern
+            for length in sorted({1, 2, 3, n // 2, n} & set(range(1, n + 1))):
+                sub = stream.substream(10_000 + 100 * c + n)
+                counts.append(oracle_accepted(w, fam, length, 23, sub))
+                assert run_tester(w, fam, length, 23, sub).accepted == counts[-1], (c, n, length)
+    assert {0, 23} < set(counts)  # all, none and some accepted
+    # more trials than one chunk holds, and counts that are no multiple of
+    # it, on a sorted word with 4 letters changed
+    letters = ["0"] * 150 + ["1"] * 150
+    for i in (20, 90, 200, 280):
+        letters[i] = "10"[int(letters[i])]
+    w, fam = Word(tuple(letters)), ForbiddenFamily.from_strings(["10"])
+    for length, trials in ((24, 2 * (hereditary.TESTER_CELLS // 24) + 5), (299, 150), (300, 111)):
+        sub = stream.substream(2 + length)
+        want = oracle_accepted(w, fam, length, trials, sub)
+        assert run_tester(w, fam, length, trials, sub).accepted == want
+        assert 0 < want < trials or length > 24
+    monkeypatch.setattr(hereditary, "TESTER_CELLS", 20)  # chunks of 4, 2 and 1 trials
+    for length in (5, 10, 21):
+        for trials in (1, 7, 9):
+            sub = stream.substream(3 + length + trials)
+            want = oracle_accepted(w, fam, length, trials, sub)
+            assert run_tester(w, fam, length, trials, sub).accepted == want
+
+
+def test_tester_errors_keep_their_texts_and_order():
+    fam = ForbiddenFamily.from_strings(["10"])
+    ternary = Word(tuple("abca"), ("a", "b", "c"))  # not the family's alphabet
+    s = SeededStream(69)
+    with pytest.raises(ValueError, match="^query size exceeds word length$"):
+        run_tester(ternary, fam, 5, 0, s)
+    with pytest.raises(ValueError, match="^the tester needs at least 1 trial, got 0$"):
+        run_tester(ternary, fam, 0, 0, s)
+    with pytest.raises(ValueError, match=r"^need 1 <= length <= 4, got 0$"):
+        run_tester(ternary, fam, 0, 1, s)
+    with pytest.raises(ValueError, match=r"^need 1 <= length <= 0, got 0$"):
+        run_tester(W(""), fam, 0, 1, s)
+    with pytest.raises(AlphabetError) as err:
+        run_tester(ternary, fam, 2, 1, s)
+    assert str(err.value) == "alphabet mismatch: ('a', 'b', 'c') vs ('0', '1')"
 
 
 def test_tester_rejects_far_words():

@@ -87,6 +87,33 @@ def test_determinism_and_substream_independence():
     assert a == b and a != c
 
 
+def test_seeds_and_streams_past_2_63_key_philox_exactly():
+    # a key of one value below 2**63 and one above went through float64
+    # and was rounded, so neighbouring seeds drew the same words
+    for seed, stream in ((2**63 + 1, 0), (2**63 + 2, 0), (5, 2**63 + 7), (2**64 - 1, 3), (2**64 + 9, -1)):
+        key = SeededStream(seed, stream).generator().bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed % 2**64, stream % 2**64]
+    f = PiecewisePoly.step([Fraction(1, 4), Fraction(3, 4)])
+    assert f_random_word(f, 40, SeededStream(2**63 + 1)) != f_random_word(f, 40, SeededStream(2**63 + 2))
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, to compare with ==."""
+    return {k: _plain(v) if isinstance(v, dict) else getattr(v, "tolist", lambda: v)() for k, v in state.items()}
+
+
+def test_substream_generators_draw_as_each_substream_generator():
+    bounds = np.arange(1, 8)  # 7 draws of 32 bits: the last leaves half of a 64-bit output unused
+    for seed, stream in ((3, 4), (2**63 - 1, 2**63 - 2), (2**63, 2**63 + 5), (2**64 - 1, 2**64 - 1), (2**64 + 5, 2**64 - 2)):
+        s = SeededStream(seed, stream)
+        for t, rng in enumerate(s.substream_generators(6)):
+            fresh = s.substream(t).generator()
+            assert _plain(rng.bit_generator.state) == _plain(fresh.bit_generator.state)
+            assert rng.integers(0, bounds).tolist() == fresh.integers(0, bounds).tolist()
+            assert rng.random(3).tolist() == fresh.random(3).tolist()
+        assert t == 5
+
+
 def test_vector_sampler_ternary():
     third = PiecewisePoly.constant(Fraction(1, 3))
     F = LimitVector({"a": third, "b": third, "c": third})
