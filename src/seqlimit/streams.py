@@ -43,14 +43,8 @@ class SeededStream:
         in turn, from one generator re-keyed before each t; each one
         yielded is valid until the next is taken."""
         rng = self.substream(0).generator()
-        fresh = {  # Philox at counter 0 with an empty buffer
-            "bit_generator": "Philox",
-            "state": {"counter": [0] * 4, "key": [self.seed & _MASK64, 0]},
-            "buffer": [0] * 4,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [self.seed & _MASK64, 0]},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # counter 0, buffer empty
         for t in range(count):
             fresh["state"]["key"][1] = self._child(t)
             rng.bit_generator.state = fresh
