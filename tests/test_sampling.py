@@ -99,7 +99,7 @@ def test_seeds_and_streams_past_2_63_key_philox_exactly():
 
 def _plain(state):
     """A bit generator's state with its arrays as lists, to compare with ==."""
-    return {k: _plain(v) if isinstance(v, dict) else getattr(v, "tolist", lambda: v)() for k, v in state.items()}
+    return {k: _plain(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
 
 
 def test_substream_generators_draw_as_each_substream_generator():
