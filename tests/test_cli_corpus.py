@@ -312,8 +312,12 @@ SAMPLE = {
 
 # pattern densities of polynomial limits: a ternary vector with polynomial
 # components, the two-piece cubic CUBIC_F for patterns of length 1..6 and the
-# quartic QUARTIC_F for one pattern of length 8
+# quartic QUARTIC_F for one pattern of length 8; and patterns that leave out
+# a component whose grid (TERNARY's c) or degree (TERNARY_POLY's c) the
+# others lack
 LIMIT_DENSITY = {
+    "density-limit-ternary-aab": ("density", "--limit", TERNARY, "--pattern", "aab"),
+    "density-limit-ternary-poly-bb": ("density", "--limit", TERNARY_POLY, "--pattern", "bb"),
     "density-limit-ternary-poly-l3": ("density", "--limit", TERNARY_POLY, "--pattern", "acb"),
     "density-limit-ternary-poly-l6": ("density", "--limit", TERNARY_POLY, "--pattern", "abcacb"),
     **{
@@ -487,6 +491,8 @@ DIGESTS = {
     "test-w190-three-patterns": "9c1f7416781bf53969d238cc1f0d01fa92acb36d455ce53ecc2d134968125da8",
     "test-w200-one-pattern": "13606af0a720e34ac80d14d13e71993f6955b3aeef67ee54d5de1baac4ffadd3",
     "test-w210-two-patterns": "4a4bbe09fd10dd8394b8fc235444bc8969284a92f5c7bef347426a9a1fb66472",
+    "density-limit-ternary-aab": "bab02a2ddfc48a0fad2e914e35c52cb45d76b93f25769f2826ac9e9ae54df74e",
+    "density-limit-ternary-poly-bb": "90cb4a4de602bfd29b25cce3807047f6b65362314315c7c71e2c845f153aa6eb",
     "density-limit-ternary-poly-l3": "b74e714ede17bf1bee5a463660a668ab0c86e62a7faf7b24f734f9e02510d505",
     "density-limit-ternary-poly-l6": "85613df9f488f757521879f622963f5fc580942b0f664219119de174b1b91355",
     "density-limit-cubic-l1": "916fe19017db1fc253a47b10e9fa4edf5d5f9cdc406df0c29fd253a332e23a2e",
@@ -538,7 +544,8 @@ def test_bad_grid_files_exit_1_with_the_same_message(name):
 
 # limit vectors whose components miss 1 on one cell of the merged grid only:
 # step components on three grids ([1/4, 1/3) sums to 61/60), and polynomial
-# components ([1/3, 1] sums to 1 + 1/90)
+# components ([1/3, 1] sums to 1 + 1/90); and a = x^2/2, b = 1 - x^2/2 -
+# (x - x^2)/7 on one cell, whose sum 1 - (x - x^2)/7 is 1 at both ends
 OFF_SUM_VECTORS = {
     "step": json.dumps({"alphabet": ["a", "b", "c"], "components": {
         "a": json.loads(_step(["0", "1/3", "1"], ["1/2", "1/6"])),
@@ -551,12 +558,17 @@ OFF_SUM_VECTORS = {
         "c": {"breakpoints": ["0", "1/3", "1"], "pieces": [
             {"coeffs": ["2/3", "1/3", "-1/2"]}, {"coeffs": ["7/9", "0", "-1/2"]}]},
     }}),
+    "poly-exact-ends": json.dumps({"alphabet": ["a", "b"], "components": {
+        "a": {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "1/2"]}]},
+        "b": {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1", "-1/7", "-5/14"]}]},
+    }}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OFF_SUM_VECTORS))
 def test_density_of_a_vector_off_sum_on_one_cell_exits_1(name):
-    code, out, err = run_cli("density", "--limit", OFF_SUM_VECTORS[name], "--pattern", "abc")
+    pattern = "".join(json.loads(OFF_SUM_VECTORS[name])["alphabet"])
+    code, out, err = run_cli("density", "--limit", OFF_SUM_VECTORS[name], "--pattern", pattern)
     assert (code, out, err) == (1, "", "error: component functions must sum to 1 exactly\n")
 
 

@@ -387,6 +387,16 @@ def test_limit_vector_sum_check_matches_pairwise_sums():
     assert verdicts == [True, False] * 48
 
 
+def test_limit_vector_sum_check_reads_every_taylor_column():
+    # a = x^2/2 and b = 1 - x^2/2 - (x - x^2)/7 sum to 1 - (x - x^2)/7 on
+    # their one cell: 1 at both ends, off only in the columns above the constant
+    a = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, Fraction(1, 2)),))
+    b = PiecewisePoly((Fraction(0), Fraction(1)), ((1, Fraction(-1, 7), Fraction(-5, 14)),))
+    assert (a + b)(0) == (a + b)(1) == 1 and not pairwise_sum_is_one([a, b])
+    with pytest.raises(ValueError, match="^component functions must sum to 1 exactly$"):
+        LimitVector({"a": a, "b": b})
+
+
 def sympy_density(u: Word, F) -> Fraction:
     """t(u, F) by sympy, without PiecewisePoly arithmetic: the points
     x_1 < ... < x_l fall into cells c_1 <= ... <= c_l of the merged grid,
