@@ -26,6 +26,7 @@ from .piecewise import (
     d_box,
     d1_fn,
     prefix_sup_dist,
+    limit_densities,
 )
 from .uniformity import (
     UniformityReport,
@@ -47,7 +48,6 @@ from .moments import (
     moment_words,
     forcibility_certificate,
     check_forced,
-    limit_densities,
 )
 from .hereditary import (
     ForbiddenFamily,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import serialize as ser
 from .hereditary import ForbiddenFamily, completeness_soundness_curve, run_tester
-from .moments import check_forced, forcibility_certificate, limit_densities
+from .moments import check_forced, forcibility_certificate
 from .permutons import (
     GridMeasure,
     MCEstimate,
@@ -30,9 +30,11 @@ from .permutons import (
     t_perm,
 )
 from .piecewise import (
+    NUMERIC_TOL,
     LimitVector,
     d1_fn,
     d_box,
+    limit_densities,
     prefix_sup_dist,
     t_density_limit,
     t_density_vector,
@@ -74,11 +76,12 @@ def _load_limit(value: str):
 
 def _load_word_or_limit(value: str):
     """A limit function or vector when the JSON object has its breakpoints
-    or components key, otherwise a word."""
+    or components key, otherwise a word; JSON is parsed once."""
     text = _read_input(value).strip()
-    if text.startswith("{") and {"breakpoints", "components"} & json.loads(text).keys():
-        return ser.limit_from_text(text)
-    return ser.word_from_text(text)
+    if not text.startswith("{"):
+        return ser.word_from_text(text)
+    obj = json.loads(text)
+    return ser.limit_from_obj(obj) if {"breakpoints", "components"} & obj.keys() else ser.word_from_obj(obj)
 
 
 def _as_limit(obj):
@@ -174,32 +177,18 @@ def _cmd_density(args, stream) -> dict:
 def _cmd_distance(args, stream) -> dict:
     a = _as_limit(_load_word_or_limit(args.a))
     b = _as_limit(_load_word_or_limit(args.b))
-    if args.metric == "box":
-        value = d_box(a, b)
-    elif args.metric == "l1":
-        value = d1_fn(a, b)
-    else:
-        value = prefix_sup_dist(a, b)
-    out = {"metric": args.metric, "value": value}
+    value = {"box": d_box, "l1": d1_fn, "prefix": prefix_sup_dist}[args.metric](a, b)
     if isinstance(value, float):
-        out["exact"] = False
-        out["tolerance"] = 1e-12
-    else:
-        out["exact"] = True
-    return out
+        return {"metric": args.metric, "value": value, "exact": False, "tolerance": NUMERIC_TOL}
+    return {"metric": args.metric, "value": value, "exact": True}
 
 
 def _cmd_sample(args, stream) -> dict:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     limit = _load_limit(args.limit)
-    words = []
-    for c in range(args.count):
-        sub = stream.substream(c)
-        if isinstance(limit, LimitVector):
-            words.append(str(f_random_word_vector(limit, args.length, sub)))
-        else:
-            words.append(str(f_random_word(limit, args.length, sub)))
+    draw = f_random_word_vector if isinstance(limit, LimitVector) else f_random_word
+    words = [str(draw(limit, args.length, stream.substream(c))) for c in range(args.count)]
     return {
         "length": args.length,
         "count": args.count,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import poly
-from .piecewise import PiecewisePoly, _densities, d1_fn, require_unit_range
+from .piecewise import PiecewisePoly, d1_fn, limit_densities
 from .words import Word
 
 MAX_PATTERN_LENGTH = 12
@@ -59,16 +59,6 @@ def moment_words(i: int, j: int) -> MomentCombination:
     counted = ((Word(bits), bits[:-1].count("1")) for bits in itertools.product("01", repeat=n))
     terms = tuple((u, base * math.comb(ones, j)) for u, ones in counted if ones >= j)
     return MomentCombination(i=i, j=j, terms=terms)
-
-
-def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
-    """Pattern densities of f for a collection of binary patterns, each
-    equal to `t_density_limit(u, f)`; f is range-checked once for all."""
-    require_unit_range(f)
-    patterns = [u if isinstance(u, Word) else Word.from_string(u) for u in words]
-    if any(set(u.alphabet) != {"0", "1"} for u in patterns):
-        raise ValueError("t_density_limit requires the binary alphabet")
-    return dict(zip(map(str, patterns), _densities(patterns, f)))
 
 
 # -- forcibility -------------------------------------------------------

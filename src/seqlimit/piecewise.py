@@ -20,10 +20,11 @@ such columns in Python ints, `_antiderivative`.  `grid_primitive`, the
 primitive H of f - g, is the antiderivative of their difference.  Box,
 prefix and L1 distances are read off its grid when both sides are
 words or step functions, or when a word meets a limit with exact values
-in [0, 1]; H is then monotone on every cell.  `_densities` walks the
-prefix trie of a batch of patterns once (`_prefix_walk`): each prefix
-multiplies its parent's columns by its letter's and takes the
-antiderivative.
+in [0, 1]; H is then monotone on every cell.  A `LimitVector` builds
+its components' cells once and decides its sum to 1 on them.
+`_densities` walks the prefix trie of a batch of patterns once
+(`_prefix_walk`) on f's cells or a vector's: each prefix multiplies
+its parent's columns by its letter's and takes the antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
 sides, a step function and a polynomial, or a word and a limit whose
@@ -42,6 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub
+from types import MappingProxyType
 
 from . import poly
 from .poly import Poly
@@ -201,20 +203,22 @@ def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
 
 
 class LimitVector:
-    """A tuple of limit functions, one per letter, summing to 1 exactly: on
-    each cell of their merged breakpoints, their pieces add up to 1."""
+    """A tuple of limit functions, one per letter, summing to 1 exactly:
+    their `cells`, `_cells` of the components in alphabet order, are built
+    once, their Taylor columns add up to (vden, 0, ..., 0) on every cell,
+    and every density batch walks them.  Components are read-only."""
 
     def __init__(self, components: dict[str, PiecewisePoly]):
         if not components:
             raise ValueError("need at least one component")
         self.alphabet = tuple(components)
-        self.components = dict(components)
-        fs = self.components.values()
-        for f in fs:
+        self.components = MappingProxyType(dict(components))
+        for f in self.components.values():
             require_unit_range(f)
-        for lo in sorted(set().union(*(f.breakpoints[:-1] for f in fs))):
-            if functools.reduce(poly.padd, (f.pieces[f.piece_index(lo)] for f in fs)) != poly.ONE:
-                raise ValueError("component functions must sum to 1 exactly")
+        self.cells = grid, _, vden, cols = _cells(self.components.values())
+        sums = [list(map(sum, zip(*c))) for c in itertools.zip_longest(*cols, fillvalue=[0] * (len(grid) - 1))]
+        if any(s != [0 if r else vden] * len(s) for r, s in enumerate(sums)):
+            raise ValueError("component functions must sum to 1 exactly")
 
     def __getitem__(self, letter: str) -> PiecewisePoly:
         return self.components[letter]
@@ -226,11 +230,12 @@ class LimitVector:
 def _densities(patterns, F) -> list[Fraction]:
     """Exact t(u, F) = l! * integral over x_1 < ... < x_l of
     F_{u_1}(x_1) ... F_{u_l}(x_l) for each pattern u, in order, for F a
-    mapping from letters to limit functions or one binary limit function
-    f read as (1 - f, f), as checked by the caller.
+    `LimitVector` or one binary limit function f read as (1 - f, f), as
+    checked by the caller.
 
-    The components (f, or the letters the patterns use) are merged on one
-    integer grid for the batch (`_cells`); the columns of 1 - f are vden
+    A vector's batch walks its kept `cells`, all letters merged, whichever
+    letters the patterns use: the values are exact on any grid.  f is
+    merged on its own grid (`_cells`), and the columns of 1 - f are vden
     - c_0 and -c_r from those of f.  `_prefix_walk` derives each distinct
     prefix once, from its parent: the state of u_1..u_j is the primitive
     Phi_j of F_{u_j} * Phi_{j-1} (Phi_0 = 1) as (columns, total,
@@ -240,14 +245,13 @@ def _densities(patterns, F) -> list[Fraction]:
     """
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
-    if isinstance(F, PiecewisePoly):
+    if isinstance(F, LimitVector):
+        grid, bden, vden, colss = F.cells
+        cols = dict(zip(F.alphabet, colss))
+    else:
         grid, bden, vden, ((c0, *rest),) = _cells((F,))
         cols = {"0": [list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)],
                 "1": [c0, *rest]}
-    else:
-        letters = sorted(set().union(*(u.letters for u in patterns)))
-        grid, bden, vden, colss = _cells([F[a] for a in letters])
-        cols = dict(zip(letters, colss))
     widths = list(map(sub, grid[1:], grid))
 
     def extend(state, letter):
@@ -276,15 +280,23 @@ def t_density_vector(u: Word, F: LimitVector) -> Fraction:
     alphabet must be u's (see `_densities`)."""
     if tuple(sorted(u.alphabet)) != tuple(sorted(F.alphabet)):
         raise ValueError(f"alphabet mismatch: {u.alphabet!r} vs {F.alphabet!r}")
-    return _densities([u], F.components)[0]
+    return _densities([u], F)[0]
+
+
+def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
+    """{str(u): t(u, f)} for binary patterns u (Words or strings) in the
+    limit function f, read as the vector (1 - f, f) (see `_densities`);
+    the patterns' alphabet is checked first, then f's range, once."""
+    patterns = [u if isinstance(u, Word) else Word.from_string(u) for u in words]
+    if any(set(u.alphabet) != {"0", "1"} for u in patterns):
+        raise ValueError("t_density_limit requires the binary alphabet")
+    return dict(zip(map(str, patterns), _densities(patterns, require_unit_range(f))))
 
 
 def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
-    """Binary-alphabet pattern density of u in the limit function f, read
-    as the vector (1 - f, f), which sums to 1 (see `_densities`)."""
-    if set(u.alphabet) != {"0", "1"}:
-        raise ValueError("t_density_limit requires the binary alphabet")
-    return _densities([u], require_unit_range(f))[0]
+    """Binary-alphabet pattern density of u in the limit function f: the
+    one-pattern case of `limit_densities`."""
+    return limit_densities(f, [u])[str(u)]
 
 
 # -- integer cells on merged grids ------------------------------------

@@ -124,12 +124,13 @@ def dumps(obj) -> str:
 # -- words -------------------------------------------------------------
 
 
+def word_from_obj(obj: dict) -> Word:
+    return Word.from_string(json_field(obj, "letters", str), _alphabet(obj))
+
+
 def word_from_text(text: str, alphabet: tuple[str, ...] | None = None) -> Word:
     text = text.strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        return Word.from_string(json_field(obj, "letters", str), _alphabet(obj))
-    return Word.from_string(text, alphabet or BINARY)
+    return word_from_obj(json.loads(text)) if text.startswith("{") else Word.from_string(text, alphabet or BINARY)
 
 
 # -- limit functions ---------------------------------------------------
@@ -151,17 +152,25 @@ def limitfn_from_obj(obj: dict) -> PiecewisePoly:
 
 
 def limitvector_from_obj(obj: dict) -> LimitVector:
+    """One component per alphabet letter: a repeated letter, a component
+    outside the alphabet and a missing one are refused by name."""
     alphabet = _alphabet(obj)
     components = json_field(obj, "components", dict)
+    for i, a in enumerate(alphabet):
+        if a in alphabet[:i]:
+            raise ValueError(f"alphabet letter {a!r} is repeated")
+    if stray := [a for a in components if a not in alphabet]:
+        raise ValueError(f"component {stray[0]!r} is not in the alphabet {list(alphabet)!r}")
     return LimitVector({a: limitfn_from_obj(json_field(components, a, dict, f"component {a!r}")) for a in alphabet})
 
 
+def limit_from_obj(obj: dict):
+    """A limit function or limit vector, whichever the JSON object declares."""
+    return limitvector_from_obj(obj) if "components" in obj else limitfn_from_obj(obj)
+
+
 def limit_from_text(text: str):
-    """A limit function or limit vector, whichever the JSON declares."""
-    obj = json.loads(text)
-    if "components" in obj:
-        return limitvector_from_obj(obj)
-    return limitfn_from_obj(obj)
+    return limit_from_obj(json.loads(text))
 
 
 # -- permutons ---------------------------------------------------------

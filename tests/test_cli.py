@@ -521,6 +521,15 @@ EDGE_INPUTS = {
     "density-limit-component-missing": (
         ("density", "--limit", json.dumps({"alphabet": ["a", "b"], "components": {"a": json.loads(HALF_LIMIT)}}),
          "--pattern", "a"), "component 'b' is missing"),
+    # a component outside the alphabet, and a repeated alphabet letter
+    "density-limit-component-outside-alphabet": (
+        ("density", "--limit", json.dumps({"alphabet": ["a", "b"], "components": {
+            "a": json.loads(HALF_LIMIT), "b": json.loads(HALF_LIMIT), "z": 7}}), "--pattern", "ab"),
+        "component 'z' is not in the alphabet ['a', 'b']"),
+    "density-limit-alphabet-repeated": (
+        ("density", "--limit", json.dumps({"alphabet": ["a", "b", "a"], "components": {
+            "a": json.loads(HALF_LIMIT), "b": json.loads(HALF_LIMIT)}}), "--pattern", "ab"),
+        "alphabet letter 'a' is repeated"),
 }
 
 

@@ -154,6 +154,10 @@ def test_ternary_constant_vector_densities():
     assert t_density_vector(u, F) == Fraction(1, 27)
     with pytest.raises(ValueError):
         LimitVector({"a": third, "b": third})
+    # read-only components, so the cells built from them stay valid
+    with pytest.raises(TypeError):
+        F.components["a"] = PiecewisePoly.constant(1)
+    assert F.components == {"a": third, "b": third, "c": third}
 
 
 def symbolic_density(u: Word, F) -> Fraction:
@@ -233,7 +237,7 @@ def test_one_density_batch_matches_each_pattern_alone():
     for F in ternary_vectors(SeededStream(28)):
         patterns = [Word(tuple(p), abc) for p in ("a", "cc", "ab", "ba", "bcb", "ccab", "aaaa", "cab")]
         patterns += [Word(tuple(abc[i] for i in rng.integers(0, 3, size=n)), abc) for n in (2, 4, 6)]
-        got = _densities(patterns, F.components)
+        got = _densities(patterns, F)
         assert all(type(x) is Fraction for x in got)
         assert got == [symbolic_density(u, F) for u in patterns]
     # binary steps, taken as (1 - f, f)
@@ -279,8 +283,8 @@ def test_shared_prefix_batch_matches_single_patterns_on_vectors():
         patterns = short + [short[i] + tuple(abc[j] for j in rng.integers(0, 3, size=2)) for i in range(13, 39, 5)]
         patterns += [patterns[i] for i in rng.integers(0, len(patterns), size=8)]
         patterns = [Word(patterns[i], abc) for i in rng.permutation(len(patterns))]
-        got = _densities(patterns, F.components)
-        assert got == [_densities([u], F.components)[0] for u in patterns]
+        got = _densities(patterns, F)
+        assert got == [_densities([u], F)[0] for u in patterns]
         assert got == [symbolic_density(u, F) for u in patterns]
 
 
@@ -309,7 +313,7 @@ def test_a_batch_extends_each_distinct_prefix_once(monkeypatch):
     F = ternary_vectors(SeededStream(28))[1]
     vector_patterns = [Word.from_string(k, abc) for k in ("abc", "ab", "abca", "c", "cb", "abc", "cbb")]
     extended.clear()
-    assert _densities(vector_patterns, F.components) == [symbolic_density(u, F) for u in vector_patterns]
+    assert _densities(vector_patterns, F) == [symbolic_density(u, F) for u in vector_patterns]
     assert len(extended) == prefix_count(vector_patterns) == 7
 
 

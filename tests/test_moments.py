@@ -107,14 +107,20 @@ def test_limit_densities_match_t_density_limit_with_one_range_check(monkeypatch)
         calls = []
         counted = lambda g, *rest: calls.append(g) or check(g, *rest)
         with monkeypatch.context() as m:
-            m.setattr(moments, "require_unit_range", counted)
             m.setattr(piecewise, "require_unit_range", counted)
             assert limit_densities(f, words) == want
         assert calls == [f]
+    # one checked entry, defined next to _densities and re-exported here
+    assert moments.limit_densities is piecewise.limit_densities
+    off_range = PiecewisePoly.step([Fraction(3, 2), 0])
     with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
         limit_densities(HALF, [Word(("a",), ("a", "b"))])
     with pytest.raises(ValueError, match="leaves"):
-        limit_densities(PiecewisePoly.step([Fraction(3, 2), 0]), ["1"])
+        limit_densities(off_range, ["1"])
+    # the alphabet is checked before the range, in both entries
+    for density in (lambda u: limit_densities(off_range, [u]), lambda u: t_density_limit(u, off_range)):
+        with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
+            density(Word(("a",), ("a", "b")))
 
 
 def test_certificate_for_constant_half():
