@@ -26,7 +26,6 @@ from .piecewise import (
     d_box,
     d1_fn,
     prefix_sup_dist,
-    limit_densities,
 )
 from .uniformity import (
     UniformityReport,
@@ -48,6 +47,7 @@ from .moments import (
     moment_words,
     forcibility_certificate,
     check_forced,
+    limit_densities,
 )
 from .hereditary import (
     ForbiddenFamily,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import serialize as ser
 from .hereditary import ForbiddenFamily, completeness_soundness_curve, run_tester
-from .moments import check_forced, forcibility_certificate
+from .moments import check_forced, forcibility_certificate, limit_densities
 from .permutons import (
     GridMeasure,
     MCEstimate,
@@ -34,7 +34,6 @@ from .piecewise import (
     LimitVector,
     d1_fn,
     d_box,
-    limit_densities,
     prefix_sup_dist,
     t_density_limit,
     t_density_vector,
@@ -81,7 +80,9 @@ def _load_word_or_limit(value: str):
     if not text.startswith("{"):
         return ser.word_from_text(text)
     obj = json.loads(text)
-    return ser.limit_from_obj(obj) if {"breakpoints", "components"} & obj.keys() else ser.word_from_obj(obj)
+    if {"breakpoints", "components"} & obj.keys():
+        return ser.limit_from_obj(obj)
+    return ser.word_from_obj(obj)
 
 
 def _as_limit(obj):
@@ -177,18 +178,32 @@ def _cmd_density(args, stream) -> dict:
 def _cmd_distance(args, stream) -> dict:
     a = _as_limit(_load_word_or_limit(args.a))
     b = _as_limit(_load_word_or_limit(args.b))
-    value = {"box": d_box, "l1": d1_fn, "prefix": prefix_sup_dist}[args.metric](a, b)
+    if args.metric == "box":
+        value = d_box(a, b)
+    elif args.metric == "l1":
+        value = d1_fn(a, b)
+    else:
+        value = prefix_sup_dist(a, b)
+    out = {"metric": args.metric, "value": value}
     if isinstance(value, float):
-        return {"metric": args.metric, "value": value, "exact": False, "tolerance": NUMERIC_TOL}
-    return {"metric": args.metric, "value": value, "exact": True}
+        out["exact"] = False
+        out["tolerance"] = NUMERIC_TOL
+    else:
+        out["exact"] = True
+    return out
 
 
 def _cmd_sample(args, stream) -> dict:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     limit = _load_limit(args.limit)
-    draw = f_random_word_vector if isinstance(limit, LimitVector) else f_random_word
-    words = [str(draw(limit, args.length, stream.substream(c))) for c in range(args.count)]
+    words = []
+    for c in range(args.count):
+        sub = stream.substream(c)
+        if isinstance(limit, LimitVector):
+            words.append(str(f_random_word_vector(limit, args.length, sub)))
+        else:
+            words.append(str(f_random_word(limit, args.length, sub)))
     return {
         "length": args.length,
         "count": args.count,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import poly
-from .piecewise import PiecewisePoly, d1_fn, limit_densities
+from .piecewise import PiecewisePoly, _densities, d1_fn
 from .words import Word
 
 MAX_PATTERN_LENGTH = 12
@@ -59,6 +59,14 @@ def moment_words(i: int, j: int) -> MomentCombination:
     counted = ((Word(bits), bits[:-1].count("1")) for bits in itertools.product("01", repeat=n))
     terms = tuple((u, base * math.comb(ones, j)) for u, ones in counted if ones >= j)
     return MomentCombination(i=i, j=j, terms=terms)
+
+
+def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
+    """Pattern densities of f for a collection of binary patterns, each
+    equal to `t_density_limit(u, f)`, whose checks `_densities` runs once
+    for the batch: the patterns' alphabet, then f's range."""
+    patterns = [u if isinstance(u, Word) else Word.from_string(u) for u in words]
+    return dict(zip(map(str, patterns), _densities(patterns, f)))
 
 
 # -- forcibility -------------------------------------------------------

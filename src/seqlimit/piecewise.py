@@ -20,10 +20,9 @@ such columns in Python ints, `_antiderivative`.  `grid_primitive`, the
 primitive H of f - g, is the antiderivative of their difference.  Box,
 prefix and L1 distances are read off its grid when both sides are
 words or step functions, or when a word meets a limit with exact values
-in [0, 1]; H is then monotone on every cell.  A `LimitVector` builds
-its components' cells once and decides its sum to 1 on them.
-`_densities` walks the prefix trie of a batch of patterns once
-(`_prefix_walk`) on f's cells or a vector's: each prefix multiplies
+in [0, 1]; H is then monotone on every cell.  `_densities` walks the
+prefix trie of a batch of patterns once (`_prefix_walk`) on f's cells or
+those a `LimitVector` keeps from its sum check: each prefix multiplies
 its parent's columns by its letter's and takes the antiderivative.
 
 Range checks, box/prefix/L1 distances off the grid (two polynomial
@@ -135,9 +134,6 @@ class PiecewisePoly:
         bps, pa, pb = self._zip(other)
         return PiecewisePoly(bps, tuple(poly.pmul(p, q) for p, q in zip(pa, pb)))
 
-    def scale(self, s) -> "PiecewisePoly":
-        return PiecewisePoly(self.breakpoints, tuple(poly.pscale(p, s) for p in self.pieces))
-
     def antiderivative(self) -> "PiecewisePoly":
         """The continuous primitive F with F(0) = 0, piece by piece, derived
         once per instance (instances are frozen)."""
@@ -153,9 +149,6 @@ class PiecewisePoly:
             out.append(q)
             acc = poly.peval(q, hi)
         return PiecewisePoly(self.breakpoints, tuple(out))
-
-    def integral(self) -> Fraction:
-        return self.antiderivative()(1)
 
     # -- extrema ------------------------------------------------------
 
@@ -203,10 +196,9 @@ def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
 
 
 class LimitVector:
-    """A tuple of limit functions, one per letter, summing to 1 exactly:
-    their `cells`, `_cells` of the components in alphabet order, are built
-    once, their Taylor columns add up to (vden, 0, ..., 0) on every cell,
-    and every density batch walks them.  Components are read-only."""
+    """A tuple of limit functions, one per letter, summing to 1 exactly: on
+    every cell of `cells`, their `_cells` in alphabet order, built once and
+    walked by every density batch, their columns add up to (vden, 0, ...)."""
 
     def __init__(self, components: dict[str, PiecewisePoly]):
         if not components:
@@ -216,9 +208,11 @@ class LimitVector:
         for f in self.components.values():
             require_unit_range(f)
         self.cells = grid, _, vden, cols = _cells(self.components.values())
-        sums = [list(map(sum, zip(*c))) for c in itertools.zip_longest(*cols, fillvalue=[0] * (len(grid) - 1))]
-        if any(s != [0 if r else vden] * len(s) for r, s in enumerate(sums)):
-            raise ValueError("component functions must sum to 1 exactly")
+        for r in range(max(map(len, cols))):
+            # column r of every component, cell by cell; a missing one is 0
+            total = [sum(cells) for cells in zip(*(c[r] for c in cols if r < len(c)))]
+            if total != [vden if r == 0 else 0] * (len(grid) - 1):
+                raise ValueError("component functions must sum to 1 exactly")
 
     def __getitem__(self, letter: str) -> PiecewisePoly:
         return self.components[letter]
@@ -230,28 +224,30 @@ class LimitVector:
 def _densities(patterns, F) -> list[Fraction]:
     """Exact t(u, F) = l! * integral over x_1 < ... < x_l of
     F_{u_1}(x_1) ... F_{u_l}(x_l) for each pattern u, in order, for F a
-    `LimitVector` or one binary limit function f read as (1 - f, f), as
-    checked by the caller.
+    `LimitVector` or one binary limit function f read as (1 - f, f); for
+    f, the patterns' binary alphabet is checked, then f's range.
 
-    A vector's batch walks its kept `cells`, all letters merged, whichever
-    letters the patterns use: the values are exact on any grid.  f is
-    merged on its own grid (`_cells`), and the columns of 1 - f are vden
-    - c_0 and -c_r from those of f.  `_prefix_walk` derives each distinct
-    prefix once, from its parent: the state of u_1..u_j is the primitive
-    Phi_j of F_{u_j} * Phi_{j-1} (Phi_0 = 1) as (columns, total,
-    denominator), Phi_j = columns / denominator on each cell and Phi_j(1)
-    = total / denominator, and `extend` multiplies the parent's columns by
-    the letter's cell by cell and takes `_antiderivative`.
+    A vector's batch walks its kept `cells`, whichever letters the
+    patterns use: the values are exact on any grid.  f is merged on its own
+    grid (`_cells`), and the columns of 1 - f are vden - c_0 and -c_r from
+    those of f.  `_prefix_walk` derives each distinct prefix once, from its
+    parent: the state of u_1..u_j is the primitive Phi_j of F_{u_j} *
+    Phi_{j-1} (Phi_0 = 1) as (columns, total, denominator), Phi_j =
+    columns / denominator on each cell and Phi_j(1) = total / denominator,
+    and `extend` multiplies the parent's columns by the letter's cell by
+    cell and takes `_antiderivative`.
     """
-    if any(len(u) == 0 for u in patterns):
-        raise ValueError("pattern must be nonempty")
     if isinstance(F, LimitVector):
         grid, bden, vden, colss = F.cells
         cols = dict(zip(F.alphabet, colss))
     else:
-        grid, bden, vden, ((c0, *rest),) = _cells((F,))
+        if any(set(u.alphabet) != {"0", "1"} for u in patterns):
+            raise ValueError("t_density_limit requires the binary alphabet")
+        grid, bden, vden, ((c0, *rest),) = _cells((require_unit_range(F),))
         cols = {"0": [list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)],
                 "1": [c0, *rest]}
+    if any(len(u) == 0 for u in patterns):
+        raise ValueError("pattern must be nonempty")
     widths = list(map(sub, grid[1:], grid))
 
     def extend(state, letter):
@@ -283,20 +279,10 @@ def t_density_vector(u: Word, F: LimitVector) -> Fraction:
     return _densities([u], F)[0]
 
 
-def limit_densities(f: PiecewisePoly, words) -> dict[str, Fraction]:
-    """{str(u): t(u, f)} for binary patterns u (Words or strings) in the
-    limit function f, read as the vector (1 - f, f) (see `_densities`);
-    the patterns' alphabet is checked first, then f's range, once."""
-    patterns = [u if isinstance(u, Word) else Word.from_string(u) for u in words]
-    if any(set(u.alphabet) != {"0", "1"} for u in patterns):
-        raise ValueError("t_density_limit requires the binary alphabet")
-    return dict(zip(map(str, patterns), _densities(patterns, require_unit_range(f))))
-
-
 def t_density_limit(u: Word, f: PiecewisePoly) -> Fraction:
-    """Binary-alphabet pattern density of u in the limit function f: the
-    one-pattern case of `limit_densities`."""
-    return limit_densities(f, [u])[str(u)]
+    """Binary-alphabet pattern density of u in the limit function f, read
+    as the vector (1 - f, f), which sums to 1 (see `_densities`)."""
+    return _densities([u], f)[0]
 
 
 # -- integer cells on merged grids ------------------------------------

@@ -19,7 +19,6 @@ Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
 
 
 def normalize(p) -> Poly:
@@ -70,13 +69,6 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return normalize(res)
 
 
-def ppow(a: Poly, n: int) -> Poly:
-    res = ONE
-    for _ in range(n):
-        res = pmul(res, a)
-    return res
-
-
 def peval(p: Poly, x):
     """Evaluate by Horner's rule.  Exact for Fraction x, float for float x."""
     if isinstance(x, float):
@@ -96,11 +88,6 @@ def pantider(p: Poly) -> Poly:
     if not p:
         return ZERO
     return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
-
-
-def pintegrate(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    P = pantider(p)
-    return peval(P, hi) - peval(P, lo)
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:

@@ -130,7 +130,9 @@ def word_from_obj(obj: dict) -> Word:
 
 def word_from_text(text: str, alphabet: tuple[str, ...] | None = None) -> Word:
     text = text.strip()
-    return word_from_obj(json.loads(text)) if text.startswith("{") else Word.from_string(text, alphabet or BINARY)
+    if text.startswith("{"):
+        return word_from_obj(json.loads(text))
+    return Word.from_string(text, alphabet or BINARY)
 
 
 # -- limit functions ---------------------------------------------------
@@ -152,13 +154,10 @@ def limitfn_from_obj(obj: dict) -> PiecewisePoly:
 
 
 def limitvector_from_obj(obj: dict) -> LimitVector:
-    """One component per alphabet letter: a repeated letter, a component
-    outside the alphabet and a missing one are refused by name."""
     alphabet = _alphabet(obj)
     components = json_field(obj, "components", dict)
-    for i, a in enumerate(alphabet):
-        if a in alphabet[:i]:
-            raise ValueError(f"alphabet letter {a!r} is repeated")
+    if repeated := [a for i, a in enumerate(alphabet) if a in alphabet[:i]]:
+        raise ValueError(f"alphabet letter {repeated[0]!r} is repeated")
     if stray := [a for a in components if a not in alphabet]:
         raise ValueError(f"component {stray[0]!r} is not in the alphabet {list(alphabet)!r}")
     return LimitVector({a: limitfn_from_obj(json_field(components, a, dict, f"component {a!r}")) for a in alphabet})
@@ -166,7 +165,9 @@ def limitvector_from_obj(obj: dict) -> LimitVector:
 
 def limit_from_obj(obj: dict):
     """A limit function or limit vector, whichever the JSON object declares."""
-    return limitvector_from_obj(obj) if "components" in obj else limitfn_from_obj(obj)
+    if "components" in obj:
+        return limitvector_from_obj(obj)
+    return limitfn_from_obj(obj)
 
 
 def limit_from_text(text: str):

@@ -35,6 +35,7 @@ from seqlimit.words import all_patterns
 from test_cli import run_cli
 from util import (
     density_tables_upto,
+    ppow,
     random_poly_limit,
     random_step,
     random_step_irregular,
@@ -66,7 +67,7 @@ def test_arithmetic_and_antiderivative():
     h = f - g
     assert h(Fraction(1, 4)) == Fraction(1, 2)
     assert h(Fraction(3, 4)) == Fraction(-1, 2)
-    assert (f * g).integral() == Fraction(1, 4)
+    assert (f * g).antiderivative()(1) == Fraction(1, 4)
     H = h.antiderivative()
     assert H(0) == 0 and H(Fraction(1, 2)) == Fraction(1, 4) and H(1) == 0
     assert same_function(f.refined([Fraction(1, 3)]), f)
@@ -189,8 +190,8 @@ def test_step_densities_match_symbolic_tables():
 def random_ternary(stream: SeededStream) -> LimitVector:
     """Three step components on different grids: independent steps a and b
     with values in [0, 1/2], and c = 1 - a - b on their merged grid."""
-    a = random_step_irregular(stream.substream(0), max_steps=5, den=6).scale(Fraction(1, 2))
-    b = random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24).scale(Fraction(1, 2))
+    a = random_step_irregular(stream.substream(0), max_steps=5, den=6) * HALF
+    b = random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24) * HALF
     return LimitVector({"a": a, "b": b, "c": PiecewisePoly.constant(1) - a - b})
 
 
@@ -374,8 +375,8 @@ def test_limit_vector_sum_check_matches_pairwise_sums():
     for t in range(48):
         k = 1 + t % 4
         sub = stream.substream(t)
-        parts = [random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0).scale(Fraction(1, k))
-                 for i in range(k - 1)]
+        share = PiecewisePoly.constant(Fraction(1, k))
+        parts = [random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0) * share for i in range(k - 1)]
         rest = functools.reduce(operator.sub, parts, PiecewisePoly.constant(1))
         cell = int(rng.integers(len(rest.pieces)))
         q = int(rng.integers(k, 4 * k + 1))
@@ -616,7 +617,7 @@ def test_word_sweep_against_polynomials_matches_the_generic_path():
         (), (Fraction(-5, 7), Fraction(20, 7)), (Fraction(1),)))
     # tangent to 1 at 1/2: 1 - (x - 1/2)^2 (x + 1)
     tangent = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
-        poly.ONE, poly.pmul(poly.ppow((Fraction(-1, 2), Fraction(1)), 2), (Fraction(1), Fraction(1)))),))
+        poly.ONE, poly.pmul(ppow((Fraction(-1, 2), Fraction(1)), 2), (Fraction(1), Fraction(1)))),))
     fixed = [(W("0110100"), quad3), (W("1101001"), quad3), (W("1" * 12), ramp),
              (W("0" * 9 + "1" * 11), ramp), (W("1"), tangent), (W("0111"), tangent),
              (W("01"), PiecewisePoly((Fraction(0), Fraction(1)), (x,)))]
@@ -663,7 +664,7 @@ def test_word_against_a_limit_off_the_sweep_takes_the_generic_path():
     # 1 - 4 (x^2 - 1/2)^2 reaches 1 at 1/sqrt(2), so its range is a float;
     # 2x and 2x - 1 have exact ranges that leave [0, 1] above and below
     inexact = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
-        poly.ONE, poly.pscale(poly.ppow((Fraction(-1, 2), Fraction(0), Fraction(1)), 2), 4)),))
+        poly.ONE, poly.pscale(ppow((Fraction(-1, 2), Fraction(0), Fraction(1)), 2), 4)),))
     above = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(2)),))
     below = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(-1), Fraction(2)),))
     assert isinstance(inexact.range_bounds()[1], float)

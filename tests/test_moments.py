@@ -26,6 +26,7 @@ from util import (
     density_tables_upto,
     moment_bridge,
     moment_direct,
+    pintegrate,
     random_poly_limit,
     random_step,
     random_step_irregular,
@@ -110,14 +111,13 @@ def test_limit_densities_match_t_density_limit_with_one_range_check(monkeypatch)
             m.setattr(piecewise, "require_unit_range", counted)
             assert limit_densities(f, words) == want
         assert calls == [f]
-    # one checked entry, defined next to _densities and re-exported here
-    assert moments.limit_densities is piecewise.limit_densities
+    # both entries check inside _densities: the alphabet, then the range
+    assert limit_densities is moments.limit_densities
     off_range = PiecewisePoly.step([Fraction(3, 2), 0])
     with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
         limit_densities(HALF, [Word(("a",), ("a", "b"))])
     with pytest.raises(ValueError, match="leaves"):
         limit_densities(off_range, ["1"])
-    # the alphabet is checked before the range, in both entries
     for density in (lambda u: limit_densities(off_range, [u]), lambda u: t_density_limit(u, off_range)):
         with pytest.raises(ValueError, match="^t_density_limit requires the binary alphabet$"):
             density(Word(("a",), ("a", "b")))
@@ -150,7 +150,7 @@ def branch_integral(cert, g: PiecewisePoly) -> Fraction:
         for q in cert.branches:
             d = poly.psub(P, q)
             integrand = poly.pmul(integrand, poly.pmul(d, d))
-        total += poly.pintegrate(integrand, lo, hi)
+        total += pintegrate(integrand, lo, hi)
     return total
 
 

@@ -51,7 +51,7 @@ def test_tower_property_preserves_integral():
     for t in range(20):
         f = random_step_irregular(stream.substream(t), max_steps=7)
         part = IntervalPartition.uniform(1 + t % 5)
-        assert conditional_expectation(f, part).integral() == f.integral()
+        assert conditional_expectation(f, part).antiderivative()(1) == f.antiderivative()(1)
 
 
 def test_energy_is_the_integral_of_the_squared_conditional_expectation():
@@ -64,7 +64,7 @@ def test_energy_is_the_integral_of_the_squared_conditional_expectation():
         cuts = [Fraction(int(x), 24) for x in rng.integers(1, 24, size=t % 5)]
         for part in (IntervalPartition.uniform(1 + t % 4), IntervalPartition.trivial().refine(cuts)):
             E = conditional_expectation(f, part)
-            assert energy(f, part) == (E * E).integral(), (f, part)
+            assert energy(f, part) == (E * E).antiderivative()(1), (f, part)
 
 
 def test_energy_examples_and_refinement_monotonicity():

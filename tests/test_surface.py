@@ -25,8 +25,6 @@ CALLED_FROM_TESTS = {
     "words.hamming_d1": "criterion 09",
     "permutons.grid_density_table": "criterion 11",
     "moments.moment_words": "criterion 06",
-    "poly.ppow": "moment_direct and moment_bridge in tests/util.py",
-    "poly.pintegrate": "moment_direct in tests/util.py",
 }
 
 
