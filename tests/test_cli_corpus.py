@@ -19,10 +19,15 @@ a behaviour change.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import seqlimit
 from seqlimit import SeededStream
 from test_cli import run_cli
 
@@ -260,6 +265,26 @@ TESTER = {
         "aab,bba", 6, 300, 47),
 }
 
+# analyze on long seeded words, where the hull and the exponential sums walk
+# thousands of positions (8 frequencies; a density whose denominator is a
+# six-digit prime), and on words whose prefix walks turn at every point or
+# at one only
+ANALYZE_LONG = {
+    "analyze-seeded-n1000": ("analyze", _seeded_letters(1000, "01", 48)),
+    "analyze-seeded-n4000-f8": ("analyze", _seeded_letters(4000, "01", 49), "--frequencies", "8"),
+    "analyze-seeded-n16000-big-den": (
+        "analyze", _seeded_letters(16000, "01", 50), "--density", "499979/999983"),
+    "analyze-0001": ("analyze", "0001"),
+    "analyze-1110": ("analyze", "1110"),
+    "analyze-0110": ("analyze", "0110"),
+    "analyze-01x500": ("analyze", "01" * 500),
+}
+
+# the tester and the exact distance on 16,000 letters
+TESTER_LONG = {
+    "test-w16000-two-patterns": _tester(_seeded(16000, "01", 51), "0110,1001", 24, 100, 51),
+}
+
 # exact pattern counts of words: patterns of length 1, 3 and 6, a ternary
 # word, l = n, counts whose intermediate prefix counts exceed 2^64 while
 # C(n, l) < 2^63, and C(n, l) >= 2^63
@@ -365,6 +390,8 @@ CORPUS = {
     **WORD_DENSITY,
     **SAMPLE,
     **LIMIT_DENSITY,
+    **ANALYZE_LONG,
+    **TESTER_LONG,
 }
 
 DIGESTS = {
@@ -507,6 +534,14 @@ DIGESTS = {
     "test-w300-query-whole-word": "5818711d9c3c2e0597926b8f146ea054bf1c6ff9378f088c2d3807a9800ea667",
     "test-w60-5000-trials": "e1f4778f04e0f7915ab313cc80878ac30c6203536afe6fceb9dadf89dc81eb78",
     "test-multichar-alphabet": "52c0b0b3f2d70f79f5c76a46af917709103b0ea72cfa16f5a70320af18d2792e",
+    "analyze-seeded-n1000": "7c607fd1a14906f57ce1862a173f513680eb804435f2b05ba1ad937821c1a628",
+    "analyze-seeded-n4000-f8": "8e4b4fe96f788348d1913e2f498c4a82034633d5481051ecef01035003acbb08",
+    "analyze-seeded-n16000-big-den": "70b920ef8bd2f028f82e1908c0ddf7babdc5b26eafc9eb0cf67c385f8dbd3741",
+    "analyze-0001": "4ea3c90e1e9096a34b67298f416cd0e637fd6d1adac76b567bb59d5c2ff074fb",
+    "analyze-1110": "418c76cfe7637791075812be121efdedd2968782f83b9cb4d5a59b32c4665e77",
+    "analyze-0110": "ea91b21d4f1813df13492a8d9cebbe7aac51a18084bc3032f1346ba3533c197d",
+    "analyze-01x500": "81a3a1ed34a9a01dd590379d9059c32084da79c60f463ef143930b11c2c62e10",
+    "test-w16000-two-patterns": "819053069920c383cf6b6bec38243bcd3d664bb2517f635829f6954d19213cec",
 }
 
 
@@ -515,6 +550,19 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_long_analyze_and_tester_pins_replay_under_python_O():
+    """python -O strips asserts, so no check the output relies on may be
+    one: the long analyze and tester pins print the same bytes in
+    `python -O -m seqlimit` processes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for name, argv in {**ANALYZE_LONG, **TESTER_LONG}.items():
+        done = subprocess.run([sys.executable, "-O", "-m", "seqlimit", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS[name], name
 
 
 LONG_DIGITS = "1" * 4301  # above the int/str conversion limit of 4300 digits
