@@ -41,7 +41,9 @@ layouts are eventually periodic: each distinct one is built once and
 indexed by position.  The witness is read back by runs: at state q, one
 argmin over the moves into q at every position finds the last one where
 the chosen move enters q from another state, and the path stays in q
-after it.  `member_word` seeds the tester curve with such a witness.
+after it.  `member_word` seeds the tester curve with such a witness;
+the tester and the curve search read the distance alone (`_d1_value`),
+and build and check no witness.
 """
 
 from __future__ import annotations
@@ -109,13 +111,11 @@ class ForbiddenFamily:
         return bound
 
 
-def d1_to_family(
-    w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP
-) -> tuple[Fraction, Word]:
-    """Exact normalized substitution distance from w to P_F, with a
-    nearest member as witness: one numpy pass per automaton state over
-    all positions of w (see the module docstring for the order, the
-    self-loop scan and the tie-break)."""
+def _d1_costs(w: Word, family: ForbiddenFamily, state_cap: int):
+    """The least cost C[q, i] of reaching the state of rank q after i
+    letters of w, one numpy pass per state (see the module docstring),
+    and what reading a witness back needs: (C, tuples, order, nxt,
+    loops, miss, slots, at)."""
     if w.alphabet != family.alphabet:
         raise AlphabetError("word and family must share one alphabet")
     if family.state_bound() > state_cap:
@@ -185,6 +185,26 @@ def d1_to_family(
             C[q] -= scans[m]
             np.minimum.accumulate(C[q], out=C[q])
             C[q] += scans[m]
+    return C, tuples, order, nxt, loops, miss, slots, at
+
+
+def _d1_value(w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP) -> Fraction:
+    """d1(w, P_F) as d1_to_family finds it, without the witness: the least
+    cost after the last letter."""
+    C = _d1_costs(w, family, state_cap)[0]
+    n = len(w)
+    return Fraction(int(C[:, n].min()), n) if n else Fraction(0)
+
+
+def d1_to_family(
+    w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP
+) -> tuple[Fraction, Word]:
+    """Exact normalized substitution distance from w to P_F, with a
+    nearest member as witness, read back from the `_d1_costs` table by
+    the tie-break of the module docstring."""
+    C, tuples, order, nxt, loops, miss, slots, at = _d1_costs(w, family, state_cap)
+    alphabet = family.alphabet
+    (S, k), n = nxt.shape, len(w)
 
     # backtrack by runs: the path stays in q back to the last position
     # where the chosen move into q is not a self-loop
@@ -287,7 +307,7 @@ def run_tester(
         queries = np.fromiter(itertools.chain.from_iterable(chosen), np.intp).reshape(-1, length)
         queries.sort(axis=1, kind="stable")  # the default kind pages in 256 KB more of numpy's code
         accepted += int(np.count_nonzero(_member_rows(queries, masks, family)))
-    d1, _ = d1_to_family(w, family)
+    d1 = _d1_value(w, family)
     return TesterReport(
         trials=trials,
         accepted=accepted,
@@ -334,7 +354,7 @@ def completeness_soundness_curve(
                 options = [a for a in alphabet if a != letters[p]]
                 letters[p] = options[int(rng.integers(len(options)))]
             cand = Word(tuple(letters), alphabet)
-            d, _ = d1_to_family(cand, family)
+            d = _d1_value(cand, family)
             if best is None or abs(d - target) < abs(best[0] - target):
                 best = (d, cand)
             if best[0] == target:

@@ -14,7 +14,8 @@ string) is refused with a ValueError naming it.  Rationals are read by
 parse_frac exactly as Fraction(str) reads them.
 A JSON integer or an ASCII-digit "p" or "p/q" with q > 0 is read as the
 pair (p, q) with int() (_ratio); every other spelling, and every error,
-is Fraction(str)'s.  A grid reads each distinct token once and becomes
+is Fraction(str)'s, but for a zero denominator: that ValueError quotes
+the token.  A grid reads each distinct token once and becomes
 integer cell masses without a Fraction per cell.
 """
 
@@ -61,7 +62,12 @@ def _ratio(token) -> tuple[int, int] | None:
 
 def parse_frac(text) -> Fraction:
     pair = _ratio(text)
-    return Fraction(*pair) if pair else Fraction(str(text))
+    if pair:
+        return Fraction(*pair)
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 _JSON_TYPES = {list: "list", dict: "object", int: "integer", str: "string"}

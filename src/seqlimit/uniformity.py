@@ -6,6 +6,13 @@ un-normalized interval discrepancy is computed exactly in O(n) from
 prefix sums, swept as Python ints; the best achievable uniformity over
 d is the minimum of a convex piecewise-linear function and is located
 exactly via the two convex hulls of the prefix-sum graph.
+
+The prefix-sum walk (j, S_j) steps by 0 or 1, so its upper hull turns
+only where a run of 1s ends (w_j = 1, w_{j+1} = 0) and its lower hull
+only where a run of 0s ends: each hull is built from those corners, 0
+and n.  Exponential sums take the angles of the 1-positions as one
+float64 array, by the same float operations in the same order as one
+expression per position.
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .piecewise import PiecewisePoly, grid_primitive
-from .words import BINARY, Word, pattern_counts
+from .words import BINARY, Word, _letter_masks, pattern_counts
 
 #: Converse constant: length-3 residual eps forces (d, 42 eps^(1/3))-uniformity.
 CONVERSE_CONSTANT = 42
@@ -58,6 +67,18 @@ def _hull(points: list[tuple[int, int]], sign: int) -> list[tuple[int, int]]:
     return hull
 
 
+def _hulls(w: Word) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Vertex lists of the upper and lower hulls of the prefix-sum walk of
+    a nonempty binary word, each from 0, n and its run corners."""
+    ones = _letter_masks(w, "1")["1"]
+    S = np.concatenate(([0], ones.cumsum(dtype=np.int64)))
+    hulls = []
+    for corners, sign in ((ones[:-1] & ~ones[1:], 1), (~ones[:-1] & ones[1:], -1)):
+        x = np.concatenate(([0], np.flatnonzero(corners) + 1, [len(w)]))
+        hulls.append(_hull(list(zip(x.tolist(), S[x].tolist())), sign))
+    return hulls[0], hulls[1]
+
+
 @dataclass(frozen=True)
 class UniformityReport:
     density: Fraction
@@ -74,13 +95,12 @@ def best_uniformity(w: Word) -> UniformityReport:
     """Density d in [0, 1] minimizing the interval discrepancy, found
     exactly: the discrepancy is convex piecewise-linear in d, so the
     minimum sits at a breakpoint contributed by a convex-hull edge of
-    the prefix-sum graph."""
+    the prefix-sum graph, whose vertices are run corners (`_hulls`)."""
     _require_binary(w)
     n = len(w)
     if n == 0:
         raise ValueError("word must be nonempty")
-    pts = list(enumerate(grid_primitive(w)[1]))
-    upper, lower = _hull(pts, 1), _hull(pts, -1)
+    upper, lower = _hulls(w)
     cands = {Fraction(0), Fraction(1)}
     for hull in (upper, lower):
         cands.update(Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
@@ -118,16 +138,15 @@ def minimizer_residuals(w: Word, d) -> dict[str, Fraction]:
 
 
 def exponential_sum(w: Word, k: int) -> complex:
-    """(1/n) sum_j w_j exp(2 pi i k j / n), compensated summation."""
+    """(1/n) sum_j w_j exp(2 pi i k j / n), compensated summation: the
+    angles ((2 pi k) j) / n of the 1-positions j as one float64 array,
+    then math.cos, math.sin and math.fsum on them as Python floats."""
     _require_binary(w)
     n = len(w)
-    re = math.fsum(
-        math.cos(2 * math.pi * k * j / n) for j, c in enumerate(w.letters, 1) if c == "1"
-    )
-    im = math.fsum(
-        math.sin(2 * math.pi * k * j / n) for j, c in enumerate(w.letters, 1) if c == "1"
-    )
-    return complex(re / n, im / n)
+    j = np.flatnonzero(_letter_masks(w, "1")["1"]) + 1
+    # without a 1, 2 pi k is never computed: a k beyond the float range gives 0j
+    ang = (2 * math.pi * k * j / n).tolist() if len(j) else []
+    return complex(math.fsum(map(math.cos, ang)) / n, math.fsum(map(math.sin, ang)) / n)
 
 
 @dataclass(frozen=True)

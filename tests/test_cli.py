@@ -361,6 +361,14 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def _zero_den_named(outcome, token):
+    """outcome, but for a zero denominator the ValueError that quotes the
+    token instead of Fraction's ZeroDivisionError "Fraction(1, 0)"."""
+    if outcome[0] is ZeroDivisionError:
+        return (ValueError, f"rational {token!r} has a zero denominator")
+    return outcome
+
+
 def _grid_by_fractions(obj):
     return GridMeasure(int(obj["m"]), tuple(tuple(Fraction(str(v)) for v in row) for row in obj["mass"]))
 
@@ -368,14 +376,14 @@ def _grid_by_fractions(obj):
 @pytest.mark.parametrize("i", range(len(TOKENS)))
 def test_token_reader_agrees_with_fraction_of_str(i):
     token = TOKENS[i]
-    assert _outcome(ser.parse_frac, token) == _outcome(lambda t: Fraction(str(t)), token)
+    assert _outcome(ser.parse_frac, token) == _zero_den_named(_outcome(lambda t: Fraction(str(t)), token), token)
     pair = ser._ratio(token)
     if pair is not None:
         assert Fraction(*pair) == Fraction(str(token))
     # as the mass of a 1-grid and beside canonical tokens in a 2-grid
     for obj in ({"m": 1, "mass": [[token]]},
                 {"m": 2, "mass": [["1/4", token], ["1/4", "1/4"]]}):
-        assert _outcome(ser.grid_from_obj, obj) == _outcome(_grid_by_fractions, obj)
+        assert _outcome(ser.grid_from_obj, obj) == _zero_den_named(_outcome(_grid_by_fractions, obj), token)
 
 
 def test_malformed_grid_tables_fail_as_the_fraction_path_does():
@@ -450,6 +458,17 @@ EDGE_INPUTS = {
     "analyze-two-letters": (("analyze", "01"), "need length >= 3"),
     "analyze-frequencies-negative": (("analyze", "0110100", "--frequencies", "-1"),
                                      "the number of frequencies must be nonnegative, got -1"),
+    # zero denominators, named with their token rather than as Fraction(1, 0)
+    "analyze-density-zero-denominator": (("analyze", "0110100", "--density", "1/0"),
+                                         "rational '1/0' has a zero denominator"),
+    "regularize-eps-zero-denominator": (("regularize", "--limit", HALF_LIMIT, "--eps", "1/0"),
+                                        "rational '1/0' has a zero denominator"),
+    "density-limit-coeff-zero-denominator": (
+        ("density", "--limit", '{"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/0"]}]}', "--pattern", "1"),
+        "rational '1/0' has a zero denominator"),
+    "permuton-grid-mass-zero-denominator": (
+        ("permuton", "density", "--grid", '{"m": 1, "mass": [["1/0"]]}', "--pattern", "1"),
+        "rational '1/0' has a zero denominator"),
     "density-empty-pattern": (("density", "--word", "0110", "--pattern", ""), "pattern must be nonempty"),
     "regularize-eps-0": (("regularize", "--limit", HALF_LIMIT, "--eps", "0"), "eps must lie in (0, 1)"),
     "regularize-init-uniform-negative": (("regularize", "--limit", HALF_LIMIT, "--eps", "1/10", "--init-uniform", "-3"),
@@ -540,7 +559,7 @@ def test_edge_inputs_exit_1_with_one_error_line(name, tmp_path):
     code, out, err = run_cli(*(str(out_dir) if a == "OUT" else a for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Fraction(" not in err
     assert not out_dir.exists() and list(tmp_path.iterdir()) == []
 
 

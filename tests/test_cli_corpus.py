@@ -571,7 +571,7 @@ LIMIT_MESSAGE = ("error: Exceeds the limit (4300 digits) for integer string conv
 
 # grid files that are refused, with the one stderr line of each
 BAD_GRIDS = {
-    "zero-denominator": (_mass(1, [["1/0"]]), "error: Fraction(1, 0)\n"),
+    "zero-denominator": (_mass(1, [["1/0"]]), "error: rational '1/0' has a zero denominator\n"),
     "not-a-number": (_mass(1, [["x"]]), "error: Invalid literal for Fraction: 'x'\n"),
     "negative": (_mass(3, [["-1/9", "2/9", "2/9"], ["2/9", "1/9", "0"], ["2/9", "0", "1/9"]]),
                  "error: cell masses must be nonnegative\n"),

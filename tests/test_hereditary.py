@@ -94,6 +94,8 @@ def _oracle_case(t: int, rng) -> tuple[Word, ForbiddenFamily]:
 
 
 def test_d1_matches_dict_dp_oracle():
+    """d1_to_family, and the value-only entry that the tester and the curve
+    search use, against the dict DP: the same values and the same errors."""
     stream = SeededStream(67)
     errors = tested = 0
     for t in range(360):
@@ -101,11 +103,13 @@ def test_d1_matches_dict_dp_oracle():
         try:
             want = dict_dp_d1(w, fam)
         except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{exc}$"):
-                d1_to_family(w, fam)
+            for d1 in (d1_to_family, hereditary._d1_value):
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    d1(w, fam)
             errors += 1
             continue
         assert d1_to_family(w, fam) == want, (str(w), [str(p) for p in fam.patterns])
+        assert hereditary._d1_value(w, fam) == want[0]
         tested += 1
         if len(w) and t % 4 == 0:
             rep = run_tester(w, fam, min(len(w), 5), 3, stream.substream(1000 + t))
@@ -114,12 +118,15 @@ def test_d1_matches_dict_dp_oracle():
     assert tested >= 300 and errors > 0
     # empty property and state cap: the same errors as the dict DP
     empty = ForbiddenFamily.from_strings(["0", "1"])
-    for d1 in (dict_dp_d1, d1_to_family):
+    for d1 in (dict_dp_d1, d1_to_family, hereditary._d1_value):
         with pytest.raises(ValueError, match="^property is empty at this length$"):
             d1(W("01"), empty)
     big = ForbiddenFamily.from_strings(["01" * 40] * 4)
-    with pytest.raises(ValueError, match="^automaton would exceed 10 states$"):
-        d1_to_family(W("01"), big, state_cap=10)
+    for d1 in (d1_to_family, hereditary._d1_value):
+        with pytest.raises(ValueError, match="^automaton would exceed 10 states$"):
+            d1(W("01"), big, state_cap=10)
+        with pytest.raises(AlphabetError, match="^word and family must share one alphabet$"):
+            d1(Word(tuple("ab"), ("a", "b")), empty)
 
 
 WIDE = tuple(chr(0x100 + c) for c in range(64)) + ("X", "Y")  # X and Y past the 64th letter

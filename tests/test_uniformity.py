@@ -1,5 +1,6 @@
 """Interval discrepancy, best uniformity, and quasi-randomness diagnostics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,10 +16,16 @@ from seqlimit import (
     quasirandomness_report,
     subsequence_count,
 )
-from seqlimit.uniformity import _hull
+from seqlimit.uniformity import _hull, _hulls
 from seqlimit.words import all_patterns
 
-from util import cayley_walk_enumerate, dp_subsequence_count, random_word
+from util import (
+    all_points_hulls,
+    cayley_walk_enumerate,
+    dp_subsequence_count,
+    generator_exponential_sum,
+    random_word,
+)
 
 W = Word.from_string
 
@@ -236,3 +243,45 @@ def test_minimizer_residuals_match_per_pattern_oracle():
             assert res[str(u)] == Fraction(abs(dp_subsequence_count(w, u) - expected), n**3)
         # the same letters over the alphabet listed the other way round
         assert minimizer_residuals(Word(w.letters, ("1", "0")), d) == res
+
+
+def _short_words():
+    """Every binary word of 1 to 12 letters."""
+    for n in range(1, 13):
+        for bits in itertools.product("01", repeat=n):
+            yield Word(bits)
+
+
+def _long_words():
+    """Seeded words of 13 to 16,000 letters: random ones of density near 0,
+    1/2 and near 1, an alternating one (runs of length 1), and random
+    ones after or before a run of more than n/2 letters."""
+    stream = SeededStream(39)
+    for t, n in enumerate((13, 39, 100, 999, 1000, 4000, 16000)):
+        sub = stream.substream(t)
+        for i, density in enumerate((0.03, 0.5, 0.97)):
+            yield random_word(sub.substream(i), n, density)
+        yield W(("01" * n)[:n])
+        run = n // 2 + 1
+        yield Word(("1",) * run + random_word(sub.substream(3), n - run).letters)
+        yield Word(random_word(sub.substream(4), n - run).letters + ("0",) * run)
+
+
+def test_hulls_from_run_corners_equal_the_all_points_hulls():
+    for w in itertools.chain(_short_words(), _long_words()):
+        assert _hulls(w) == all_points_hulls(w), str(w)
+        rep = best_uniformity(w)
+        assert discrepancy(w, rep.density)[0] == rep.discrepancy
+
+
+def test_exponential_sums_equal_the_generator_expressions():
+    for w in itertools.chain(_short_words(), _long_words()):
+        n = len(w)
+        for k in (*range(9), n + 1, 3 * n + 2):
+            got, want = exponential_sum(w, k), generator_exponential_sum(w, k)
+            assert got == want and repr(got) == repr(want), (str(w), k)
+    # a frequency beyond the float range: 0j without a 1, an OverflowError with one
+    assert exponential_sum(W("000"), 10**400) == generator_exponential_sum(W("000"), 10**400) == 0
+    for f in (exponential_sum, generator_exponential_sum):
+        with pytest.raises(OverflowError):
+            f(W("010"), 10**400)

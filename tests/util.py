@@ -8,8 +8,8 @@ import math
 from fractions import Fraction
 
 from seqlimit import GridMeasure, PiecewisePoly, SeededStream, Word, limit_densities, poly
-from seqlimit.piecewise import LimitVector
-from seqlimit.uniformity import _require_binary
+from seqlimit.piecewise import LimitVector, grid_primitive
+from seqlimit.uniformity import _hull, _require_binary
 
 
 def rand_frac(rng, den: int = 32) -> Fraction:
@@ -103,6 +103,23 @@ def cayley_walk_enumerate(w: Word, u: Word, cap: int = 30) -> int:
             if ok:
                 total += 1
     return total
+
+
+def all_points_hulls(w: Word) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Upper and lower hulls of every prefix point (j, S_j) of w; oracle for
+    the hulls built from run corners only."""
+    pts = list(enumerate(grid_primitive(w)[1]))
+    return _hull(pts, 1), _hull(pts, -1)
+
+
+def generator_exponential_sum(w: Word, k: int) -> complex:
+    """(1/n) sum_j w_j exp(2 pi i k j / n), one float expression per
+    1-position in a generator; oracle for the angle array."""
+    _require_binary(w)
+    n = len(w)
+    re = math.fsum(math.cos(2 * math.pi * k * j / n) for j, c in enumerate(w.letters, 1) if c == "1")
+    im = math.fsum(math.sin(2 * math.pi * k * j / n) for j, c in enumerate(w.letters, 1) if c == "1")
+    return complex(re / n, im / n)
 
 
 def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
