@@ -106,6 +106,9 @@ QUARTIC_F = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["7/15", "-7/30", "47/60", "-7/6", "5/6"]}]})
 QUARTIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
     {"coeffs": ["1/3", "1/5", "0", "0", "1/7"]}, {"coeffs": ["2/5", "0", "1/4", "0", "-1/6"]}]})
+# 1 - 4 (x^2 - 1/2)^2 reaches 1 at the irrational 1/sqrt(2), so its range
+# is a float pair and a word against it takes the generic route
+BUMP = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "4", "0", "-4"]}]})
 
 
 def _perm(m: int, seed: int) -> list[int]:
@@ -325,6 +328,11 @@ PAIRS = {
     "word-cubic-end": ("0110111", CUBIC_END),
     "cubic-cubic": (CUBIC_F, CUBIC_G),
     "quartic-quartic": (QUARTIC_F, QUARTIC_G),
+    # a step against polynomials whose breakpoints fall between its own
+    "step-quad3": (STEP_B, json.dumps(QUAD3)),
+    "step-cubic": (STEP_B, CUBIC_F),
+    "word-bump": (W40, BUMP),
+    "word7-bump": ("0110100", BUMP),  # 1/sqrt(2) inside a 1-cell: floats
 }
 
 # f-random words: a binary step limit, a binary polynomial limit and a
@@ -462,6 +470,18 @@ DIGESTS = {
     "distance-box-word-cubic-end": "16faddf6789a7e122ce5e014dece81b66e0949cfb2704a39c5a28a7bbbc64beb",
     "distance-l1-word-cubic-end": "f5c225408190d5908b7bae4295fd063f3dffac9017ef7784a4ad90ff3758acdb",
     "distance-prefix-word-cubic-end": "868837b68035b71ade38736549bf9f071b24b5842614d1f8f3f2511fa5742d25",
+    "distance-box-step-quad3": "159385174b7888f15a023a70ad2f7ea1b9d17bec3307873f58eaf07d16b070ee",
+    "distance-l1-step-quad3": "206edfcd87134bb615584ac2cfc850ab1642591c2c8644ef3c7fed86dc9f5cd8",
+    "distance-prefix-step-quad3": "50902cc72429ba791c529ba2d84741512190cb11f16f7dc022b99704040db5bb",
+    "distance-box-step-cubic": "a4c7a1e06703c1ab9641db95d4c61cd891c1f7bca98808104fba91a187250d90",
+    "distance-l1-step-cubic": "a61cbbeda605af274c1d7584a6841482bd6d6c66208a39d0fac6cedeac93fbf6",
+    "distance-prefix-step-cubic": "589fb1ff34ff25f2a091de5126da5295c42056ac89a858ba6c7859ba0940eb5a",
+    "distance-box-word-bump": "d59002ee81f2be428a44e5256ac134e8b37e874796c3cee0626d7ea13603389f",
+    "distance-l1-word-bump": "b835f2fd9afb17b235a637606762638c678432c298aaf9230e004ccc85df8e21",
+    "distance-prefix-word-bump": "fb7ea0476ccce76110e6dc68223b48d2f93b1343af945e5bde6ab5abc86c2471",
+    "distance-box-word7-bump": "db3a826d495997dece47aa862ddde500ae5fd9f6dd5ac9b10f2e704aec645505",
+    "distance-l1-word7-bump": "63d8a91d628d1d442890b3074e97362a57d43a888a76d3b64167e812d685a2de",
+    "distance-prefix-word7-bump": "f433d673687d1bd0ebe3c9309a9a50ff8a2b588911fbcd5b7bd7a86a5484508d",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
