@@ -301,12 +301,6 @@ class GridMeasure:
     def __delattr__(self, name):
         raise AttributeError(f"GridMeasure is immutable: cannot delete {name!r}")
 
-    @cached_property
-    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
-        """mass[row=x-cell][col=y-cell] as Fractions."""
-        den = self.den
-        return tuple(tuple(Fraction(c, den) for c in row) for row in self.cells.tolist())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GridMeasure):
             return NotImplemented

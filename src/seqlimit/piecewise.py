@@ -3,8 +3,8 @@
 A PiecewisePoly is determined by rational breakpoints
 0 = b_0 < b_1 < ... < b_m = 1 and one rational-coefficient polynomial
 per piece [b_i, b_{i+1}).  The last piece is closed on the right.  Step
-functions are the degree-0 case; the associated function of a word w of
-length n is the n-step indicator profile of w.
+functions are the degree-0 case; a binary word w of length n stands for
+the n-step indicator profile of its letter 1.
 
 All arithmetic is exact.  Floats only enter through explicitly inexact
 paths: irrational extrema in box/prefix distances and range checks
@@ -12,25 +12,29 @@ paths: irrational extrema in box/prefix distances and range checks
 an irrational sign change of f - g, which a difference of any degree
 from 2 up can have.
 
-Words never become n-piece functions.  The integer layer has one
-representation, `_cells`: words and limits of any degree merged on one
-integer grid, each given on every cell by the integer Taylor columns of
-its scaled values in the cell's own coordinate, and one integration of
-such columns in Python ints, `_antiderivative`.  `grid_primitive`, the
-primitive H of f - g, is the antiderivative of their difference.  Box,
-prefix and L1 distances are read off its grid when both sides are
-words or step functions, or when a word meets a limit with exact values
-in [0, 1]; H is then monotone on every cell.  `_densities` walks the
-prefix trie of a batch of patterns once (`_prefix_walk`) on f's cells or
-those a `LimitVector` keeps from its sum check: each prefix multiplies
-its parent's columns by its letter's and takes the antiderivative.
+Words never become n-piece functions, and limits are never added or
+multiplied as `Fraction` pieces.  There is one merge, `_cells`: words and
+limits of any degree on one integer grid, each given on every cell by
+the integer Taylor columns of its scaled values in the cell's own
+coordinate, and one integration of such columns in Python ints,
+`_antiderivative`.  The primitive H of f - g is the antiderivative of
+their difference (`_difference_primitive`): `grid_primitive` reads it
+at the grid points, and box, prefix and L1 distances are read there
+when both sides are words or step functions, or when a word meets a
+limit with exact values in [0, 1]; H is then monotone on every cell.
+`_densities` walks the prefix trie of a batch of patterns once
+(`_prefix_walk`) on f's cells or those a `LimitVector` keeps from its
+sum check: each prefix multiplies its parent's columns by its letter's
+and takes the antiderivative.
 
-Range checks, box/prefix/L1 distances off the grid (two polynomial
-sides, a step function and a polynomial, or a word and a limit whose
-range is inexact or leaves [0, 1]) and weak regularity share one
-critical-cut scan, `_critical_cuts`: each piece P is taken on its
-closed interval [lo, hi], so a value P only approaches at its open
-right end counts, and cut at lo, the roots of P', and hi.
+Pieces in x of a primitive come only from `_x_primitive`, which shifts
+H's columns back to x for `antiderivative` and the root search.  Range
+checks, box/prefix/L1 distances off the grid (two polynomial sides, a
+step function and a polynomial, or a word and a limit whose range is
+inexact or leaves [0, 1]) and weak regularity share one critical-cut
+scan, `_critical_cuts`: each piece P is taken on its closed interval
+[lo, hi], so a value P only approaches at its open right end counts,
+and cut at lo, the roots of P', and hi.
 """
 
 from __future__ import annotations
@@ -84,13 +88,6 @@ class PiecewisePoly:
             breakpoints = [Fraction(i, m) for i in range(m + 1)]
         return cls(tuple(breakpoints), tuple((v,) for v in values))
 
-    @classmethod
-    def associated(cls, w: Word) -> "PiecewisePoly":
-        """Indicator step function of the letter 1 of w on the uniform n-grid."""
-        if len(w) == 0:
-            raise ValueError("word must be nonempty")
-        return cls.step([1 if c == "1" else 0 for c in w.letters])
-
     # -- basic queries ------------------------------------------------
 
     def piece_index(self, x: Fraction | float) -> int:
@@ -109,46 +106,16 @@ class PiecewisePoly:
     def is_step(self) -> bool:
         return self.max_degree() <= 0
 
-    # -- exact arithmetic ---------------------------------------------
-
-    def refined(self, breakpoints) -> "PiecewisePoly":
-        bps = sorted(set(self.breakpoints) | set(breakpoints))
-        if len(bps) == len(self.breakpoints):
-            return self
-        pcs = [self.pieces[self.piece_index(lo)] for lo in bps[:-1]]
-        return PiecewisePoly(tuple(bps), tuple(pcs))
-
-    def _zip(self, other: "PiecewisePoly"):
-        bps = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return bps, self.refined(bps).pieces, other.refined(bps).pieces
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        bps, pa, pb = self._zip(other)
-        return PiecewisePoly(bps, tuple(poly.padd(p, q) for p, q in zip(pa, pb)))
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        bps, pa, pb = self._zip(other)
-        return PiecewisePoly(bps, tuple(poly.psub(p, q) for p, q in zip(pa, pb)))
-
-    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        bps, pa, pb = self._zip(other)
-        return PiecewisePoly(bps, tuple(poly.pmul(p, q) for p, q in zip(pa, pb)))
+    # -- exact primitive ----------------------------------------------
 
     def antiderivative(self) -> "PiecewisePoly":
-        """The continuous primitive F with F(0) = 0, piece by piece, derived
-        once per instance (instances are frozen)."""
+        """The continuous primitive F with F(0) = 0 (`_x_primitive`),
+        derived once per instance (instances are frozen)."""
         return self._primitive
 
     @functools.cached_property
     def _primitive(self) -> "PiecewisePoly":
-        acc = Fraction(0)
-        out: list[Poly] = []
-        for lo, hi, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces):
-            P = poly.pantider(p)
-            q = poly.padd(P, (acc - poly.peval(P, lo),))
-            out.append(q)
-            acc = poly.peval(q, hi)
-        return PiecewisePoly(self.breakpoints, tuple(out))
+        return _x_primitive(self)
 
     # -- extrema ------------------------------------------------------
 
@@ -335,15 +302,22 @@ def _cells(fs) -> tuple[list[int], int, int, list[list[list[int]]]]:
         out = [[] for _ in range(e + 1)]
         starts = [bisect_left(grid, x) for x in xs]
         for p, a, b in zip(f.pieces, starts, starts[1:]):
-            ts, shifted = grid[a:b], [[c.numerator * (vden // (c.denominator * bden**r))] * (b - a)
-                                      for r, c in enumerate(p)]
-            for i in range(len(p) - 1):
-                for j in range(len(p) - 2, i - 1, -1):
-                    shifted[j] = list(map(add, shifted[j], map(mul, shifted[j + 1], ts)))
+            shifted = _shift([[c.numerator * (vden // (c.denominator * bden**r))] * (b - a)
+                              for r, c in enumerate(p)], grid[a:b], add)
             for r, col in enumerate(out):
                 col += shifted[r] if r < len(p) else [0] * (b - a)
         cols.append(out)
     return grid, bden, vden, cols
+
+
+def _shift(cols, xs, op) -> list[list[int]]:
+    """Columns of P(t + xs[k]) (op add) or P(t - xs[k]) (op sub) on each
+    cell k, for P given by columns cols in t: a Taylor shift by Horner."""
+    cols = list(cols)
+    for i in range(len(cols) - 1):
+        for j in range(len(cols) - 2, i - 1, -1):
+            cols[j] = list(map(op, cols[j], map(mul, cols[j + 1], xs)))
+    return cols
 
 
 def _times(a, b) -> list[list[int]]:
@@ -374,7 +348,24 @@ def _antiderivative(cols, widths) -> tuple[int, list[list[int]], list[int]]:
     return L, [prim[:-1], *A], prim
 
 
-def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int], int, int]:
+ZERO_FN = PiecewisePoly.constant(0)
+
+
+def _difference_primitive(f, g, columns: bool):
+    """(grid, bden, den, A, prim): `_antiderivative` of f's `_cells`
+    columns minus g's, den = vden * L.  On cell k, the primitive H of f - g
+    is the sum over r of A[r][k] * t^r / (bden * den), t = bden * x - grid[k]
+    (A is read only if columns is set: then they are lists)."""
+    grid, bden, vden, (cf, cg) = _cells((f, g))
+    diff = [map(sub, a, b) for a, b in zip(cf, cg)] + cf[len(cg):] + [map(neg, c) for c in cg[len(cf):]]
+    widths = map(sub, grid[1:], grid)
+    if columns:
+        diff = list(map(list, diff))
+    L, A, prim = _antiderivative(diff, widths if len(diff) == 1 else list(widths))
+    return grid, bden, vden * L, A, prim
+
+
+def grid_primitive(f, g=ZERO_FN) -> tuple[list[int], list[int], int, int]:
     """Exact primitive H of f - g, for f and g words or limit functions,
     swept over Python ints: `_antiderivative` of the difference of their
     `_cells` columns.
@@ -382,18 +373,22 @@ def grid_primitive(f, g=PiecewisePoly.constant(0)) -> tuple[list[int], list[int]
     Returns (grid, prim, bden, vden): the merged breakpoints of f and g
     are grid[k] / bden and H(grid[k] / bden) = prim[k] / (bden * vden).
     """
-    grid, bden, vden, (cf, cg) = _cells((f, g))
-    diff = [map(sub, a, b) for a, b in zip(cf, cg)] + cf[len(cg):] + [map(neg, c) for c in cg[len(cf):]]
-    widths = map(sub, grid[1:], grid)
-    L, _, prim = _antiderivative(diff, widths if len(diff) == 1 else list(widths))
-    return grid, prim, bden, vden * L
+    grid, bden, den, _, prim = _difference_primitive(f, g, False)
+    return grid, prim, bden, den
+
+
+def _x_primitive(f, g=ZERO_FN) -> PiecewisePoly:
+    """The primitive H of f - g with H(0) = 0, for words or limit functions,
+    as a PiecewisePoly on their merged breakpoints (pieces in x, for the
+    root search and `antiderivative`): `_difference_primitive`'s columns
+    shifted back from t = X - grid[k] to X = bden * x, then scaled to x."""
+    grid, bden, den, A, _ = _difference_primitive(f, g, True)
+    powers = [bden**r for r in range(len(A))]
+    return PiecewisePoly(tuple(Fraction(x, bden) for x in grid), tuple(
+        tuple(Fraction(c * q, bden * den) for c, q in zip(cs, powers)) for cs in zip(*_shift(A, grid, sub))))
 
 
 # -- distances --------------------------------------------------------
-
-
-def _limit_of(f) -> PiecewisePoly:
-    return PiecewisePoly.associated(f) if isinstance(f, Word) else f
 
 
 def _swept_primitive(f, g):
@@ -423,7 +418,7 @@ def _primitive_range(f, g):
     if swept is not None:
         _, prim, bden, vden = swept
         return Fraction(min(prim), bden * vden), Fraction(max(prim), bden * vden)
-    return (_limit_of(f) - _limit_of(g)).antiderivative().range_bounds()
+    return _x_primitive(f, g).range_bounds()
 
 
 def d_box(f, g):
@@ -455,21 +450,15 @@ def d1_fn(f, g):
     if swept is not None:
         _, prim, bden, vden = swept
         return Fraction(sum(map(abs, map(sub, prim[1:], prim))), bden * vden)
-    h = _limit_of(f) - _limit_of(g)
-    total = Fraction(0)
-    inexact = 0.0
-    any_inexact = False
-    for P, cuts, approx in _critical_cuts(h.breakpoints, map(poly.pantider, h.pieces)):
+    H, total, inexact = _x_primitive(f, g), Fraction(0), None
+    for P, cuts, approx in _critical_cuts(H.breakpoints, H.pieces):
         if approx:
-            any_inexact = True
             inner = sorted(cuts[1:-1] + [Fraction(a).limit_denominator(10**15) for a in approx])
-            inexact += _numeric_abs_integral(poly.pderiv(P), cuts[0], cuts[-1], inner)
-            continue
-        vals = [poly.peval(P, x) for x in cuts]
-        total += sum(map(abs, map(sub, vals[1:], vals)))
-    if any_inexact:
-        return float(total) + inexact
-    return total
+            inexact = (inexact or 0.0) + _numeric_abs_integral(poly.pderiv(P), cuts[0], cuts[-1], inner)
+        else:
+            vals = [poly.peval(P, x) for x in cuts]
+            total += sum(map(abs, map(sub, vals[1:], vals)))
+    return total if inexact is None else float(total) + inexact
 
 
 def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float:

@@ -1,4 +1,6 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials with exact rational coefficients, for the
+pieces in x of limit functions and their real roots (sums and primitives
+of limit functions are taken on the integer cells of `piecewise`).
 
 A polynomial is a tuple of Fractions in ascending order of degree:
 (c0, c1, c2) means c0 + c1*x + c2*x**2.  The zero polynomial is ().
@@ -42,14 +44,6 @@ def padd(a: Poly, b: Poly) -> Poly:
     return normalize(res)
 
 
-def pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
-
-
 def pscale(a: Poly, s) -> Poly:
     s = Fraction(s)
     if s == 0:
@@ -81,13 +75,6 @@ def peval(p: Poly, x):
 
 def pderiv(p: Poly) -> Poly:
     return tuple(c * (i + 1) for i, c in enumerate(p[1:]))
-
-
-def pantider(p: Poly) -> Poly:
-    """Antiderivative with constant term 0."""
-    if not p:
-        return ZERO
-    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
 
 
 def _frac_sqrt(q: Fraction) -> Fraction | None:

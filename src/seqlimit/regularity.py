@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .piecewise import PiecewisePoly, _critical_cuts, grid_primitive
+from .piecewise import ZERO_FN, PiecewisePoly, _critical_cuts, _x_primitive, grid_primitive
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,11 @@ def energy(f: PiecewisePoly, part: IntervalPartition) -> Fraction:
     return sum(((F(hi) - F(lo)) ** 2 / (hi - lo) for lo, hi in zip(bps, bps[1:])), Fraction(0))
 
 
-def _extremal_of(
-    f: PiecewisePoly, g: PiecewisePoly = PiecewisePoly.constant(0)
-) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+def _extremal_of(f: PiecewisePoly, g: PiecewisePoly = ZERO_FN) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """The interval I maximizing |integral_I (f - g)| together with that
     value, located exactly from the extrema of the primitive: read off
     `grid_primitive(f, g)` when both are step functions, else off the
-    critical cuts of (f - g)'s primitive.  Irrational critical points are
+    critical cuts of `_x_primitive(f, g)`.  Irrational critical points are
     rationalized before evaluation, so the reported deviation is always
     exact for the returned interval.  Ties go to the largest maximizer
     and the smallest minimizer."""
@@ -76,7 +74,7 @@ def _extremal_of(
         top, bottom = max(prim), min(prim)
         lo, hi = sorted((prim.index(bottom), len(prim) - 1 - prim[::-1].index(top)))
         return Fraction(top - bottom, bden * vden), (Fraction(grid[lo], bden), Fraction(grid[hi], bden))
-    H = (f - g).antiderivative()
+    H = _x_primitive(f, g)
     cands = []
     for P, cuts, approx in _critical_cuts(H.breakpoints, H.pieces):
         lo, hi = cuts[0], cuts[-1]

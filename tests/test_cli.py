@@ -21,7 +21,7 @@ from seqlimit.permutons import GridMeasure, Permutation
 from seqlimit.piecewise import LimitVector
 from seqlimit.regularity import IntervalPartition
 
-from util import random_step_irregular
+from util import fn_sub, grid_mass, random_step_irregular
 
 
 def run_cli(*argv):
@@ -326,7 +326,7 @@ def test_serialization_round_trips(tmp_path):
         f = random_step_irregular(stream.substream(t), max_steps=6)
         assert ser.limitfn_from_obj(ser.limitfn_to_obj(f)) == f
     f = PiecewisePoly.step([1, 0])
-    F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
+    F = LimitVector({"0": fn_sub(PiecewisePoly.constant(1), f), "1": f})
     G = ser.limitvector_from_obj(json.loads(
         '{"alphabet": ["0", "1"], "components": {'
         '"0": {"breakpoints": ["0", "1/2", "1"], "pieces": [{"coeffs": ["0"]}, {"coeffs": ["1"]}]}, '
@@ -433,7 +433,7 @@ def test_plain_ratio_grids_load_without_fraction_parsing(monkeypatch):
 
     monkeypatch.setattr(ser, "Fraction", no_str)
     got = ser.grid_from_obj(obj)
-    assert got == want and got.mass == want.mass and got.cells.dtype == np.int64
+    assert got == want and grid_mass(got) == grid_mass(want) and got.cells.dtype == np.int64
     with pytest.raises(AssertionError, match="fallback taken for '1.0'"):
         ser.grid_from_obj({"m": 1, "mass": [["1.0"]]})
 
@@ -545,6 +545,15 @@ EDGE_INPUTS = {
         ("density", "--limit", json.dumps({"alphabet": ["a", "b"], "components": {
             "a": json.loads(HALF_LIMIT), "b": json.loads(HALF_LIMIT), "z": 7}}), "--pattern", "ab"),
         "component 'z' is not in the alphabet ['a', 'b']"),
+    # a word is the indicator of its letter "1", so distances refuse other alphabets
+    **{
+        f"distance-{metric}-{label}-word": (("distance", word, HALF_LIMIT, "--metric", metric), message)
+        for metric in ("box", "l1", "prefix")
+        for label, word, message in (
+            ("ab", '{"alphabet": ["a", "b"], "letters": "abba"}', "got ['a', 'b']"),
+            ("ternary", '{"alphabet": ["0", "1", "2"], "letters": "0120"}', "got ['0', '1', '2']"),
+        )
+    },
     "density-limit-alphabet-repeated": (
         ("density", "--limit", json.dumps({"alphabet": ["a", "b", "a"], "components": {
             "a": json.loads(HALF_LIMIT), "b": json.loads(HALF_LIMIT)}}), "--pattern", "ab"),
@@ -625,12 +634,15 @@ def test_experiments_with_fewer_than_one_trial_fail(tmp_path, kind, trials):
 
 
 def test_word_json_is_read_by_its_keys_not_its_letters():
-    # a word whose alphabet has a letter named like a limit's field is a word
+    # a word whose alphabet has a letter named like a limit's field is a
+    # word: its density is read, and `distance` refuses it for its alphabet
     outs = []
     for letter in ("x", "components", "breakpoints"):
         word = json.dumps({"alphabet": [letter, "b"], "letters": "bb"})
-        code, out, err = run_cli("distance", word, word)
+        code, out, err = run_cli("density", "--word", word, "--pattern", "b")
         assert (code, err) == (0, ""), letter
         outs.append(out)
+        code, out, err = run_cli("distance", word, word)
+        assert (code, out) == (1, "") and err.endswith(f"got [{letter!r}, 'b']\n"), letter
     assert outs[0] == outs[1] == outs[2]
-    assert json.loads(outs[0])["value"] == "0"
+    assert json.loads(outs[0])["density"] == "1"

@@ -7,7 +7,6 @@ import pytest
 
 from seqlimit import (
     ForbiddenFamily,
-    PiecewisePoly,
     SeededStream,
     Word,
     d1_to_family,
@@ -20,7 +19,7 @@ from seqlimit import hereditary
 from seqlimit.hereditary import STATE_CAP, completeness_soundness_curve
 from seqlimit.words import AlphabetError, all_patterns, random_subsequence
 
-from util import random_word
+from util import associated, random_word
 
 W = Word.from_string
 
@@ -374,5 +373,5 @@ def test_zero_density_of_forbidden_patterns_for_descent_free_family():
     fam = ForbiddenFamily.from_strings(["10"])
     for n in (10, 33):
         w = member_word(fam, n)
-        f = PiecewisePoly.associated(w)
+        f = associated(w)
         assert t_density_limit(W("10"), f) == 0

@@ -4,7 +4,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
 
 import pytest
@@ -24,8 +23,11 @@ from seqlimit import (
 from seqlimit import piecewise, poly
 from seqlimit.piecewise import (
     LimitVector,
+    ZERO_FN,
     _cells,
     _densities,
+    _swept_primitive,
+    _x_primitive,
     grid_primitive,
     require_unit_range,
 )
@@ -34,17 +36,28 @@ from seqlimit.words import all_patterns
 
 from test_cli import run_cli
 from util import (
+    associated,
     density_tables_upto,
+    fn_add,
+    fn_mul,
+    fn_sub,
+    generic_primitive,
+    limit_of,
+    pantider,
+    piece_primitive,
     ppow,
+    psub,
     random_poly_limit,
     random_step,
     random_step_irregular,
     random_word,
+    refined,
     same_function,
 )
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
+ONE = PiecewisePoly.constant(1)
 STEP_HALF = PiecewisePoly.step([1, 0])  # indicator of [0, 1/2]
 
 
@@ -57,20 +70,20 @@ def test_constructors_and_validation():
         PiecewisePoly((Fraction(0), Fraction(1, 2)), ((Fraction(1),),))
     with pytest.raises(ValueError):
         PiecewisePoly.step([])
-    g = PiecewisePoly.associated(W("0110"))
+    g = associated(W("0110"))
     assert [g(Fraction(2 * i + 1, 8)) for i in range(4)] == [0, 1, 1, 0]
 
 
 def test_arithmetic_and_antiderivative():
     f = PiecewisePoly.step([1, 0])
     g = PiecewisePoly.constant(Fraction(1, 2))
-    h = f - g
+    h = fn_sub(f, g)
     assert h(Fraction(1, 4)) == Fraction(1, 2)
     assert h(Fraction(3, 4)) == Fraction(-1, 2)
-    assert (f * g).antiderivative()(1) == Fraction(1, 4)
+    assert fn_mul(f, g).antiderivative()(1) == Fraction(1, 4)
     H = h.antiderivative()
     assert H(0) == 0 and H(Fraction(1, 2)) == Fraction(1, 4) and H(1) == 0
-    assert same_function(f.refined([Fraction(1, 3)]), f)
+    assert same_function(refined(f, [Fraction(1, 3)]), f)
 
 
 def test_antiderivative_is_the_piece_by_piece_primitive():
@@ -79,13 +92,7 @@ def test_antiderivative_is_the_piece_by_piece_primitive():
     fs += [random_step_irregular(stream.substream(t), max_steps=6) for t in range(10)]
     fs += [random_poly_limit(stream.substream(50 + t)) for t in range(10)]
     for f in fs:
-        acc, pieces = Fraction(0), []
-        for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
-            P = poly.pantider(p)
-            P = poly.padd(P, (acc - poly.peval(P, lo),))
-            pieces.append(P)
-            acc = poly.peval(P, hi)
-        assert f.antiderivative() == PiecewisePoly(f.breakpoints, tuple(pieces))
+        assert f.antiderivative() == piece_primitive(f)
 
 
 def test_density_of_constant_is_product_formula():
@@ -104,7 +111,7 @@ def test_densities_sum_to_one_and_refinement_invariant():
         f = random_step(stream.substream(t), max_steps=6)
         table = limit_densities(f, all_patterns(3))
         assert sum(table.values()) == 1
-        g = f.refined([Fraction(1, 7), Fraction(3, 7)])
+        g = refined(f, [Fraction(1, 7), Fraction(3, 7)])
         for bits in itertools.product("01", repeat=2):
             u = Word(bits)
             assert t_density_limit(u, f) == t_density_limit(u, g)
@@ -126,7 +133,7 @@ def test_word_density_approximates_limit_density():
     for t in range(10):
         n = 60
         w = random_word(stream.substream(t), n)
-        f = PiecewisePoly.associated(w)
+        f = associated(w)
         for bits in itertools.product("01", repeat=3):
             u = Word(bits)
             gap = abs(t_density_limit(u, f) - pattern_density(w, u))
@@ -142,7 +149,7 @@ def test_vector_densities_match_binary_on_two_letters():
     stream = SeededStream(23)
     for t in range(5):
         f = random_step(stream.substream(t), max_steps=5)
-        F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
+        F = LimitVector({"0": fn_sub(ONE, f), "1": f})
         for bits in itertools.product("01", repeat=3):
             u = Word(bits)
             assert t_density_vector(u, F) == t_density_limit(u, f)
@@ -166,7 +173,7 @@ def symbolic_density(u: Word, F) -> Fraction:
     general path, kept here as the oracle for the integer cell walk."""
     acc = PiecewisePoly.constant(1)
     for letter in u.letters:
-        acc = (F[letter] * acc).antiderivative()
+        acc = piece_primitive(fn_mul(F[letter], acc))
     return math.factorial(len(u)) * acc(1)
 
 
@@ -190,9 +197,9 @@ def test_step_densities_match_symbolic_tables():
 def random_ternary(stream: SeededStream) -> LimitVector:
     """Three step components on different grids: independent steps a and b
     with values in [0, 1/2], and c = 1 - a - b on their merged grid."""
-    a = random_step_irregular(stream.substream(0), max_steps=5, den=6) * HALF
-    b = random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24) * HALF
-    return LimitVector({"a": a, "b": b, "c": PiecewisePoly.constant(1) - a - b})
+    a = fn_mul(random_step_irregular(stream.substream(0), max_steps=5, den=6), HALF)
+    b = fn_mul(random_step_irregular(stream.substream(1), max_steps=5, den=5, bden=24), HALF)
+    return LimitVector({"a": a, "b": b, "c": fn_sub(fn_sub(ONE, a), b)})
 
 
 def ternary_vectors(stream: SeededStream) -> list[LimitVector]:
@@ -208,7 +215,7 @@ def ternary_vectors(stream: SeededStream) -> list[LimitVector]:
                                     [0, Fraction(1, 4), Fraction(1, 3), 1]),
         }),
         # a polynomial component, walked on the same integer cells as steps
-        LimitVector({"a": half_x, "b": quarter, "c": PiecewisePoly.constant(1) - half_x - quarter}),
+        LimitVector({"a": half_x, "b": quarter, "c": fn_sub(fn_sub(ONE, half_x), quarter)}),
     ]
     return vectors + [random_ternary(stream.substream(t)) for t in range(6)]
 
@@ -250,7 +257,7 @@ def test_one_density_batch_matches_each_pattern_alone():
     for f in fs:
         got = _densities(patterns, f)
         assert all(type(x) is Fraction for x in got)
-        assert got == [symbolic_density(u, {"0": PiecewisePoly.constant(1) - f, "1": f}) for u in patterns]
+        assert got == [symbolic_density(u, {"0": fn_sub(ONE, f), "1": f}) for u in patterns]
 
 
 def test_shuffled_batch_with_duplicates_matches_the_symbolic_tables():
@@ -348,10 +355,10 @@ def test_density_domain_errors():
 
 
 def pairwise_sum_is_one(components) -> bool:
-    """The sum check by k - 1 pairwise PiecewisePoly additions and
+    """The sum check by k - 1 pairwise `Fraction` additions and
     `same_function`: the oracle for LimitVector's one-pass check over the
     merged cells."""
-    return same_function(functools.reduce(operator.add, components), PiecewisePoly.constant(1))
+    return same_function(functools.reduce(fn_add, components), ONE)
 
 
 def random_part(stream: SeededStream, polynomial: bool) -> PiecewisePoly:
@@ -376,12 +383,13 @@ def test_limit_vector_sum_check_matches_pairwise_sums():
         k = 1 + t % 4
         sub = stream.substream(t)
         share = PiecewisePoly.constant(Fraction(1, k))
-        parts = [random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0) * share for i in range(k - 1)]
-        rest = functools.reduce(operator.sub, parts, PiecewisePoly.constant(1))
+        parts = [fn_mul(random_part(sub.substream(i), polynomial=((t >> 2) + i) % 2 == 0), share)
+                 for i in range(k - 1)]
+        rest = functools.reduce(fn_sub, parts, ONE)
         cell = int(rng.integers(len(rest.pieces)))
         q = int(rng.integers(k, 4 * k + 1))
         bump = [Fraction(-1, q) if j == cell else 0 for j in range(len(rest.pieces))]
-        for last in (rest, rest + PiecewisePoly.step(bump, rest.breakpoints)):
+        for last in (rest, fn_add(rest, PiecewisePoly.step(bump, rest.breakpoints))):
             components = dict(zip("abcd", parts + [last]))
             verdicts.append(pairwise_sum_is_one(components.values()))
             if verdicts[-1]:
@@ -397,7 +405,7 @@ def test_limit_vector_sum_check_reads_every_taylor_column():
     # their one cell: 1 at both ends, off only in the columns above the constant
     a = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, Fraction(1, 2)),))
     b = PiecewisePoly((Fraction(0), Fraction(1)), ((1, Fraction(-1, 7), Fraction(-5, 14)),))
-    assert (a + b)(0) == (a + b)(1) == 1 and not pairwise_sum_is_one([a, b])
+    assert fn_add(a, b)(0) == fn_add(a, b)(1) == 1 and not pairwise_sum_is_one([a, b])
     with pytest.raises(ValueError, match="^component functions must sum to 1 exactly$"):
         LimitVector({"a": a, "b": b})
 
@@ -446,7 +454,7 @@ def test_polynomial_densities_match_sympy_integration():
     a = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, Fraction(1, 2)),))
     b = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(1)),
                       ((Fraction(1, 3), Fraction(-1, 3)), (Fraction(2, 9),)))
-    F = LimitVector({"a": a, "b": b, "c": PiecewisePoly.constant(1) - a - b})
+    F = LimitVector({"a": a, "b": b, "c": fn_sub(fn_sub(ONE, a), b)})
     abc = ("a", "b", "c")
     for u in ("a", "cb", "acb", "bcab"):
         assert t_density_vector(Word.from_string(u, abc), F) == sympy_density(Word.from_string(u, abc), F.components), u
@@ -498,7 +506,7 @@ def test_d_box_step_fast_path_matches_breakpoint_sweep():
     for t in range(50):
         f = random_step_irregular(stream.substream(2 * t), max_steps=7)
         g = random_step_irregular(stream.substream(2 * t + 1), max_steps=7)
-        H = (f - g).antiderivative()
+        H = generic_primitive(f, g)
         vals = [H(b) for b in H.breakpoints]
         assert d_box(f, g) == max(vals) - min(vals)
 
@@ -508,8 +516,7 @@ def breakpoint_distances(f, g):
     primitive H of f - g, evaluated at every breakpoint: H is linear
     between breakpoints, so its extremes and the per-piece |integral|
     are read there."""
-    as_fn = lambda x: PiecewisePoly.associated(x) if isinstance(x, Word) else x
-    H = (as_fn(f) - as_fn(g)).antiderivative()
+    H = generic_primitive(f, g)
     vals = [H(b) for b in H.breakpoints]
     l1 = sum(abs(b - a) for a, b in zip(vals, vals[1:]))
     return max(vals) - min(vals), max(abs(v) for v in vals), l1
@@ -525,7 +532,7 @@ def test_integer_sweep_matches_breakpoint_path_on_words_and_steps():
         v = random_word(stream.substream(4 * t + 1), m)  # lengths differ: lcm grid
         f = random_step_irregular(stream.substream(4 * t + 2), max_steps=7)
         g = random_step_irregular(stream.substream(4 * t + 3), max_steps=7, den=7 + t, bden=30 + t)
-        pairs += [(u, v), (u, f), (g, u), (f, g), (u, u), (u, PiecewisePoly.associated(u))]
+        pairs += [(u, v), (u, f), (g, u), (f, g), (u, u), (u, associated(u))]
     for a, b in pairs:
         got = (d_box(a, b), prefix_sup_dist(a, b), d1_fn(a, b))
         assert all(type(x) is Fraction for x in got)
@@ -536,7 +543,7 @@ def test_integer_sweep_matches_breakpoint_path_on_words_and_steps():
             with pytest.raises(ValueError, match="word must be nonempty"):
                 fn(W(""), g)
         # a word against a polynomial takes the word's integer sweep
-        assert fn(W("0110"), x) == fn(PiecewisePoly.associated(W("0110")), x)
+        assert fn(W("0110"), x) == fn(associated(W("0110")), x)
 
 
 def random_unit_poly(stream: SeededStream, max_pieces: int = 4) -> PiecewisePoly:
@@ -554,7 +561,7 @@ def random_unit_poly(stream: SeededStream, max_pieces: int = 4) -> PiecewisePoly
         deriv = (Fraction(1),)
         for _ in range(int(rng.integers(0, 3))):
             deriv = poly.pmul(deriv, (-Fraction(int(rng.integers(-8, 17)), 8), Fraction(1)))
-        p = poly.pantider(deriv)
+        p = pantider(deriv)
         exact, approx = poly.real_roots(deriv, lo, hi)
         assert not approx
         vals = [poly.peval(p, x) for x in (lo, hi, *exact)]
@@ -588,10 +595,10 @@ def test_grid_primitive_is_the_generic_primitive_at_every_grid_point():
     off_grid = 0
     for f, *g in cases:
         grid, prim, bden, vden = grid_primitive(f, *g)
-        fns = [PiecewisePoly.associated(x) if isinstance(x, Word) else x for x in (f, *g)]
+        fns = [limit_of(x) for x in (f, *g)]
         bps = set().union(*(h.breakpoints for h in fns))
         assert [Fraction(x, bden) for x in grid] == sorted(bps)
-        H = (fns[0] - fns[1] if g else fns[0]).antiderivative()
+        H = generic_primitive(f, g[0]) if g else piece_primitive(fns[0])
         assert [Fraction(p, bden * vden) for p in prim] == [H(Fraction(x, bden)) for x in grid]
         # the Taylor columns of each side at every cell midpoint t = width / 2
         cgrid, cbden, cvden, cols = _cells((f, *g))
@@ -616,7 +623,7 @@ def test_word_sweep_against_polynomials_matches_the_generic_path():
     ramp = PiecewisePoly((Fraction(0), Fraction(1, 4), Fraction(3, 5), Fraction(1)), (
         (), (Fraction(-5, 7), Fraction(20, 7)), (Fraction(1),)))
     # tangent to 1 at 1/2: 1 - (x - 1/2)^2 (x + 1)
-    tangent = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
+    tangent = PiecewisePoly((Fraction(0), Fraction(1)), (psub(
         poly.ONE, poly.pmul(ppow((Fraction(-1, 2), Fraction(1)), 2), (Fraction(1), Fraction(1)))),))
     fixed = [(W("0110100"), quad3), (W("1101001"), quad3), (W("1" * 12), ramp),
              (W("0" * 9 + "1" * 11), ramp), (W("1"), tangent), (W("0111"), tangent),
@@ -628,7 +635,7 @@ def test_word_sweep_against_polynomials_matches_the_generic_path():
     assert sum(len(g.pieces) for _, g in cases) > len(cases)
     inexact = 0
     for w, g in cases:
-        assoc = PiecewisePoly.associated(w)
+        assoc = associated(w)
         for fn in (d_box, prefix_sup_dist, d1_fn):
             want = fn(assoc, g)
             for got in (fn(w, g), fn(g, w)):
@@ -654,7 +661,7 @@ def test_word_sweep_is_exact_where_the_generic_route_was_numeric():
     G = g.antiderivative()
     H = [Fraction(j, 4) - G(Fraction(j, 4)) for j in range(5)]
     want = (max(H) - min(H), max(map(abs, H)), sum(abs(b - a) for a, b in zip(H, H[1:])))
-    assoc = PiecewisePoly.associated(w)
+    assoc = associated(w)
     for fn, exact in zip((d_box, prefix_sup_dist, d1_fn), want):
         assert isinstance(fn(assoc, g), float) and abs(fn(assoc, g) - exact) <= 1e-12
         assert fn(w, g) == fn(g, w) == exact
@@ -663,7 +670,7 @@ def test_word_sweep_is_exact_where_the_generic_route_was_numeric():
 def test_word_against_a_limit_off_the_sweep_takes_the_generic_path():
     # 1 - 4 (x^2 - 1/2)^2 reaches 1 at 1/sqrt(2), so its range is a float;
     # 2x and 2x - 1 have exact ranges that leave [0, 1] above and below
-    inexact = PiecewisePoly((Fraction(0), Fraction(1)), (poly.psub(
+    inexact = PiecewisePoly((Fraction(0), Fraction(1)), (psub(
         poly.ONE, poly.pscale(ppow((Fraction(-1, 2), Fraction(0), Fraction(1)), 2), 4)),))
     above = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(2)),))
     below = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(-1), Fraction(2)),))
@@ -671,11 +678,84 @@ def test_word_against_a_limit_off_the_sweep_takes_the_generic_path():
     assert (above.range_bounds(), below.range_bounds()) == ((0, 2), (-1, 1))
     for g in (inexact, above, below):
         for w in (W("0110100"), W("1111111"), W("0000000"), random_word(SeededStream(28), 61)):
-            assoc = PiecewisePoly.associated(w)
+            assoc = associated(w)
             for fn in (d_box, prefix_sup_dist, d1_fn):
                 for got, want in ((fn(w, g), fn(assoc, g)), (fn(g, w), fn(g, assoc))):
                     assert type(got) is type(want) and got == want
     assert all(isinstance(fn(W("0110100"), inexact), float) for fn in (d_box, prefix_sup_dist, d1_fn))
+
+
+def random_piecewise(stream: SeededStream, bden: int, den: int, max_pieces: int = 4) -> PiecewisePoly:
+    """Pieces of degree -1..4 (the zero polynomial to a quartic) with
+    coefficients in [-1, 1] over den, on breakpoints over bden."""
+    rng = stream.generator()
+    cuts = {Fraction(int(x), bden) for x in rng.integers(1, bden, size=int(rng.integers(0, max_pieces)))}
+    bps = (Fraction(0), *sorted(cuts), Fraction(1))
+    return PiecewisePoly(bps, tuple(tuple(Fraction(int(c), den) for c in rng.integers(-den, den + 1, size=d))
+                                    for d in rng.integers(0, 6, size=len(bps) - 1)))
+
+
+def test_x_primitive_is_the_piece_by_piece_primitive():
+    """`_x_primitive(f, g)` against the `Fraction` primitive of f - g piece
+    by piece (tests/util), as whole PiecewisePoly objects: seeded words,
+    steps (one of 256 pieces) and polynomials of degree <= 4, with
+    breakpoints off each other's grids (over 97, 1009 and 2^31 - 1) and
+    coefficient denominators up to 10^12 + 39."""
+    stream = SeededStream(32)
+    rng = stream.generator()
+    big_step = PiecewisePoly.step([Fraction(int(v), 255) for v in rng.integers(0, 256, size=256)])
+    assert len(big_step.pieces) == 256
+    cases = [(big_step,), (big_step, W("0110100")), (W("1" * 9), big_step)]
+    for t in range(12):
+        sub = stream.substream(t)
+        w = random_word(sub.substream(0), int(rng.integers(1, 120)))
+        s = random_step_irregular(sub.substream(1), max_steps=7, den=7 + t, bden=30 + t)
+        p = random_piecewise(sub.substream(2), 97, 10**12 + 39)
+        q = random_piecewise(sub.substream(3), 1009, 3**t)
+        r = random_piecewise(sub.substream(4), 2**31 - 1, 2**40 + t)
+        cases += [(w, p), (p, w), (s, q), (q, s), (p, q), (q, r), (w, s), (w, random_word(sub, 7 + t)),
+                  (big_step, p), (r, big_step), (w,), (s,), (p,), (w, w), (p, p)]
+    assert sum(any(not isinstance(f, Word) and f.max_degree() == 4 for f in c) for c in cases) >= 5
+    for f, *g in cases:
+        H = _x_primitive(f, *g)
+        assert H == generic_primitive(f, g[0] if g else ZERO_FN)
+        if not g and not isinstance(f, Word):
+            assert H == f.antiderivative() == piece_primitive(f)
+
+
+def generic_pairs() -> list:
+    """Pairs whose distances take the generic route (`_swept_primitive` is
+    None): two polynomial limits, a step and a polynomial, and a word
+    against a limit whose range is a float or leaves [0, 1].  Coefficients
+    stay small, because the rational root search trial-divides them."""
+    stream = SeededStream(33)
+    bump = PiecewisePoly((Fraction(0), Fraction(1)), ((0, 0, 4, 0, -4),))
+    pairs = [(W("0110100"), bump), (W("1101"), PiecewisePoly((0, 1), ((0, 2),)))]
+    for t in range(16):
+        sub = stream.substream(t)
+        p = random_piecewise(sub.substream(0), 12, 4)
+        q = random_piecewise(sub.substream(1), 7, 6)
+        s = random_step_irregular(sub.substream(2), max_steps=6, den=5 + t, bden=20 + t)
+        pairs += [(p, q), (s, p), (q, s), (random_word(sub.substream(3), 5 + t), p)]
+    return [(f, g) for f, g in pairs if _swept_primitive(f, g) is None]
+
+
+def test_generic_distances_are_symmetric_bit_for_bit():
+    pairs = generic_pairs()
+    assert len(pairs) >= 50
+    floats = 0
+    for f, g in pairs:
+        for fn in (d_box, prefix_sup_dist, d1_fn):
+            a, b = fn(f, g), fn(g, f)
+            assert type(a) is type(b) and a == b, (fn.__name__, f, g)
+            floats += isinstance(a, float)
+    assert floats >= 10
+
+
+def test_generic_distances_satisfy_the_prefix_box_sandwich():
+    for f, g in generic_pairs():
+        p, b = prefix_sup_dist(f, g), d_box(f, g)
+        assert type(p) is type(b) and p <= b <= 2 * p, (f, g)
 
 
 def test_word_against_a_polynomial_finds_no_roots(monkeypatch):

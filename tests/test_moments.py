@@ -26,10 +26,13 @@ from util import (
     density_tables_upto,
     moment_bridge,
     moment_direct,
+    piece_primitive,
     pintegrate,
+    psub,
     random_poly_limit,
     random_step,
     random_step_irregular,
+    refined,
 )
 
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -143,12 +146,12 @@ def test_certificate_residual_nonnegative_on_random_candidates():
 def branch_integral(cert, g: PiecewisePoly) -> Fraction:
     """Integral over [0, 1] of prod_i (G - Q_i)^2 for G = g's primitive and
     Q_i the certificate's branches, by direct integration piece by piece."""
-    G = g.antiderivative()
+    G = piece_primitive(g)
     total = Fraction(0)
     for lo, hi, P in zip(G.breakpoints, G.breakpoints[1:], G.pieces):
         integrand = poly.ONE
         for q in cert.branches:
-            d = poly.psub(P, q)
+            d = psub(P, q)
             integrand = poly.pmul(integrand, poly.pmul(d, d))
         total += pintegrate(integrand, lo, hi)
     return total
@@ -231,8 +234,8 @@ def test_check_forced_verdicts():
     cert = forcibility_certificate(HALF)
     same = check_forced(HALF, HALF, cert)
     assert same.densities_match and same.witness is None and same.d1 == 0
-    refined = HALF.refined([Fraction(1, 3)])
-    again = check_forced(HALF, refined, cert)
+    split = refined(HALF, [Fraction(1, 3)])
+    again = check_forced(HALF, split, cert)
     assert again.densities_match and again.d1 == 0
     other = check_forced(HALF, STEP_HALF, cert)
     assert not other.densities_match

@@ -27,7 +27,7 @@ from seqlimit.permutons import (
     pattern_of,
 )
 
-from util import d_box_grid_brute, moment_xy_direct, moment_xy_from_densities
+from util import d_box_grid_brute, grid_mass, moment_xy_direct, moment_xy_from_densities
 
 P = Permutation.from_csv
 UNIFORM = GridMeasure(1, ((Fraction(1),),))
@@ -59,15 +59,15 @@ def brute_grid_density(tau: Permutation, mu: GridMeasure) -> Fraction:
     a times prod_j mass[a_j][b_j] (b_j: the y-cell of the point of x-rank
     j); the density sums, over nondecreasing y-cell tuples c, the weight
     of c times X[c o tau], divided by k!."""
-    k, m = len(tau), mu.m
-    support = [[b for b in range(m) if mu.mass[a][b]] for a in range(m)]
+    k, m, mass = len(tau), mu.m, grid_mass(mu)
+    support = [[b for b in range(m) if mass[a][b]] for a in range(m)]
     X: dict[tuple[int, ...], Fraction] = {}
     for cells in itertools.combinations_with_replacement(range(m), k):
         wa = _collision_weight(cells)
         for b in itertools.product(*(support[a] for a in cells)):
             v = Fraction(wa)
             for a, bb in zip(cells, b):
-                v *= mu.mass[a][bb]
+                v *= mass[a][bb]
             X[b] = X.get(b, 0) + v
     total = Fraction(0)
     for c in itertools.combinations_with_replacement(range(m), k):
@@ -163,11 +163,11 @@ def test_pattern_counts_large_host_sum_and_symmetries():
 
 def test_grid_measure_construction():
     mu = GridMeasure.from_permutation(P("21"))
-    assert mu.mass[0][1] == Fraction(1, 2) and mu.mass[1][0] == Fraction(1, 2)
+    assert grid_mass(mu)[0][1] == Fraction(1, 2) and grid_mass(mu)[1][0] == Fraction(1, 2)
     with pytest.raises(ValueError):  # column sums 3/4 and 1/4: not a permuton
         GridMeasure(2, ((Fraction(1, 2), Fraction(0)), (Fraction(1, 4), Fraction(1, 4))))
     r = GridMeasure.random(5, SeededStream(72))
-    assert all(sum(row) == Fraction(1, 5) for row in r.mass)
+    assert all(sum(row) == Fraction(1, 5) for row in grid_mass(r))
 
 
 def test_grid_measure_int_masses_equality_and_errors():

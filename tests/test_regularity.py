@@ -19,7 +19,7 @@ from seqlimit import (
 from seqlimit import regularity
 from seqlimit.regularity import _extremal_of
 
-from util import random_poly_limit, random_step, random_step_irregular, same_function
+from util import fn_mul, fn_sub, piece_primitive, random_poly_limit, random_step, random_step_irregular, same_function
 
 STEP_HALF = PiecewisePoly.step([1, 0])
 
@@ -64,7 +64,7 @@ def test_energy_is_the_integral_of_the_squared_conditional_expectation():
         cuts = [Fraction(int(x), 24) for x in rng.integers(1, 24, size=t % 5)]
         for part in (IntervalPartition.uniform(1 + t % 4), IntervalPartition.trivial().refine(cuts)):
             E = conditional_expectation(f, part)
-            assert energy(f, part) == (E * E).antiderivative()(1), (f, part)
+            assert energy(f, part) == piece_primitive(fn_mul(E, E))(1), (f, part)
 
 
 def test_energy_examples_and_refinement_monotonicity():
@@ -81,7 +81,7 @@ def test_energy_examples_and_refinement_monotonicity():
 
 
 def test_extremal_and_violating_interval():
-    g = STEP_HALF - PiecewisePoly.constant(Fraction(1, 2))
+    g = fn_sub(STEP_HALF, PiecewisePoly.constant(Fraction(1, 2)))
     dev, (lo, hi) = extremal_interval(STEP_HALF, IntervalPartition.trivial())
     assert dev == Fraction(1, 4) and (lo, hi) == (Fraction(0), Fraction(1, 2))
     # the interval a round of weak_regularity refines by when the
@@ -93,7 +93,7 @@ def test_extremal_and_violating_interval():
 def candidate_scan(g: PiecewisePoly):
     """The primitive H of a step function at every breakpoint: the largest
     maximizer and the smallest minimizer bound the extremal interval."""
-    H = g.antiderivative()
+    H = piece_primitive(g)
     best_max = max(g.breakpoints, key=lambda x: (H(x), x))
     best_min = min(g.breakpoints, key=lambda x: (H(x), x))
     lo, hi = sorted((best_min, best_max))
@@ -115,7 +115,7 @@ def test_extremal_of_step_matches_candidate_scan_and_tie_break():
         # values in {-1, 0, 1} on a uniform grid make repeated extremes common
         cases.append(PiecewisePoly.step([int(v) for v in rng.integers(-1, 2, size=m)]))
         f = random_step_irregular(stream.substream(t), max_steps=7)
-        cases.append(f - conditional_expectation(f, IntervalPartition.uniform(1 + t % 3)))
+        cases.append(fn_sub(f, conditional_expectation(f, IntervalPartition.uniform(1 + t % 3))))
     for g in cases:
         assert _extremal_of(g) == candidate_scan(g)
 
@@ -136,7 +136,7 @@ def test_extremal_interval_is_the_extremal_of_f_minus_its_expectation():
     fs += [random_poly_limit(stream.substream(40 + t)) for t in range(6)]
     for t, f in enumerate(fs):
         for part in off_grid_partitions(stream.substream(80 + t)):
-            want = _extremal_of(f - conditional_expectation(f, part))
+            want = _extremal_of(fn_sub(f, conditional_expectation(f, part)))
             assert extremal_interval(f, part) == want, (f, part)
 
 
@@ -150,7 +150,7 @@ def test_extremal_of_a_pair_is_the_extremal_of_its_difference():
     pairs += [(f, conditional_expectation(f, part)) for f in steps + polys
               for part in off_grid_partitions(stream.substream(90))]
     for f, g in pairs:
-        assert _extremal_of(f, g) == _extremal_of(f - g), (f, g)
+        assert _extremal_of(f, g) == _extremal_of(fn_sub(f, g)), (f, g)
 
 
 def test_extremal_interval_with_irrational_extremum():
@@ -159,8 +159,8 @@ def test_extremal_interval_with_irrational_extremum():
     f = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0), Fraction(1)),))
     dev, (lo, hi) = extremal_interval(f, IntervalPartition.trivial())
     assert dev > 0
-    g = f - conditional_expectation(f, IntervalPartition.trivial())
-    H = g.antiderivative()
+    g = fn_sub(f, conditional_expectation(f, IntervalPartition.trivial()))
+    H = piece_primitive(g)
     assert dev == H(hi) - H(lo)
 
 

@@ -122,16 +122,21 @@ def generator_exponential_sum(w: Word, k: int) -> complex:
     return complex(re / n, im / n)
 
 
+def grid_mass(mu: GridMeasure) -> tuple[tuple[Fraction, ...], ...]:
+    """mass[row=x-cell][col=y-cell] of a grid measure as Fractions."""
+    return tuple(tuple(Fraction(c, mu.den) for c in row) for row in mu.cells.tolist())
+
+
 def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
     """O(L^4) enumeration over all grid rectangles; oracle for d_box_grid."""
     L = math.lcm(mu.m, nu.m)
-    a = mu.refine(L) if mu.m != L else mu
-    b = nu.refine(L) if nu.m != L else nu
+    a = grid_mass(mu.refine(L) if mu.m != L else mu)
+    b = grid_mass(nu.refine(L) if nu.m != L else nu)
     P = [[Fraction(0)] * (L + 1) for _ in range(L + 1)]
     for i in range(L):
         for j in range(L):
             P[i + 1][j + 1] = (
-                P[i][j + 1] + P[i + 1][j] - P[i][j] + a.mass[i][j] - b.mass[i][j]
+                P[i][j + 1] + P[i + 1][j] - P[i][j] + a[i][j] - b[i][j]
             )
     best = Fraction(0)
     for i1 in range(L + 1):
@@ -146,8 +151,9 @@ def d_box_grid_brute(mu: GridMeasure, nu: GridMeasure) -> Fraction:
 
 def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
     """t(u, f) for every binary pattern u of length 1..max_len, computed
-    with shared prefixes (each prefix's iterated antiderivative reused)."""
-    F = LimitVector({"0": PiecewisePoly.constant(1) - f, "1": f})
+    with shared prefixes (each prefix's iterated antiderivative reused),
+    by `Fraction` arithmetic piece by piece."""
+    F = LimitVector({"0": fn_sub(PiecewisePoly.constant(1), f), "1": f})
     out: dict[str, Fraction] = {}
 
     def rec(prefix: str, acc: PiecewisePoly) -> None:
@@ -156,7 +162,7 @@ def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
         if len(prefix) == max_len:
             return
         for letter in "01":
-            rec(prefix + letter, (F[letter] * acc).antiderivative())
+            rec(prefix + letter, piece_primitive(fn_mul(F[letter], acc)))
 
     rec("", PiecewisePoly.constant(1))
     return out
@@ -165,11 +171,79 @@ def density_tables_upto(f: PiecewisePoly, max_len: int) -> dict[str, Fraction]:
 def same_function(f: PiecewisePoly, g: PiecewisePoly) -> bool:
     """f and g agree on every cell of their merged breakpoints."""
     bps = sorted(set(f.breakpoints) | set(g.breakpoints))
-    return f.refined(bps).pieces == g.refined(bps).pieces
+    return refined(f, bps).pieces == refined(g, bps).pieces
 
 
-# Exact helpers that only the oracles and the tests use.
+# Exact helpers that only the oracles and the tests use: the `Fraction`
+# arithmetic of polynomials and of limit functions piece by piece, which
+# src/ replaced by its integer cells (`piecewise._cells`).
 X = (Fraction(0), Fraction(1))
+
+
+def pneg(a: poly.Poly) -> poly.Poly:
+    return tuple(-c for c in a)
+
+
+def psub(a: poly.Poly, b: poly.Poly) -> poly.Poly:
+    return poly.padd(a, pneg(b))
+
+
+def pantider(p: poly.Poly) -> poly.Poly:
+    """Antiderivative with constant term 0."""
+    if not p:
+        return poly.ZERO
+    return (Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(p))
+
+
+def associated(w: Word) -> PiecewisePoly:
+    """Indicator step function of the letter 1 of w on the uniform n-grid."""
+    if len(w) == 0:
+        raise ValueError("word must be nonempty")
+    return PiecewisePoly.step([1 if c == "1" else 0 for c in w.letters])
+
+
+def limit_of(f) -> PiecewisePoly:
+    return associated(f) if isinstance(f, Word) else f
+
+
+def refined(f: PiecewisePoly, breakpoints) -> PiecewisePoly:
+    """f on the union of its breakpoints and the given ones."""
+    bps = sorted(set(f.breakpoints) | set(breakpoints))
+    return PiecewisePoly(tuple(bps), tuple(f.pieces[f.piece_index(lo)] for lo in bps[:-1]))
+
+
+def _piecewise(op, f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    bps = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
+    return PiecewisePoly(bps, tuple(map(op, refined(f, bps).pieces, refined(g, bps).pieces)))
+
+
+def fn_add(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    return _piecewise(poly.padd, f, g)
+
+
+def fn_sub(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    return _piecewise(psub, f, g)
+
+
+def fn_mul(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
+    return _piecewise(poly.pmul, f, g)
+
+
+def piece_primitive(f: PiecewisePoly) -> PiecewisePoly:
+    """The continuous primitive F with F(0) = 0, piece by piece in
+    `Fraction`s; oracle for `PiecewisePoly.antiderivative`."""
+    acc, out = Fraction(0), []
+    for lo, hi, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        P = pantider(p)
+        out.append(poly.padd(P, (acc - poly.peval(P, lo),)))
+        acc = poly.peval(out[-1], hi)
+    return PiecewisePoly(f.breakpoints, tuple(out))
+
+
+def generic_primitive(f, g) -> PiecewisePoly:
+    """The primitive of f - g for words or limit functions, piece by piece
+    on their merged breakpoints; oracle for `piecewise._x_primitive`."""
+    return piece_primitive(fn_sub(limit_of(f), limit_of(g)))
 
 
 def ppow(a: poly.Poly, n: int) -> poly.Poly:
@@ -180,13 +254,13 @@ def ppow(a: poly.Poly, n: int) -> poly.Poly:
 
 
 def pintegrate(p: poly.Poly, lo, hi) -> Fraction:
-    P = poly.pantider(p)
+    P = pantider(p)
     return poly.peval(P, hi) - poly.peval(P, lo)
 
 
 def moment_direct(i: int, j: int, f: PiecewisePoly) -> Fraction:
     """Moment of x^i F(x)^j by direct symbolic integration."""
-    F = f.antiderivative()
+    F = piece_primitive(f)
     total = Fraction(0)
     for lo, hi, p in zip(F.breakpoints, F.breakpoints[1:], F.pieces):
         integrand = poly.pmul(ppow(X, i), ppow(p, j))
@@ -198,7 +272,7 @@ def moment_bridge(k: int, f: PiecewisePoly) -> tuple[Fraction, Fraction]:
     """The identity tying ordinary moments of f to pattern densities:
     integral of f(x) x^k equals 1/(k+1) times the sum of t(u1, f) over
     all binary u of length k.  Returns (direct value, density value)."""
-    direct = (f * PiecewisePoly((0, 1), (ppow(X, k),))).antiderivative()(1)
+    direct = piece_primitive(fn_mul(f, PiecewisePoly((0, 1), (ppow(X, k),))))(1)
     densities = limit_densities(f, [Word(bits + ("1",)) for bits in itertools.product("01", repeat=k)])
     return direct, sum(densities.values()) / (k + 1)
 
@@ -240,12 +314,12 @@ def moment_xy_direct(i: int, j: int, mu: GridMeasure) -> Fraction:
         lo, hi = Fraction(cell, m), Fraction(cell + 1, m)
         return (hi ** (e + 1) - lo ** (e + 1)) / ((e + 1) * (hi - lo))
 
-    total = Fraction(0)
+    total, mass = Fraction(0), grid_mass(mu)
     for a in range(mu.m):
         xa = avg_pow(a, mu.m, i)
         for b in range(mu.m):
-            if mu.mass[a][b]:
-                total += mu.mass[a][b] * xa * avg_pow(b, mu.m, j)
+            if mass[a][b]:
+                total += mass[a][b] * xa * avg_pow(b, mu.m, j)
     return total
 
 
