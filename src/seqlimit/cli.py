@@ -86,12 +86,10 @@ def _load_word_or_limit(value: str):
 
 
 def _as_limit(obj):
-    """A single limit function, or a binary word taken as its step function."""
+    """A single limit function, or a word (which the distances and `_cells`
+    read as the step function of its letter '1'); not a limit vector."""
     if isinstance(obj, LimitVector):
         raise CliError("this operation needs a single (binary) limit function")
-    if isinstance(obj, Word) and set(obj.alphabet) != {"0", "1"}:
-        raise CliError(f"a word is read as the indicator of its letter '1', so its alphabet must be "
-                       f"['0', '1'], got {list(obj.alphabet)!r}")
     return obj
 
 

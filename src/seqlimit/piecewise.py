@@ -10,7 +10,10 @@ All arithmetic is exact.  Floats only enter through explicitly inexact
 paths: irrational extrema in box/prefix distances and range checks
 (tolerance 1e-12), and the numeric quadrature of an L1 distance across
 an irrational sign change of f - g, which a difference of any degree
-from 2 up can have.
+from 2 up can have.  That float is `scipy.integrate.quad`'s, bit for bit:
+QUADPACK's first 21-point Gauss-Kronrod pass in Python floats
+(`_numeric_abs_integral`) when it settles, and quad itself, imported
+only then, when it does not (a cut as sharp as that of |x^30 - 1/3|).
 
 Words never become n-piece functions, and limits are never added or
 multiplied as `Fraction` pieces.  There is one merge, `_cells`: words and
@@ -42,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,13 +277,17 @@ def _cells(fs) -> tuple[list[int], int, int, list[list[list[int]]]]:
     n-grid) are grid[k] / bden, and on cell k, with t = bden * x - grid[k],
     vden * fs[i](x) is the sum over r of cols[i][r][k] * t^r.
 
-    A word (the indicator of letter 1) or a step function has one column,
-    its values spread over the cells.  A function of degree e >= 1 has
-    e + 1: vden is a multiple of den * bden^e, for den the common
-    denominator of its coefficients, so each piece is an integer
-    polynomial in X = bden * x, Taylor-shifted to t = X - grid[k] by
-    Horner, vectorised over the piece's cells.
+    A word (the indicator of its letter 1, so its alphabet must be binary)
+    or a step function has one column, its values spread over the cells.
+    A function of degree e >= 1 has e + 1: vden is a multiple of
+    den * bden^e, for den the common denominator of its coefficients, so
+    each piece is an integer polynomial in X = bden * x, Taylor-shifted to
+    t = X - grid[k] by Horner, vectorised over the piece's cells.
     """
+    for f in fs:
+        if isinstance(f, Word) and set(f.alphabet) != {"0", "1"}:
+            raise ValueError(f"a word is read as the indicator of its letter '1', so its alphabet must be "
+                             f"['0', '1'], got {list(f.alphabet)!r}")
     if any(isinstance(f, Word) and len(f) == 0 for f in fs):
         raise ValueError("word must be nonempty")
     bden = math.lcm(*(
@@ -445,7 +453,10 @@ def d1_fn(f, g):
     otherwise.  Where `_swept_primitive` applies, the sum of |H(b) - H(a)|
     over its grid cells; otherwise, on each piece, a primitive P of f - g
     is monotone between consecutive cuts, so the piece contributes the
-    sum of |P(b) - P(a)|."""
+    sum of |P(b) - P(a)|.  A piece with an irrational cut contributes the
+    float `_numeric_abs_integral` gives for |f - g| on it: quad's value,
+    from QUADPACK's first Gauss-Kronrod pass in Python where that settles,
+    else from quad's adaptive loop."""
     swept = _swept_primitive(f, g)
     if swept is not None:
         _, prim, bden, vden = swept
@@ -461,15 +472,82 @@ def d1_fn(f, g):
     return total if inexact is None else float(total) + inexact
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., QUADPACK,
+# Springer 1983, routine dqk21): the positive Kronrod abscissae on [-1, 1]
+# (those at odd indices are the 10-point Gauss abscissae), their weights
+# and that of the centre, and the weights of the Gauss rule
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min
+_QUAD_TOL, _QUAD_LIMIT = 1.49e-8, 200  # quad's default epsabs = epsrel, and its limit here
+
+
+def _qk21(f, a: float, b: float) -> tuple[float, float]:
+    """(result, abserr) of dqk21 for f on [a, b], in its operation order:
+    the Gauss nodes first, then the other Kronrod nodes, and the error
+    scaled by resasc * min(1, (200 abserr / resasc) ** 1.5) with the floor
+    50 eps resabs."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(centr)
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[j]
+        fv1[j] = fval1 = f(centr - absc)
+        fv2[j] = fval2 = f(centr + absc)
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resabs, resasc = resabs * hlgth, resasc * hlgth  # hlgth > 0, as a < b
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr
+
+
 def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float:
+    """The integral of |p| over [lo, hi] as `scipy.integrate.quad` gives it
+    with break points cuts and limit 200, bit for bit.  quad then runs
+    QUADPACK's dqagpe, whose first pass applies `_qk21` once to each
+    interval between the sorted distinct cuts inside (lo, hi).  When the
+    intervals fit under the limit and their summed error estimate is at
+    most max(1.49e-8, 1.49e-8 |result|), dqagpe returns the sum of their
+    results in interval order, and so does this, without scipy.  Otherwise
+    quad runs its adaptive loop."""
+    f = lambda x: abs(poly.peval(p, float(x)))
+    a, b = float(lo), float(hi)
+    if a == b:
+        return 0.0
+    pts = sorted({c for c in map(float, cuts) if a < c < b})
+    if len(pts) + 2 <= _QUAD_LIMIT:
+        result = abserr = 0.0
+        for a1, b1 in zip([a, *pts], [*pts, b]):
+            area, error = _qk21(f, a1, b1)
+            result, abserr = result + area, abserr + error
+        if abserr <= max(_QUAD_TOL, _QUAD_TOL * abs(result)):
+            return result
     from scipy.integrate import quad
 
-    val, _ = quad(
-        lambda x: abs(poly.peval(p, float(x))),
-        float(lo),
-        float(hi),
-        points=[float(c) for c in cuts],
-        limit=200,
-    )
+    val, _ = quad(f, a, b, points=[float(c) for c in cuts], limit=_QUAD_LIMIT)
     return val
-

@@ -109,6 +109,10 @@ QUARTIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
 # 1 - 4 (x^2 - 1/2)^2 reaches 1 at the irrational 1/sqrt(2), so its range
 # is a float pair and a word against it takes the generic route
 BUMP = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "4", "0", "-4"]}]})
+# x^30 crosses 1/3 at the irrational 3^(-1/30), where |x^30 - 1/3| is too
+# sharp for one 21-point Gauss-Kronrod pass: its L1 float needs QUADPACK's
+# adaptive loop
+X30 = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0"] * 30 + ["1"]}]})
 
 
 def _perm(m: int, seed: int) -> list[int]:
@@ -333,6 +337,7 @@ PAIRS = {
     "step-cubic": (STEP_B, CUBIC_F),
     "word-bump": (W40, BUMP),
     "word7-bump": ("0110100", BUMP),  # 1/sqrt(2) inside a 1-cell: floats
+    "x30-third": (X30, _step(["0", "1"], ["1/3"])),
 }
 
 # f-random words: a binary step limit, a binary polynomial limit and a
@@ -482,6 +487,9 @@ DIGESTS = {
     "distance-box-word7-bump": "db3a826d495997dece47aa862ddde500ae5fd9f6dd5ac9b10f2e704aec645505",
     "distance-l1-word7-bump": "63d8a91d628d1d442890b3074e97362a57d43a888a76d3b64167e812d685a2de",
     "distance-prefix-word7-bump": "f433d673687d1bd0ebe3c9309a9a50ff8a2b588911fbcd5b7bd7a86a5484508d",
+    "distance-box-x30-third": "f8097443aa4fda6f6b20b0ded388d19363687ee065e49bb1a18b09d138fb8508",
+    "distance-l1-x30-third": "36f6e57cee62a78c08ac4ce3d325897c5fe6f3cf6b50d3cc163801134fa45de0",
+    "distance-prefix-x30-third": "8bc1a0f04b909d72ff735328ff46c7730f3d4f06b8c04ba4366a72a55a09f80e",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
     "forcibility-two-branch": "b94227bef23fc852b6df667343df845f9a13846e0e68268f80eddda2d508a7d8",
@@ -585,6 +593,23 @@ def test_long_analyze_and_tester_pins_replay_under_python_O():
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS[name], name
 
 
+def test_float_l1_distance_leaves_scipy_unimported():
+    """QUADPACK's first Gauss-Kronrod pass settles the irrational sign
+    change of `step-quad3` in Python, so a `python -m seqlimit` process,
+    with or without -O, prints the pinned float without importing scipy
+    (its -X importtime log, on stderr, names every module imported)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for flags in ((), ("-O",)):
+        done = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "seqlimit",
+                               *CORPUS["distance-l1-step-quad3"]], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS["distance-l1-step-quad3"]
+        assert json.loads(done.stdout)["exact"] is False
+        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+        assert "seqlimit.piecewise" in imported and not any(m.split(".")[0] == "scipy" for m in imported)
+
+
 LONG_DIGITS = "1" * 4301  # above the int/str conversion limit of 4300 digits
 LIMIT_MESSAGE = ("error: Exceeds the limit (4300 digits) for integer string conversion: "
                  "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit\n")
@@ -652,15 +677,16 @@ CURVE_DIGESTS = {
 }
 
 
-def _batch_digests(tmp_path, seed: int, batch: dict) -> dict:
-    """SHA-256 of an experiment batch's stdout and of each result file."""
+def _batch_digests(tmp_path, seed: int, batch: dict, exit_code: int = 0) -> dict:
+    """SHA-256 of an experiment batch's stdout and of each result file
+    (None for an experiment that failed and wrote none)."""
     code, out, err = run_cli("--seed", str(seed), "experiment", json.dumps(batch),
                              "--out", str(tmp_path))
-    assert code == 0, err
+    assert code == exit_code, err
     got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
     for spec in batch["experiments"]:
-        text = (tmp_path / f"{spec['name']}.json").read_text()
-        got[spec["name"]] = hashlib.sha256(text.encode()).hexdigest()
+        path = tmp_path / f"{spec['name']}.json"
+        got[spec["name"]] = hashlib.sha256(path.read_text().encode()).hexdigest() if path.exists() else None
     return got
 
 
@@ -708,7 +734,9 @@ def test_tail_dbox_experiment_is_byte_identical(tmp_path):
     assert _batch_digests(tmp_path, 37, TAIL_BATCH) == TAIL_DIGESTS
 
 
-# uniformly random subsequences of a binary and a ternary word
+# uniformly random subsequences of a binary and a ternary word; d_box reads
+# a word as the indicator of its letter "1", so the ternary one is refused,
+# in its error entry, and writes no file
 SUBSEQ_BATCH = {"experiments": [
     {"kind": "subsequence_tail", "name": "subseq-w200", "word": W200, "length": 40,
      "eps": "0.15", "trials": 20},
@@ -717,11 +745,15 @@ SUBSEQ_BATCH = {"experiments": [
 ]}
 
 SUBSEQ_DIGESTS = {
-    "stdout": "cc1fc0bb3e4e2984952b908270d02ffa1cec609bd5e28644c3568a9bf2aeaf60",
+    "stdout": "3f66994f1c0ed1653526e7926e4b86d4c74964835bccc944b60b797f9746f117",
     "subseq-w200": "e4ae416ac83de2c89900f556495aa3fa1b47ee7e746a01d53c0a47ef741498d1",
-    "subseq-ternary": "b53b1005526f528209d1be0f5cbc0268f83ba8f47c084ce503743f1493b69dc7",
+    "subseq-ternary": None,
 }
 
 
 def test_subsequence_tail_experiment_is_byte_identical(tmp_path):
-    assert _batch_digests(tmp_path, 38, SUBSEQ_BATCH) == SUBSEQ_DIGESTS
+    assert _batch_digests(tmp_path, 38, SUBSEQ_BATCH, exit_code=1) == SUBSEQ_DIGESTS
+    _, out, _ = run_cli("--seed", "38", "experiment", json.dumps(SUBSEQ_BATCH), "--out", str(tmp_path))
+    assert json.loads(out)["experiments"][1]["error"] == (
+        "a word is read as the indicator of its letter '1', so its alphabet must be ['0', '1'], "
+        "got ['a', 'b', 'c']")

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -798,3 +799,115 @@ def test_d_box_polynomial_vs_constant():
     f = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(1)),))
     assert d_box(f, HALF) == Fraction(1, 8)
 
+
+def _quad_pieces(count: int, seed: int):
+    """(p, lo, hi, cuts) for count seeded pieces of degrees 1 to 8: p has
+    0, 1 or several roots inside [lo, hi] by construction, rational ones
+    (cut exactly) or pairs m +- sqrt(s) with s not a square (cut at the
+    float root's `limit_denominator(10**15)`, as `d1_fn` cuts), times a
+    factor with positive coefficients, which has no root in x > 0.  Widths
+    go down to 1e-18, below the spacing of floats near lo, so that some
+    pieces are empty intervals as floats."""
+    rng = random.Random(seed)
+    for i in range(count):
+        d, inner = 1 + i % 8, (i // 8) % 3
+        lo = Fraction(rng.randint(0, 90), 100)
+        width = Fraction(rng.randint(1, 100), rng.choice((100, 1000, 10**6, 10**12, 10**18)))
+        p, cuts = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)),), []
+        for _ in range(0 if inner == 0 else 1 if inner == 1 else rng.randint(2, max(d, 2))):
+            u = Fraction(rng.randint(1, 99), 100)
+            if d - (len(p) - 1) >= 2 and rng.random() < 0.5:
+                m, s = lo + width * u, (width * Fraction(min(u, 1 - u)) / 2) ** 2 * rng.choice((2, 3, 5))
+                p = poly.pmul(p, (m * m - s, -2 * m, Fraction(1)))
+                cuts += [Fraction(float(m) + sign * math.sqrt(float(s))).limit_denominator(10**15)
+                         for sign in (-1, 1)]
+            elif d - (len(p) - 1) >= 1:
+                p = poly.pmul(p, (-(lo + width * u), Fraction(1)))
+                cuts.append(lo + width * u)
+        rest = d - (len(p) - 1)
+        p = poly.pmul(p, tuple(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(rest + 1)))
+        yield p, lo, lo + width, sorted(cuts)
+
+
+def test_first_gauss_kronrod_pass_is_quad_bit_for_bit(monkeypatch):
+    """`_numeric_abs_integral` equals scipy's quad with the same integrand,
+    break points and limit bit for bit, on 2,000 seeded pieces, and settles
+    every one of them without calling quad; cut lists may repeat a cut or
+    hold lo or hi, which quad drops."""
+    import scipy.integrate
+
+    quad, fallbacks = scipy.integrate.quad, []
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: fallbacks.append(a) or quad(*a, **k))
+    cases = list(_quad_pieces(2000, 5))
+    cases += [(p, lo, hi, [lo, *cuts, *cuts[:1], hi]) for p, lo, hi, cuts in cases[:200]]
+    shapes = set()
+    for p, lo, hi, cuts in cases:
+        got = piecewise._numeric_abs_integral(p, lo, hi, cuts)
+        want, _ = quad(lambda x: abs(poly.peval(p, float(x))), float(lo), float(hi),
+                       points=[float(c) for c in cuts], limit=200)
+        assert got.hex() == want.hex(), (p, lo, hi, cuts)
+        shapes.add((poly.degree(p), min(len(set(cuts)), 3), float(lo) == float(hi)))
+    assert {d for d, _, _ in shapes} == set(range(1, 9))
+    assert {k for _, k, _ in shapes} == {0, 1, 2, 3} and {e for _, _, e in shapes} == {False, True}
+    assert fallbacks == []
+
+
+def test_unsettled_first_pass_falls_back_to_quad(monkeypatch):
+    """|x^30 - 1/3| on [0, 1], cut at its root 3^(-1/30): one Gauss-Kronrod
+    pass per side does not settle it, so quad's adaptive loop gives the
+    value, exactly."""
+    import scipy.integrate
+
+    quad, calls = scipy.integrate.quad, []
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+    p, root = (Fraction(-1, 3), *[Fraction(0)] * 29, Fraction(1)), 3 ** (-1 / 30)
+    got = piecewise._numeric_abs_integral(p, Fraction(0), Fraction(1), [Fraction(root)])
+    want, _ = quad(lambda x: abs(poly.peval(p, float(x))), 0.0, 1.0, points=[root], limit=200)
+    assert got == want == 0.32088731632702827 and len(calls) == 1
+
+
+def test_distances_refuse_a_word_over_another_alphabet():
+    """A word is read as the indicator of its letter 1, so `_cells`, which
+    the box, prefix and L1 distances share, refuses any other alphabet."""
+    message = "a word is read as the indicator of its letter '1', so its alphabet must be ['0', '1'], got "
+    for w in (Word(tuple("abba"), ("a", "b")), Word(tuple("0120"), ("0", "1", "2"))):
+        for dist in (d_box, prefix_sup_dist, d1_fn):
+            for a, b in ((w, HALF), (HALF, w), (W("0110"), w)):
+                with pytest.raises(ValueError) as err:
+                    dist(a, b)
+                assert str(err.value) == message + repr(list(w.alphabet))
+
+
+def _identity_limits():
+    """A 256-piece step function and a two-piece quartic, both into [0, 1]."""
+    rng = random.Random(10)
+    step = PiecewisePoly.step([Fraction(rng.randint(0, 64), 64) for _ in range(256)])
+    quartic = PiecewisePoly((Fraction(0), Fraction(1, 3), Fraction(1)), (
+        (Fraction(1, 5), Fraction(1, 2), Fraction(0), Fraction(-1, 3), Fraction(1, 7)),
+        (Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(-1, 8))))
+    return step, quartic
+
+
+def test_all_length_10_densities_sum_to_one():
+    """sum over all 1,024 patterns u of length 10 of t(u, f) is exactly 1,
+    on a 256-piece step function and on a two-piece quartic."""
+    for f in _identity_limits():
+        assert sum(limit_densities(f, all_patterns(10)).values()) == 1
+
+
+def test_reflection_reverses_every_pattern():
+    """t(u, f) = t(reversed u, f(1 - x)) for all patterns of length 6 on the
+    same limits: the reflection moves every piece to another place on the
+    grid, so it checks the cells' Taylor shifts, which the sum to 1 cannot
+    see (the columns of 1 - f complete those of f whatever they are)."""
+    for f in _identity_limits():
+        pieces = []
+        for p in reversed(f.pieces):  # p(1 - x) by Horner
+            q = ()
+            for c in reversed(p):
+                q = poly.padd(poly.pmul(q, (Fraction(1), Fraction(-1))), (c,))
+            pieces.append(q)
+        g = PiecewisePoly(tuple(1 - b for b in reversed(f.breakpoints)), tuple(pieces))
+        patterns = all_patterns(6)
+        assert list(limit_densities(f, patterns).values()) == list(
+            limit_densities(g, [Word(u.letters[::-1]) for u in patterns]).values())

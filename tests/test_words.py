@@ -53,6 +53,16 @@ def test_counts_sum_to_binomial():
             assert total == math.comb(len(w), length)
 
 
+def test_pattern_counts_of_one_length_sum_to_binomial_on_100000_letters():
+    """sum over all patterns u of length l of the count of u in w is
+    C(n, l), through the uint64 levels (l <= 4) and the CRT levels (l = 5,
+    whose all-0 and all-1 counts exceed 2^64)."""
+    w = random_word(SeededStream(13), 10**5)
+    for length in (1, 2, 3, 4, 5):
+        counts = pattern_counts(w, list(itertools.product("01", repeat=length)))
+        assert sum(counts) == math.comb(10**5, length)
+
+
 def test_density_normalization_and_errors():
     assert pattern_density(W("0101"), W("01")) == Fraction(3, 6)
     with pytest.raises(ValueError):
