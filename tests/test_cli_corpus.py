@@ -25,10 +25,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqlimit
-from seqlimit import SeededStream
+from seqlimit import SeededStream, words
 from test_cli import run_cli
 
 
@@ -294,7 +295,9 @@ TESTER_LONG = {
 
 # exact pattern counts of words: patterns of length 1, 3 and 6, a ternary
 # word, l = n, counts whose intermediate prefix counts exceed 2^64 while
-# C(n, l) < 2^63, and C(n, l) >= 2^63
+# C(n, l) < 2^63, and C(n, l) >= 2^63: counted mod 2^64 (uint64 levels),
+# by CRT from a few moduli (l = 8 on 3,000 letters), and in Python ints
+# (the word's own first 200 letters, whose bound needs dozens of moduli)
 W3000 = _word(3000, 13, 7, 29)
 WORD_DENSITY = {
     "density-word-w200-l1": ("density", "--word", W200, "--pattern", "1"),
@@ -305,6 +308,7 @@ WORD_DENSITY = {
     "density-word-l-equals-n-absent": ("density", "--word", "0110100", "--pattern", "0110010"),
     "density-word-zeros-130-120": ("density", "--word", "0" * 130, "--pattern", "0" * 120),
     "density-word-n3000-l8": ("density", "--word", W3000, "--pattern", "01101001"),
+    "density-word-n3000-own-prefix-200": ("density", "--word", W3000, "--pattern", W3000[:200]),
 }
 
 # completeness/soundness curves: `member_word` seeds the perturbation search
@@ -427,6 +431,7 @@ DIGESTS = {
     "density-word-l-equals-n-absent": "d180107e956a8bb0d2bdd9640cc7d21a9ca07adead7b0d061fd084ca5c7b2828",
     "density-word-zeros-130-120": "6e7d4c78cdb72c60ed9a4a26d97edc68252028d0b85725edaa5ec869c823954d",
     "density-word-n3000-l8": "dfe36b3b331c0856c94082522d23603e4db7300ff3c2501078a4f614e190e1dc",
+    "density-word-n3000-own-prefix-200": "861243d463f3946d1cfa426bacdfe10fd3e0b5d78b91355ae4cd0525d9d2a600",
     "distance-box-step-step": "ba993ae927208c9583f774dbb3a2713bc6643e1a3ea2e231659e96d73d1399b1",
     "distance-box-step-word": "a6d798b9b0672dfa5ecf2fd750869090d1572d4a3e5c9a8ba9faaa51744ed9ef",
     "distance-box-word-const": "d2dae81eb6958be75dd45b2f4023268a198b7f7896d51563b88b0e0d62733c5e",
@@ -668,6 +673,22 @@ def test_density_of_a_vector_off_sum_on_one_cell_exits_1(name):
 def test_density_word_pattern_longer_than_word_exits_1():
     code, out, err = run_cli("density", "--word", "0110", "--pattern", "01101")
     assert (code, out, err) == (1, "", "error: pattern length 5 exceeds word length 4\n")
+
+
+def test_density_word_pins_reach_every_count_tier(monkeypatch):
+    """The `density --word` pins count through each kind of level of
+    `words._trie_counts`: uint64, residues mod q, and Python ints."""
+    tiers = set()
+    walk = words._trie_counts
+
+    def spy(masks, patterns, n, q=None, dtype=np.uint64):
+        tiers.add("object" if dtype is object else "crt" if q else "uint64")
+        return walk(masks, patterns, n, q, dtype)
+
+    monkeypatch.setattr(words, "_trie_counts", spy)
+    for argv in WORD_DENSITY.values():
+        assert run_cli(*argv)[0] == 0
+    assert tiers == {"uint64", "crt", "object"}
 
 
 CURVE_DIGESTS = {
