@@ -479,14 +479,10 @@ def t_grid(tau: Permutation, mu: GridMeasure, stream: SeededStream | None = None
     k, m = len(tau), mu.m
     exact_ok = k <= EXACT_PATTERN_CAP or (k == 4 and m <= EXACT_K4_GRID_CAP)
     if exact_ok and m**k <= TENSOR_CAP:
-        return _t_grid_exact(tau, mu)
+        return _density(tau, *_grid_tensors(mu, k), mu.den)
     if stream is None:
         raise ValueError(f"pattern size {k} on an {m}-grid needs Monte Carlo: pass a stream")
     return _t_grid_mc(tau, mu, stream, trials)
-
-
-def _t_grid_exact(tau: Permutation, mu: GridMeasure) -> Fraction:
-    return _density(tau, *_grid_tensors(mu, len(tau)), mu.den)
 
 
 def _pattern_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> int:
@@ -517,21 +513,10 @@ def _pattern_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> int:
 def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> MCEstimate:
     if trials < 1:
         raise ValueError(f"Monte Carlo needs at least 1 trial, got {trials}")
-    k = len(tau)
-    hits = 0
-    batch = 4096
-    rng = stream.generator()
-    sampler = mu._cell_sampler
-    m = mu.m
-    inv = np.argsort(tau.values)
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        cells = sampler.draw(rng, (b, k))
-        xs = cells // m + rng.random((b, k))
-        ys = cells % m + rng.random((b, k))
+    rng, inv, k, hits = stream.generator(), np.argsort(tau.values), len(tau), 0
+    for done in range(0, trials, 4096):
+        xs, ys = _grid_points(mu, rng, (min(4096, trials - done), k))  # freed only once the next is drawn
         hits += _pattern_hits(xs, ys, inv)
-        done += b
     p = hits / trials
     return MCEstimate(
         value=p,
@@ -559,12 +544,16 @@ def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation
     """Pattern of k independent points sampled from mu."""
     if k < 1:
         raise ValueError(f"pattern size must be at least 1, got {k}")
-    rng = stream.generator()
-    m = mu.m
-    cells = mu._cell_sampler.draw(rng, k)
-    xs = cells // m + rng.random(k)
-    ys = cells % m + rng.random(k)
+    xs, ys = _grid_points(mu, stream.generator(), k)
     return pattern_of(zip(xs.tolist(), ys.tolist()))
+
+
+def _grid_points(mu: GridMeasure, rng: np.random.Generator, shape):
+    """(xs, ys), arrays of the given shape, of points drawn from mu in
+    m-grid units: the cells, then the x jitter, then the y jitter, each
+    one draw from rng, in that order (seeded output depends on it)."""
+    cells = mu._cell_sampler.draw(rng, shape)
+    return cells // mu.m + rng.random(shape), cells % mu.m + rng.random(shape)
 
 
 # -- box distance ------------------------------------------------------

@@ -26,9 +26,9 @@ at the grid points, and box, prefix and L1 distances are read there
 when both sides are words or step functions, or when a word meets a
 limit with exact values in [0, 1]; H is then monotone on every cell.
 `_densities` walks the prefix trie of a batch of patterns once
-(`_prefix_walk`) on f's cells or those a `LimitVector` keeps from its
-sum check: each prefix multiplies its parent's columns by its letter's
-and takes the antiderivative.
+(`words._prefix_walk`, which also counts patterns in words) on f's cells
+or those a `LimitVector` keeps from its sum check: each prefix multiplies
+its parent's columns by its letter's and takes the antiderivative.
 
 Pieces in x of a primitive come only from `_x_primitive`, which shifts
 H's columns back to x for `antiderivative` and the root search.  Range
@@ -54,7 +54,7 @@ from types import MappingProxyType
 
 from . import poly
 from .poly import Poly
-from .words import Word
+from .words import Word, _prefix_walk
 
 NUMERIC_TOL = 1e-12
 
@@ -201,7 +201,8 @@ def _densities(patterns, F) -> list[Fraction]:
     A vector's batch walks its kept `cells`, whichever letters the
     patterns use: the values are exact on any grid.  f is merged on its own
     grid (`_cells`), and the columns of 1 - f are vden - c_0 and -c_r from
-    those of f.  `_prefix_walk` derives each distinct prefix once, from its
+    those of f.  `words._prefix_walk`, the trie walk that also counts
+    patterns in words, derives each distinct prefix once, from its
     parent: the state of u_1..u_j is the primitive Phi_j of F_{u_j} *
     Phi_{j-1} (Phi_0 = 1) as (columns, total, denominator), Phi_j =
     columns / denominator on each cell and Phi_j(1) = total / denominator,
@@ -225,21 +226,8 @@ def _densities(patterns, F) -> list[Fraction]:
         L, A, prim = _antiderivative(_times(cols[letter], state[0]), widths)
         return A, prim[-1], state[2] * bden * vden * L
 
-    return _prefix_walk(patterns, ([[1] * len(widths)], 1, 1), extend,
+    return _prefix_walk([u.letters for u in patterns], ([[1] * len(widths)], 1, 1), extend,
                         lambda l, s: Fraction(math.factorial(l) * s[1], s[2]))
-
-
-def _prefix_walk(patterns, root, extend, read) -> list:
-    """[read(len(u), state of u) for u in patterns], where the empty prefix
-    has state root and u_1..u_j has extend(state of u_1..u_{j-1}, u_j); in
-    sorted order, so each prefix is extended once and only the path is held."""
-    out, path, states = [None] * len(patterns), (), [root]
-    for i in sorted(range(len(patterns)), key=lambda i: patterns[i].letters):
-        u = patterns[i].letters
-        k = next((k for k, (a, b) in enumerate(zip(path, u)) if a != b), min(len(path), len(u)))
-        states[k:] = itertools.accumulate(u[k:], extend, initial=states[k])
-        path, out[i] = u, read(len(u), states[-1])
-    return out
 
 
 def t_density_vector(u: Word, F: LimitVector) -> Fraction:
@@ -534,8 +522,10 @@ def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float:
     intervals fit under the limit and their summed error estimate is at
     most max(1.49e-8, 1.49e-8 |result|), dqagpe returns the sum of their
     results in interval order, and so does this, without scipy.  Otherwise
-    quad runs its adaptive loop."""
-    f = lambda x: abs(poly.peval(p, float(x)))
+    quad runs its adaptive loop.  p's coefficients become floats once, so
+    each evaluation is `poly.peval`'s float Horner on them alone."""
+    coeffs = tuple(map(float, p))
+    f = lambda x: abs(poly.peval(coeffs, float(x)))
     a, b = float(lo), float(hi)
     if a == b:
         return 0.0

@@ -9,11 +9,14 @@ Counting engine.  Let P_j[i] be the number of occurrences of u_1..u_j in
 the first i letters of w (P_0 = 1).  One level is a masked cumulative
 sum, P_j[i + 1] = P_j[i] + [w_i = u_j] * P_{j-1}[i], and the count is the
 last level's total, a dot product of P_{l-1} with the mask of u_l.
-Patterns that share a prefix share its levels: a walk over the pattern
-trie computes k + k^2 + ... + k^(l-1) levels for all k^l patterns of
-length l, instead of l per pattern.  P_j only matters at positions
-j..n-l+j, so each level is a window of n - l + 1 entries, and a pattern
-with more of some letter than w has counts 0 without a walk.
+Patterns that share a prefix share its levels in one walk of their trie,
+`_prefix_walk`, which `piecewise._densities` runs for limits too: a node
+derives its level when its first child is extended, and a pattern is one
+dot product of its parent's level with its last letter's mask.  So all
+k^l patterns of length l cost k + k^2 + ... + k^(l-1) levels and k^l dot
+products, instead of l levels per pattern.  P_j only matters at
+positions j..n-l+j, so each level is a window of n - l + 1 entries, and
+a pattern with more of some letter than w has counts 0 without a walk.
 
 An occurrence of u picks |u|_a of the |w|_a positions of each letter a,
 so the count is at most B(u) = prod_a C(|w|_a, |u|_a) <= C(n, l).  The
@@ -102,6 +105,30 @@ def _letter_masks(w: Word, letters: Iterable[str]) -> dict[str, np.ndarray]:
     return {a: codes == key(a) for a in set(letters)}
 
 
+def _prefix_walk(patterns, root, extend, read) -> list:
+    """[read(len(u), state of u) for u in patterns], for tuples of letters
+    u, where the empty prefix has state root and u_1..u_j has
+    extend(state of u_1..u_{j-1}, u_j).  In sorted order, each prefix is
+    extended once and each distinct pattern read once, and only the
+    states of the prefix the next pattern shares outlive a pattern: the
+    last pattern holds none, not even the root's."""
+    order = sorted(range(len(patterns)), key=patterns.__getitem__)
+    out, states, prev, root = [None] * len(patterns), [root], None, None  # held by states alone
+    for i, j in zip(order, [*order[1:], None]):
+        u, v = patterns[i], None if j is None else patterns[j]
+        keep = -1 if v is None else next((k for k, (a, b) in enumerate(zip(u, v)) if a != b), min(len(u), len(v)))
+        k, state = len(states) - 1, states[-1]  # states[d] is the state of u[:d]
+        del states[keep + 1:]
+        if u != prev:
+            for a in u[k:]:
+                state = extend(state, a)
+                if len(states) <= keep:
+                    states.append(state)
+            value = read(len(u), state)
+        out[i], prev = value, u
+    return out
+
+
 def _trie_counts(
     masks: dict[str, np.ndarray],
     patterns: Sequence[tuple[str, ...]],
@@ -109,37 +136,27 @@ def _trie_counts(
     q: int | None = None,
     dtype: type = np.uint64,
 ) -> list[int]:
-    """Counts of the patterns, each nonempty and at most n long, with one
-    level per inner node of the pattern trie: mod q, or mod 2^64 when q is
-    None, or exactly when dtype is object."""
-    out = [0] * len(patterns)
-    # A stack entry (level, depth, group) holds, for the group's common
-    # prefix of length depth, level[k] = its occurrences in w[:depth + k].
-    # Below position depth the count is 0, and above n - len(u) + depth
-    # no completion of u fits, so a level only spans the window between.
-    shortest = min(map(len, patterns))
-    stack = [(np.ones(n - shortest + 1, dtype=dtype), 0, list(range(len(patterns))))]
-    while stack:
-        level, depth, group = stack.pop()
-        by_letter: dict[str, list[int]] = {}
-        for g in group:
-            by_letter.setdefault(patterns[g][depth], []).append(g)
-        for letter, sub in by_letter.items():
-            mask = masks[letter][depth:]
-            longer = [g for g in sub if len(patterns[g]) > depth + 1]
-            if len(longer) < len(sub):
-                width = n - depth
-                total = int(np.dot(level[:width], mask[:width]))
-                for g in sub:
-                    if len(patterns[g]) == depth + 1:
-                        out[g] = total % q if q else total
-            if longer:
-                width = n - min(len(patterns[g]) for g in longer) + 1
-                nxt = np.cumsum(level[:width] * mask[:width])
-                if q:
-                    nxt %= q
-                stack.append((nxt, depth + 1, longer))
-    return out
+    """Counts of the patterns, each nonempty and at most n long, by one
+    `_prefix_walk`: mod q, or mod 2^64 when q is None, or exactly when
+    dtype is object.  Node u_1..u_j is [P_{j-1}, u_j, j], read as one dot
+    product, until its first child derives P_j and leaves [P_j, None, j]
+    (a level per leaf or per child would cost more).  P_j[k] counts
+    u_1..u_j in w[:j + k] on the shortest pattern's window, at most n - j
+    entries, and a chain of single children holds two levels at a time
+    (the root is passed inline, so that only the walk holds P_0)."""
+    def extend(node, letter):
+        level, a, j = node
+        if a is not None:
+            width = min(len(level), n - j)
+            level = np.cumsum(level[:width] * masks[a][j - 1:j - 1 + width])
+            node[:2] = np.remainder(level, q, out=level) if q else level, None
+        return [node[0], letter, j + 1]
+
+    def read(l, node):
+        total = int(np.dot(node[0], masks[node[1]][l - 1:]))
+        return total % q if q else total
+
+    return _prefix_walk(patterns, [np.ones(n - min(map(len, patterns)) + 1, dtype=dtype), None, 0], extend, read)
 
 
 def _crt_moduli(n: int, bound: int) -> list[int]:

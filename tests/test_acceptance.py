@@ -38,7 +38,7 @@ from seqlimit import (
     weak_regularity,
 )
 from seqlimit.hereditary import STATE_CAP
-from seqlimit.permutons import _t_grid_exact, grid_density_table
+from seqlimit.permutons import grid_density_table, t_grid
 from seqlimit.piecewise import LimitVector
 from seqlimit.sampling import f_random_word_vector
 from seqlimit.words import all_patterns, density_table
@@ -247,7 +247,7 @@ def test_c10_permutation_measure_bridge():
             mu = GridMeasure.from_permutation(sigma)
             for tau in taus:
                 k = len(tau)
-                gap = abs(t_perm(tau, sigma) - _t_grid_exact(tau, mu))
+                gap = abs(t_perm(tau, sigma) - t_grid(tau, mu))  # exact: k <= 3
                 if gap > Fraction(math.comb(k, 2), n):
                     violations += 1
                 checked += 1

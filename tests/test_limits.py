@@ -911,3 +911,41 @@ def test_reflection_reverses_every_pattern():
         patterns = all_patterns(6)
         assert list(limit_densities(f, patterns).values()) == list(
             limit_densities(g, [Word(u.letters[::-1]) for u in patterns]).values())
+
+
+def test_ternary_vector_densities_of_length_6_sum_to_one():
+    """sum over all 729 ternary patterns u of length 6 of t(u, F) is exactly
+    1, for a vector on 16 cells: a = x^2 / 4, b a 16-step and c = 1 - a - b,
+    a quadratic on each cell."""
+    rng = random.Random(11)
+    bps = tuple(Fraction(k, 16) for k in range(17))
+    b = [Fraction(rng.randint(0, 48), 64) for _ in range(16)]
+    F = LimitVector({
+        "a": PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0), Fraction(1, 4)),)),
+        "b": PiecewisePoly.step(b),
+        "c": PiecewisePoly(bps, tuple((1 - v, Fraction(0), Fraction(-1, 4)) for v in b)),
+    })
+    assert len(F.cells[0]) == 17
+    assert sum(_densities(all_patterns(6, ("a", "b", "c")), F)) == 1
+
+
+def test_complement_swaps_the_letters():
+    """t(u, 1 - f) = t(u with 0 and 1 swapped, f) for all 256 patterns of
+    length 8, on the 256-piece step and the two-piece quartic."""
+    swap = {"0": "1", "1": "0"}
+    patterns = all_patterns(8)
+    for f in _identity_limits():
+        g = PiecewisePoly(f.breakpoints, tuple(psub((Fraction(1),), p) for p in f.pieces))
+        assert _densities(patterns, g) == _densities([Word(tuple(map(swap.get, u.letters))) for u in patterns], f)
+
+
+def test_prefix_distance_sandwiches_the_box_distance():
+    """prefix <= box <= 2 prefix, between the 256-piece step and the
+    quartic (off the grid: a root search on every piece) and between a
+    10^5-letter word and the step (the integer sweep of 100,224 cells)."""
+    step, quartic = _identity_limits()
+    w = random_word(SeededStream(12), 10**5)
+    for f, g in ((step, quartic), (quartic, step), (w, step)):
+        box, prefix = d_box(f, g), prefix_sup_dist(f, g)
+        assert 0 < prefix <= box <= 2 * prefix
+    assert len(grid_primitive(w, step)[0]) == 100_225

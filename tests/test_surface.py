@@ -13,6 +13,11 @@ src/ outside its own body, or be listed in CALLED_FROM_TESTS: so test-only
 methods, such as the `PiecewisePoly` operators that tests/util.py now
 holds as functions, do not grow back.  The check goes by name, so a
 method that shares its name with another attribute passes.
+
+The modules form layers, in the order of LAYERS: each imports, anywhere
+in its body, only modules of the package earlier in that order.  So the
+pattern-trie walk that counts words and integrates limits stays in
+`words`, below `piecewise`, and no lower layer reaches up.
 """
 
 import ast
@@ -32,6 +37,29 @@ CALLED_FROM_TESTS = {
     "moments.moment_words": "criterion 06",
     "moments.MomentCombination.evaluate": "criterion 06",
 }
+
+
+LAYERS = ["streams", "words", "poly", "piecewise", "uniformity", "sampling", "moments",
+          "regularity", "hereditary", "permutons", "serialize", "cli"]
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the package that a module imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("seqlimit")):
+            module = (node.module or "").removeprefix("seqlimit").lstrip(".")
+            names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("seqlimit.")}
+    return names
+
+
+def test_each_module_imports_only_earlier_layers():
+    assert sorted(MODULES) == sorted([*LAYERS, "__init__", "__main__"])
+    assert package_imports(MODULES["piecewise"]) == {"poly", "words"}
+    for i, module in enumerate(LAYERS):
+        assert sorted(package_imports(MODULES[module]) - set(LAYERS[:i])) == [], module
 
 
 def top_level_imports(tree: ast.Module) -> list[str]:

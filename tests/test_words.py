@@ -1,7 +1,9 @@
 """Subsequence counting, densities, and word utilities."""
 
+import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -356,3 +358,60 @@ def test_density_table_matches_per_pattern_oracle():
         density_table(W("0110"), 5)
     with pytest.raises(ValueError, match="pattern must be nonempty"):
         density_table(W("0110"), 0)
+
+
+def test_one_nested_batch_counts_alike_on_every_tier():
+    """Every binary pattern of lengths 1 to 8, some twice, and patterns
+    with more of a letter than w, shuffled into one batch: the uint64
+    levels, the residues mod three primes near 10^6 (the largest count
+    needs all three) rebuilt by CRT, and the Python-int levels all give
+    the DP's counts."""
+    w = random_word(SeededStream(25), 300)
+    batch = [u for l in range(1, 9) for u in itertools.product("01", repeat=l)]
+    batch += batch[::37] + [("1",) * (w.weight("1") + 1), ("0",) * (w.weight("0") + 1) + ("1",)]
+    np.random.default_rng(26).shuffle(batch)
+    expected = [dp_subsequence_count(w, Word(u)) for u in batch]
+    assert pattern_counts(w, batch) == expected and max(expected) < 2**64
+    masks, n, moduli = words._letter_masks(w, "01"), len(w), [1_000_003, 1_000_033, 1_000_037]
+    assert math.prod(moduli) > max(expected) > moduli[0] * moduli[1]
+    assert words._trie_counts(masks, batch, n) == expected
+    residues = [words._trie_counts(masks, batch, n, q) for q in moduli]
+    assert [words._crt(r, moduli) for r in zip(*residues)] == expected
+    assert words._trie_counts(masks, batch, n, dtype=object) == expected
+
+
+def test_trie_walk_takes_one_level_per_inner_node_and_one_dot_per_pattern(monkeypatch):
+    """A batch of every binary pattern of lengths 1 to 6, shuffled, with
+    repeats, costs one cumsum per trie node below the root that has a
+    child (the 62 patterns of lengths 1 to 5) and one dot product per
+    distinct pattern (126): not one level per pattern, nor per sibling."""
+    calls = collections.Counter()
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if name not in ("cumsum", "dot"):
+                return attr
+            return lambda *a, **k: calls.update([name]) or attr(*a, **k)
+
+    monkeypatch.setattr(words, "np", CountingNumpy())
+    w = random_word(SeededStream(27), 400)
+    batch = [u for l in range(1, 7) for u in itertools.product("01", repeat=l)]
+    batch += batch[5::11]
+    np.random.default_rng(28).shuffle(batch)
+    assert pattern_counts(w, batch) == [dp_subsequence_count(w, Word(u)) for u in batch]
+    assert calls == {"cumsum": 62, "dot": 126}
+
+
+def test_a_long_pattern_holds_a_few_levels_at_a_time():
+    """0^4000 in 0^4000 1^4000 walks 4,000 levels of 4,001 uint64 entries
+    (32 kB each, 128 MB together): the walk drops each one once its
+    child is derived, so the traced peak stays under 1 MB."""
+    w, u = W("0" * 4000 + "1" * 4000), W("0" * 4000)
+    tracemalloc.start()
+    try:
+        assert subsequence_count(w, u) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
