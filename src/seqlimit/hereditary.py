@@ -111,15 +111,15 @@ class ForbiddenFamily:
         return bound
 
 
-def _d1_costs(w: Word, family: ForbiddenFamily, state_cap: int):
+def _d1_costs(w: Word, family: ForbiddenFamily):
     """The least cost C[q, i] of reaching the state of rank q after i
     letters of w, one numpy pass per state (see the module docstring),
     and what reading a witness back needs: (C, tuples, order, nxt,
     loops, miss, slots, at)."""
     if w.alphabet != family.alphabet:
         raise AlphabetError("word and family must share one alphabet")
-    if family.state_bound() > state_cap:
-        raise ValueError(f"automaton would exceed {state_cap} states")
+    if family.state_bound() > STATE_CAP:
+        raise ValueError(f"automaton would exceed {STATE_CAP} states")
     alphabet = family.alphabet
     k, n = len(alphabet), len(w)
     tuples = [family.start_state()]  # state id -> matched-prefix tuple
@@ -188,21 +188,19 @@ def _d1_costs(w: Word, family: ForbiddenFamily, state_cap: int):
     return C, tuples, order, nxt, loops, miss, slots, at
 
 
-def _d1_value(w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP) -> Fraction:
+def _d1_value(w: Word, family: ForbiddenFamily) -> Fraction:
     """d1(w, P_F) as d1_to_family finds it, without the witness: the least
     cost after the last letter."""
-    C = _d1_costs(w, family, state_cap)[0]
+    C = _d1_costs(w, family)[0]
     n = len(w)
     return Fraction(int(C[:, n].min()), n) if n else Fraction(0)
 
 
-def d1_to_family(
-    w: Word, family: ForbiddenFamily, state_cap: int = STATE_CAP
-) -> tuple[Fraction, Word]:
+def d1_to_family(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
     """Exact normalized substitution distance from w to P_F, with a
     nearest member as witness, read back from the `_d1_costs` table by
     the tie-break of the module docstring."""
-    C, tuples, order, nxt, loops, miss, slots, at = _d1_costs(w, family, state_cap)
+    C, tuples, order, nxt, loops, miss, slots, at = _d1_costs(w, family)
     alphabet = family.alphabet
     (S, k), n = nxt.shape, len(w)
 

@@ -8,12 +8,12 @@ the n-step indicator profile of its letter 1.
 
 All arithmetic is exact.  Floats only enter through explicitly inexact
 paths: irrational extrema in box/prefix distances and range checks
-(tolerance 1e-12), and the numeric quadrature of an L1 distance across
-an irrational sign change of f - g, which a difference of any degree
-from 2 up can have.  That float is `scipy.integrate.quad`'s, bit for bit:
-QUADPACK's first 21-point Gauss-Kronrod pass in Python floats
-(`_numeric_abs_integral`) when it settles, and quad itself, imported
-only then, when it does not (a cut as sharp as that of |x^30 - 1/3|).
+(tolerance 1e-12), and an L1 distance across an irrational sign change
+of f - g, which a difference of any degree from 2 up can have.  That
+piece's float is QUADPACK's (dqagpe, as quad runs it), bit for bit, where
+its first 21-point Gauss-Kronrod pass (`_numeric_abs_integral`, in
+Python floats) settles it; where it does not (a cut as sharp as that of
+|x^30 - 1/3|), the exact primitive read at rationalized roots gives it.
 
 Words never become n-piece functions, and limits are never added or
 multiplied as `Fraction` pieces.  There is one merge, `_cells`: words and
@@ -59,19 +59,26 @@ from .words import Word, _prefix_walk
 NUMERIC_TOL = 1e-12
 
 
+def _unit_breakpoints(breakpoints) -> tuple[Fraction, ...]:
+    """breakpoints as Fractions, checked to run from 0 up to 1 strictly
+    increasing (a `PiecewisePoly`'s or an interval partition's)."""
+    bps = tuple(map(Fraction, breakpoints))
+    if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
+        raise ValueError("breakpoints must span [0, 1]")
+    if any(b >= c for b, c in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return bps
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     breakpoints: tuple[Fraction, ...]
     pieces: tuple[Poly, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
+        bps = _unit_breakpoints(self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", tuple(poly.normalize(p) for p in self.pieces))
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
-            raise ValueError("breakpoints must span [0, 1]")
-        if any(b >= c for b, c in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
         if len(self.pieces) != len(bps) - 1:
             raise ValueError("need exactly one piece per interval")
 
@@ -442,9 +449,11 @@ def d1_fn(f, g):
     over its grid cells; otherwise, on each piece, a primitive P of f - g
     is monotone between consecutive cuts, so the piece contributes the
     sum of |P(b) - P(a)|.  A piece with an irrational cut contributes the
-    float `_numeric_abs_integral` gives for |f - g| on it: quad's value,
-    from QUADPACK's first Gauss-Kronrod pass in Python where that settles,
-    else from quad's adaptive loop."""
+    float `_numeric_abs_integral` gives for |f - g| on it, quad's value,
+    where QUADPACK's first Gauss-Kronrod pass settles it; else the same
+    sum, with each irrational cut taken at its `limit_denominator(10**15)`
+    (P' = f - g vanishes there, so P is off by a second-order term), and
+    the distance is a float."""
     swept = _swept_primitive(f, g)
     if swept is not None:
         _, prim, bden, vden = swept
@@ -452,11 +461,14 @@ def d1_fn(f, g):
     H, total, inexact = _x_primitive(f, g), Fraction(0), None
     for P, cuts, approx in _critical_cuts(H.breakpoints, H.pieces):
         if approx:
-            inner = sorted(cuts[1:-1] + [Fraction(a).limit_denominator(10**15) for a in approx])
-            inexact = (inexact or 0.0) + _numeric_abs_integral(poly.pderiv(P), cuts[0], cuts[-1], inner)
-        else:
-            vals = [poly.peval(P, x) for x in cuts]
-            total += sum(map(abs, map(sub, vals[1:], vals)))
+            lo, hi = cuts[0], cuts[-1]
+            cuts = [lo, *sorted(cuts[1:-1] + [Fraction(a).limit_denominator(10**15) for a in approx]), hi]
+            numeric, inexact = _numeric_abs_integral(poly.pderiv(P), lo, hi, cuts[1:-1]), inexact or 0.0
+            if numeric is not None:
+                inexact += numeric
+                continue
+        vals = [poly.peval(P, x) for x in cuts]
+        total += sum(map(abs, map(sub, vals[1:], vals)))
     return total if inexact is None else float(total) + inexact
 
 
@@ -479,7 +491,7 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
        0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
 _EPMACH, _UFLOW = sys.float_info.epsilon, sys.float_info.min
-_QUAD_TOL, _QUAD_LIMIT = 1.49e-8, 200  # quad's default epsabs = epsrel, and its limit here
+_QUAD_TOL = 1.49e-8  # quad's default epsabs = epsrel
 
 
 def _qk21(f, a: float, b: float) -> tuple[float, float]:
@@ -514,30 +526,24 @@ def _qk21(f, a: float, b: float) -> tuple[float, float]:
     return resk * hlgth, abserr
 
 
-def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float:
-    """The integral of |p| over [lo, hi] as `scipy.integrate.quad` gives it
-    with break points cuts and limit 200, bit for bit.  quad then runs
-    QUADPACK's dqagpe, whose first pass applies `_qk21` once to each
-    interval between the sorted distinct cuts inside (lo, hi).  When the
-    intervals fit under the limit and their summed error estimate is at
-    most max(1.49e-8, 1.49e-8 |result|), dqagpe returns the sum of their
-    results in interval order, and so does this, without scipy.  Otherwise
-    quad runs its adaptive loop.  p's coefficients become floats once, so
-    each evaluation is `poly.peval`'s float Horner on them alone."""
+def _numeric_abs_integral(p: Poly, lo, hi, cuts) -> float | None:
+    """The integral of |p| over [lo, hi] as quad, QUADPACK's dqagpe with
+    break points cuts, gives it, bit for bit, when dqagpe's first pass
+    settles it, else None.  That pass applies `_qk21` once to each
+    interval between the sorted distinct cuts inside (lo, hi).  When their
+    summed error estimate is at most max(1.49e-8, 1.49e-8 |result|),
+    dqagpe returns the sum of their results in interval order, and so does
+    this; otherwise quad would go on to its adaptive loop.  p's
+    coefficients become floats once, so each evaluation is `poly.peval`'s
+    float Horner on them alone."""
     coeffs = tuple(map(float, p))
     f = lambda x: abs(poly.peval(coeffs, float(x)))
     a, b = float(lo), float(hi)
     if a == b:
         return 0.0
     pts = sorted({c for c in map(float, cuts) if a < c < b})
-    if len(pts) + 2 <= _QUAD_LIMIT:
-        result = abserr = 0.0
-        for a1, b1 in zip([a, *pts], [*pts, b]):
-            area, error = _qk21(f, a1, b1)
-            result, abserr = result + area, abserr + error
-        if abserr <= max(_QUAD_TOL, _QUAD_TOL * abs(result)):
-            return result
-    from scipy.integrate import quad
-
-    val, _ = quad(f, a, b, points=[float(c) for c in cuts], limit=_QUAD_LIMIT)
-    return val
+    result = abserr = 0.0
+    for a1, b1 in zip([a, *pts], [*pts, b]):
+        area, error = _qk21(f, a1, b1)
+        result, abserr = result + area, abserr + error
+    return result if abserr <= max(_QUAD_TOL, _QUAD_TOL * abs(result)) else None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poly
-from .piecewise import ZERO_FN, PiecewisePoly, _critical_cuts, _x_primitive, grid_primitive
+from .piecewise import ZERO_FN, PiecewisePoly, _critical_cuts, _unit_breakpoints, _x_primitive, grid_primitive
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,7 @@ class IntervalPartition:
     breakpoints: tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bps)
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
-            raise ValueError("breakpoints must span [0, 1]")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        object.__setattr__(self, "breakpoints", _unit_breakpoints(self.breakpoints))
 
     @classmethod
     def trivial(cls) -> "IntervalPartition":
@@ -81,10 +76,7 @@ def _extremal_of(f: PiecewisePoly, g: PiecewisePoly = ZERO_FN) -> tuple[Fraction
         rationalized = (Fraction(x).limit_denominator(10**12) for x in approx)
         cands += [(poly.peval(P, x), x) for x in cuts + [r for r in rationalized if lo < r < hi]]
     (top, best_max), (bottom, best_min) = max(cands), min(cands)
-    lo, hi = sorted((best_min, best_max))
-    if lo == hi:
-        return Fraction(0), (Fraction(0), Fraction(1))
-    return top - bottom, (lo, hi)
+    return top - bottom, tuple(sorted((best_min, best_max)))
 
 
 def extremal_interval(

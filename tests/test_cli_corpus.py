@@ -111,8 +111,8 @@ QUARTIC_G = json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
 # is a float pair and a word against it takes the generic route
 BUMP = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "0", "4", "0", "-4"]}]})
 # x^30 crosses 1/3 at the irrational 3^(-1/30), where |x^30 - 1/3| is too
-# sharp for one 21-point Gauss-Kronrod pass: its L1 float needs QUADPACK's
-# adaptive loop
+# sharp for one 21-point Gauss-Kronrod pass: its L1 float is read off the
+# exact primitive, and is the correctly rounded 0.32088731632702833
 X30 = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0"] * 30 + ["1"]}]})
 
 
@@ -493,7 +493,7 @@ DIGESTS = {
     "distance-l1-word7-bump": "63d8a91d628d1d442890b3074e97362a57d43a888a76d3b64167e812d685a2de",
     "distance-prefix-word7-bump": "f433d673687d1bd0ebe3c9309a9a50ff8a2b588911fbcd5b7bd7a86a5484508d",
     "distance-box-x30-third": "f8097443aa4fda6f6b20b0ded388d19363687ee065e49bb1a18b09d138fb8508",
-    "distance-l1-x30-third": "36f6e57cee62a78c08ac4ce3d325897c5fe6f3cf6b50d3cc163801134fa45de0",
+    "distance-l1-x30-third": "d9021d570d1a8572652ebf768799ccaf9afba6daf2dddc105a6d7c3e596c3925",
     "distance-prefix-x30-third": "8bc1a0f04b909d72ff735328ff46c7730f3d4f06b8c04ba4366a72a55a09f80e",
     "forcibility-three-branch": "3ff10cadd9eacc9dced0706cd99d7d17e15f2087561ccf0d37c928956f27d289",
     "forcibility-three-branch-candidate": "5e3af5d338dfbfb50116743472a96dd8f4e218ae502bffc270652882f561a67e",
@@ -585,34 +585,60 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
 
 
+# the environment of a `python` subprocess that imports this seqlimit
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
 def test_long_analyze_and_tester_pins_replay_under_python_O():
     """python -O strips asserts, so no check the output relies on may be
     one: the long analyze and tester pins print the same bytes in
     `python -O -m seqlimit` processes."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     for name, argv in {**ANALYZE_LONG, **TESTER_LONG}.items():
         done = subprocess.run([sys.executable, "-O", "-m", "seqlimit", *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=ENV)
         assert done.returncode == 0, done.stderr
         assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS[name], name
 
 
 def test_float_l1_distance_leaves_scipy_unimported():
     """QUADPACK's first Gauss-Kronrod pass settles the irrational sign
-    change of `step-quad3` in Python, so a `python -m seqlimit` process,
-    with or without -O, prints the pinned float without importing scipy
-    (its -X importtime log, on stderr, names every module imported)."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(seqlimit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    for flags in ((), ("-O",)):
-        done = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "seqlimit",
-                               *CORPUS["distance-l1-step-quad3"]], capture_output=True, text=True, env=env)
-        assert done.returncode == 0, done.stderr
-        assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS["distance-l1-step-quad3"]
-        assert json.loads(done.stdout)["exact"] is False
-        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
-        assert "seqlimit.piecewise" in imported and not any(m.split(".")[0] == "scipy" for m in imported)
+    change of `step-quad3` in Python, and the exact primitive reads that of
+    `x30-third`, which the pass does not settle, so a `python -m seqlimit`
+    process, with or without -O, prints the pinned float without importing
+    scipy (its -X importtime log, on stderr, names every module imported)."""
+    for name in ("distance-l1-step-quad3", "distance-l1-x30-third"):
+        for flags in ((), ("-O",)):
+            done = subprocess.run([sys.executable, *flags, "-X", "importtime", "-m", "seqlimit", *CORPUS[name]],
+                                  capture_output=True, text=True, env=ENV)
+            assert done.returncode == 0, done.stderr
+            assert hashlib.sha256(done.stdout.encode()).hexdigest() == DIGESTS[name]
+            assert json.loads(done.stdout)["exact"] is False
+            imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+            assert "seqlimit.piecewise" in imported and not any(m.split(".")[0] == "scipy" for m in imported)
+
+
+def test_every_pin_replays_with_scipy_unimportable():
+    """A process in which `sys.modules["scipy"] = None` makes every scipy
+    import fail replays each `CORPUS` pin through `cli.dispatch` with exit
+    code 0 and the pinned digest: no command needs scipy at run time."""
+    script = """
+import sys
+sys.modules["scipy"] = None
+import contextlib, hashlib, io, json
+from seqlimit.cli import dispatch
+got = {}
+for name, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    got[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(got))
+"""
+    done = subprocess.run([sys.executable, "-c", script], input=json.dumps(CORPUS),
+                          capture_output=True, text=True, env=ENV)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {name: [0, DIGESTS[name]] for name in CORPUS}
 
 
 LONG_DIGITS = "1" * 4301  # above the int/str conversion limit of 4300 digits

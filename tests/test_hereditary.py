@@ -120,10 +120,10 @@ def test_d1_matches_dict_dp_oracle():
     for d1 in (dict_dp_d1, d1_to_family, hereditary._d1_value):
         with pytest.raises(ValueError, match="^property is empty at this length$"):
             d1(W("01"), empty)
-    big = ForbiddenFamily.from_strings(["01" * 40] * 4)
+    big = ForbiddenFamily.from_strings(["01" * 40] * 4)  # 81^4 states
     for d1 in (d1_to_family, hereditary._d1_value):
-        with pytest.raises(ValueError, match="^automaton would exceed 10 states$"):
-            d1(W("01"), big, state_cap=10)
+        with pytest.raises(ValueError, match=f"^automaton would exceed {STATE_CAP} states$"):
+            d1(W("01"), big)
         with pytest.raises(AlphabetError, match="^word and family must share one alphabet$"):
             d1(Word(tuple("ab"), ("a", "b")), empty)
 
@@ -248,8 +248,8 @@ def test_d1_infeasible_and_cap():
     with pytest.raises(ValueError):
         d1_to_family(W("01"), fam)
     big = ForbiddenFamily.from_strings(["01" * 40] * 4)
-    with pytest.raises(ValueError):
-        d1_to_family(W("01"), big, state_cap=10)
+    with pytest.raises(ValueError, match="^automaton would exceed 1000000 states$"):
+        d1_to_family(W("01"), big)
 
 
 def test_d1_witness_check_survives_optimized_mode(monkeypatch):

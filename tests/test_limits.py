@@ -829,15 +829,13 @@ def _quad_pieces(count: int, seed: int):
         yield p, lo, lo + width, sorted(cuts)
 
 
-def test_first_gauss_kronrod_pass_is_quad_bit_for_bit(monkeypatch):
-    """`_numeric_abs_integral` equals scipy's quad with the same integrand,
-    break points and limit bit for bit, on 2,000 seeded pieces, and settles
-    every one of them without calling quad; cut lists may repeat a cut or
-    hold lo or hi, which quad drops."""
-    import scipy.integrate
+def test_first_gauss_kronrod_pass_is_quad_bit_for_bit():
+    """`_numeric_abs_integral` settles each of 2,000 seeded pieces and then
+    equals scipy's quad with the same integrand, break points and limit
+    bit for bit; cut lists may repeat a cut or hold lo or hi, which quad
+    drops."""
+    from scipy.integrate import quad
 
-    quad, fallbacks = scipy.integrate.quad, []
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: fallbacks.append(a) or quad(*a, **k))
     cases = list(_quad_pieces(2000, 5))
     cases += [(p, lo, hi, [lo, *cuts, *cuts[:1], hi]) for p, lo, hi, cuts in cases[:200]]
     shapes = set()
@@ -845,25 +843,71 @@ def test_first_gauss_kronrod_pass_is_quad_bit_for_bit(monkeypatch):
         got = piecewise._numeric_abs_integral(p, lo, hi, cuts)
         want, _ = quad(lambda x: abs(poly.peval(p, float(x))), float(lo), float(hi),
                        points=[float(c) for c in cuts], limit=200)
-        assert got.hex() == want.hex(), (p, lo, hi, cuts)
+        assert got is not None and got.hex() == want.hex(), (p, lo, hi, cuts)
         shapes.add((poly.degree(p), min(len(set(cuts)), 3), float(lo) == float(hi)))
     assert {d for d, _, _ in shapes} == set(range(1, 9))
     assert {k for _, k, _ in shapes} == {0, 1, 2, 3} and {e for _, _, e in shapes} == {False, True}
-    assert fallbacks == []
 
 
-def test_unsettled_first_pass_falls_back_to_quad(monkeypatch):
+def _power(k: int, c: Fraction):
+    """x^k and the constant c as limits."""
+    return PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0),) * k + (Fraction(1),),)), PiecewisePoly.constant(c)
+
+
+def _power_l1(k: int, c: Fraction) -> float:
+    """The correctly rounded integral of |x^k - c| over [0, 1], for c in
+    (0, 1): with r = c^(1/k), it is 2 c r k / (k + 1) + 1 / (k + 1) - c,
+    taken to 60 digits by mpmath and rounded once, by `float(Fraction)`."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        C = mpmath.mpf(c.numerator) / c.denominator
+        value = 2 * C * mpmath.root(C, k) * k / (k + 1) + mpmath.mpf(1) / (k + 1) - C
+        return float(Fraction(mpmath.nstr(value, 60)))
+
+
+def _quad_power_l1(k: int, c: Fraction) -> float:
+    """quad's integral of |x^k - c| over [0, 1], broken at the float root."""
+    from scipy.integrate import quad
+
+    return quad(lambda x: abs(x**k - float(c)), 0.0, 1.0, points=[float(c) ** (1 / k)], limit=200)[0]
+
+
+@pytest.fixture
+def first_pass(monkeypatch):
+    """What `_numeric_abs_integral` returns, call by call: None where
+    QUADPACK's first Gauss-Kronrod pass does not settle a piece."""
+    returned, inner = [], piecewise._numeric_abs_integral
+    monkeypatch.setattr(piecewise, "_numeric_abs_integral", lambda *a: returned.append(inner(*a)) or returned[-1])
+    return returned
+
+
+def test_unsettled_first_pass_reads_the_exact_primitive(first_pass):
     """|x^30 - 1/3| on [0, 1], cut at its root 3^(-1/30): one Gauss-Kronrod
-    pass per side does not settle it, so quad's adaptive loop gives the
-    value, exactly."""
-    import scipy.integrate
+    pass per side does not settle it, so `d1_fn` reads the piece off the
+    exact primitive at the rationalized root, as a float: the correctly
+    rounded value, within 1e-12 of quad's."""
+    got = d1_fn(*_power(30, Fraction(1, 3)))
+    assert first_pass == [None]
+    assert got == _power_l1(30, Fraction(1, 3)) == 0.32088731632702833
+    assert abs(got - _quad_power_l1(30, Fraction(1, 3))) < 1e-12
 
-    quad, calls = scipy.integrate.quad, []
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
-    p, root = (Fraction(-1, 3), *[Fraction(0)] * 29, Fraction(1)), 3 ** (-1 / 30)
-    got = piecewise._numeric_abs_integral(p, Fraction(0), Fraction(1), [Fraction(root)])
-    want, _ = quad(lambda x: abs(poly.peval(p, float(x))), 0.0, 1.0, points=[root], limit=200)
-    assert got == want == 0.32088731632702827 and len(calls) == 1
+
+def test_unsettled_pieces_are_correctly_rounded(first_pass):
+    """On the pieces x^k - c, k from 12 to 45 and c = j/98, that QUADPACK's
+    first pass does not settle, `d1_fn` gives the correctly rounded float,
+    never farther from it than quad's adaptive loop."""
+    unsettled = 0
+    for k in range(12, 46):
+        for c in (Fraction(j, 98) for j in range(1, 98, 8)):
+            first_pass.clear()
+            got = d1_fn(*_power(k, c))
+            if first_pass == [None]:
+                unsettled += 1
+                want = _power_l1(k, c)
+                assert got == want, (k, c)
+                assert abs(Fraction(got) - Fraction(want)) <= abs(Fraction(_quad_power_l1(k, c)) - Fraction(want))
+    assert unsettled >= 200
 
 
 def test_distances_refuse_a_word_over_another_alphabet():

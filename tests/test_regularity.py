@@ -153,6 +153,17 @@ def test_extremal_of_a_pair_is_the_extremal_of_its_difference():
         assert _extremal_of(f, g) == _extremal_of(fn_sub(f, g)), (f, g)
 
 
+def test_extremal_of_a_polynomial_against_itself_is_zero_on_the_unit_interval():
+    """f - f vanishes, so every critical cut ties: the largest maximizer 1
+    and the smallest minimizer 0 give deviation 0 on (0, 1), exactly."""
+    stream = SeededStream(77)
+    square = PiecewisePoly((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(0), Fraction(1)),))
+    for f in [square] + [random_poly_limit(stream.substream(t)) for t in range(4)]:
+        assert not f.is_step()
+        dev, interval = _extremal_of(f, f)
+        assert (dev, interval) == (0, (0, 1)) and all(type(v) is Fraction for v in (dev, *interval))
+
+
 def test_extremal_interval_with_irrational_extremum():
     # f(x) = x^2 deviates from its mean 1/3 with an irrational crossing;
     # the reported interval is rational and its deviation exact
