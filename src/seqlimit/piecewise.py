@@ -30,14 +30,22 @@ limit with exact values in [0, 1]; H is then monotone on every cell.
 or those a `LimitVector` keeps from its sum check: each prefix multiplies
 its parent's columns by its letter's and takes the antiderivative.
 
+A limit's check 0 <= f <= 1 (`require_unit_range`) reads f's own cells,
+derived once per instance (`PiecewisePoly.cells`, which f's density
+batches read too), and accepts in integers when the Bernstein
+coefficients of every cell's polynomial lie in [0, 1] (`_unit_cells`).
+That test is exact for steps and linear pieces, and a pass proves the
+range at any degree; a limit that fails it goes on to `range_bounds`,
+whose decision and message stand.
+
 Pieces in x of a primitive come only from `_x_primitive`, which shifts
 H's columns back to x for `antiderivative` and the root search.  Range
-checks, box/prefix/L1 distances off the grid (two polynomial sides, a
-step function and a polynomial, or a word and a limit whose range is
-inexact or leaves [0, 1]) and weak regularity share one critical-cut
-scan, `_critical_cuts`: each piece P is taken on its closed interval
-[lo, hi], so a value P only approaches at its open right end counts,
-and cut at lo, the roots of P', and hi.
+checks the certificate does not settle, box/prefix/L1 distances off the
+grid (two polynomial sides, a step function and a polynomial, or a word
+and a limit whose range is inexact or leaves [0, 1]) and weak regularity
+share one critical-cut scan, `_critical_cuts`: each piece P is taken on
+its closed interval [lo, hi], so a value P only approaches at its open
+right end counts, and cut at lo, the roots of P', and hi.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, ge, mul, neg, sub
 from types import MappingProxyType
 
 from . import poly
@@ -60,12 +68,15 @@ NUMERIC_TOL = 1e-12
 
 
 def _unit_breakpoints(breakpoints) -> tuple[Fraction, ...]:
-    """breakpoints as Fractions, checked to run from 0 up to 1 strictly
-    increasing (a `PiecewisePoly`'s or an interval partition's)."""
-    bps = tuple(map(Fraction, breakpoints))
+    """breakpoints as Fractions (one already a Fraction is kept), checked to
+    run from 0 up to 1 strictly increasing (a `PiecewisePoly`'s or an
+    interval partition's).  b < c is decided on the integer cross-products
+    of their numerators and (positive) denominators."""
+    bps = tuple(b if type(b) is Fraction else Fraction(b) for b in breakpoints)
     if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
         raise ValueError("breakpoints must span [0, 1]")
-    if any(b >= c for b, c in zip(bps, bps[1:])):
+    nums, dens = [b.numerator for b in bps], [b.denominator for b in bps]
+    if any(map(ge, map(mul, nums, dens[1:]), map(mul, nums[1:], dens))):
         raise ValueError("breakpoints must be strictly increasing")
     return bps
 
@@ -78,7 +89,7 @@ class PiecewisePoly:
     def __post_init__(self):
         bps = _unit_breakpoints(self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", tuple(poly.normalize(p) for p in self.pieces))
+        object.__setattr__(self, "pieces", tuple(map(poly.normalize, self.pieces)))
         if len(self.pieces) != len(bps) - 1:
             raise ValueError("need exactly one piece per interval")
 
@@ -91,7 +102,7 @@ class PiecewisePoly:
     @classmethod
     def step(cls, values, breakpoints=None) -> "PiecewisePoly":
         """Step function; equal-width pieces unless breakpoints are given."""
-        values = [Fraction(v) for v in values]
+        values = list(values)
         if not values:
             raise ValueError("need at least one step value")
         if breakpoints is None:
@@ -112,7 +123,7 @@ class PiecewisePoly:
         return poly.peval(self.pieces[self.piece_index(x)], x)
 
     def max_degree(self) -> int:
-        return max(poly.degree(p) for p in self.pieces)
+        return max(map(len, self.pieces)) - 1  # poly.degree of the longest piece
 
     def is_step(self) -> bool:
         return self.max_degree() <= 0
@@ -127,6 +138,12 @@ class PiecewisePoly:
     @functools.cached_property
     def _primitive(self) -> "PiecewisePoly":
         return _x_primitive(self)
+
+    @functools.cached_property
+    def cells(self):
+        """`_cells((self,))`, derived once per instance (instances are
+        frozen), for the range certificate and density batches."""
+        return _cells((self,))
 
     # -- extrema ------------------------------------------------------
 
@@ -161,8 +178,42 @@ def _critical_cuts(breakpoints, pieces):
         yield P, [lo, *sorted(exact), hi], approx
 
 
+def _unit_cells(cols, grid, vden) -> bool:
+    """Whether the Bernstein coefficients of every cell's polynomial lie in
+    [0, 1], for f given by its `_cells` columns cols on grid over vden.
+    Such a polynomial lies between its least and greatest coefficient on
+    the cell (Farouki, CAGD 29, 2012), so True proves 0 <= f <= 1; False
+    is exact at degree 0 and 1, where the coefficients are f's values at
+    the cell ends.
+
+    On cell k, with s = t / w_k in [0, 1], f = sum over r of a_r s^r,
+    a_r = c_r w_k^r / vden, and its degree-e coefficients are the binomial
+    transform b_j = sum over r <= j of C(j, r) a_r / C(e, r); e! vden b_j
+    is that transform of the integers r! (e - r)! c_r w_k^r."""
+    e = len(cols) - 1
+    if e == 0:
+        return min(cols[0]) >= 0 and max(cols[0]) <= vden
+    widths = list(map(sub, grid[1:], grid))
+    a, power = [], [1] * len(widths)
+    for r, c in enumerate(cols):
+        weight = math.factorial(r) * math.factorial(e - r)
+        a.append([weight * x * p for x, p in zip(c, power)])
+        power = list(map(mul, power, widths))
+    for i in range(1, e + 1):
+        for r in range(e, i - 1, -1):
+            a[r] = list(map(add, a[r], a[r - 1]))
+    top = math.factorial(e) * vden
+    return all(min(b) >= 0 and max(b) <= top for b in a)
+
+
 def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
-    """Validate that f maps [0, 1] into [0, 1] (within NUMERIC_TOL if inexact)."""
+    """Validate that f maps [0, 1] into [0, 1]: in integers when the
+    Bernstein coefficients on f's `cells` prove it (`_unit_cells`), else
+    by `range_bounds` (within NUMERIC_TOL if inexact), which also gives
+    the message of a refusal."""
+    grid, _, vden, (cols,) = f.cells
+    if _unit_cells(cols, grid, vden):
+        return f
     lo, hi = f.range_bounds()
     if isinstance(lo, Fraction):
         ok = 0 <= lo and hi <= 1
@@ -176,16 +227,19 @@ def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
 class LimitVector:
     """A tuple of limit functions, one per letter, summing to 1 exactly: on
     every cell of `cells`, their `_cells` in alphabet order, built once and
-    walked by every density batch, their columns add up to (vden, 0, ...)."""
+    walked by every density batch, their columns add up to (vden, 0, ...).
+    Each component's range is certified on those cells (`_unit_cells`);
+    only if one fails is each checked by `require_unit_range`, in order."""
 
     def __init__(self, components: dict[str, PiecewisePoly]):
         if not components:
             raise ValueError("need at least one component")
         self.alphabet = tuple(components)
         self.components = MappingProxyType(dict(components))
-        for f in self.components.values():
-            require_unit_range(f)
         self.cells = grid, _, vden, cols = _cells(self.components.values())
+        if not all(_unit_cells(c, grid, vden) for c in cols):
+            for f in self.components.values():
+                require_unit_range(f)
         for r in range(max(map(len, cols))):
             # column r of every component, cell by cell; a missing one is 0
             total = [sum(cells) for cells in zip(*(c[r] for c in cols if r < len(c)))]
@@ -222,7 +276,7 @@ def _densities(patterns, F) -> list[Fraction]:
     else:
         if any(set(u.alphabet) != {"0", "1"} for u in patterns):
             raise ValueError("t_density_limit requires the binary alphabet")
-        grid, bden, vden, ((c0, *rest),) = _cells((require_unit_range(F),))
+        grid, bden, vden, ((c0, *rest),) = require_unit_range(F).cells
         cols = {"0": [list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)],
                 "1": [c0, *rest]}
     if any(len(u) == 0 for u in patterns):

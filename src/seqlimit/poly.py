@@ -24,8 +24,10 @@ ONE: Poly = (Fraction(1),)
 
 
 def normalize(p) -> Poly:
-    coeffs = [Fraction(c) for c in p]
-    while coeffs and coeffs[-1] == 0:
+    """p as a Poly: its coefficients as Fractions (one already a Fraction is
+    kept), without trailing zeros."""
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in p]
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 

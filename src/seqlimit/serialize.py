@@ -15,7 +15,8 @@ parse_frac exactly as Fraction(str) reads them.
 A JSON integer or an ASCII-digit "p" or "p/q" with q > 0 is read as the
 pair (p, q) with int() (_ratio); every other spelling, and every error,
 is Fraction(str)'s, but for a zero denominator: that ValueError quotes
-the token.  A grid reads each distinct token once and becomes
+the token.  A limit file (all components of a vector together) and a
+grid read each distinct token once (`_token_reader`), and a grid becomes
 integer cell masses without a Fraction per cell.
 """
 
@@ -68,6 +69,25 @@ def parse_frac(text) -> Fraction:
         return Fraction(str(text))
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def _token_reader(convert=None):
+    """parse_frac, then convert if given, but once per distinct str token:
+    a limit or grid file repeats a few tokens (step values, masses, shared
+    breakpoints)."""
+    seen = {}
+
+    def read(token):
+        if type(token) is str and token in seen:
+            return seen[token]
+        value = parse_frac(token)
+        if convert:
+            value = convert(value)
+        if type(token) is str:
+            seen[token] = value
+        return value
+
+    return read
 
 
 _JSON_TYPES = {list: "list", dict: "object", int: "integer", str: "string"}
@@ -151,10 +171,13 @@ def limitfn_to_obj(f: PiecewisePoly) -> dict:
     }
 
 
-def limitfn_from_obj(obj: dict) -> PiecewisePoly:
+def limitfn_from_obj(obj: dict, read=None) -> PiecewisePoly:
+    """The limit function of obj: breakpoints, then coefficients, read by
+    read (a fresh `_token_reader` if None), then validated."""
+    read = read or _token_reader()
     return require_unit_range(PiecewisePoly(
-        tuple(parse_frac(b) for b in json_field(obj, "breakpoints", list)),
-        tuple(tuple(parse_frac(c) for c in json_field(json_value(p, dict, "each piece"), "coeffs", list))
+        tuple(map(read, json_field(obj, "breakpoints", list))),
+        tuple(tuple(map(read, json_field(json_value(p, dict, "each piece"), "coeffs", list)))
               for p in json_field(obj, "pieces", list)),
     ))
 
@@ -166,7 +189,9 @@ def limitvector_from_obj(obj: dict) -> LimitVector:
         raise ValueError(f"alphabet letter {repeated[0]!r} is repeated")
     if stray := [a for a in components if a not in alphabet]:
         raise ValueError(f"component {stray[0]!r} is not in the alphabet {list(alphabet)!r}")
-    return LimitVector({a: limitfn_from_obj(json_field(components, a, dict, f"component {a!r}")) for a in alphabet})
+    read = _token_reader()
+    return LimitVector({a: limitfn_from_obj(json_field(components, a, dict, f"component {a!r}"), read)
+                        for a in alphabet})
 
 
 def limit_from_obj(obj: dict):
@@ -184,24 +209,13 @@ def limit_from_text(text: str):
 
 
 def grid_from_obj(obj: dict) -> GridMeasure:
-    """The grid measure of {"m": m, "mass": rows}.  Each token is read by
-    parse_frac, in row-major order, but a str token only once (a grid
-    repeats a few tokens), and the masses go to GridMeasure as integer
-    pairs, without a Fraction per cell."""
+    """The grid measure of {"m": m, "mass": rows}.  The tokens are read by
+    a `_token_reader`, in row-major order, and the masses go to
+    GridMeasure as integer pairs, without a Fraction per cell."""
     m = json_field(obj, "m", int)
-    seen: dict[str, tuple[int, int]] = {}
-
-    def ratio(v) -> tuple[int, int]:
-        if type(v) is str and v in seen:
-            return seen[v]
-        f = parse_frac(v)
-        pair = f.numerator, f.denominator
-        if type(v) is str:
-            seen[v] = pair
-        return pair
-
+    read = _token_reader(lambda v: (v.numerator, v.denominator))
     rows = json_field(obj, "mass", list)
-    return GridMeasure._of_ratios(m, [[ratio(v) for v in json_value(row, list, "each mass row")] for row in rows])
+    return GridMeasure._of_ratios(m, [list(map(read, json_value(row, list, "each mass row"))) for row in rows])
 
 
 def permutation_from_text(text: str) -> Permutation:

@@ -18,7 +18,7 @@ from seqlimit import PiecewisePoly, SeededStream, Word, cli, permutons
 from seqlimit import serialize as ser
 from seqlimit.cli import dispatch
 from seqlimit.permutons import GridMeasure, Permutation
-from seqlimit.piecewise import LimitVector
+from seqlimit.piecewise import NUMERIC_TOL, LimitVector
 from seqlimit.regularity import IntervalPartition
 
 from util import fn_sub, grid_mass, random_step_irregular
@@ -373,6 +373,18 @@ def _grid_by_fractions(obj):
     return GridMeasure(int(obj["m"]), tuple(tuple(Fraction(str(v)) for v in row) for row in obj["mass"]))
 
 
+def _limit_by_fractions(obj):
+    """The limit of obj with each token read by Fraction(str), and the range
+    decided by `range_bounds` alone, exactly or within NUMERIC_TOL."""
+    f = PiecewisePoly(tuple(Fraction(str(b)) for b in obj["breakpoints"]),
+                      tuple(tuple(Fraction(str(c)) for c in p["coeffs"]) for p in obj["pieces"]))
+    lo, hi = f.range_bounds()
+    tol = 0 if isinstance(lo, Fraction) else NUMERIC_TOL
+    if not (-tol <= lo and hi <= 1 + tol):
+        raise ValueError(f"function range [{lo}, {hi}] leaves [0, 1]")
+    return f
+
+
 @pytest.mark.parametrize("i", range(len(TOKENS)))
 def test_token_reader_agrees_with_fraction_of_str(i):
     token = TOKENS[i]
@@ -384,6 +396,10 @@ def test_token_reader_agrees_with_fraction_of_str(i):
     for obj in ({"m": 1, "mass": [[token]]},
                 {"m": 2, "mass": [["1/4", token], ["1/4", "1/4"]]}):
         assert _outcome(ser.grid_from_obj, obj) == _zero_den_named(_outcome(_grid_by_fractions, obj), token)
+    # as the inner breakpoint and as a coefficient of a limit function
+    for obj in ({"breakpoints": ["0", token, "1"], "pieces": [{"coeffs": ["1/2"]}, {"coeffs": ["1/3"]}]},
+                {"breakpoints": ["0", "1/2", "1"], "pieces": [{"coeffs": ["1/2", token]}, {"coeffs": [token]}]}):
+        assert _outcome(ser.limitfn_from_obj, obj) == _zero_den_named(_outcome(_limit_by_fractions, obj), token)
 
 
 def test_malformed_grid_tables_fail_as_the_fraction_path_does():
@@ -436,6 +452,33 @@ def test_plain_ratio_grids_load_without_fraction_parsing(monkeypatch):
     assert got == want and grid_mass(got) == grid_mass(want) and got.cells.dtype == np.int64
     with pytest.raises(AssertionError, match="fallback taken for '1.0'"):
         ser.grid_from_obj({"m": 1, "mass": [["1.0"]]})
+
+
+def test_each_distinct_token_is_parsed_once(monkeypatch):
+    """Inputs shaped like the benchmark's: a 256-piece step with values
+    k/16, a ternary vector on 16 pieces (its components share their
+    breakpoints) and a 30-grid."""
+    rng = SeededStream(107).generator()
+    step = {"breakpoints": [str(Fraction(i, 256)) for i in range(257)],
+            "pieces": [{"coeffs": [str(Fraction(int(k), 16))]} for k in rng.integers(1, 16, 256)]}
+    a, b = rng.integers(0, 5, 16), rng.integers(0, 5, 16)
+    bps = [str(Fraction(i, 16)) for i in range(17)]
+    ternary = {"alphabet": ["a", "b", "c"], "components": {
+        letter: {"breakpoints": bps, "pieces": [{"coeffs": [str(Fraction(int(v), 12))]} for v in vs]}
+        for letter, vs in zip("abc", (a, b, 12 - a - b))}}
+    m = 30
+    mass = [[Fraction(0)] * m for _ in range(m)]
+    for _ in range(3):
+        for i, v in enumerate(rng.permutation(m).tolist()):
+            mass[i][v] += Fraction(1, 3 * m)
+    grid = {"m": m, "mass": [[str(v) for v in row] for row in mass]}
+    parsed = []
+    parse = ser.parse_frac
+    monkeypatch.setattr(ser, "parse_frac", lambda token: parsed.append(token) or parse(token))
+    for load, obj in ((ser.limitfn_from_obj, step), (ser.limitvector_from_obj, ternary), (ser.grid_from_obj, grid)):
+        parsed.clear()
+        load(json.loads(json.dumps(obj)))
+        assert sorted(parsed) == sorted(set(parsed)) and len(parsed) > 1
 
 
 HALF_LIMIT = '{"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2"]}]}'

@@ -666,6 +666,63 @@ def test_bad_grid_files_exit_1_with_the_same_message(name):
         assert run_cli(*argv) == (1, "", message)
 
 
+def _range_message(lo, hi) -> str:
+    return f"error: function range [{lo}, {hi}] leaves [0, 1]\n"
+
+
+# limit files that are refused, with the one stderr line of each: the
+# breakpoint checks, both range paths (exact, and floats at the irrational
+# extremum 1/sqrt(3) of 3x - 3x^3), the first refused vector component, the
+# token reader, and a breakpoint token read before a coefficient token
+BAD_LIMITS = {
+    "repeated-breakpoint": (_step(["0", "1/2", "1/2", "1"], ["1/2", "1/3", "1/4"]),
+                            "error: breakpoints must be strictly increasing\n"),
+    "unsorted-breakpoints": (_step(["0", "2/3", "1/3", "1"], ["1/2", "1/3", "1/4"]),
+                             "error: breakpoints must be strictly increasing\n"),
+    "start-above-0": (_step(["1/4", "1"], ["1/2"]), "error: breakpoints must span [0, 1]\n"),
+    "end-below-1": (_step(["0", "3/4"], ["1/2"]), "error: breakpoints must span [0, 1]\n"),
+    "piece-count": (_step(["0", "1/2", "1"], ["1/2"]), "error: need exactly one piece per interval\n"),
+    "step-below-0": (_step(["0", "1/2", "1"], ["1/2", "-1/8"]), _range_message("-1/8", "1/2")),
+    "step-above-1": (_step(["0", "1/2", "1"], ["9/8", "1/2"]), _range_message("1/2", "9/8")),
+    "poly-rational-extremum": (json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["0", "5", "-5"]}]}),
+                               _range_message("0", "5/4")),
+    "poly-irrational-extremum": (json.dumps({"breakpoints": ["0", "1/2", "1"], "pieces": [
+        {"coeffs": ["0", "3", "0", "-3"]}, {"coeffs": ["0", "3", "0", "-3"]}]}),
+        _range_message(0.0, 1.1547005383792515)),
+    "vector-component": (json.dumps({"alphabet": ["a", "b"], "components": {
+        "a": json.loads(_step(["0", "1/2", "1"], ["1/2", "9/8"])),
+        "b": json.loads(_step(["0", "1/2", "1"], ["1/2", "-1/8"]))}}), _range_message("1/2", "9/8")),
+    "token-x": (_step(["0", "1"], ["x"]), "error: Invalid literal for Fraction: 'x'\n"),
+    "token-true": (json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": [True]}]}),
+                   "error: Invalid literal for Fraction: 'True'\n"),
+    "long-numerator": (_step(["0", "1"], [LONG_DIGITS]), LIMIT_MESSAGE),
+    "bad-breakpoint-and-coefficient": (_step(["0", "y", "1"], ["1/2", "x"]),
+                                       "error: Invalid literal for Fraction: 'y'\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIMITS))
+def test_bad_limit_files_exit_1_with_the_same_message(name):
+    limit, message = BAD_LIMITS[name]
+    half = json.dumps({"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2"]}]})
+    for argv in (("density", "--limit", limit, "--pattern", "1"), ("distance", limit, half),
+                 ("--seed", "3", "sample", "--limit", limit, "--length", "5")):
+        assert run_cli(*argv) == (1, "", message)
+
+
+def test_density_of_a_quartic_with_huge_coefficients_loads_without_a_root_search():
+    """f = 1/2 - x/(10^20 + 3) + x^4/(10^20 + 1) is inside [0, 1] by its
+    Bernstein coefficients; a rational root search on f' trial-divides its
+    20-digit coefficients, which takes hours.  Run in a subprocess, so a
+    regression fails on the timeout instead of hanging the suite."""
+    a, b = 10**20 + 3, 10**20 + 1
+    f = {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2", f"-1/{a}", "0", "0", f"1/{b}"]}]}
+    done = subprocess.run([sys.executable, "-m", "seqlimit", "density", "--limit", json.dumps(f), "--pattern", "1"],
+                          capture_output=True, text=True, env=ENV, timeout=2)
+    assert done.returncode == 0, done.stderr
+    assert Fraction(json.loads(done.stdout)["density"]) == Fraction(1, 2) - Fraction(1, 2 * a) + Fraction(1, 5 * b)
+
+
 # limit vectors whose components miss 1 on one cell of the merged grid only:
 # step components on three grids ([1/4, 1/3) sums to 61/60), and polynomial
 # components ([1/3, 1] sums to 1 + 1/90); and a = x^2/2, b = 1 - x^2/2 -

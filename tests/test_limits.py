@@ -35,7 +35,7 @@ from seqlimit.piecewise import (
 from seqlimit.serialize import limitfn_to_obj
 from seqlimit.words import all_patterns
 
-from test_cli import run_cli
+from test_cli import _outcome, run_cli
 from util import (
     associated,
     density_tables_upto,
@@ -493,6 +493,78 @@ def test_require_unit_range():
         with pytest.raises(ValueError, match="leaves"):
             require_unit_range(PiecewisePoly(half, pieces))
     assert require_unit_range(PiecewisePoly(half, ((0, 0, 4), (1, -1)))).range_bounds() == (0, 1)
+
+
+def test_range_check_and_density_batches_share_one_merge(monkeypatch):
+    """A limit's own cells are derived once: the range certificate builds
+    them, and every density batch of the limit reads them."""
+    cells, calls = piecewise._cells, []
+    monkeypatch.setattr(piecewise, "_cells", lambda fs: calls.append(fs) or cells(fs))
+    for f in (random_step(SeededStream(61)), random_poly_limit(SeededStream(62))):
+        calls.clear()
+        require_unit_range(f)
+        assert limit_densities(f, ["1", "01", "110"]) == {u: t_density_limit(W(u), f) for u in ("1", "01", "110")}
+        assert calls == [(f,)]
+
+
+def _unit_range_by_bounds(f):
+    """require_unit_range as `range_bounds` alone decides it: exactly, or
+    within NUMERIC_TOL when the range is a float pair."""
+    lo, hi = f.range_bounds()
+    tol = 0 if isinstance(lo, Fraction) else piecewise.NUMERIC_TOL
+    if not (-tol <= lo and hi <= 1 + tol):
+        raise ValueError(f"function range [{lo}, {hi}] leaves [0, 1]")
+    return f
+
+
+def _bernstein_limit(rng: random.Random) -> PiecewisePoly:
+    """1 to 8 pieces on irregular breakpoints, each of degree 1 to 4 with
+    Bernstein coefficients on its interval in {-1/8, 0, ..., 9/8}, or, for
+    half of the limits, in {0, 1/8, ..., 1}."""
+    lo_k, hi_k = (-1, 9) if rng.random() < 0.5 else (0, 8)
+    cuts = {Fraction(rng.randint(1, d - 1), d) for d in (rng.randint(2, 9) for _ in range(rng.randint(0, 7)))}
+    bps = (Fraction(0), *sorted(cuts), Fraction(1))
+    pieces = []
+    for lo, hi in zip(bps, bps[1:]):
+        e = rng.randint(1, 4)
+        s = (-lo / (hi - lo), 1 / (hi - lo))  # (x - lo) / (hi - lo)
+        piece = poly.ZERO
+        for j in range(e + 1):
+            basis = poly.pmul(ppow(s, j), ppow(poly.padd(poly.ONE, poly.pscale(s, -1)), e - j))
+            piece = poly.padd(piece, poly.pscale(basis, Fraction(rng.randint(lo_k, hi_k), 8) * math.comb(e, j)))
+        pieces.append(piece)
+    return PiecewisePoly(bps, tuple(pieces))
+
+
+def test_range_certificate_agrees_with_range_bounds():
+    """Where the Bernstein coefficients of f on its cells lie in [0, 1], f's
+    exact range does too; and require_unit_range, certificate or not,
+    accepts and refuses functions and vectors as range_bounds does, with
+    its message.  4x(1 - x) = 1 - 4(x - 1/2)^2 (on one cell, and cut at
+    1/3) and 4/5 (3x - 3x^3) (an irrational maximum) lie in [0, 1] but
+    fail the certificate; x^2 passes it, its coefficients being 0, 0, 1."""
+    rng = random.Random(53)
+    x = (Fraction(0), Fraction(1))
+    unit, third = (Fraction(0), Fraction(1)), (Fraction(0), Fraction(1, 3), Fraction(1))
+    hump = (Fraction(0), Fraction(4), Fraction(-4))
+    limits = [PiecewisePoly(unit, (hump,)), PiecewisePoly(third, (hump, hump)),
+              PiecewisePoly(unit, (poly.pscale((0, 3, 0, -3), Fraction(4, 5)),)), PiecewisePoly(unit, (ppow(x, 2),))]
+    limits += [_bernstein_limit(rng) for _ in range(300)]
+    decided = {"certified": 0, "by range_bounds": 0, "refused": 0}
+    for f, g in zip(limits, limits[1:] + limits[:1]):
+        grid, _, vden, (cols,) = f.cells
+        certified = piecewise._unit_cells(cols, grid, vden)
+        if certified:
+            lo, hi = f.range_bounds()
+            assert 0 <= lo and hi <= 1
+        outcome = _outcome(require_unit_range, f)
+        assert outcome == _outcome(_unit_range_by_bounds, f)
+        decided["certified" if certified else "refused" if outcome[0] is ValueError else "by range_bounds"] += 1
+        for components in ({"0": fn_sub(ONE, f), "1": f}, {"a": f, "b": g, "c": fn_sub(fn_sub(ONE, f), g)}):
+            want = _outcome(lambda: [_unit_range_by_bounds(c) for c in components.values()] and None)
+            assert _outcome(lambda: LimitVector(components) and None) == want
+    assert decided["certified"] > 60 and decided["by range_bounds"] >= 3 and decided["refused"] > 60, decided
+    assert [piecewise._unit_cells(f.cells[3][0], f.cells[0], f.cells[2]) for f in limits[:4]] == [False] * 3 + [True]
 
 
 def test_distance_examples():
