@@ -191,7 +191,7 @@ def _unit_cells(cols, grid, vden) -> bool:
     transform b_j = sum over r <= j of C(j, r) a_r / C(e, r); e! vden b_j
     is that transform of the integers r! (e - r)! c_r w_k^r."""
     e = len(cols) - 1
-    if e == 0:
+    if e == 0:  # a step: its values are its coefficients
         return min(cols[0]) >= 0 and max(cols[0]) <= vden
     widths = list(map(sub, grid[1:], grid))
     a, power = [], [1] * len(widths)
@@ -227,19 +227,16 @@ def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
 class LimitVector:
     """A tuple of limit functions, one per letter, summing to 1 exactly: on
     every cell of `cells`, their `_cells` in alphabet order, built once and
-    walked by every density batch, their columns add up to (vden, 0, ...).
-    Each component's range is certified on those cells (`_unit_cells`);
-    only if one fails is each checked by `require_unit_range`, in order."""
+    walked by every density batch, their columns add up to (vden, 0, ...)."""
 
     def __init__(self, components: dict[str, PiecewisePoly]):
         if not components:
             raise ValueError("need at least one component")
         self.alphabet = tuple(components)
         self.components = MappingProxyType(dict(components))
+        for f in self.components.values():
+            require_unit_range(f)
         self.cells = grid, _, vden, cols = _cells(self.components.values())
-        if not all(_unit_cells(c, grid, vden) for c in cols):
-            for f in self.components.values():
-                require_unit_range(f)
         for r in range(max(map(len, cols))):
             # column r of every component, cell by cell; a missing one is 0
             total = [sum(cells) for cells in zip(*(c[r] for c in cols if r < len(c)))]

@@ -718,7 +718,7 @@ def test_density_of_a_quartic_with_huge_coefficients_loads_without_a_root_search
     a, b = 10**20 + 3, 10**20 + 1
     f = {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2", f"-1/{a}", "0", "0", f"1/{b}"]}]}
     done = subprocess.run([sys.executable, "-m", "seqlimit", "density", "--limit", json.dumps(f), "--pattern", "1"],
-                          capture_output=True, text=True, env=ENV, timeout=2)
+                          capture_output=True, text=True, env=ENV, timeout=10)
     assert done.returncode == 0, done.stderr
     assert Fraction(json.loads(done.stdout)["density"]) == Fraction(1, 2) - Fraction(1, 2 * a) + Fraction(1, 5 * b)
 
