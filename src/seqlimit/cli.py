@@ -46,7 +46,7 @@ from .sampling import (
     tail_experiment_dbox,
 )
 from .streams import PRNG_ID, SeededStream
-from .uniformity import best_uniformity, quasirandomness_report
+from .uniformity import quasirandomness_report
 from .words import Word, index_sets, subsequence_count
 
 
@@ -123,22 +123,18 @@ def _csv_cell(v) -> str:
 
 def _cmd_analyze(args, stream) -> dict:
     w = _load_word(args.word)
-    rep = quasirandomness_report(
-        w,
-        d=ser.parse_frac(args.density) if args.density else None,
-        num_frequencies=args.frequencies,
-    )
-    best = best_uniformity(w)
+    d = ser.parse_frac(args.density) if args.density else None
+    rep = quasirandomness_report(w, d, num_frequencies=args.frequencies)
     return {
         "length": len(w),
         "density": rep.density,
         "discrepancy": rep.discrepancy,
         "witness": list(rep.witness),
         "best_uniformity": {
-            "density": best.density,
-            "discrepancy": best.discrepancy,
-            "normalized": best.normalized,
-            "witness": list(best.witness),
+            "density": rep.best.density,
+            "discrepancy": rep.best.discrepancy,
+            "normalized": rep.best.normalized,
+            "witness": list(rep.best.witness),
         },
         "residuals": rep.residuals,
         "residual_eps": rep.residual_eps,

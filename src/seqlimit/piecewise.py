@@ -451,7 +451,8 @@ def _swept_primitive(f, g):
     f - g is monotone between grid points, else None.
 
     That holds when both sides are words or step functions, and for a
-    word w against a limit g with exact values in [0, 1]: on a cell
+    word w against a limit g with values in [0, 1], proven by `_unit_cells`
+    on g's cells or else by an exact `range_bounds`: on a cell
     (j/n, (j+1)/n) the derivative w_j - g(x) of H has one sign, since w_j
     is 0 or 1, even where a breakpoint of g falls inside the cell.
     """
@@ -459,8 +460,11 @@ def _swept_primitive(f, g):
         f, g = g, f
     on_grid = _is_step(f) and _is_step(g)
     if not on_grid and isinstance(f, Word):
-        lo, hi = g.range_bounds()
-        on_grid = isinstance(lo, Fraction) and 0 <= lo and hi <= 1
+        grid, _, vden, (cols,) = g.cells
+        on_grid = _unit_cells(cols, grid, vden)
+        if not on_grid:
+            lo, hi = g.range_bounds()
+            on_grid = isinstance(lo, Fraction) and 0 <= lo and hi <= 1
     return grid_primitive(f, g) if on_grid else None
 
 

@@ -723,6 +723,21 @@ def test_density_of_a_quartic_with_huge_coefficients_loads_without_a_root_search
     assert Fraction(json.loads(done.stdout)["density"]) == Fraction(1, 2) - Fraction(1, 2 * a) + Fraction(1, 5 * b)
 
 
+def test_box_distance_of_a_word_to_a_certified_quartic_is_swept_exactly():
+    """The same quartic f against the word 0110: its Bernstein coefficients
+    let the word sweep against f on its grid, without the root search of
+    `range_bounds`, so the box distance is max - min of the primitive
+    H = W - F of w - f at k/4 (F(x) = x/2 - x^2/(2a) + x^5/(5b)), exactly."""
+    a, b = 10**20 + 3, 10**20 + 1
+    f = {"breakpoints": ["0", "1"], "pieces": [{"coeffs": ["1/2", f"-1/{a}", "0", "0", f"1/{b}"]}]}
+    done = subprocess.run([sys.executable, "-m", "seqlimit", "distance", "0110", json.dumps(f)],
+                          capture_output=True, text=True, env=ENV, timeout=10)
+    assert done.returncode == 0, done.stderr
+    H = [Fraction(w) - Fraction(k, 8) + Fraction(k**2, 32 * a) - Fraction(k**5, 5120 * b)
+         for k, w in enumerate([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)])]
+    assert json.loads(done.stdout) == {"metric": "box", "value": str(max(H) - min(H)), "exact": True}
+
+
 # limit vectors whose components miss 1 on one cell of the merged grid only:
 # step components on three grids ([1/4, 1/3) sums to 61/60), and polynomial
 # components ([1/3, 1] sums to 1 + 1/90); and a = x^2/2, b = 1 - x^2/2 -

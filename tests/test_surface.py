@@ -36,6 +36,8 @@ CALLED_FROM_TESTS = {
     "permutons.grid_density_table": "criterion 11",
     "moments.moment_words": "criterion 06",
     "moments.MomentCombination.evaluate": "criterion 06",
+    "uniformity.discrepancy": "criteria 03 and 04; `quasirandomness_report` scores its hulls itself",
+    "uniformity.best_uniformity": "the exact minimum over d; `analyze` reads it off `quasirandomness_report`",
 }
 
 
@@ -58,6 +60,7 @@ def package_imports(tree: ast.Module) -> set[str]:
 def test_each_module_imports_only_earlier_layers():
     assert sorted(MODULES) == sorted([*LAYERS, "__init__", "__main__"])
     assert package_imports(MODULES["piecewise"]) == {"poly", "words"}
+    assert package_imports(MODULES["uniformity"]) == {"words"}
     for i, module in enumerate(LAYERS):
         assert sorted(package_imports(MODULES[module]) - set(LAYERS[:i])) == [], module
 

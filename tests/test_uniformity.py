@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from seqlimit import (
+    PiecewisePoly,
     SeededStream,
     Word,
     best_uniformity,
+    d_box,
     discrepancy,
     exponential_sum,
     minimizer_residuals,
@@ -135,9 +137,28 @@ def test_discrepancy_and_witness_match_fraction_sweep():
     for t in range(40):
         n = int(stream.substream(t).generator().integers(1, 120))
         w = random_word(stream.substream(1000 + t), n, density=[0.1, 0.5, 0.9][t % 3])
-        for d in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(w.weight(), n), Fraction(1), Fraction(3, 2)):
+        for d in (Fraction(0), Fraction(2, 7), Fraction(1, 2), Fraction(w.weight(), n), Fraction(1), Fraction(3, 2),
+                  Fraction(-1, 3), Fraction(7, 5), Fraction(10**29 + 7, 2 * 10**29 + 1)):
             assert discrepancy(w, d) == seed_discrepancy(w, d)
+    # every j ties: q*S_j - p*j is 0 throughout
+    for n in (1, 2, 17):
+        for w, d in ((W("1" * n), Fraction(1)), (W("0" * n), Fraction(0))):
+            assert discrepancy(w, d) == seed_discrepancy(w, d) == (0, (1, 1))
     assert discrepancy(W(""), Fraction(1, 2)) == (0, (1, 0))
+
+
+def test_discrepancy_equals_box_distance_to_the_constant():
+    """Two separate paths: the hull scorer, and the box distance of the
+    word's step function to the constant d, swept by the limit layer.  The
+    best uniformity `analyze` reads off its report is `best_uniformity`'s."""
+    stream = SeededStream(39)
+    for t in range(30):
+        n = int(stream.substream(t).generator().integers(1, 300))
+        w = random_word(stream.substream(700 + t), n, density=[0.1, 0.5, 0.9][t % 3])
+        for d in (Fraction(0), Fraction(1, 3), Fraction(w.weight(), n), Fraction(5, 8), Fraction(1)):
+            assert discrepancy(w, d)[0] == n * d_box(w, PiecewisePoly.constant(d))
+        if n >= 3:
+            assert quasirandomness_report(w, Fraction(1, 3)).best == best_uniformity(w)
 
 
 def test_hulls_bound_every_prefix_point():
