@@ -4,14 +4,15 @@ sampling-based membership tester.
 The property P_F consists of all words containing no member of the
 finite family F as a (not necessarily contiguous) subsequence.  P_F is
 hereditary: subwords of members are members.  The tester draws random
-subsequences and checks them against F directly, which gives perfect
+subsequences and accepts those in P_F, which gives perfect
 completeness.  Trial t draws its positions by Floyd's sampling from
 substream t, through one Philox generator re-keyed per trial
-(`SeededStream.substream_generators`).  The trials are decided in chunks
-of rows of sorted positions, TESTER_CELLS positions per chunk: for each
-pattern letter a, nxt[a][r, i] is the first column j >= i of row r that
-holds a (a reversed cumulative minimum), and a pattern is one gather per
-letter for all rows at once.  The count equals one greedy
+(`SeededStream.substream_generators`).  The trials are decided on the
+automaton that d1 is computed on (`_d1_costs`), in chunks of rows of
+sorted positions, TESTER_CELLS positions per chunk: every row walks the
+table of moves from the start state one column at a time, with an
+absorbing dead row for the moves that complete a pattern, and a row is a
+member when it ends in a live state.  The count equals one greedy
 `contains_pattern` scan per trial.
 
 The exact distance d1(w, P_F) is a least-cost path through the
@@ -42,7 +43,7 @@ indexed by position.  The witness is read back by runs: at state q, one
 argmin over the moves into q at every position finds the last one where
 the chosen move enters q from another state, and the path stays in q
 after it.  `member_word` seeds the tester curve with such a witness;
-the tester and the curve search read the distance alone (`_d1_value`),
+the tester and the curve search read the distance alone (`_least_cost`),
 and build and check no witness.
 """
 
@@ -104,22 +105,15 @@ class ForbiddenFamily:
             out.append(m)
         return tuple(out)
 
-    def state_bound(self) -> int:
-        bound = 1
-        for p in self.patterns:
-            bound *= len(p) + 1
-        return bound
-
 
 def _d1_costs(w: Word, family: ForbiddenFamily):
     """The least cost C[q, i] of reaching the state of rank q after i
     letters of w, one numpy pass per state (see the module docstring),
-    and what reading a witness back needs: (C, tuples, order, nxt,
-    loops, miss, slots, at)."""
+    and what the tester and reading a witness back need: (C, tuples,
+    order, nxt, loops, miss, slots, at).  Only the states the frontier
+    reaches are built, and more than STATE_CAP of them are refused."""
     if w.alphabet != family.alphabet:
         raise AlphabetError("word and family must share one alphabet")
-    if family.state_bound() > STATE_CAP:
-        raise ValueError(f"automaton would exceed {STATE_CAP} states")
     alphabet = family.alphabet
     k, n = len(alphabet), len(w)
     tuples = [family.start_state()]  # state id -> matched-prefix tuple
@@ -141,6 +135,8 @@ def _d1_costs(w: Word, family: ForbiddenFamily):
                     if t is not None and t not in ids:
                         ids[t] = len(tuples)
                         tuples.append(t)
+                        if len(tuples) > STATE_CAP:
+                            raise ValueError(f"automaton would exceed {STATE_CAP} states")
                     row.append(-1 if t is None else ids[t])
                 succ.append(tuple(row))
             reached = dict.fromkeys(itertools.chain.from_iterable(map(succ.__getitem__, lay)))
@@ -188,12 +184,16 @@ def _d1_costs(w: Word, family: ForbiddenFamily):
     return C, tuples, order, nxt, loops, miss, slots, at
 
 
-def _d1_value(w: Word, family: ForbiddenFamily) -> Fraction:
-    """d1(w, P_F) as d1_to_family finds it, without the witness: the least
-    cost after the last letter."""
-    C = _d1_costs(w, family)[0]
-    n = len(w)
+def _least_cost(C: np.ndarray) -> Fraction:
+    """d1(w, P_F) from the `_d1_costs` table C of w: the least cost after
+    the last letter, over the length."""
+    n = C.shape[1] - 1
     return Fraction(int(C[:, n].min()), n) if n else Fraction(0)
+
+
+def _d1_value(w: Word, family: ForbiddenFamily) -> Fraction:
+    """d1(w, P_F) as d1_to_family finds it, without the witness."""
+    return _least_cost(_d1_costs(w, family)[0])
 
 
 def d1_to_family(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
@@ -224,7 +224,7 @@ def d1_to_family(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
     witness = Word(tuple(np.array(alphabet, dtype=object)[out].tolist()), w.alphabet)
     if not family.is_member(witness):
         raise RuntimeError(f"witness {witness} is not in the property")
-    return Fraction(best, n) if n else Fraction(0), witness
+    return _least_cost(C), witness
 
 
 def member_word(family: ForbiddenFamily, n: int) -> Word:
@@ -235,31 +235,6 @@ def member_word(family: ForbiddenFamily, n: int) -> Word:
     )
     _, witness = d1_to_family(probe, family)
     return witness
-
-
-def _member_rows(queries: np.ndarray, masks: dict[str, np.ndarray], family: ForbiddenFamily) -> np.ndarray:
-    """Which rows of queries, each the increasing positions in w of a
-    subword, spell members of P_F; masks[a] marks the positions of
-    letter a in w, for each letter of the patterns.  nxt[a][r, i] is the
-    first column j >= i of row r whose letter is a, or L when there is
-    none, so one gather per pattern letter advances the greedy match of
-    every row."""
-    T, L = queries.shape
-    backwards = queries[:, ::-1]
-    cols = np.arange(L - 1, -1, -1, dtype=np.int32)
-    nxt = {}
-    for a, mask in masks.items():
-        table = np.full((T, L + 2), L, np.int32)  # columns L and L + 1: no match left
-        np.minimum.accumulate(np.where(mask[backwards], cols, L), axis=1, out=table[:, L - 1 :: -1])
-        nxt[a] = table.ravel()
-    start = np.arange(T) * (L + 2)
-    member = np.ones(T, bool)
-    for p in family.patterns:
-        at = start
-        for a in p.letters:
-            at = start + nxt[a][at] + 1  # one past the match, L + 1 once a letter is missing
-        member &= at - start > L
-    return member
 
 
 @dataclass(frozen=True)
@@ -296,7 +271,12 @@ def run_tester(
         raise ValueError(f"the tester needs at least 1 trial, got {trials}")
     bounds = _floyd_bounds(len(w), length)
     _check_same_alphabet(w, family.patterns[0])
-    masks = _letter_masks(w, itertools.chain.from_iterable(p.letters for p in family.patterns))
+    C, _, _, nxt, _, miss, _, _ = _d1_costs(w, family)
+    k = nxt.shape[1]
+    codes = np.arange(k) @ (1 - miss)  # w's letters as alphabet indices, faster than argmin(axis=0)
+    # moves[r * k + a] is k times the rank letter a leads rank r to; -k, a
+    # move that completes a pattern, reads the dead row appended last
+    moves = np.append(np.where(nxt < 0, -k, nxt * k), np.full(k, -k))
     draws = stream.substream_generators(trials)
     rows = max(1, TESTER_CELLS // length)
     accepted = 0
@@ -304,8 +284,11 @@ def run_tester(
         chosen = (_floyd(rng, bounds) for rng in itertools.islice(draws, rows))
         queries = np.fromiter(itertools.chain.from_iterable(chosen), np.intp).reshape(-1, length)
         queries.sort(axis=1, kind="stable")  # the default kind pages in 256 KB more of numpy's code
-        accepted += int(np.count_nonzero(_member_rows(queries, masks, family)))
-    d1 = _d1_value(w, family)
+        state = np.zeros(len(queries), np.intp)  # the start state has rank 0
+        for column in codes[queries].T:
+            state = moves[state + column]
+        accepted += int(np.count_nonzero(state >= 0))
+    d1 = _least_cost(C)
     return TesterReport(
         trials=trials,
         accepted=accepted,

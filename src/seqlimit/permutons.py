@@ -319,16 +319,6 @@ class GridMeasure:
         cells[np.arange(n), np.array(sigma.values, dtype=np.int64) - 1] = 1
         return cls._of_ints(n, cells, n)
 
-    @classmethod
-    def random(cls, m: int, stream: SeededStream, blend: int = 3) -> "GridMeasure":
-        """Random grid measure: average of random permutation measures,
-        which keeps marginals uniform and masses rational."""
-        rng = stream.generator()
-        cells = np.zeros((m, m), dtype=np.int64)
-        for _ in range(blend):
-            cells[np.arange(m), rng.permutation(m)] += 1
-        return cls._of_ints(m, cells, m * blend)
-
     def refine(self, L: int) -> "GridMeasure":
         if L % self.m:
             raise ValueError("refinement must be a multiple of m")

@@ -36,7 +36,8 @@ batches read too), and accepts in integers when the Bernstein
 coefficients of every cell's polynomial lie in [0, 1] (`_unit_cells`).
 That test is exact for steps and linear pieces, and a pass proves the
 range at any degree; a limit that fails it goes on to `range_bounds`,
-whose decision and message stand.
+whose decision and message stand.  `_swept_primitive` reads the same
+decision (`_unproven_range`), without the float tolerance.
 
 Pieces in x of a primitive come only from `_x_primitive`, which shifts
 H's columns back to x for `antiderivative` and the root search.  Range
@@ -206,21 +207,27 @@ def _unit_cells(cols, grid, vden) -> bool:
     return all(min(b) >= 0 and max(b) <= top for b in a)
 
 
-def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
-    """Validate that f maps [0, 1] into [0, 1]: in integers when the
+def _unproven_range(f: PiecewisePoly):
+    """None when f provably maps [0, 1] into [0, 1]: in integers when the
     Bernstein coefficients on f's `cells` prove it (`_unit_cells`), else
-    by `range_bounds` (within NUMERIC_TOL if inexact), which also gives
-    the message of a refusal."""
+    by an exact `range_bounds` inside [0, 1].  Otherwise f's
+    `range_bounds`, (lo, hi), inexact when lo is a float."""
     grid, _, vden, (cols,) = f.cells
     if _unit_cells(cols, grid, vden):
-        return f
+        return None
     lo, hi = f.range_bounds()
-    if isinstance(lo, Fraction):
-        ok = 0 <= lo and hi <= 1
-    else:
-        ok = -NUMERIC_TOL <= lo and hi <= 1 + NUMERIC_TOL
-    if not ok:
-        raise ValueError(f"function range [{lo}, {hi}] leaves [0, 1]")
+    return None if isinstance(lo, Fraction) and 0 <= lo and hi <= 1 else (lo, hi)
+
+
+def require_unit_range(f: PiecewisePoly) -> PiecewisePoly:
+    """Validate that f maps [0, 1] into [0, 1] (`_unproven_range`, or an
+    inexact range within NUMERIC_TOL of [0, 1]); the range gives the
+    message of a refusal."""
+    bounds = _unproven_range(f)
+    if bounds is not None:
+        lo, hi = bounds
+        if isinstance(lo, Fraction) or not (-NUMERIC_TOL <= lo and hi <= 1 + NUMERIC_TOL):
+            raise ValueError(f"function range [{lo}, {hi}] leaves [0, 1]")
     return f
 
 
@@ -451,20 +458,14 @@ def _swept_primitive(f, g):
     f - g is monotone between grid points, else None.
 
     That holds when both sides are words or step functions, and for a
-    word w against a limit g with values in [0, 1], proven by `_unit_cells`
-    on g's cells or else by an exact `range_bounds`: on a cell
+    word w against a limit g with values proven in [0, 1]
+    (`_unproven_range`): on a cell
     (j/n, (j+1)/n) the derivative w_j - g(x) of H has one sign, since w_j
     is 0 or 1, even where a breakpoint of g falls inside the cell.
     """
     if not _is_step(f):
         f, g = g, f
-    on_grid = _is_step(f) and _is_step(g)
-    if not on_grid and isinstance(f, Word):
-        grid, _, vden, (cols,) = g.cells
-        on_grid = _unit_cells(cols, grid, vden)
-        if not on_grid:
-            lo, hi = g.range_bounds()
-            on_grid = isinstance(lo, Fraction) and 0 <= lo and hi <= 1
+    on_grid = _is_step(f) and _is_step(g) or isinstance(f, Word) and _unproven_range(g) is None
     return grid_primitive(f, g) if on_grid else None
 
 

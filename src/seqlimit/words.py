@@ -50,6 +50,7 @@ import numpy as np
 from .streams import SeededStream
 
 BINARY = ("0", "1")
+DENSITY_TABLE_CAP = 1 << 20  # patterns a density table may hold
 
 
 class AlphabetError(ValueError):
@@ -240,13 +241,13 @@ def all_patterns(length: int, alphabet: tuple[str, ...] = BINARY) -> list[Word]:
     return [Word(p, alphabet) for p in itertools.product(alphabet, repeat=length)]
 
 
-def density_table(w: Word, length: int, cap: int = 1 << 20) -> dict[str, Fraction]:
+def density_table(w: Word, length: int) -> dict[str, Fraction]:
     """Densities t(u, w) of every pattern u of the given length, keyed by
     pattern text: the densities whose convergence defines a word limit
     (acceptance criterion 13 reads them off a ternary random word)."""
     k = len(w.alphabet)
-    if k ** length > cap:
-        raise ValueError(f"{k}^{length} patterns exceeds cap {cap}")
+    if k ** length > DENSITY_TABLE_CAP:
+        raise ValueError(f"{k}^{length} patterns exceeds cap {DENSITY_TABLE_CAP}")
     pats = list(itertools.product(w.alphabet, repeat=length))
     total = index_sets(w, length)
     return {"".join(u): Fraction(c, total) for u, c in zip(pats, pattern_counts(w, pats))}

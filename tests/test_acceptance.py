@@ -6,7 +6,6 @@ each assertion.
 """
 
 import itertools
-import json
 import math
 import time
 from fractions import Fraction
@@ -32,18 +31,23 @@ from seqlimit import (
     moment_words,
     run_tester,
     subsequence_count,
-    t_density_limit,
     t_perm,
     tail_experiment_dbox,
     weak_regularity,
 )
-from seqlimit.hereditary import STATE_CAP
 from seqlimit.permutons import grid_density_table, t_grid
 from seqlimit.piecewise import LimitVector
 from seqlimit.sampling import f_random_word_vector
 from seqlimit.words import all_patterns, density_table
 
-from util import d_box_grid_brute, density_tables_upto, moment_direct, random_step, random_step_irregular
+from util import (
+    d_box_grid_brute,
+    density_tables_upto,
+    moment_direct,
+    random_grid,
+    random_step,
+    random_step_irregular,
+)
 
 W = Word.from_string
 HALF = PiecewisePoly.constant(Fraction(1, 2))
@@ -265,8 +269,8 @@ def test_c11_grid_measure_lipschitz():
     brute_ok = True
     for t in range(500):
         m = 2 + t % 9
-        a = GridMeasure.random(m, stream.substream(2 * t))
-        b = GridMeasure.random(m, stream.substream(2 * t + 1))
+        a = random_grid(m, stream.substream(2 * t))
+        b = random_grid(m, stream.substream(2 * t + 1))
         d = d_box_grid(a, b)
         if m <= 8 and t % 10 == 0:
             brute_ok &= d == d_box_grid_brute(a, b)

@@ -6,7 +6,8 @@ distances and weak regularity, and from pattern densities and
 forcibility certificates by iterated symbolic integration, from the
 `Fraction` grid measures (cell-tuple enumeration for exact permuton
 densities, `Fraction` prefix sums for their box distance), from the
-tuple-state dict DP for the distance to a forbidden family, from the
+tuple-state dict DP for the distance to a forbidden family (but for
+`test-w240-nine-patterns`, whose figures a test checks against it), from the
 per-letter Python DP for the pattern counts of words, from the
 n-piece step function of a word for its distances to polynomial limits
 (but for the `word-cubic-end` pair, see CUBIC_END), from the
@@ -19,6 +20,7 @@ a behaviour change.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,8 +31,10 @@ import numpy as np
 import pytest
 
 import seqlimit
-from seqlimit import SeededStream, words
+from seqlimit import ForbiddenFamily, SeededStream, Word, words
+from seqlimit.hereditary import STATE_CAP
 from test_cli import run_cli
+from test_hereditary import dict_dp_d1, oracle_accepted
 
 
 def _word(n: int, a: int, b: int, m: int) -> str:
@@ -257,7 +261,10 @@ def _tester(word: str, forbid: str, query: int, trials: int, seed: int) -> tuple
 # against a family whose frontier layouts take 8 positions to settle; then
 # the tester's edges: one query of the whole word, 5,000 trials on a short
 # word (more than one chunk of trials), and an alphabet whose letters are
-# not all single characters
+# not all single characters; last, nine patterns, one of them repeated,
+# whose product bound of 5^9 states is above STATE_CAP while the frontier
+# reaches 22 (refused when the cap counted the bound)
+NINE_PATTERNS = "0110,1001,1011,0111,0001,1000,1001,1110,0011"
 TESTER = {
     "test-w200-one-pattern": _tester(W200, "0110", 12, 200, 31),
     "test-w210-two-patterns": _tester(_word(210, 3, 5, 13), "101,0110", 7, 200, 32),
@@ -271,6 +278,7 @@ TESTER = {
     "test-multichar-alphabet": _tester(
         json.dumps({"letters": _seeded_letters(120, "ab", 47), "alphabet": ["a", "b", "cd"]}),
         "aab,bba", 6, 300, 47),
+    "test-w240-nine-patterns": _tester(_word(240, 7, 3, 11), NINE_PATTERNS, 4, 200, 52),
 }
 
 # analyze on long seeded words, where the hull and the exponential sums walk
@@ -567,6 +575,7 @@ DIGESTS = {
     "test-w300-query-whole-word": "5818711d9c3c2e0597926b8f146ea054bf1c6ff9378f088c2d3807a9800ea667",
     "test-w60-5000-trials": "e1f4778f04e0f7915ab313cc80878ac30c6203536afe6fceb9dadf89dc81eb78",
     "test-multichar-alphabet": "52c0b0b3f2d70f79f5c76a46af917709103b0ea72cfa16f5a70320af18d2792e",
+    "test-w240-nine-patterns": "3a00bb14dcbb50489eb83ada50cf9113234306fba64e12769381df5d87f8ce01",
     "analyze-seeded-n1000": "7c607fd1a14906f57ce1862a173f513680eb804435f2b05ba1ad937821c1a628",
     "analyze-seeded-n4000-f8": "8e4b4fe96f788348d1913e2f498c4a82034633d5481051ecef01035003acbb08",
     "analyze-seeded-n16000-big-den": "70b920ef8bd2f028f82e1908c0ddf7babdc5b26eafc9eb0cf67c385f8dbd3741",
@@ -583,6 +592,19 @@ def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_nine_pattern_pin_matches_the_dict_dp_and_per_trial_oracles():
+    """The digest of `test-w240-nine-patterns` was recorded when the cap
+    first counted the states built, so its figures are checked here: d1
+    against the dict DP (with its product-bound refusal lifted above 5^9),
+    and the accepted count against one greedy scan per trial."""
+    out = json.loads(run_cli(*CORPUS["test-w240-nine-patterns"])[1])
+    w, fam = Word.from_string(_word(240, 7, 3, 11)), ForbiddenFamily.from_strings(NINE_PATTERNS.split(","))
+    assert math.prod(len(p) + 1 for p in fam.patterns) > STATE_CAP
+    assert Fraction(out["d1"]) == dict_dp_d1(w, fam, cap=5**9)[0] == Fraction(11, 30)
+    assert out["accepted"] == oracle_accepted(w, fam, 4, 200, SeededStream(52)) == 98
+    assert not out["is_member"]
 
 
 # the environment of a `python` subprocess that imports this seqlimit

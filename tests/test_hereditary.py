@@ -1,6 +1,7 @@
 """Forbidden-family properties, exact distance, and the subsequence tester."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from seqlimit import (
 )
 from seqlimit import hereditary
 from seqlimit.hereditary import STATE_CAP, completeness_soundness_curve
-from seqlimit.words import AlphabetError, all_patterns, random_subsequence
+from seqlimit.words import AlphabetError, random_subsequence
 
 from util import associated, random_word
 
@@ -34,11 +35,12 @@ def brute_d1(w: Word, family: ForbiddenFamily) -> Fraction:
     return best
 
 
-def dict_dp_d1(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
+def dict_dp_d1(w: Word, family: ForbiddenFamily, cap: int = STATE_CAP) -> tuple[Fraction, Word]:
     """The tuple-state dict DP that the table DP replaced: the reference
-    for its values, witnesses and errors."""
-    if family.state_bound() > STATE_CAP:
-        raise ValueError(f"automaton would exceed {STATE_CAP} states")
+    for its values, witnesses and errors.  It keeps its own refusal, of
+    families whose product bound on the states exceeds cap."""
+    if math.prod(len(p) + 1 for p in family.patterns) > cap:
+        raise ValueError(f"automaton would exceed {cap} states")
     n = len(w)
     frontier = {family.start_state(): 0}
     parents = []
@@ -92,7 +94,7 @@ def _oracle_case(t: int, rng) -> tuple[Word, ForbiddenFamily]:
     return Word(tuple(letters), alphabet), fam
 
 
-def test_d1_matches_dict_dp_oracle():
+def test_d1_matches_dict_dp_oracle(monkeypatch):
     """d1_to_family, and the value-only entry that the tester and the curve
     search use, against the dict DP: the same values and the same errors."""
     stream = SeededStream(67)
@@ -120,12 +122,17 @@ def test_d1_matches_dict_dp_oracle():
     for d1 in (dict_dp_d1, d1_to_family, hereditary._d1_value):
         with pytest.raises(ValueError, match="^property is empty at this length$"):
             d1(W("01"), empty)
-    big = ForbiddenFamily.from_strings(["01" * 40] * 4)  # 81^4 states
+    # a product bound of 81^4 states, of which the frontier reaches 80
+    big, w = ForbiddenFamily.from_strings(["01" * 40] * 4), W("01" * 50)
+    assert d1_to_family(w, big) == dict_dp_d1(w, big, cap=81**4)
+    monkeypatch.setattr(hereditary, "STATE_CAP", 50)
     for d1 in (d1_to_family, hereditary._d1_value):
-        with pytest.raises(ValueError, match=f"^automaton would exceed {STATE_CAP} states$"):
-            d1(W("01"), big)
+        with pytest.raises(ValueError, match="^automaton would exceed 50 states$"):
+            d1(w, big)
         with pytest.raises(AlphabetError, match="^word and family must share one alphabet$"):
             d1(Word(tuple("ab"), ("a", "b")), empty)
+    with pytest.raises(ValueError, match="^automaton would exceed 50 states$"):
+        run_tester(w, big, 5, 1, stream)
 
 
 WIDE = tuple(chr(0x100 + c) for c in range(64)) + ("X", "Y")  # X and Y past the 64th letter
@@ -187,7 +194,6 @@ def test_membership_examples():
 
 def test_automaton_agrees_with_direct_membership():
     fam = ForbiddenFamily.from_strings(["110", "011"])
-    assert fam.state_bound() == 16
     stream = SeededStream(61)
     for t in range(40):
         w = random_word(stream.substream(t), 10)
@@ -242,14 +248,19 @@ def test_d1_closed_forms():
     assert d1_to_family(W("0011"), fam10)[0] == 0
 
 
-def test_d1_infeasible_and_cap():
+def test_d1_infeasible_and_cap(monkeypatch):
     # forbidding both single letters empties the binary property
     fam = ForbiddenFamily.from_strings(["0", "1"])
     with pytest.raises(ValueError):
         d1_to_family(W("01"), fam)
-    big = ForbiddenFamily.from_strings(["01" * 40] * 4)
-    with pytest.raises(ValueError, match="^automaton would exceed 1000000 states$"):
-        d1_to_family(W("01"), big)
+    # the cap counts the states built: 80 of a product bound of 81^4
+    big, w = ForbiddenFamily.from_strings(["01" * 40] * 4), W("01" * 50)
+    assert STATE_CAP == 10**6 and d1_to_family(w, big)[0] == Fraction(11, 100)
+    monkeypatch.setattr(hereditary, "STATE_CAP", 80)
+    assert d1_to_family(w, big)[0] == Fraction(11, 100)
+    monkeypatch.setattr(hereditary, "STATE_CAP", 79)
+    with pytest.raises(ValueError, match="^automaton would exceed 79 states$"):
+        d1_to_family(w, big)
 
 
 def test_d1_witness_check_survives_optimized_mode(monkeypatch):
@@ -294,6 +305,10 @@ def test_tester_count_matches_the_per_trial_oracle(monkeypatch):
         (("a", "b", "c"), ["ccacc", "abbbb", "b" * 9]),
         (multi, [("ab", "ab", "c"), ("de", "c", "de")]),
         (multi, ["c"]),
+        (("0", "1"), ["0110", "1001", "0110"]),  # a repeated pattern
+        (("0", "1"), ["01", "0110", "101"]),  # patterns that contain another
+        (("a", "b", "c"), ["ab", "cac", "aab", "ab"]),
+        (("a", "b", "c", "d"), ["abcd", "dcb", "bd", "dcb"]),
     ]
     counts = []
     for c, (alphabet, patterns) in enumerate(cases):

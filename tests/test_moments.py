@@ -1,7 +1,6 @@
 """Moment identities of (x, F(x)) and forcibility certificates."""
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from seqlimit import (
     t_density_limit,
 )
 from seqlimit import moments, piecewise, poly
-from seqlimit.moments import MomentCombination
 from seqlimit.serialize import limitfn_from_obj
 from seqlimit.words import all_patterns
 

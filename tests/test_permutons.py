@@ -27,7 +27,7 @@ from seqlimit.permutons import (
     pattern_of,
 )
 
-from util import d_box_grid_brute, grid_mass, moment_xy_direct, moment_xy_from_densities
+from util import d_box_grid_brute, grid_mass, moment_xy_direct, moment_xy_from_densities, random_grid
 
 P = Permutation.from_csv
 UNIFORM = GridMeasure(1, ((Fraction(1),),))
@@ -166,7 +166,7 @@ def test_grid_measure_construction():
     assert grid_mass(mu)[0][1] == Fraction(1, 2) and grid_mass(mu)[1][0] == Fraction(1, 2)
     with pytest.raises(ValueError):  # column sums 3/4 and 1/4: not a permuton
         GridMeasure(2, ((Fraction(1, 2), Fraction(0)), (Fraction(1, 4), Fraction(1, 4))))
-    r = GridMeasure.random(5, SeededStream(72))
+    r = random_grid(5, SeededStream(72))
     assert all(sum(row) == Fraction(1, 5) for row in grid_mass(r))
 
 
@@ -177,7 +177,7 @@ def test_grid_measure_int_masses_equality_and_errors():
     assert mu == refined and hash(mu) == hash(refined)
     assert mu != GridMeasure.from_permutation(P("12"))
     # equal blended permutations reduce to the permutation measure
-    assert GridMeasure.random(3, SeededStream(5), blend=1).den == 3
+    assert random_grid(3, SeededStream(5), blend=1).den == 3
     with pytest.raises(ValueError, match="cell masses must be nonnegative"):
         GridMeasure(2, ((Fraction(3, 4), Fraction(-1, 4)), (Fraction(-1, 4), Fraction(3, 4))))
     with pytest.raises(ValueError, match=r"row 1 mass 3/4 != 1/2"):
@@ -197,7 +197,7 @@ def test_grid_measure_int_masses_equality_and_errors():
 
 def test_exact_grid_densities_match_enumeration_oracle():
     stream = SeededStream(82)
-    grids = [GridMeasure.random(m, stream.substream(m), blend=1 + m % 3) for m in range(1, 7)]
+    grids = [random_grid(m, stream.substream(m), blend=1 + m % 3) for m in range(1, 7)]
     grids += [mixture(m, (1, 2, 4), stream.substream(10 + m)) for m in (3, 5)]
     grids += [GridMeasure.from_permutation(P(s)) for s in ("1", "21", "231", "3142", "25314")]
     for mu in grids:
@@ -211,7 +211,7 @@ def test_exact_grid_densities_match_enumeration_oracle():
 
 def test_grid_kernels_on_python_ints_beyond_int64():
     mu = mixture(4, BIG_WEIGHTS, SeededStream(83))
-    nu = GridMeasure.random(6, SeededStream(84))
+    nu = random_grid(6, SeededStream(84))
     assert mu.den >= 2**63 and mu.cells.dtype == object
     assert all(X.dtype == object for X, _ in (_grid_tensors(mu, k) for k in (1, 2, 3, 4)))
     for k in (1, 2, 3, 4):
@@ -235,7 +235,7 @@ def test_dense_tensor_cap_is_a_domain_error():
 def test_size4_exact_densities_end_at_m_64():
     # 64^4 = 2^24 entries is the largest size-4 tensor; 65^4 is refused
     with pytest.raises(ValueError, match="cap"):
-        grid_density_table(GridMeasure.random(65, SeededStream(86)), 4)
+        grid_density_table(random_grid(65, SeededStream(86)), 4)
     with pytest.raises(ValueError, match="cap"):
         grid_density_table(GridMeasure.from_permutation(Permutation(tuple(range(1, 66)))), 4)
     m = 64
@@ -257,7 +257,7 @@ def test_t_grid_uniform_measure_is_symmetric():
 def test_t_grid_densities_sum_to_one_and_refinement_invariance():
     stream = SeededStream(73)
     for t in range(8):
-        mu = GridMeasure.random(4, stream.substream(t))
+        mu = random_grid(4, stream.substream(t))
         for k in (1, 2, 3):
             table = grid_density_table(mu, k)
             assert sum(table.values()) == 1
@@ -280,7 +280,7 @@ def test_t_grid_k4_exact_small_grid_consistency():
 
 
 def test_t_grid_monte_carlo_within_stderr_of_exact():
-    mu = GridMeasure.random(3, SeededStream(74))
+    mu = random_grid(3, SeededStream(74))
     tau = P("132")
     exact = t_grid(tau, mu)
     est = t_grid(Permutation((1, 3, 2, 4, 5)), mu, stream=SeededStream(75), trials=20_000)
@@ -305,8 +305,8 @@ def _sampler_grids() -> list[GridMeasure]:
     grids = []
     for m in range(1, 41):
         sub = stream.substream(m)
-        grids.append(GridMeasure.random(m, sub.substream(0), blend=1 + m % 3))
-        grids.append(GridMeasure.random(m, sub.substream(1), blend=2 * m))
+        grids.append(random_grid(m, sub.substream(0), blend=1 + m % 3))
+        grids.append(random_grid(m, sub.substream(1), blend=2 * m))
         grids.append(GridMeasure(1, ((1,),)).refine(m) if m % 2 else
                      mixture(m, (1, 3, 5, 7), sub.substream(2)))
         last_first = (m,) + tuple(range(1, m))  # row 0 puts its mass in the last column
@@ -371,7 +371,7 @@ def _t_grid_mc_with_choice(tau: Permutation, mu: GridMeasure, stream: SeededStre
 
 def test_monte_carlo_hits_match_the_choice_and_argsort_kernel():
     stream = SeededStream(90)
-    grids = [GridMeasure.random(m, stream.substream(m), blend=3) for m in (1, 4, 9, 30)]
+    grids = [random_grid(m, stream.substream(m), blend=3) for m in (1, 4, 9, 30)]
     grids += [mixture(5, BIG_WEIGHTS, stream.substream(50)),
               GridMeasure.from_permutation(P("4123"))]
     cases = 0
@@ -426,21 +426,21 @@ def test_d_box_examples_and_brute_oracle():
     stream = SeededStream(78)
     for t in range(10):
         m = 2 + t % 7
-        a = GridMeasure.random(m, stream.substream(2 * t))
-        b = GridMeasure.random(m, stream.substream(2 * t + 1))
+        a = random_grid(m, stream.substream(2 * t))
+        b = random_grid(m, stream.substream(2 * t + 1))
         assert d_box_grid(a, b) == d_box_grid_brute(a, b)
     # mixed grid sizes exercise the common refinement
-    a = GridMeasure.random(4, stream.substream(100))
-    b = GridMeasure.random(6, stream.substream(101))
+    a = random_grid(4, stream.substream(100))
+    b = random_grid(6, stream.substream(101))
     assert d_box_grid(a, b) == d_box_grid_brute(a, b)
 
 
 def test_d_box_triangle_inequality():
     stream = SeededStream(79)
     for t in range(30):
-        a = GridMeasure.random(5, stream.substream(3 * t))
-        b = GridMeasure.random(5, stream.substream(3 * t + 1))
-        c = GridMeasure.random(5, stream.substream(3 * t + 2))
+        a = random_grid(5, stream.substream(3 * t))
+        b = random_grid(5, stream.substream(3 * t + 1))
+        c = random_grid(5, stream.substream(3 * t + 2))
         assert d_box_grid(a, c) <= d_box_grid(a, b) + d_box_grid(b, c)
 
 
@@ -476,8 +476,8 @@ def test_moment_from_densities_matches_direct():
     for i in range(4):
         for j in range(4 - i):
             check = SeededStream(987654321, i * 101 + j)
-            grids = [GridMeasure.random(4, stream.substream(t)) for t in range(6)]
-            grids += [GridMeasure.random(3, check.substream(t), blend=2) for t in range(50)]
+            grids = [random_grid(4, stream.substream(t)) for t in range(6)]
+            grids += [random_grid(3, check.substream(t), blend=2) for t in range(50)]
             for mu in grids:
                 dens = grid_density_table(mu, i + j + 1)
                 assert moment_xy_from_densities(i, j, dens) == moment_xy_direct(i, j, mu)

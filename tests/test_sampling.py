@@ -9,7 +9,6 @@ import pytest
 from seqlimit import (
     PiecewisePoly,
     SeededStream,
-    Word,
     d_box,
     f_random_word,
     f_random_word_vector,

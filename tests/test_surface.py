@@ -1,5 +1,6 @@
 """Guards on the shape of src/seqlimit, read from its source files: no
-unused import, and no function, class or method that nothing calls.
+unused import, and no function, class or method that nothing calls.  The
+test files, tests/*.py, are held to the first: no unused import.
 
 A public top-level def or class must be referenced somewhere in src/
 other than its own body and the package's exports, or be one of the few
@@ -27,6 +28,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "seqlimit"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = {f"tests.{path.stem}": ast.parse(path.read_text())
+                for path in sorted(Path(__file__).resolve().parent.glob("*.py"))}
 
 CALLED_FROM_TESTS = {
     "words.pattern_density": "t(u, w), the pattern density every result is stated in",
@@ -94,9 +97,9 @@ def top_level_defs() -> dict[str, set[tuple[str, str | None]]]:
     return {f"{m}.{n}": refs.get(n, set()) - {(m, n)} for m, n in defs}
 
 
-@pytest.mark.parametrize("module", sorted(m for m in MODULES if m != "__init__"))
+@pytest.mark.parametrize("module", sorted(m for m in MODULES if m != "__init__") + sorted(TEST_MODULES))
 def test_every_import_is_used(module):
-    tree = MODULES[module]
+    tree = {**MODULES, **TEST_MODULES}[module]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in top_level_imports(tree) if name not in used] == []
 

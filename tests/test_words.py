@@ -182,12 +182,13 @@ def test_random_subsequence_matches_scalar_draws():
         assert drawn.tolist() == [int(rng.integers(0, h + 1)) for h in highs.tolist()]
 
 
-def test_density_table_keys_and_cap():
+def test_density_table_keys_and_cap(monkeypatch):
     table = density_table(W("0101"), 2)
     assert set(table) == {"00", "01", "10", "11"}
     assert sum(table.values()) == 1
-    with pytest.raises(ValueError):
-        density_table(W("01"), 2, cap=3)
+    monkeypatch.setattr(words, "DENSITY_TABLE_CAP", 3)
+    with pytest.raises(ValueError, match=r"^2\^2 patterns exceeds cap 3$"):
+        density_table(W("01"), 2)
 
 
 @settings(max_examples=60, deadline=None)

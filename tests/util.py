@@ -122,6 +122,17 @@ def generator_exponential_sum(w: Word, k: int) -> complex:
     return complex(re / n, im / n)
 
 
+def random_grid(m: int, stream: SeededStream, blend: int = 3) -> GridMeasure:
+    """Random grid measure: the average of blend random permutation
+    measures, which keeps the marginals uniform and the masses rational."""
+    rng = stream.generator()
+    cells = [[0] * m for _ in range(m)]
+    for _ in range(blend):
+        for i, j in enumerate(rng.permutation(m).tolist()):
+            cells[i][j] += 1
+    return GridMeasure(m, [[Fraction(c, m * blend) for c in row] for row in cells])
+
+
 def grid_mass(mu: GridMeasure) -> tuple[tuple[Fraction, ...], ...]:
     """mass[row=x-cell][col=y-cell] of a grid measure as Fractions."""
     return tuple(tuple(Fraction(c, mu.den) for c in row) for row in mu.cells.tolist())
