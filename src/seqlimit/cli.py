@@ -297,7 +297,7 @@ def _cmd_permuton(args, stream) -> dict:
     if args.count < 1:
         raise CliError(f"--count must be at least 1, got {args.count}")
     mu = _load_grid_or_perm(args.grid)
-    pats = [str(sample_subperm(mu, args.size, stream.substream(c))) for c in range(args.count)]
+    pats = [str(sample_subperm(mu, args.size, rng)) for rng in stream.substream_generators(args.count)]
     return {
         "size": args.size,
         "count": args.count,

@@ -23,10 +23,11 @@ patterns and larger grids fall back to Monte Carlo with a reported
 standard error.  Its cells come from a guide table cached on the measure
 (Chen & Asau's inverse-transform method), which maps every uniform to
 the cell that Generator.choice's binary search over the same float cdf
-picks, so a seeded estimate equals the one drawn with rng.choice; a
-sample is a hit when its y values, taken in x order and permuted by
-tau's inverse, strictly increase (rows with tied y values are decided
-by argsort, as before).
+picks, so a seeded estimate equals the one drawn with rng.choice; the
+x- and y-cell of each cell it keeps are cached beside it as floats.  A
+sample of k <= RANK_TEST_K points is a hit when the x-ranks and y-ranks
+of its points, counted by k x k compares, follow tau; larger samples,
+and samples with tied coordinates, are decided by argsort, as before.
 """
 
 from __future__ import annotations
@@ -341,6 +342,13 @@ class GridMeasure:
         """Sampler of row-major cell indices with probabilities _cell_probs."""
         return _GuideTable(self._cell_probs)
 
+    @cached_property
+    def _cell_corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x-cell and the y-cell, as floats, of each cell that
+        _cell_sampler keeps, in the order of its `index`."""
+        xcell, ycell = np.divmod(self._cell_sampler.index, self.m)
+        return xcell.astype(float), ycell.astype(float)
+
 
 class _GuideTable:
     """Inverse-transform sampling from a float distribution with a guide
@@ -367,6 +375,10 @@ class _GuideTable:
         self.start = self.c.searchsorted(np.arange(self.T) / self.T, side="right")
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        return self.index[self.slots(rng, shape)]
+
+    def slots(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Positions t in `index` of the outcomes that draw picks."""
         u = rng.random(shape)
         flat = u.ravel()
         t = self.start[(flat * self.T).astype(np.intp)]
@@ -375,7 +387,7 @@ class _GuideTable:
         while j.size:
             t[j] += 1
             j = j[c[t[j]] <= flat[j]]
-        return self.index[t].reshape(u.shape)
+        return t.reshape(u.shape)
 
 
 # entries of one dense m^k density tensor (128 MB as int64): size 3 up to
@@ -416,12 +428,24 @@ def _tensor(rows: np.ndarray, k: int) -> np.ndarray:
 
 def _ties(m: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The nondecreasing cell tuples c of length k over m cells, as k index
-    arrays, and their collision weights k! / (product of tie factorials):
-    the nonzero entries of the tensor DP run on the identity matrix (the
-    weights are at most k! = 24 and its Horner sums at most 41, so int8)."""
-    W = _tensor(np.eye(m, dtype=np.int8), k)
-    cs = np.nonzero(W)
-    return cs, W[cs]
+    arrays in lexicographic order, and their collision weights k! /
+    (product of the factorials of the runs of equal cells).  Each j-tuple
+    extends, in order, by every cell from its last one on: the weight
+    gains the factor j + 1, and the first extension, which repeats the
+    last cell, divides it by the new length of the last run."""
+    cs, w, run = [np.arange(m)], np.ones(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    for j in range(1, k):
+        last = cs[-1]
+        ext = m - last  # extensions of each tuple
+        first = np.cumsum(ext) - ext  # position of each tuple's first extension
+        cell = np.arange(first[-1] + ext[-1])
+        cell -= np.repeat(first - last, ext)
+        w = np.repeat(w * (j + 1), ext)
+        w[first] //= run + 1
+        extended_run = np.ones_like(cell)
+        extended_run[first] = run + 1
+        cs, run = [np.repeat(c, ext) for c in cs] + [cell], extended_run
+    return tuple(cs), w
 
 
 def _grid_tensors(mu: GridMeasure, k: int) -> tuple[np.ndarray, tuple]:
@@ -475,32 +499,50 @@ def t_grid(tau: Permutation, mu: GridMeasure, stream: SeededStream | None = None
     return _t_grid_mc(tau, mu, stream, trials)
 
 
-def _pattern_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> int:
-    """Rows of points (xs, ys) whose pattern is tau, with inv = argsort(tau).
+# largest pattern whose Monte Carlo rows are decided by the rank test; its
+# k x k compare of a 4096-row batch is at most 500 KB, and its cost grows
+# as k^2 per row, so above this size two argsorts cost less
+RANK_TEST_K = 11
 
-    The y-ranks equal tau exactly when sorting the y values visits the
-    x-ranks in the order of inv, np.all(np.argsort(yo) == inv) with yo
-    the y values in x order; without ties in yo that holds exactly when
-    yo[inv] strictly increases.  A row whose yo[inv] only weakly
-    increases has a tie, which argsort breaks its own way, so such rows
-    are decided by argsort as before.
+
+def _argsort_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Which rows of points (xs, ys) have the pattern tau, with inv =
+    argsort(tau): those whose y values, taken in argsort(xs) order,
+    argsort to inv.  Ties are broken as argsort breaks them."""
+    yo = np.take_along_axis(ys, np.argsort(xs, axis=1), axis=1)
+    return np.all(np.argsort(yo, axis=1) == inv, axis=1)
+
+
+def _pattern_hits(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> int:
+    """Rows of points (xs, ys), one row of k points each, whose pattern is
+    tau, with inv = argsort(tau): the count of _argsort_hits.
+
+    For k <= RANK_TEST_K the rows are columns of (k, rows) arrays, and
+    rx, the x-rank of each point, counts the points left of it (ry the
+    same in y).  Without ties the point of y-rank s has x-rank inv[s],
+    so a row is a hit exactly when inv[ry] == rx in every column.  A row
+    with a tie in x or in y has a rank sum below k(k - 1) / 2 in it;
+    such rows are decided by argsort, as before.
     """
-    order = np.argsort(xs, axis=1)
-    cols = np.take_along_axis(ys, order[:, inv], axis=1).T  # yo[:, inv], column by column
-    hit = np.ones(len(xs), dtype=bool)
-    weak = hit.copy()
-    for lo, hi in zip(cols[:-1], cols[1:]):
-        hit &= hi > lo
-        weak &= hi >= lo
-    tie = weak & ~hit
-    if tie.any():
-        rows = np.flatnonzero(tie)
-        yo = np.take_along_axis(ys[rows], order[rows], axis=1)
-        hit[rows] = np.all(np.argsort(yo, axis=1) == inv, axis=1)
+    k = xs.shape[1]
+    if k > RANK_TEST_K:
+        return int(np.count_nonzero(_argsort_hits(xs, ys, inv)))
+    rank = np.min_scalar_type(k * k)  # holds the ranks and their sums
+    X, Y = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
+    rx = (X[:, None] < X[None]).sum(0, dtype=rank)
+    ry = (Y[:, None] < Y[None]).sum(0, dtype=rank)
+    hit = (inv.astype(rank)[ry] == rx).all(0)
+    tie = np.flatnonzero(rx.sum(0, dtype=rank) + ry.sum(0, dtype=rank) < k * (k - 1))
+    if tie.size:
+        hit[tie] = _argsort_hits(xs[tie], ys[tie], inv)
     return int(np.count_nonzero(hit))
 
 
 def _t_grid_mc(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> MCEstimate:
+    """Monte Carlo estimate of t(tau, mu): the share of `trials` samples
+    of k points whose pattern is tau.  The samples are drawn from the
+    stream's generator in batches of 4096, each the cells, x jitter and
+    y jitter of _grid_points, and decided by _pattern_hits."""
     if trials < 1:
         raise ValueError(f"Monte Carlo needs at least 1 trial, got {trials}")
     rng, inv, k, hits = stream.generator(), np.argsort(tau.values), len(tau), 0
@@ -530,20 +572,26 @@ def grid_density_table(mu: GridMeasure, k: int) -> dict[str, Fraction]:
     }
 
 
-def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream) -> Permutation:
-    """Pattern of k independent points sampled from mu."""
+def sample_subperm(mu: GridMeasure, k: int, stream: SeededStream | np.random.Generator) -> Permutation:
+    """Pattern of k independent points sampled from mu, drawn from the
+    stream's generator or from a generator keyed to a stream, such as
+    SeededStream.substream_generators yields."""
     if k < 1:
         raise ValueError(f"pattern size must be at least 1, got {k}")
-    xs, ys = _grid_points(mu, stream.generator(), k)
+    rng = stream.generator() if isinstance(stream, SeededStream) else stream
+    xs, ys = _grid_points(mu, rng, k)
     return pattern_of(zip(xs.tolist(), ys.tolist()))
 
 
 def _grid_points(mu: GridMeasure, rng: np.random.Generator, shape):
     """(xs, ys), arrays of the given shape, of points drawn from mu in
     m-grid units: the cells, then the x jitter, then the y jitter, each
-    one draw from rng, in that order (seeded output depends on it)."""
-    cells = mu._cell_sampler.draw(rng, shape)
-    return cells // mu.m + rng.random(shape), cells % mu.m + rng.random(shape)
+    one draw from rng, in that order (seeded output depends on it).  The
+    cell corners are read from the floats the sampler keeps, so each
+    coordinate has the bits of cells // m + rng.random(shape)."""
+    t = mu._cell_sampler.slots(rng, shape)
+    xcell, ycell = mu._cell_corners
+    return xcell[t] + rng.random(shape), ycell[t] + rng.random(shape)
 
 
 # -- box distance ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +18,27 @@ from seqlimit import (
     t_perm,
 )
 from seqlimit.permutons import (
+    RANK_TEST_K,
     MCEstimate,
     _GuideTable,
+    _grid_points,
     _grid_tensors,
     _pattern_hits,
     _t_grid_mc,
+    _ties,
     grid_density_table,
     pattern_count_perm,
     pattern_of,
 )
 
-from util import d_box_grid_brute, grid_mass, moment_xy_direct, moment_xy_from_densities, random_grid
+from util import (
+    d_box_grid_brute,
+    grid_mass,
+    moment_xy_direct,
+    moment_xy_from_densities,
+    random_grid,
+    ties_by_identity_tensor,
+)
 
 P = Permutation.from_csv
 UNIFORM = GridMeasure(1, ((Fraction(1),),))
@@ -248,6 +259,18 @@ def test_size4_exact_densities_end_at_m_64():
     assert table["1,2,3,4"] == tuples / m**4
 
 
+def test_collision_weights_match_the_identity_tensor_oracle():
+    for m in range(1, 13):
+        for k in range(1, 5):
+            (cs, w), (want_cs, want_w) = _ties(m, k), ties_by_identity_tensor(m, k)
+            assert len(cs) == k and all(np.array_equal(c, want) for c, want in zip(cs, want_cs)), (m, k)
+            assert np.array_equal(w, want_w), (m, k)
+    cs, w = _ties(64, 4)
+    assert all(len(c) == math.comb(67, 4) for c in cs)
+    assert (np.diff(np.stack(cs), axis=0) >= 0).all()
+    assert int(w.sum()) == 64**4
+
+
 def test_t_grid_uniform_measure_is_symmetric():
     for k in (1, 2, 3):
         for vals in itertools.permutations(range(1, k + 1)):
@@ -351,6 +374,23 @@ def test_guide_table_on_float_distributions_with_flat_cdf_steps():
             assert np.array_equal(sampler.draw(fast, (2000, 3)), slow.choice(n, size=(2000, 3), p=p))
 
 
+def test_grid_points_have_the_bits_of_cells_plus_jitter():
+    shapes = [(4097, 5), (1,), 7, (3, 11), (8191,), (0,)]
+    stream = SeededStream(91)
+    for t, mu in enumerate(_sampler_grids()):
+        shape = shapes[t % len(shapes)]
+        sub = stream.substream(t)
+        fast, slow = sub.generator(), sub.generator()
+        xs, ys = _grid_points(mu, fast, shape)
+        cells = slow.choice(mu.m * mu.m, size=shape, p=mu._cell_probs)
+        want_xs = cells // mu.m + slow.random(shape)
+        want_ys = cells % mu.m + slow.random(shape)
+        for got, want in ((xs, want_xs), (ys, want_ys)):
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64, (t, mu.m)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (t, mu.m)
+        assert fast.random() == slow.random()  # the same draws were consumed
+
+
 def _t_grid_mc_with_choice(tau: Permutation, mu: GridMeasure, stream: SeededStream, trials: int) -> int:
     """Hit count of the Monte Carlo kernel as it drew cells with
     Generator.choice and decided hits by two argsorts."""
@@ -405,6 +445,60 @@ def test_pattern_hits_decide_y_ties_as_argsort_does():
     assert strict_differs  # without the tie rule the counts would differ
 
 
+def _argsort_rule(xs: np.ndarray, ys: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Per row: the y values in argsort(xs) order argsort to inv."""
+    yo = np.take_along_axis(ys, np.argsort(xs, axis=1), axis=1)
+    return np.all(np.argsort(yo, axis=1) == inv, axis=1)
+
+
+def test_rank_test_decides_rows_with_ties_as_argsort_does():
+    # dyadic coordinates on a 4-point lattice force ties inside rows; every
+    # row is also checked alone, so no two wrong rows can cancel out
+    rng = SeededStream(92).generator()
+    rows, rank_only_differs = 96, False
+    for k in (*range(1, 8), RANK_TEST_K, RANK_TEST_K + 1):
+        for tied_x, tied_y in itertools.product((False, True), repeat=2):
+            xs = rng.integers(0, 4, (rows, k)) / 4 if tied_x else rng.random((rows, k))
+            ys = rng.integers(0, 4, (rows, k)) / 4 if tied_y else rng.random((rows, k))
+            if tied_x and tied_y and k > 1:
+                xs[:, 1], ys[:, 1] = xs[:, 0], ys[:, 0]  # and two equal points
+            for _ in range(2):
+                inv = np.argsort(rng.permutation(k))
+                for order in (np.arange(k), rng.permutation(k)):
+                    x, y = xs[:, order], ys[:, order]
+                    want = _argsort_rule(x, y, inv)
+                    assert _pattern_hits(x, y, inv) == int(want.sum()), (k, tied_x, tied_y)
+                    assert [_pattern_hits(x[i:i + 1], y[i:i + 1], inv) for i in range(rows)] == want.tolist()
+                    rx = (x[:, :, None] > x[:, None, :]).sum(2)
+                    ry = (y[:, :, None] > y[:, None, :]).sum(2)
+                    rank_only_differs |= bool(((inv[ry] == rx).all(1) != want).any())
+    assert rank_only_differs  # without the argsort rule for ties some rows would differ
+
+
+def test_monte_carlo_on_300_points_in_bounded_memory():
+    # one (k, k, 4096) boolean compare alone would take 369 MB at k = 300
+    tau = Permutation(tuple(int(v) + 1 for v in SeededStream(93).generator().permutation(300)))
+    mu, stream = random_grid(30, SeededStream(94)), SeededStream(95)
+    tracemalloc.start()
+    try:
+        est = _t_grid_mc(tau, mu, stream, 4097)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20  # about six 4096 x 300 float arrays
+    assert est.value == _t_grid_mc_with_choice(tau, mu, stream, 4097) / 4097
+    # rows of 300 points that have the pattern tau, half with one swap of
+    # adjacent y values, so the count is not 0
+    rng = SeededStream(96).generator()
+    inv = np.argsort(tau.values)
+    xs = np.sort(rng.random((64, 300)), axis=1)
+    ys = np.sort(rng.random((64, 300)), axis=1)[:, np.array(tau.values) - 1]
+    for i, j in enumerate(rng.integers(0, 299, 32).tolist()):
+        ys[i, [j, j + 1]] = ys[i, [j + 1, j]]
+    order = rng.permutation(300)
+    assert _pattern_hits(xs[:, order], ys[:, order], inv) == 32
+
+
 def test_identity_refinement_trend():
     # t(12, mu_{identity_n}) = 1 - 1/(2n), increasing to 1
     prev = None
@@ -454,6 +548,10 @@ def test_sample_subperm_uniform_chi_square():
     chi2 = sum((c - exp) ** 2 / exp for c in counts.values())
     assert chi2 < 20.5  # 5 dof, p = 0.001
     assert sample_subperm(UNIFORM, 1, stream).values == (1,)
+    # one re-keyed generator per pattern draws what each substream draws
+    mu = random_grid(7, stream.substream(trials))
+    by_generator = [sample_subperm(mu, 5, rng) for rng in stream.substream_generators(50)]
+    assert by_generator == [sample_subperm(mu, 5, stream.substream(t)) for t in range(50)]
 
 
 def test_pattern_of():

@@ -37,6 +37,7 @@ CALLED_FROM_TESTS = {
     "words.density_table": "criterion 13",
     "words.hamming_d1": "criterion 09",
     "permutons.grid_density_table": "criterion 11",
+    "permutons._GuideTable.draw": "its contract with Generator.choice; `_grid_points` reads the same `slots`",
     "moments.moment_words": "criterion 06",
     "moments.MomentCombination.evaluate": "criterion 06",
     "uniformity.discrepancy": "criteria 03 and 04; `quasirandomness_report` scores its hulls itself",

@@ -7,7 +7,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from seqlimit import GridMeasure, PiecewisePoly, SeededStream, Word, limit_densities, poly
+from seqlimit.permutons import _tensor
 from seqlimit.piecewise import LimitVector, grid_primitive
 from seqlimit.uniformity import _hull, _require_binary
 
@@ -131,6 +134,16 @@ def random_grid(m: int, stream: SeededStream, blend: int = 3) -> GridMeasure:
         for i, j in enumerate(rng.permutation(m).tolist()):
             cells[i][j] += 1
     return GridMeasure(m, [[Fraction(c, m * blend) for c in row] for row in cells])
+
+
+def ties_by_identity_tensor(m: int, k: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The nondecreasing cell tuples of length k over m cells, in
+    lexicographic order, and their collision weights, as the nonzero
+    entries of the density tensor DP run on the m x m identity (weights
+    at most k! = 24 and Horner sums at most 41 for k <= 4, so int8)."""
+    W = _tensor(np.eye(m, dtype=np.int8), k)
+    cs = np.nonzero(W)
+    return cs, W[cs]
 
 
 def grid_mass(mu: GridMeasure) -> tuple[tuple[Fraction, ...], ...]:
