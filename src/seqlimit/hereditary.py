@@ -56,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from .streams import PRNG_ID, SeededStream
-from .words import AlphabetError, Word, _check_same_alphabet, _floyd, _floyd_bounds, _letter_masks, contains_pattern
+from .words import AlphabetError, Word, _check_same_alphabet, _code_array, _floyd, _floyd_bounds, contains_pattern
 
 STATE_CAP = 10**6
 SEARCH_ROUNDS = 50  # random perturbations tried per target distance of a curve
@@ -98,7 +98,7 @@ class ForbiddenFamily:
         completed (dead: the word contains a forbidden subsequence)."""
         out = []
         for m, p in zip(state, self.patterns):
-            if p.letters[m] == letter:
+            if p.alphabet[p.codes[m]] == letter:
                 m += 1
                 if m == len(p):
                     return None
@@ -163,9 +163,9 @@ def _d1_costs(w: Word, family: ForbiddenFamily):
     for frontier, row in layouts.items():
         slots[row, rank[list(frontier)]] = np.arange(len(frontier))
 
-    masks = _letter_masks(w, alphabet)
+    codes = _code_array(w)
     dt = np.int16 if n + 2 < 2**15 else np.int32  # the smallest that holds n + 2
-    miss = np.array([~masks[a] for a in alphabet], dt)  # miss[a, i]: cost of a at i
+    miss = np.array([codes != a for a in range(k)], dt)  # miss[a, i]: cost of a at i
     C = np.full((S, n + 1), n + 1, dt)  # costs above n: out of reach
     C[0, 0] = 0
     scans: dict[bytes, np.ndarray] = {}  # self-loop letters -> X, their running mismatches
@@ -221,7 +221,7 @@ def d1_to_family(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
         t = enter[-1] if len(enter) else 0
         out[i + t : j] = a[pick[t:]]
         q, j = p[pick[t]], i + t
-    witness = Word(tuple(np.array(alphabet, dtype=object)[out].tolist()), w.alphabet)
+    witness = Word._from_codes(out, w.alphabet)
     if not family.is_member(witness):
         raise RuntimeError(f"witness {witness} is not in the property")
     return _least_cost(C), witness
@@ -229,10 +229,7 @@ def d1_to_family(w: Word, family: ForbiddenFamily) -> tuple[Fraction, Word]:
 
 def member_word(family: ForbiddenFamily, n: int) -> Word:
     """Some member of P_F of length n."""
-    probe = Word(
-        tuple(family.alphabet[i % len(family.alphabet)] for i in range(n)),
-        family.alphabet,
-    )
+    probe = Word._from_codes(np.arange(n) % len(family.alphabet), family.alphabet)
     _, witness = d1_to_family(probe, family)
     return witness
 
@@ -271,9 +268,9 @@ def run_tester(
         raise ValueError(f"the tester needs at least 1 trial, got {trials}")
     bounds = _floyd_bounds(len(w), length)
     _check_same_alphabet(w, family.patterns[0])
-    C, _, _, nxt, _, miss, _, _ = _d1_costs(w, family)
+    C, _, _, nxt, _, _, _, _ = _d1_costs(w, family)
     k = nxt.shape[1]
-    codes = np.arange(k) @ (1 - miss)  # w's letters as alphabet indices, faster than argmin(axis=0)
+    codes = _code_array(w)
     # moves[r * k + a] is k times the rank letter a leads rank r to; -k, a
     # move that completes a pattern, reads the dead row appended last
     moves = np.append(np.where(nxt < 0, -k, nxt * k), np.full(k, -k))
@@ -330,11 +327,11 @@ def completeness_soundness_curve(
         for r in range(SEARCH_ROUNDS):
             rng = stream.substream(1000 + 100 * pi + r).generator()
             pos = rng.choice(n, size=min(flips, n), replace=False)
-            letters = list(base.letters)
+            codes = list(base.codes)
             for p in pos:
-                options = [a for a in alphabet if a != letters[p]]
-                letters[p] = options[int(rng.integers(len(options)))]
-            cand = Word(tuple(letters), alphabet)
+                options = [a for a in range(len(alphabet)) if a != codes[p]]
+                codes[p] = options[int(rng.integers(len(options)))]
+            cand = Word._from_codes(codes, alphabet)
             d = _d1_value(cand, family)
             if best is None or abs(d - target) < abs(best[0] - target):
                 best = (d, cand)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -56,7 +57,7 @@ def moment_words(i: int, j: int) -> MomentCombination:
     if n > MAX_PATTERN_LENGTH:
         raise ValueError(f"pattern length {n} exceeds cap {MAX_PATTERN_LENGTH}")
     base = Fraction(math.factorial(i) * math.factorial(j), math.factorial(n))
-    counted = ((Word(bits), bits[:-1].count("1")) for bits in itertools.product("01", repeat=n))
+    counted = ((Word._from_codes(bits), bits[:-1].count(1)) for bits in itertools.product((0, 1), repeat=n))
     terms = tuple((u, base * math.comb(ones, j)) for u, ones in counted if ones >= j)
     return MomentCombination(i=i, j=j, terms=terms)
 
@@ -119,9 +120,9 @@ def forcibility_certificate(f: PiecewisePoly) -> ForcibilityCertificate:
         base = coeff * Fraction(math.factorial(a) * math.factorial(b), math.factorial(n))
         for s in range(b, n):
             table[n, s] = table.get((n, s), 0) + base * math.comb(s, b)
-    weights = {Word(bits): table[key] for n in {n for n, _ in table} for bits in itertools.product("01", repeat=n)
-               if (key := (n, bits[:-1].count("1"))) in table}
-    words = sorted(weights, key=str)
+    weights = {Word._from_codes(bits): table[key] for n in {n for n, _ in table}
+               for bits in itertools.product((0, 1), repeat=n) if (key := (n, bits[:-1].count(1))) in table}
+    words = sorted(weights, key=operator.attrgetter("codes"))  # binary codes sort as the text does
     # structural budget: monomial bidegrees are bounded by twice the sum
     # of branch degrees, so no pattern exceeds 2*d_sum + 1 letters and the
     # word list stays finite and small

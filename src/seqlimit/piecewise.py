@@ -63,7 +63,7 @@ from types import MappingProxyType
 
 from . import poly
 from .poly import Poly
-from .words import Word, _prefix_walk
+from .words import BINARY, Word, _code_array, _prefix_walk
 
 NUMERIC_TOL = 1e-12
 
@@ -275,23 +275,25 @@ def _densities(patterns, F) -> list[Fraction]:
     cell and takes `_antiderivative`.
     """
     if isinstance(F, LimitVector):
-        grid, bden, vden, colss = F.cells
-        cols = dict(zip(F.alphabet, colss))
+        grid, bden, vden, cols = F.cells
+        alphabet = F.alphabet
     else:
         if any(set(u.alphabet) != {"0", "1"} for u in patterns):
             raise ValueError("t_density_limit requires the binary alphabet")
         grid, bden, vden, ((c0, *rest),) = require_unit_range(F).cells
-        cols = {"0": [list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)],
-                "1": [c0, *rest]}
+        cols = [[list(map(sub, itertools.repeat(vden), c0)), *(list(map(neg, c)) for c in rest)], [c0, *rest]]
+        alphabet = BINARY
     if any(len(u) == 0 for u in patterns):
         raise ValueError("pattern must be nonempty")
     widths = list(map(sub, grid[1:], grid))
 
-    def extend(state, letter):
-        L, A, prim = _antiderivative(_times(cols[letter], state[0]), widths)
+    def extend(state, code):
+        L, A, prim = _antiderivative(_times(cols[code], state[0]), widths)
         return A, prim[-1], state[2] * bden * vden * L
 
-    return _prefix_walk([u.letters for u in patterns], ([[1] * len(widths)], 1, 1), extend,
+    # the walk reads codes in F's alphabet, the order of cols
+    walked = [u.codes if u.alphabet == alphabet else Word(u.letters, alphabet).codes for u in patterns]
+    return _prefix_walk(walked, ([[1] * len(widths)], 1, 1), extend,
                         lambda l, s: Fraction(math.factorial(l) * s[1], s[2]))
 
 
@@ -356,7 +358,7 @@ def _cells(fs) -> tuple[list[int], int, int, list[list[list[int]]]]:
     cols = []
     for f, xs, e in zip(fs, xss, degrees):
         if e == 0:
-            vs = ([vden if c == "1" else 0 for c in f.letters] if isinstance(f, Word)
+            vs = (_word_column(f, vden) if isinstance(f, Word)
                   else [p[0].numerator * (vden // p[0].denominator) if p else 0 for p in f.pieces])
             cols.append([_spread(xs, vs, grid)])
             continue
@@ -369,6 +371,15 @@ def _cells(fs) -> tuple[list[int], int, int, list[list[list[int]]]]:
                 col += shifted[r] if r < len(p) else [0] * (b - a)
         cols.append(out)
     return grid, bden, vden, cols
+
+
+def _word_column(w: Word, vden: int) -> list[int]:
+    """vden times the indicator of letter "1" at each position of a binary
+    word, found by its code, the index of "1" in w's alphabet."""
+    ones = _code_array(w) == w.alphabet.index("1")
+    if vden < 2**63:
+        return (ones * vden).tolist()
+    return [vden if c else 0 for c in ones.tolist()]
 
 
 def _shift(cols, xs, op) -> list[list[int]]:

@@ -48,7 +48,7 @@ def f_random_word(f: PiecewisePoly, n: int, stream: SeededStream) -> Word:
     xs = rng.random(n)
     ys = rng.random(n) < _eval_many(f, xs)
     order = np.lexsort((np.arange(n), xs))
-    return Word(tuple(map(("0", "1").__getitem__, ys[order].tolist())))
+    return Word._from_codes(ys[order])
 
 
 def f_random_word_vector(F: LimitVector, n: int, stream: SeededStream) -> Word:
@@ -67,7 +67,7 @@ def f_random_word_vector(F: LimitVector, n: int, stream: SeededStream) -> Word:
         choice[hit] = j
         decided |= hit
     order = np.lexsort((np.arange(n), xs))
-    return Word(tuple(map(F.alphabet.__getitem__, choice[order].tolist())), F.alphabet)
+    return Word._from_codes(choice[order], F.alphabet)
 
 
 @dataclass(frozen=True)

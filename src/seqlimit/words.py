@@ -5,6 +5,17 @@ index sets 1 <= i_1 < ... < i_l <= n whose extracted subword equals u.
 Counts are exact big integers; densities are exact rationals obtained by
 dividing by C(n, l).
 
+Representation.  A `Word` holds its alphabet and one code per letter,
+the letter's index in the alphabet, in one bytes object (a tuple of ints
+past 256 letters).  Text over single ASCII letters, as every word and
+pattern of the command line is, is checked and encoded in C: one
+`bytes.translate` maps each letter to its code and any other byte to
+255, and one search for 255 finds a bad symbol.  Other alphabets take a
+dict lookup per letter.  The kernels read the codes through a numpy view
+(`_code_array`), the samplers and the tester build words from code
+arrays, and a word keeps its text for `str`.  `letters`, a tuple of
+one str per letter, is only built on demand.
+
 Counting engine.  Let P_j[i] be the number of occurrences of u_1..u_j in
 the first i letters of w (P_0 = 1).  One level is a masked cumulative
 sum, P_j[i + 1] = P_j[i] + [w_i = u_j] * P_{j-1}[i], and the count is the
@@ -41,9 +52,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,35 +67,149 @@ class AlphabetError(ValueError):
     """Raised when a symbol or a pair of words disagrees on the alphabet."""
 
 
-@dataclass(frozen=True)
-class Word:
-    letters: tuple[str, ...]
-    alphabet: tuple[str, ...] = BINARY
+class _Codebook(NamedTuple):
+    """What encoding and spelling words over one alphabet needs."""
+    letters: frozenset
+    index: dict  # letter -> code
+    single: bool  # every letter is one character, so `letters` splits the text
+    # translate tables, for alphabets of single ASCII characters (so at most
+    # 128 letters, and 255 is no code): letter -> code, any other byte ->
+    # 255, and code -> letter
+    encode: bytes | None
+    spell: bytes | None
 
-    def __post_init__(self):
-        if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
-            raise AlphabetError(f"invalid alphabet {self.alphabet!r}")
-        allowed = set(self.alphabet)
-        if not allowed.issuperset(self.letters):
-            bad = next(c for c in self.letters if c not in allowed)
-            raise AlphabetError(f"symbol {bad!r} not in alphabet {self.alphabet!r}")
+
+_CODEBOOKS: dict[tuple, _Codebook] = {}
+CODEBOOK_CAP = 256  # alphabets whose codebooks are kept at a time
+
+
+def _codebook(alphabet: tuple) -> _Codebook:
+    """The codebook of a valid alphabet, built once and cached."""
+    book = _CODEBOOKS.get(alphabet)
+    if book is None:
+        if len(set(alphabet)) != len(alphabet) or not alphabet:
+            raise AlphabetError(f"invalid alphabet {alphabet!r}")
+        single = all(isinstance(a, str) and len(a) == 1 for a in alphabet)
+        encode = spell = None
+        if single and all(a.isascii() for a in alphabet):
+            table = bytearray(b"\xff" * 256)
+            for code, a in enumerate(alphabet):
+                table[ord(a)] = code
+            encode, spell = bytes(table), bytes(map(ord, alphabet)).ljust(256, b"\0")
+        if len(_CODEBOOKS) >= CODEBOOK_CAP:
+            _CODEBOOKS.clear()
+        book = _CODEBOOKS[alphabet] = _Codebook(
+            frozenset(alphabet), {a: code for code, a in enumerate(alphabet)}, single, encode, spell)
+    return book
+
+
+def _encode(letters, alphabet: tuple, book: _Codebook):
+    """(codes, text) of a str or an iterable of letters over the alphabet,
+    text the word's str when its letters are single characters, else
+    None, by a dict lookup per letter.  Raises on the first symbol outside
+    the alphabet."""
+    if not isinstance(letters, (str, tuple)):
+        letters = tuple(letters)
+    if not book.letters.issuperset(letters):
+        bad = next(c for c in letters if c not in book.letters)
+        raise AlphabetError(f"symbol {bad!r} not in alphabet {alphabet!r}")
+    codes = list(map(book.index.__getitem__, letters))
+    text = letters if isinstance(letters, str) else "".join(letters) if book.single else None
+    return (bytes(codes) if len(alphabet) <= 256 else tuple(codes)), text
+
+
+class Word:
+    """A word over a finite alphabet, stored as its alphabet and one code
+    per letter, the letter's index in the alphabet: `codes` is a bytes
+    object, or a tuple of ints when the alphabet has more than 256
+    letters.  The kernels read the codes, and `letters` is built on
+    demand.  A word keeps its text, given or spelled on the first `str`.
+    Immutable, and equal to another word with the same codes and
+    alphabet."""
+
+    __slots__ = ("_codes", "_alphabet", "_text")
+    codes = property(operator.attrgetter("_codes"))
+    alphabet = property(operator.attrgetter("_alphabet"))
+
+    def __init__(self, letters: tuple[str, ...] | str, alphabet: tuple[str, ...] = BINARY):
+        if type(alphabet) is not tuple:
+            alphabet = tuple(alphabet)
+        book = _CODEBOOKS.get(alphabet) or _codebook(alphabet)
+        if book.encode is not None:  # single ASCII letters: checked and encoded in C
+            if type(letters) is str:
+                if letters.isascii():
+                    codes = letters.encode().translate(book.encode)
+                    if 255 not in codes:
+                        self.__post_init__(codes, letters, alphabet)
+                        return
+            elif type(letters) is tuple and book.letters.issuperset(letters):
+                text = "".join(letters)
+                self.__post_init__(text.encode().translate(book.encode), text, alphabet)
+                return
+        self.__post_init__(*_encode(letters, alphabet, book), alphabet)
+
+    def __post_init__(self, codes, text, alphabet):
+        """Set the fields: every word, however it is built, passes here once."""
+        self._codes, self._text, self._alphabet = codes, text, alphabet
 
     @classmethod
     def from_string(cls, text: str, alphabet: tuple[str, ...] = BINARY) -> "Word":
-        return cls(tuple(text), alphabet)
+        return cls(text, alphabet)
+
+    @classmethod
+    def _from_codes(cls, codes, alphabet: tuple[str, ...] = BINARY) -> "Word":
+        """The word of the given codes, a sequence or an array of ints below
+        the size of a valid alphabet: unchecked."""
+        if len(alphabet) > 256:
+            codes = tuple(codes.tolist() if isinstance(codes, np.ndarray) else codes)
+        elif type(codes) is not bytes:
+            codes = codes.astype(np.uint8).tobytes() if isinstance(codes, np.ndarray) else bytes(codes)
+        word = object.__new__(cls)
+        word.__post_init__(codes, None, alphabet)
+        return word
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        """One str per letter, built on each call: the kernels read `codes`."""
+        if _codebook(self._alphabet).single:
+            return tuple(str(self))
+        return tuple(map(self._alphabet.__getitem__, self._codes))
+
+    def __reduce__(self):
+        return Word._from_codes, (self._codes, self._alphabet)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._codes == other._codes and self._alphabet == other._alphabet
+
+    def __hash__(self) -> int:
+        return hash((self._codes, self._alphabet))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r}, alphabet={self._alphabet!r})"
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def __str__(self) -> str:
-        return "".join(self.letters)
+        if self._text is None:  # spelled once: a word is printed and keyed often
+            spell = _codebook(self._alphabet).spell
+            self._text = (self._codes.translate(spell).decode() if spell is not None
+                          else "".join(map(self._alphabet.__getitem__, self._codes)))
+        return self._text
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.letters)
 
     def weight(self, letter: str = "1") -> int:
         """Number of occurrences of a single letter."""
-        return self.letters.count(letter)
+        return self._codes.count(self._alphabet.index(letter)) if letter in self._alphabet else 0
+
+
+def _code_array(w: Word) -> np.ndarray:
+    """w's codes as a numpy array, a view of the bytes when they are bytes."""
+    return np.frombuffer(w.codes, np.uint8) if isinstance(w.codes, bytes) else np.array(w.codes, np.intp)
 
 
 def _check_same_alphabet(w: Word, u: Word) -> None:
@@ -93,17 +217,15 @@ def _check_same_alphabet(w: Word, u: Word) -> None:
         raise AlphabetError(f"alphabet mismatch: {w.alphabet!r} vs {u.alphabet!r}")
 
 
-def _letter_masks(w: Word, letters: Iterable[str]) -> dict[str, np.ndarray]:
-    """Boolean indicator, over the positions of w, of each given letter."""
-    if all(len(a) == 1 for a in w.alphabet):
-        # one code point per letter: encode in C rather than map in Python
-        codes = np.frombuffer("".join(w.letters).encode("utf-32-le"), dtype="<u4")
-        key = ord
-    else:
-        index = {a: i for i, a in enumerate(w.alphabet)}
-        codes = np.fromiter(map(index.__getitem__, w.letters), dtype=np.intp, count=len(w))
-        key = index.__getitem__
-    return {a: codes == key(a) for a in set(letters)}
+def _letter_masks(w: Word, letters: Iterable) -> dict:
+    """Boolean indicator, over the positions of w, of each given letter or
+    letter code (an int); all False for a letter outside w's alphabet."""
+    codes, alphabet = _code_array(w), w.alphabet
+    masks = {}
+    for a in set(letters):
+        code = a if isinstance(a, int) else alphabet.index(a) if a in alphabet else None
+        masks[a] = np.zeros(len(codes), bool) if code is None else codes == code
+    return masks
 
 
 def _prefix_walk(patterns, root, extend, read) -> list:
@@ -181,9 +303,10 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return x
 
 
-def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
-    """Exact occurrence counts in w of nonempty patterns, each given as a
-    tuple of letters of w's alphabet, sharing prefixes along their trie;
+def pattern_counts(w: Word, patterns: Sequence[Sequence]) -> list[int]:
+    """Exact occurrence counts in w of nonempty patterns, all given as
+    tuples of letters of w's alphabet or all as sequences of their codes
+    (`Word.codes`), sharing prefixes along their trie;
     a pattern with more of some letter than w, so any pattern longer than
     w, counts 0 without a walk."""
     if any(len(u) == 0 for u in patterns):
@@ -217,7 +340,7 @@ def pattern_counts(w: Word, patterns: Sequence[tuple[str, ...]]) -> list[int]:
 def subsequence_count(w: Word, u: Word) -> int:
     """Exact number of index sets extracting u from w; 0 when |u| > |w|."""
     _check_same_alphabet(w, u)
-    return pattern_counts(w, [u.letters])[0]
+    return pattern_counts(w, [u.codes])[0]
 
 
 def index_sets(w: Word, length: int) -> int:
@@ -238,7 +361,9 @@ def pattern_density(w: Word, u: Word) -> Fraction:
 def all_patterns(length: int, alphabet: tuple[str, ...] = BINARY) -> list[Word]:
     """Every pattern of the given length, in lexicographic order: the
     patterns the uniformity results (acceptance criteria 02 and 04) count."""
-    return [Word(p, alphabet) for p in itertools.product(alphabet, repeat=length)]
+    alphabet = tuple(alphabet)
+    _codebook(alphabet)  # checks the alphabet
+    return [Word._from_codes(p, alphabet) for p in itertools.product(range(len(alphabet)), repeat=length)]
 
 
 def density_table(w: Word, length: int) -> dict[str, Fraction]:
@@ -248,9 +373,10 @@ def density_table(w: Word, length: int) -> dict[str, Fraction]:
     k = len(w.alphabet)
     if k ** length > DENSITY_TABLE_CAP:
         raise ValueError(f"{k}^{length} patterns exceeds cap {DENSITY_TABLE_CAP}")
-    pats = list(itertools.product(w.alphabet, repeat=length))
+    pats = list(itertools.product(range(k), repeat=length))
     total = index_sets(w, length)
-    return {"".join(u): Fraction(c, total) for u, c in zip(pats, pattern_counts(w, pats))}
+    spell = w.alphabet.__getitem__
+    return {"".join(map(spell, u)): Fraction(c, total) for u, c in zip(pats, pattern_counts(w, pats))}
 
 
 def extract(w: Word, indices: Iterable[int]) -> Word:
@@ -260,7 +386,7 @@ def extract(w: Word, indices: Iterable[int]) -> Word:
         raise ValueError("indices must be strictly increasing")
     if idx and (idx[0] < 1 or idx[-1] > len(w)):
         raise ValueError("index out of range")
-    return Word(tuple(w.letters[i - 1] for i in idx), w.alphabet)
+    return Word._from_codes(_code_array(w)[np.array(idx, np.intp) - 1], w.alphabet)
 
 
 def hamming_d1(w: Word, v: Word) -> Fraction:
@@ -270,15 +396,14 @@ def hamming_d1(w: Word, v: Word) -> Fraction:
     _check_same_alphabet(w, v)
     if len(w) != len(v):
         raise ValueError("words must have equal length")
-    diff = sum(1 for a, b in zip(w.letters, v.letters) if a != b)
-    return Fraction(diff, len(w))
+    return Fraction(int(np.count_nonzero(_code_array(w) != _code_array(v))), len(w))
 
 
 def contains_pattern(w: Word, u: Word) -> bool:
     """Greedy subsequence containment test, O(|w|)."""
     _check_same_alphabet(w, u)
-    rest = iter(w.letters)
-    return all(c in rest for c in u.letters)  # each `in` consumes w up to a match
+    rest = iter(w.codes)
+    return all(c in rest for c in u.codes)  # each `in` consumes w up to a match
 
 
 def _floyd_bounds(n: int, length: int) -> np.ndarray:
@@ -303,5 +428,7 @@ def _floyd(rng: np.random.Generator, bounds: np.ndarray) -> set[int]:
 def random_subsequence(w: Word, length: int, stream: SeededStream) -> Word:
     """Subword at a uniformly random index set of the given size."""
     chosen = _floyd(stream.generator(), _floyd_bounds(len(w), length))
-    return extract(w, [i + 1 for i in sorted(chosen)])
+    positions = np.fromiter(chosen, np.intp, len(chosen))
+    positions.sort()
+    return Word._from_codes(_code_array(w)[positions], w.alphabet)
 

@@ -689,3 +689,35 @@ def test_word_json_is_read_by_its_keys_not_its_letters():
         assert (code, out) == (1, "") and err.endswith(f"got [{letter!r}, 'b']\n"), letter
     assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["density"] == "1"
+
+
+def test_long_word_jobs_build_no_tuple_of_letters(monkeypatch):
+    """The kernels read letter codes: replaying analyze, density, distance,
+    test and sample on 10^5 letters through `cli.dispatch` never builds
+    `Word.letters` for a word of more than 64 letters."""
+    built = []
+    letters = Word.letters
+
+    def guarded(w):
+        if len(w) > 64:
+            built.append(len(w))
+        return letters.fget(w)
+
+    monkeypatch.setattr(Word, "letters", property(guarded))
+    codes = SeededStream(70).generator().integers(0, 2, size=10**5)
+    word = "".join(map("01".__getitem__, codes))
+    ones_first = json.dumps({"letters": word, "alphabet": ["1", "0"]})
+    step = json.dumps({"breakpoints": ["0", "1/3", "1"], "pieces": [{"coeffs": ["1/5"]}, {"coeffs": ["3/4"]}]})
+    jobs = [("analyze", word), ("analyze", ones_first),
+            ("density", "--word", word, "--pattern", "011010"),
+            ("density", "--word", ones_first, "--pattern", "0110"),
+            ("distance", word, step, "--metric", "box"), ("distance", ones_first, word, "--metric", "l1"),
+            ("distance", word, step, "--metric", "prefix"),
+            ("--seed", "71", "test", "--word", word, "--forbid", "0110,1001", "--query-size", "24",
+             "--trials", "50"),
+            ("--seed", "72", "sample", "--limit", step, "--length", str(10**5), "--count", "2")]
+    for argv in jobs:
+        code, _, err = run_cli(*argv)
+        assert code == 0, err
+    assert built == []
+    assert Word.from_string(word).letters[:3] == tuple(word[:3]) and built == [10**5]

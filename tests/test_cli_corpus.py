@@ -13,7 +13,9 @@ n-piece step function of a word for its distances to polynomial limits
 (but for the `word-cubic-end` pair, see CUBIC_END), from the
 per-letter generators that built f-random words, and from permuton
 Monte Carlo cells drawn by `Generator.choice` on grids read token by
-token with `Fraction(str)`.  Any change
+token with `Fraction(str)`, and from words held as tuples of one str per
+letter (the `ALPHABETS` and `MILLION` pins, before words became letter
+codes).  Any change
 to those paths must keep every byte of output, so a digest mismatch is
 a behaviour change.
 """
@@ -34,7 +36,7 @@ import seqlimit
 from seqlimit import ForbiddenFamily, SeededStream, Word, words
 from seqlimit.hereditary import STATE_CAP
 from test_cli import run_cli
-from test_hereditary import dict_dp_d1, oracle_accepted
+from test_hereditary import WIDE, dict_dp_d1, oracle_accepted
 
 
 def _word(n: int, a: int, b: int, m: int) -> str:
@@ -239,10 +241,10 @@ def _ternary(n: int, a: int, b: int, m: int) -> str:
     return json.dumps({"letters": letters, "alphabet": ["a", "b", "c"]})
 
 
-def _seeded_letters(n: int, alphabet: str, seed: int) -> str:
-    """Seeded random string of n of the given letters."""
+def _seeded_letters(n: int, alphabet, seed: int) -> str:
+    """Seeded random string of n of the given single-character letters."""
     codes = SeededStream(seed).generator().integers(0, len(alphabet), size=n)
-    return "".join(alphabet[c] for c in codes)
+    return np.array(list(alphabet), "<U1")[codes].tobytes().decode("utf-32-le")
 
 
 def _seeded(n: int, alphabet: str, seed: int) -> str:
@@ -317,6 +319,7 @@ WORD_DENSITY = {
     "density-word-zeros-130-120": ("density", "--word", "0" * 130, "--pattern", "0" * 120),
     "density-word-n3000-l8": ("density", "--word", W3000, "--pattern", "01101001"),
     "density-word-n3000-own-prefix-200": ("density", "--word", W3000, "--pattern", W3000[:200]),
+    "density-word-seeded-n16000-l6": ("density", "--word", _seeded_letters(16000, "01", 53), "--pattern", "011010"),
 }
 
 # completeness/soundness curves: `member_word` seeds the perturbation search
@@ -358,6 +361,7 @@ SAMPLE = {
     "sample-step": ("--seed", "41", "sample", "--limit", STEP_A, "--length", "60", "--count", "3"),
     "sample-quad3": ("--seed", "42", "sample", "--limit", json.dumps(QUAD3), "--length", "75", "--count", "3"),
     "sample-ternary": ("--seed", "43", "sample", "--limit", TERNARY, "--length", "50", "--count", "3"),
+    "sample-step-n100000": ("--seed", "54", "sample", "--limit", STEP_A, "--length", "100000", "--count", "2"),
 }
 
 # pattern densities of polynomial limits: a ternary vector with polynomial
@@ -375,6 +379,27 @@ LIMIT_DENSITY = {
         for u in ("1", "01", "110", "0110", "10110", "011010")
     },
     "density-limit-quartic-l8": ("density", "--limit", QUARTIC_F, "--pattern", "01101001"),
+}
+
+# JSON words over alphabets whose codes are not their letters' order or
+# their bytes: binary with "1" listed first, Greek letters, and WIDE, 64
+# letters past U+00FF and then X and Y; a limit vector over Greek letters
+W10 = json.dumps({"letters": _seeded_letters(300, "01", 55), "alphabet": ["1", "0"]})
+GREEK = json.dumps({"letters": _seeded_letters(400, "αβγ", 56), "alphabet": ["α", "β", "γ"]})
+GREEK_VECTOR = json.dumps({"alphabet": ["α", "β", "γ"], "components": dict(zip(
+    ["α", "β", "γ"], json.loads(TERNARY)["components"].values()))})
+WIDE_WORD = json.dumps({"letters": _seeded_letters(500, WIDE, 57), "alphabet": list(WIDE)})
+ALPHABETS = {
+    "analyze-alphabet-10": ("analyze", W10),
+    "density-word-alphabet-10": ("density", "--word", W10, "--pattern", "0110"),
+    "distance-box-alphabet-10-step-a": ("distance", W10, STEP_A, "--metric", "box"),
+    "distance-l1-alphabet-10-w60a": ("distance", W10, W60A, "--metric", "l1"),
+    "test-alphabet-10": _tester(W10, "0110,1001", 12, 100, 58),
+    "density-word-greek": ("density", "--word", GREEK, "--pattern", "αβγα"),
+    "test-greek": _tester(GREEK, "αβγ,γβα", 10, 100, 59),
+    "sample-greek-vector": ("--seed", "60", "sample", "--limit", GREEK_VECTOR, "--length", "200", "--count", "2"),
+    "density-word-wide": ("density", "--word", WIDE_WORD, "--pattern", "X" + WIDE[0] + "Y"),
+    "test-wide": _tester(WIDE_WORD, "XY," + WIDE[0] + WIDE[1] + "X", 8, 100, 61),
 }
 
 CORPUS = {
@@ -417,6 +442,7 @@ CORPUS = {
     **LIMIT_DENSITY,
     **ANALYZE_LONG,
     **TESTER_LONG,
+    **ALPHABETS,
 }
 
 DIGESTS = {
@@ -584,12 +610,44 @@ DIGESTS = {
     "analyze-0110": "ea91b21d4f1813df13492a8d9cebbe7aac51a18084bc3032f1346ba3533c197d",
     "analyze-01x500": "81a3a1ed34a9a01dd590379d9059c32084da79c60f463ef143930b11c2c62e10",
     "test-w16000-two-patterns": "819053069920c383cf6b6bec38243bcd3d664bb2517f635829f6954d19213cec",
+    "density-word-seeded-n16000-l6": "001e44dd25dc2b4140397795bed332075727f30af474a8dc249cda6b4913ad7b",
+    "sample-step-n100000": "1aa320c8dd21ab1b8f4ded04367635634f943d0e938789e8dfd3a8c8ae0c3af1",
+    "analyze-alphabet-10": "2e21a318c21df9573b066efd6789904d0fe649ab069c9104a51d1269968aff4e",
+    "density-word-alphabet-10": "e6a1386ccc8b40d00e106c5ad4c81b0953deefcc8fb7de9e651a1346dc5a83f6",
+    "distance-box-alphabet-10-step-a": "46fef49d6a539a072024abc0ccb2e1f41bdc78f64ce004827f0e768673584721",
+    "distance-l1-alphabet-10-w60a": "2b81537ae128a2197486be1edde080af8229857dc9957f2f414cbf244025ac13",
+    "test-alphabet-10": "556dd152b8ce5cb57adc0793d8da3df3b5f4daf4c43fe03b0f734b490adcb53b",
+    "density-word-greek": "46ab0ce3b027241437465f3ec0aac2c528b6064b681504b59f62a390d1b66bf6",
+    "test-greek": "0e280cebed5eebc805e52ac3f91ae07c010e5e220a4ced063eb63b1efe799021",
+    "sample-greek-vector": "7450694e774d318042b88bebcb51028cc21c5f1205db2e66527448463e05b676",
+    "density-word-wide": "84e33a34c325b2cbb46fd03c5fe4a12bb1a8f9cf967e510f2fb088e3474da44c",
+    "test-wide": "50c397b4382d7674f45a3e956b40da4ae810b4763b2f928638a8bb38233163d4",
+    "analyze-seeded-n1000000": "1bbf8d452f47ed0e367afd5041e9333d0aaf7be6a303d83d95d3c38e05b005f8",
+    "distance-box-seeded-n1000000-step-a": "57fe49defe854f7a79aa093176946271cbcbfd6a4ebbd2e67dd9756e272c9c62",
+    "test-seeded-n1000000-two-patterns": "f8f9a3e2d606744d6f3b61b13e711934e126ec809d68e4318339e92e3852be34",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_cli_corpus_stdout_is_byte_identical(name):
     code, out, err = run_cli(*CORPUS[name])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+# 10^6 seeded letters, kept out of CORPUS, whose pins the tests below
+# replay again in subprocesses
+W1M = _seeded_letters(10**6, "01", 62)
+MILLION = {
+    "analyze-seeded-n1000000": ("analyze", W1M),
+    "distance-box-seeded-n1000000-step-a": ("distance", W1M, STEP_A, "--metric", "box"),
+    "test-seeded-n1000000-two-patterns": _tester(W1M, "0110,1001", 24, 200, 62),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MILLION))
+def test_million_letter_stdout_is_byte_identical(name):
+    code, out, err = run_cli(*MILLION[name])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
 

@@ -36,6 +36,7 @@ CALLED_FROM_TESTS = {
     "words.all_patterns": "criteria 02 and 04",
     "words.density_table": "criterion 13",
     "words.hamming_d1": "criterion 09",
+    "words.extract": "the reference of `random_subsequence`, which gathers the codes at its positions itself",
     "permutons.grid_density_table": "criterion 11",
     "permutons._GuideTable.draw": "its contract with Generator.choice; `_grid_points` reads the same `slots`",
     "moments.moment_words": "criterion 06",

@@ -3,6 +3,8 @@
 import collections
 import itertools
 import math
+import pickle
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,15 +15,19 @@ from hypothesis import strategies as st
 
 from seqlimit import (
     AlphabetError,
+    PiecewisePoly,
     SeededStream,
     Word,
     contains_pattern,
+    f_random_word,
+    f_random_word_vector,
     hamming_d1,
     pattern_density,
     random_subsequence,
     subsequence_count,
 )
 from seqlimit import words
+from seqlimit.piecewise import LimitVector
 from seqlimit.words import _crt_moduli, all_patterns, density_table, extract, pattern_counts
 
 from util import brute_subsequence_count, dp_subsequence_count, random_word
@@ -416,3 +422,97 @@ def test_a_long_pattern_holds_a_few_levels_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# alphabets whose codes differ from their letters' bytes: "1" listed first,
+# Greek letters, one letter of two characters, and 66 letters past U+00FF
+ALPHABETS = [("0", "1"), ("1", "0"), ("a", "b", "c"), ("α", "β", "γ"), ("a", "b", "cd"),
+             tuple(chr(0x100 + c) for c in range(64)) + ("X", "Y")]
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: f"k{len(a)}-{a[0]}")
+def test_words_from_text_tuples_and_codes_are_one_word(alphabet):
+    """A word built from its text, from its tuple of letters, from its
+    codes (`all_patterns`) or by `random_subsequence` is the same word:
+    equal, of equal hash, spelled alike and surviving a pickle."""
+    letters = random_letters(SeededStream(40), 50, alphabet).letters
+    single = [a for a in alphabet if len(a) == 1]
+    text = "".join(single[i % len(single)] for i in range(50))
+    for word in (Word(letters, alphabet), Word.from_string(text, alphabet)):
+        again = Word(word.letters, alphabet)
+        assert word == again and hash(word) == hash(again) and str(word) == str(again)
+        assert type(word.letters) is tuple and len(word) == len(word.letters) == 50
+        assert pickle.loads(pickle.dumps(word)) == word
+    assert Word(list(letters), list(alphabet)) == Word(letters, alphabet)
+    for u in all_patterns(2, alphabet):
+        assert u == Word(u.letters, alphabet) and hash(u) == hash(Word(u.letters, alphabet))
+    w = Word(letters, alphabet)
+    for t in range(5):
+        u = random_subsequence(w, 7, SeededStream(41).substream(t))
+        assert u == Word(u.letters, alphabet) and hash(u) == hash(Word(u.letters, alphabet))
+        assert contains_pattern(w, u)
+    assert Word.from_string("0110") != Word.from_string("0110", ("1", "0"))
+    assert Word.from_string("0110") != "0110" and Word.from_string("") == Word(())
+
+
+def test_sampled_words_equal_their_text_and_letters():
+    f = PiecewisePoly.step([Fraction(1, 3), Fraction(3, 4)])
+    third = PiecewisePoly.constant(Fraction(1, 3))
+    for w in (f_random_word(f, 300, SeededStream(42)),
+              f_random_word_vector(LimitVector({"a": third, "b": third, "c": third}), 300, SeededStream(43))):
+        for again in (Word.from_string(str(w), w.alphabet), Word(w.letters, w.alphabet)):
+            assert again == w and hash(again) == hash(w)
+
+
+def test_letters_is_a_tuple_and_a_word_is_immutable():
+    w = W("0110")
+    assert w.letters == ("0", "1", "1", "0") and type(w.letters) is tuple
+    for field in ("letters", "codes", "alphabet", "spare"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, ("1",))
+        with pytest.raises(AttributeError):
+            delattr(w, field)
+    assert w == W("0110") and {w: 1}[W("0110")] == 1
+    assert repr(w) == "Word(letters=('0', '1', '1', '0'), alphabet=('0', '1'))"
+
+
+def test_first_bad_symbol_message_on_every_path():
+    cases = [
+        (("0", "1"), "01é1x"),  # not ASCII, then an ASCII symbol outside
+        (("0", "1"), "0 1"),
+        (("α", "β"), "αβxβ"),
+        (("a", "b", "cd"), "abcd"),  # text is read a character at a time
+    ]
+    for alphabet, text in cases:
+        bad = next(c for c in text if c not in alphabet)
+        message = "^" + re.escape(f"symbol {bad!r} not in alphabet {alphabet!r}") + "$"
+        with pytest.raises(AlphabetError, match=message):
+            Word.from_string(text, alphabet)
+        with pytest.raises(AlphabetError, match=message):
+            Word(tuple(text), alphabet)
+    # tuples whose letters are not single characters, though their text is
+    for letters, bad in [(("", "01"), ""), (("0", "01"), "01"), (("0", 1), 1)]:
+        with pytest.raises(AlphabetError, match=f"^symbol {bad!r} not in alphabet"):
+            Word(letters)
+    assert Word(("a", "cd", "b"), ("a", "b", "cd")).letters == ("a", "cd", "b")
+    assert str(Word(("a", "cd", "b"), ("a", "b", "cd"))) == "acdb"
+    for alphabet in [("0", "0"), ()]:
+        with pytest.raises(AlphabetError, match="^invalid alphabet"):
+            Word((), alphabet)
+
+
+def test_an_alphabet_of_300_letters_counts_as_the_dp():
+    """More than 256 letters: the codes are a tuple of ints, and the
+    kernels count, extract and compare as on bytes."""
+    alphabet = tuple(chr(0x100 + c) for c in range(300))
+    w = random_letters(SeededStream(44), 400, alphabet)
+    assert type(w.codes) is tuple and max(w.codes) >= 256
+    assert Word.from_string(str(w), alphabet) == w and w.weight(alphabet[299]) == w.letters.count(alphabet[299])
+    for t, length in enumerate((1, 2, 3, 3)):
+        u = extract(w, sorted(SeededStream(45).substream(t).generator().choice(400, length, replace=False) + 1))
+        assert subsequence_count(w, u) == dp_subsequence_count(w, u) > 0
+        assert contains_pattern(w, u)
+    u, v = Word(alphabet[-3:], alphabet), Word(alphabet[-3:-1], alphabet)
+    assert pattern_counts(w, [u.codes, v.codes]) == [dp_subsequence_count(w, u), dp_subsequence_count(w, v)]
+    assert pattern_counts(w, [u.letters, v.letters]) == pattern_counts(w, [u.codes, v.codes])
+    assert hamming_d1(w, w) == 0 and hamming_d1(w, Word(w.letters[::-1], alphabet)) > 0
